@@ -15,9 +15,11 @@
 //	pgbench -metrics out.json   # export metric snapshots + cycle attribution
 //	pgbench -bench out.json     # machine-readable per-workload results
 //	pgbench -exhaustbench f.json   # machine-readable exhaustion ladder + corpus
-//	pgbench -tracebench f.json     # span-tracing overhead + reconciliation report
-//	pgbench -servebench f.json     # serving throughput: fresh vs snapshot vs cache
-//	pgbench -check-bench a.json,b.json  # validate artifacts, cross-checking the set
+//	pgbench -samplebench f.json    # machine-readable sampled-tier study
+//	pgbench -check-bench a.json,b.json  # validate artifacts, one per schema
+//
+// Host wall-clock cost is not measured here: perfbench (BENCHMARK.json)
+// measures the served and table-regeneration workloads end to end.
 package main
 
 import (
@@ -55,16 +57,9 @@ func main() {
 	metrics := flag.String("metrics", "", "write metric snapshots + cycle attribution (JSON and .prom) to this path")
 	bench := flag.String("bench", "", "write machine-readable per-workload results (JSON) to this path")
 	checkBenchPath := flag.String("check-bench", "",
-		"validate benchmark artifacts (comma-separated and/or positional paths) and exit, cross-checking the set")
+		"validate benchmark artifacts (comma-separated and/or positional paths, one per schema) and exit")
 	exhaustbench := flag.String("exhaustbench", "", "write the machine-readable exhaustion ladder + corpus (JSON) to this path")
-	wallbench := flag.String("wallbench", "", "run the wall-clock benchmark suite and write its JSON report to this path")
-	tracebench := flag.String("tracebench", "", "run the span-tracing overhead benchmark and write its JSON report to this path")
-	servebench := flag.String("servebench", "", "run the serving benchmark (fresh vs snapshot vs cache) and write its JSON report to this path")
 	samplebench := flag.String("samplebench", "", "run the sampled-tier study (detection probability vs rate vs overhead) and write its JSON report to this path")
-	serveRequests := flag.Int("serve-requests", 0, "warm-side soak length for -servebench (0 = 200000)")
-	serveFreshRequests := flag.Int("serve-fresh-requests", 0, "fresh-baseline request count for -servebench (0 = 20000)")
-	serveClients := flag.Int("serve-clients", 0, "concurrent load clients for -servebench (0 = 16)")
-	serveDistinct := flag.Int("serve-distinct", 0, "distinct trace variants in the -servebench mix (0 = 32)")
 	parallel := flag.Int("j", defaultParallelism(),
 		"worker goroutines for table/study cells (0 = one per CPU, 1 = sequential; default $PGBENCH_PARALLEL)")
 	list := flag.Bool("list", false, "list the workloads and exit")
@@ -92,30 +87,14 @@ func main() {
 		}
 		return
 	}
-	if *servebench != "" {
-		if err := runServeBench(*servebench, serveBenchOpts{
-			requests: *serveRequests, freshRequests: *serveFreshRequests,
-			clients: *serveClients, distinct: *serveDistinct,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "pgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*table, *study, *probe, *faults, *metrics, *bench, *exhaustbench, *wallbench, *tracebench, *parallel); err != nil {
+	if err := run(*table, *study, *probe, *faults, *metrics, *bench, *exhaustbench, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "pgbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table int, study, probe, faults, metrics, bench, exhaustbench, wallbench, tracebench string, parallel int) error {
+func run(table int, study, probe, faults, metrics, bench, exhaustbench string, parallel int) error {
 	opts := experiment.Options{Faults: faults, Parallelism: parallel}
-	if wallbench != "" {
-		return runWallBench(wallbench, opts)
-	}
-	if tracebench != "" {
-		return runTraceBench(tracebench, opts)
-	}
 	if exhaustbench != "" {
 		return runExhaustBench(exhaustbench)
 	}

@@ -25,16 +25,16 @@ func TestProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps every configuration")
 	}
-	if err := run(0, "", "jwhois", "", "", "", "", "", "", 1); err != nil {
+	if err := run(0, "", "jwhois", "", "", "", "", 1); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if err := run(0, "", "no-such-workload", "", "", "", "", "", "", 1); err == nil {
+	if err := run(0, "", "no-such-workload", "", "", "", "", 1); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestUnknownStudy(t *testing.T) {
-	if err := run(0, "bogus", "", "", "", "", "", "", "", 1); err == nil {
+	if err := run(0, "bogus", "", "", "", "", "", 1); err == nil {
 		t.Fatal("unknown study accepted")
 	}
 }
@@ -43,7 +43,7 @@ func TestSingleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table sweep")
 	}
-	if err := run(2, "", "", "", "", "", "", "", "", 1); err != nil {
+	if err := run(2, "", "", "", "", "", "", 1); err != nil {
 		t.Fatalf("table 2: %v", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestMetricsExport(t *testing.T) {
 		t.Skip("runs every Olden workload")
 	}
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := run(0, "", "", "", path, "", "", "", "", 1); err != nil {
+	if err := run(0, "", "", "", path, "", "", 1); err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
 
@@ -105,7 +105,7 @@ func TestBenchExportAndCheck(t *testing.T) {
 		t.Skip("sweeps utilities + Olden under two configurations")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(0, "", "", "", "", path, "", "", "", 1); err != nil {
+	if err := run(0, "", "", "", "", path, "", 1); err != nil {
 		t.Fatalf("bench: %v", err)
 	}
 	if err := checkBench([]string{path}); err != nil {
@@ -179,8 +179,8 @@ func TestParallelTableByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates Table 3 twice")
 	}
-	seq := captureStdout(t, func() error { return run(3, "", "", "", "", "", "", "", "", 1) })
-	par := captureStdout(t, func() error { return run(3, "", "", "", "", "", "", "", "", 8) })
+	seq := captureStdout(t, func() error { return run(3, "", "", "", "", "", "", 1) })
+	par := captureStdout(t, func() error { return run(3, "", "", "", "", "", "", 8) })
 	if seq != par {
 		t.Errorf("table 3 output differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", seq, par)
 	}
@@ -197,7 +197,7 @@ func TestParallelMetricsByteIdentical(t *testing.T) {
 	workloadsJSON := func(parallel int) []byte {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "metrics.json")
-		if err := run(0, "", "", "", path, "", "", "", "", parallel); err != nil {
+		if err := run(0, "", "", "", path, "", "", parallel); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)

@@ -201,15 +201,14 @@ func runBench(path string, opts experiment.Options) error {
 }
 
 // checkBench validates one or more benchmark artifacts in a single
-// invocation, dispatching each on its schema field, then cross-validates
-// the set: no two files may carry the same schema (two artifacts claiming
-// to be the same report is an error, not a merge), and every
-// simulated-cycle document must agree on the clock.
+// invocation, dispatching each on its schema field. No two files may carry
+// the same schema: two artifacts claiming to be the same report is an error,
+// not a merge. Every per-schema checker pins clock_hz to experiment.ClockHz,
+// so the set needs no cross-file clock comparison.
 func checkBench(paths []string) error {
 	bySchema := map[string]string{} // schema -> first path carrying it
-	clocks := map[string]float64{}  // path -> clock_hz (sim-cycle docs only)
 	for _, path := range paths {
-		schema, clockHz, err := checkBenchFile(path)
+		schema, err := checkBenchFile(path)
 		if err != nil {
 			return err
 		}
@@ -218,83 +217,47 @@ func checkBench(paths []string) error {
 				prev, path, schema)
 		}
 		bySchema[schema] = path
-		if clockHz != 0 {
-			clocks[path] = clockHz
-		}
-	}
-	var refPath string
-	for path, hz := range clocks {
-		if refPath == "" {
-			refPath = path
-			continue
-		}
-		if hz != clocks[refPath] {
-			return fmt.Errorf("clock mismatch: %s says %g Hz, %s says %g Hz",
-				refPath, clocks[refPath], path, hz)
-		}
 	}
 	if len(paths) > 1 {
-		fmt.Printf("cross-validated %d artifacts (%d schemas, clocks consistent)\n",
-			len(paths), len(bySchema))
+		fmt.Printf("validated %d artifacts (%d schemas)\n", len(paths), len(bySchema))
 	}
 	return nil
 }
 
-// checkBenchFile validates one artifact and returns its schema and, for
-// simulated-cycle documents, its clock (0 for wall-clock documents, whose
-// timings are host-dependent).
-func checkBenchFile(path string) (string, float64, error) {
+// checkBenchFile validates one artifact and returns its schema.
+func checkBenchFile(path string) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", 0, err
+		return "", err
 	}
 	var head struct {
 		Schema string `json:"schema"`
 	}
 	if err := json.Unmarshal(data, &head); err != nil {
-		return "", 0, fmt.Errorf("%s: %w", path, err)
+		return "", fmt.Errorf("%s: %w", path, err)
 	}
 	switch head.Schema {
-	case "pgbench-wallclock/v1":
-		var wdoc wallBenchDoc
-		if err := json.Unmarshal(data, &wdoc); err != nil {
-			return "", 0, fmt.Errorf("%s: %w", path, err)
+	case "pgbench/v1":
+		var doc benchDoc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return "", fmt.Errorf("%s: %w", path, err)
 		}
-		return head.Schema, 0, checkWallBench(path, &wdoc)
+		return head.Schema, checkBenchV1(path, &doc)
 	case "pgbench-exhaustion/v1":
 		var edoc exhaustBenchDoc
 		if err := json.Unmarshal(data, &edoc); err != nil {
-			return "", 0, fmt.Errorf("%s: %w", path, err)
+			return "", fmt.Errorf("%s: %w", path, err)
 		}
-		return head.Schema, edoc.ClockHz, checkExhaustBench(path, &edoc)
-	case "pgbench-tracing/v1":
-		var tdoc traceBenchDoc
-		if err := json.Unmarshal(data, &tdoc); err != nil {
-			return "", 0, fmt.Errorf("%s: %w", path, err)
-		}
-		return head.Schema, tdoc.ClockHz, checkTraceBench(path, &tdoc)
-	case "pgbench-serving/v1":
-		var sdoc serveBenchDoc
-		if err := json.Unmarshal(data, &sdoc); err != nil {
-			return "", 0, fmt.Errorf("%s: %w", path, err)
-		}
-		return head.Schema, 0, checkServeBench(path, &sdoc)
+		return head.Schema, checkExhaustBench(path, &edoc)
 	case "pgbench-sampling/v1":
 		var pdoc sampleBenchDoc
 		if err := json.Unmarshal(data, &pdoc); err != nil {
-			return "", 0, fmt.Errorf("%s: %w", path, err)
+			return "", fmt.Errorf("%s: %w", path, err)
 		}
-		return head.Schema, pdoc.ClockHz, checkSampleBench(path, &pdoc)
+		return head.Schema, checkSampleBench(path, &pdoc)
 	}
-	var doc benchDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return "", 0, fmt.Errorf("%s: %w", path, err)
-	}
-	if doc.Schema != "pgbench/v1" {
-		return "", 0, fmt.Errorf("%s: schema %q, want pgbench/v1, pgbench-wallclock/v1, pgbench-exhaustion/v1, pgbench-tracing/v1, pgbench-serving/v1, or pgbench-sampling/v1",
-			path, doc.Schema)
-	}
-	return doc.Schema, doc.ClockHz, checkBenchV1(path, &doc)
+	return "", fmt.Errorf("%s: schema %q, want pgbench/v1, pgbench-exhaustion/v1, or pgbench-sampling/v1",
+		path, head.Schema)
 }
 
 // checkBenchV1 validates a -bench document: schema, completeness (every

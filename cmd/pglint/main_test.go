@@ -327,8 +327,11 @@ func TestAllWorkloadsLint(t *testing.T) {
 						t.Errorf("%s/v1: expected DEFINITE findings", wl.Name)
 					}
 				case "v2":
-					if !strings.Contains(out.String(), "witness: free[") {
-						t.Errorf("%s/v2: expected witnessed findings:\n%s", wl.Name, out.String())
+					// v2 demotes the Figure 1 bug to a witnessed POSSIBLE,
+					// so the lint exits 0 under the default engine.
+					if definite != 0 || !strings.Contains(out.String(), "witness: free[") {
+						t.Errorf("%s/v2: expected only witnessed POSSIBLE findings (%d DEFINITE):\n%s",
+							wl.Name, definite, out.String())
 					}
 				}
 			} else if definite != 0 {

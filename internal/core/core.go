@@ -29,6 +29,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -343,6 +344,9 @@ func (r *Remapper) shadowBlock(owner *pool.Pool, canonBase vm.Addr, n uint64) (v
 // and does not require source code", §1.1). site is a diagnostic label for
 // the allocation site.
 func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site string) (vm.Addr, error) {
+	if size > math.MaxUint64-remapHeaderSize {
+		return 0, fmt.Errorf("core: alloc of %d bytes overflows the remap header", size)
+	}
 	// The sampling tier decides first: an unsampled allocation takes the
 	// canonical-address path and never touches the shadow machinery. The
 	// decision is pure Go bookkeeping (no simulated cycles), so a rate-1

@@ -19,6 +19,7 @@ package heap
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim/kernel"
 	"repro/internal/sim/vm"
@@ -38,6 +39,9 @@ const (
 	binStep = 16
 	// flagInUse marks a chunk allocated in its header word.
 	flagInUse = 1
+	// maxSize is the largest request whose rounding cannot wrap: roundSize
+	// adds align-1, carve adds the header and then PageSize-1.
+	maxSize = math.MaxUint64 - (align - 1) - headerSize - (vm.PageSize - 1)
 )
 
 // defaultArenaPages is the mmap growth unit (64 KB), a typical sbrk/mmap
@@ -133,6 +137,9 @@ func binPayload(idx int) uint64 { return uint64(idx+1) * binStep }
 func (h *Heap) Malloc(size uint64) (vm.Addr, error) {
 	if size == 0 {
 		size = 1
+	}
+	if size > maxSize {
+		return 0, fmt.Errorf("heap: malloc of %d bytes overflows the size arithmetic", size)
 	}
 	payload := roundSize(size)
 	h.proc.Meter().ChargeAllocatorOp()

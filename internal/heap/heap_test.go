@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +135,25 @@ func TestLargeAllocation(t *testing.T) {
 	}
 	if b != a {
 		t.Fatalf("large chunk not reused: %#x then %#x", a, b)
+	}
+}
+
+// TestMallocRejectsWrappingSizes: a request whose page rounding would wrap
+// past 2^64 used to round down to a tiny or zero-page chunk and succeed. It
+// must fail instead, leaving the heap untouched; the largest non-wrapping
+// size fails only because the address space cannot hold it.
+func TestMallocRejectsWrappingSizes(t *testing.T) {
+	h, _ := newHeap(t)
+	for _, size := range []uint64{math.MaxUint64, math.MaxUint64 - vm.PageSize + 2, maxSize + 1} {
+		if a, err := h.Malloc(size); err == nil {
+			t.Errorf("Malloc(%d) = %#x, want an overflow error", size, a)
+		}
+	}
+	if st := h.Stats(); st.Allocs != 0 || st.ArenaBytes != 0 {
+		t.Errorf("rejected mallocs changed the heap: %+v", st)
+	}
+	if _, err := h.Malloc(maxSize); err == nil {
+		t.Error("Malloc(maxSize) succeeded in a 2^47-byte address space")
 	}
 }
 

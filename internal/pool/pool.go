@@ -19,6 +19,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/obs"
@@ -35,6 +36,9 @@ const (
 	// slabPages is the default slab granularity. Pools grow in slabs;
 	// the shared free list holds page runs of at least this size.
 	slabPages = 4
+	// maxSize is the largest request whose rounding cannot wrap: roundSize
+	// adds align-1, carve adds the header and then PageSize-1.
+	maxSize = math.MaxUint64 - (align - 1) - headerSize - (vm.PageSize - 1)
 )
 
 // PageRun is a contiguous run of virtual pages.
@@ -337,6 +341,9 @@ func (p *Pool) Alloc(size uint64) (vm.Addr, error) {
 	}
 	if size == 0 {
 		size = 1
+	}
+	if size > maxSize {
+		return 0, fmt.Errorf("pool %s: alloc of %d bytes overflows the size arithmetic", p.name, size)
 	}
 	payload := roundSize(size)
 	p.rt.proc.Meter().ChargeAllocatorOp()

@@ -131,7 +131,8 @@ func (c *replayCache) begin(key replayKey) (ent *replayEntry, call *inflightRepl
 }
 
 // complete finishes the flight f: stores the entry on success (err == nil)
-// and wakes every waiter. Calling it twice for one flight is safe — the
+// and wakes every waiter. On a nil cache (caching disabled) it does
+// nothing. Calling it twice for one flight is safe — the
 // handler may release waiters with a timeout error while the abandoned
 // worker goroutine later completes with the real result, which still caches.
 //
@@ -144,6 +145,9 @@ func (c *replayCache) begin(key replayKey) (ent *replayEntry, call *inflightRepl
 // loop runs only when an entry is actually inserted, so
 // pg_cache_evictions_total counts real LRU evictions exactly once each.
 func (c *replayCache) complete(key replayKey, f *inflightReplay, ent *replayEntry, err error) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	if c.inflight[key] == f {
 		delete(c.inflight, key)

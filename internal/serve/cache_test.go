@@ -47,6 +47,38 @@ func TestCacheHitByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCacheOffServesWithoutCacheHeader: with the cache disabled every
+// request simulates on the same render path as a cache miss, with the same
+// bytes, and no response carries an X-Pg-Cache header.
+func TestCacheOffServesWithoutCacheHeader(t *testing.T) {
+	tr := faultedTrace(t)
+	want, err := offlineNDJSON(tr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		resp, body := postReplay(t, ts.URL, tr)
+		if resp.StatusCode != 200 {
+			t.Fatalf("request %d: status %s: %s", i, resp.Status, body)
+		}
+		if got, ok := resp.Header["X-Pg-Cache"]; ok {
+			t.Errorf("request %d: cache-off response carries X-Pg-Cache %q", i, got)
+		}
+		if !bytes.Equal(body, want) {
+			t.Errorf("request %d diverged from the offline replay", i)
+		}
+	}
+	s.mu.Lock()
+	got := s.replays.Value()
+	s.mu.Unlock()
+	if got != 2 {
+		t.Errorf("replays = %d, want 2 (every cache-off request simulates)", got)
+	}
+}
+
 // TestCacheSingleFlight: concurrent identical requests simulate once — the
 // leader replays, every waiter is served the same entry, and the miss counter
 // records exactly one simulation.

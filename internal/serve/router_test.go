@@ -202,6 +202,14 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(10 * time.Second)
+	// Probe only once both slow replays hold the admission slots: a probe
+	// that got in first would take a slot itself and shed a slow replay.
+	for len(s.queue) < cap(s.queue) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow replays never filled the backend's admission slots")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, body := postReplay(t, front.URL, slowTrace(4))
 		if resp.StatusCode == http.StatusTooManyRequests {

@@ -547,9 +547,11 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) *pagegu
 //
 // With the content-hash cache enabled, identical requests are served from
 // the memoized body without simulating; concurrent identical misses simulate
-// once (single-flight). Every 200 response — simulated or cached — merges
-// the replay's process metrics into the fleet aggregate, so the merged
-// snapshot stays a function of the served request multiset alone.
+// once (single-flight). With it disabled every request is a leader: it
+// takes the same render and write path and skips only the key, begin and
+// complete steps. Every 200 response — simulated or cached — merges the
+// replay's process metrics into the fleet aggregate, so the merged snapshot
+// stays a function of the served request multiset alone.
 func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.File, start time.Time) {
 	withSpans := r.URL.Query().Get("spans") == "1"
 	var extra []pageguard.Option
@@ -560,13 +562,16 @@ func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.Fi
 	defer cancel()
 	execStart := time.Now()
 
-	if s.cache == nil {
-		s.replayUncached(ctx, w, r, tf, extra, withSpans, start, execStart)
-		return
+	var (
+		key    replayKey
+		ent    *replayEntry
+		call   *inflightReplay
+		leader = true
+	)
+	if s.cache != nil {
+		key = keyForReplay(tf, withSpans)
+		ent, call, leader = s.cache.begin(key)
 	}
-
-	key := keyForReplay(tf, withSpans)
-	ent, call, leader := s.cache.begin(key)
 	switch {
 	case ent != nil:
 		// Cache hit: serve without simulating.
@@ -668,14 +673,13 @@ func (s *Server) replayError(w http.ResponseWriter, ctx context.Context, err err
 }
 
 // writeEntry serves a rendered replay body and records the /debug/spans
-// line. cacheState stamps the X-Pg-Cache header ("hit" or "miss"; empty for
-// the uncached path, whose response headers are unchanged from before the
-// cache existed).
+// line. cacheState ("hit" or "miss") stamps the X-Pg-Cache header when the
+// cache is enabled; with it disabled the response carries no such header.
 func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, ent *replayEntry, cacheState string, start, execStart time.Time) {
 	execMicros := time.Since(execStart).Microseconds()
 	s.buckets.record(w.Header().Get("X-Pg-Trace-Id"), ent.reports)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if cacheState != "" {
+	if s.cache != nil {
 		w.Header().Set("X-Pg-Cache", cacheState)
 	}
 	if _, err := w.Write(ent.body); err != nil {
@@ -689,57 +693,6 @@ func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, ent *replayE
 		Spans:         ent.spans,
 		LeafCycles:    ent.leaf,
 		ChargedCycles: ent.charged,
-	})
-}
-
-// replayUncached is the original streaming path, byte-for-byte: used when
-// the cache is disabled.
-func (s *Server) replayUncached(ctx context.Context, w http.ResponseWriter, r *http.Request, tf *trace.File, extra []pageguard.Option, withSpans bool, start, execStart time.Time) {
-	// The merge and the completion count happen inside the worker
-	// goroutine, not the handler: a replay whose handler timed out still
-	// finishes in the background, and its process metrics must land in the
-	// fleet aggregate (no completed replay work is lost).
-	v, err := s.runIsolated(ctx, func() (any, error) {
-		rep, err := trace.Replay(s.buildMachine(tf, extra...), tf.Events)
-		if err != nil {
-			return nil, err
-		}
-		s.mergeReplayMetrics(rep.Metrics)
-		s.count(s.replays)
-		return rep, nil
-	})
-	if err != nil {
-		s.count(s.errs)
-		if ctx.Err() != nil {
-			s.count(s.timeouts)
-			writeError(w, http.StatusServiceUnavailable, ErrCodeTimeout,
-				"replay exceeded the request budget", 0)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeReplayFailed,
-			"replay failed: "+err.Error(), 0)
-		return
-	}
-	execMicros := time.Since(execStart).Microseconds()
-	rep := v.(*trace.Report)
-	s.buckets.record(w.Header().Get("X-Pg-Trace-Id"), detectionReports(rep))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := trace.WriteNDJSON(w, rep); err != nil {
-		return // client went away mid-body; nothing more to do
-	}
-	if withSpans {
-		if err := trace.WriteSpansNDJSON(w, rep); err != nil {
-			return
-		}
-	}
-	s.recordDebug(debugEntry{
-		TraceID:       w.Header().Get("X-Pg-Trace-Id"),
-		Path:          r.URL.Path,
-		WallMicros:    time.Since(start).Microseconds(),
-		ExecMicros:    execMicros,
-		Spans:         len(rep.Spans),
-		LeafCycles:    pageguard.LeafSpanCycleSum(rep.Spans),
-		ChargedCycles: rep.ChargedCycles,
 	})
 }
 

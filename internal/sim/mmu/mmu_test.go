@@ -402,7 +402,7 @@ func benchmarkAccess(b *testing.B, legacy bool) {
 // BenchmarkAccess compares the simulated-access fast path against the two
 // page-table implementations. The radix sub-benchmark is the production
 // configuration; the legacy map is the pre-optimization baseline the
-// BENCH_pr4.json speedup claim is made against.
+// radix page table's speedup is measured against.
 func BenchmarkAccess(b *testing.B) {
 	b.Run("radix", func(b *testing.B) { benchmarkAccess(b, false) })
 	b.Run("legacy-map", func(b *testing.B) { benchmarkAccess(b, true) })

@@ -1,23 +1,20 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate:
-#   formatting, vet, build, tests, a pglint pass over every bundled
-#   workload (the running example must fail the v1 lint and carry a
-#   free→use witness under v2; everything else must pass cleanly), a
-#   byte-for-byte golden diff of pglint -json over the examples/minic
-#   corpus, the v1-vs-v2 soundness gate under -race, and the
-#   production-hardening soaks: the chaos matrix (every workload under
-#   fixed-seed fault schedules), the trap containment experiment, the
-#   exhaustion gate (regenerate + cross-validate BENCH_pr7.json, replay
-#   the adversarial corpus bit-for-bit through pgtrace and pgserved), and
-#   the span-tracing gate (regenerate BENCH_pr8.json; the ?spans=1 stream
-#   must match pgtrace -ndjson -spans byte-for-byte and its trailer must
-#   reconcile leaf-span cycles against kernel-charged cycles exactly), and
-#   the fleet-serving gate (router smoke over two snapshot+cache backends
-#   with routed bytes diffed against pgtrace -ndjson, plus the serving
-#   benchmark regenerated into scratch and BENCH_pr9.json cross-validated),
-#   and the sampled-tier gate (the router's merged crash buckets checked as
-#   the per-bucket sum of both backend databases, the sampling table
-#   regenerated into BENCH_pr10.json, and all six artifacts cross-validated).
+#   formatting, vet, build, and the Go tests (which also hold the pglint
+#   workload and golden-corpus checks and the page-table / parallel-harness
+#   parity tests); then the production-hardening soaks: the chaos matrix
+#   (every workload under fixed-seed fault schedules), the trap containment
+#   experiment, the simulated-cycle bench artifacts (BENCH_pr3.json,
+#   BENCH_pr7.json and BENCH_pr10.json regenerated in place and validated),
+#   the attribution-exact metrics export, the pgserved smoke (HTTP replay
+#   parity, the ?spans=1 stream matching pgtrace -ndjson -spans with
+#   leaf-span cycles reconciling to kernel-charged cycles, the adversarial
+#   corpus replayed bit-for-bit, graceful drain), the router smoke (two
+#   snapshot+cache backends, routed bytes diffed against pgtrace -ndjson,
+#   merged crash buckets checked as the per-bucket sum of the backends), and
+#   the v1-vs-v2 soundness gate under -race.
+#
+# Host wall-clock cost is measured by perfbench (BENCHMARK.json), not here.
 #
 # Usage: scripts/check.sh   (from the repo root)
 set -eu
@@ -42,10 +39,20 @@ echo "== go test =="
 go test ./...
 
 echo "== chaos soak (fixed-seed fault schedules) =="
-pgbench=$(mktemp -t pgbench.XXXXXX)
-pglint=$(mktemp -t pglint.XXXXXX)
-trap 'rm -f "$pgbench" "$pglint"' EXIT
+tmp=$(mktemp -d -t pgcheck.XXXXXX)
+servepid=""
+b1pid=""
+b2pid=""
+routerpid=""
+trap 'kill $servepid $b1pid $b2pid $routerpid 2>/dev/null || true; rm -rf "$tmp"' EXIT
+pgbench=$tmp/pgbench
+pgserved=$tmp/pgserved
+pgtracebin=$tmp/pgtrace
+servebody=$tmp/servebody
+offline=$tmp/offline
 go build -o "$pgbench" ./cmd/pgbench
+go build -o "$pgserved" ./cmd/pgserved
+go build -o "$pgtracebin" ./cmd/pgtrace
 # GenChaosStudy enforces the soak invariants internally (zero panics,
 # fault-free parity, monotone degradation); a violation is a non-zero exit.
 "$pgbench" -study chaos >/dev/null
@@ -60,46 +67,15 @@ echo "== bench artifact (BENCH_pr3.json) =="
 "$pgbench" -bench BENCH_pr3.json
 "$pgbench" -check-bench BENCH_pr3.json
 
-echo "== page-table / parallel-harness parity =="
-# The wall-clock fast paths (radix page table, translation cache, parallel
-# cells) must not move a single simulated number: run the golden parity
-# tests against the legacy map shim and across worker counts.
-go test ./internal/experiment/ -run 'Parity|ParallelByteIdentical' -count=1
-go test ./cmd/pgbench/ -run 'Parallel' -count=1
-
-echo "== wall-clock bench artifact (BENCH_pr4.json) =="
-# Wall-clock timings are machine-dependent, so regenerate into a scratch
-# file and validate shape + ordering relations (radix translation faster
-# than the map, access path unregressed); the committed artifact documents
-# the reference container and is checked for validity as-is.
-wallbench=$(mktemp -t pgwallbench.XXXXXX)
-trap 'rm -f "$pgbench" "$pglint" "$wallbench"' EXIT
-"$pgbench" -j 1 -wallbench "$wallbench"
-"$pgbench" -check-bench "$wallbench"
-"$pgbench" -check-bench BENCH_pr4.json
-
 echo "== exhaustion ladder + corpus artifact (BENCH_pr7.json) =="
 # Regenerate the committed exhaustion ladder (the generator self-checks the
 # cliff: never-reuse dies, every mitigation survives, planted errors are
-# conserved, zero misses at the default gc=256 interval); all four bench
-# artifacts are cross-validated in one invocation after the next step.
+# conserved, zero misses at the default gc=256 interval); the three bench
+# artifacts are validated together after the sampled-tier step.
 "$pgbench" -exhaustbench BENCH_pr7.json
 
-echo "== span-tracing bench artifact (BENCH_pr8.json) =="
-# Regenerate into a scratch file: the two hard equalities (tracing moves no
-# simulated number; leaf-span cycles == kernel-charged cycles) are enforced
-# by the generator and re-checked by -check-bench. Wall timings are
-# machine-dependent, so the committed artifact is validated as-is (shape +
-# relations) like BENCH_pr4.
-tracebench=$(mktemp -t pgtracebench.XXXXXX)
-trap 'rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench"' EXIT
-"$pgbench" -j 1 -tracebench "$tracebench"
-"$pgbench" -check-bench "$tracebench"
-"$pgbench" -check-bench BENCH_pr3.json,BENCH_pr4.json,BENCH_pr7.json,BENCH_pr8.json
-
 echo "== observability export (attribution exactness) =="
-metrics=$(mktemp -t pgmetrics.XXXXXX)
-trap 'rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom"' EXIT
+metrics=$tmp/metrics.json
 # -metrics fails unless every workload's per-site attribution sums exactly
 # to the kernel's charged cycles.
 "$pgbench" -metrics "$metrics"
@@ -109,18 +85,10 @@ echo "== pgserved smoke (HTTP replay parity + graceful drain) =="
 # concurrent-capable clients (byte-identity to the offline replay is
 # asserted inside the load generator), diff one fetched body against
 # pgtrace -ndjson, then SIGTERM and require a clean drain.
-pgserved=$(mktemp -t pgserved.XXXXXX)
-pgtracebin=$(mktemp -t pgtrace.XXXXXX)
-servelog=$(mktemp -t pgservelog.XXXXXX)
-servebody=$(mktemp -t pgservebody.XXXXXX)
-offline=$(mktemp -t pgoffline.XXXXXX)
-trap 'rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom" "$pgserved" "$pgtracebin" "$servelog" "$servebody" "$offline"' EXIT
-go build -o "$pgserved" ./cmd/pgserved
-go build -o "$pgtracebin" ./cmd/pgtrace
+servelog=$tmp/servelog
 
 "$pgserved" -addr 127.0.0.1:0 >"$servelog" &
 servepid=$!
-trap 'kill "$servepid" 2>/dev/null || true; rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom" "$pgserved" "$pgtracebin" "$servelog" "$servebody" "$offline"' EXIT
 addr=""
 for _ in $(seq 1 50); do
     addr=$(sed -n 's/^pgserved: listening on //p' "$servelog")
@@ -129,7 +97,6 @@ for _ in $(seq 1 50); do
 done
 if [ -z "$addr" ]; then
     echo "pgserved did not start" >&2
-    kill "$servepid" 2>/dev/null || true
     exit 1
 fi
 
@@ -139,7 +106,6 @@ fi
 if ! diff -q "$servebody" "$offline" >/dev/null; then
     echo "pgserved HTTP replay diverges from pgtrace -ndjson:" >&2
     diff "$servebody" "$offline" >&2 || true
-    kill "$servepid" 2>/dev/null || true
     exit 1
 fi
 
@@ -154,7 +120,6 @@ fi
 if ! diff -q "$servebody" "$offline" >/dev/null; then
     echo "pgserved ?spans=1 body diverges from pgtrace -ndjson -spans:" >&2
     diff "$servebody" "$offline" >&2 || true
-    kill "$servepid" 2>/dev/null || true
     exit 1
 fi
 trailer=$(grep '"type":"spans"' "$servebody")
@@ -163,7 +128,6 @@ charged=${trailer#*\"charged_cycles\":}; charged=${charged%\}}
 if [ -z "$leaf" ] || [ -z "$charged" ] || [ "$leaf" != "$charged" ]; then
     echo "span reconciliation failed: leaf_cycles=$leaf charged_cycles=$charged" >&2
     echo "$trailer" >&2
-    kill "$servepid" 2>/dev/null || true
     exit 1
 fi
 echo "span stream: byte-identical via HTTP, $leaf leaf cycles == charged exactly"
@@ -176,7 +140,6 @@ for t in trace/testdata/adversarial/*.trace; do
     if ! diff -q "$servebody" "$offline" >/dev/null; then
         echo "pgserved replay of $t diverges from pgtrace -ndjson:" >&2
         diff "$servebody" "$offline" >&2 || true
-        kill "$servepid" 2>/dev/null || true
         exit 1
     fi
 done
@@ -187,6 +150,7 @@ if ! wait "$servepid"; then
     echo "pgserved did not drain cleanly on SIGTERM" >&2
     exit 1
 fi
+servepid=""
 if ! grep -q "drained cleanly" "$servelog"; then
     echo "pgserved drain message missing:" >&2
     cat "$servelog" >&2
@@ -199,13 +163,9 @@ echo "== pgserved router smoke (2 backends, consistent hashing, clean drain) =="
 # (byte-identity per response asserted inside the generator, including a
 # Zipf-distributed variant mix), diff one routed body against pgtrace
 # -ndjson, then SIGTERM all three and require clean drains.
-b1log=$(mktemp -t pgb1log.XXXXXX)
-b2log=$(mktemp -t pgb2log.XXXXXX)
-routerlog=$(mktemp -t pgrouterlog.XXXXXX)
-b1pid=""
-b2pid=""
-routerpid=""
-trap 'kill "$servepid" "$b1pid" "$b2pid" "$routerpid" 2>/dev/null || true; rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom" "$pgserved" "$pgtracebin" "$servelog" "$servebody" "$offline" "$b1log" "$b2log" "$routerlog"' EXIT
+b1log=$tmp/b1log
+b2log=$tmp/b2log
+routerlog=$tmp/routerlog
 
 wait_addr() {
     for _ in $(seq 1 50); do
@@ -282,6 +242,9 @@ for pid in "$routerpid" "$b1pid" "$b2pid"; do
         exit 1
     fi
 done
+routerpid=""
+b1pid=""
+b2pid=""
 for log in "$routerlog" "$b1log" "$b2log"; do
     if ! grep -q "drained cleanly" "$log"; then
         echo "router smoke: drain message missing in $log:" >&2
@@ -291,99 +254,16 @@ for log in "$routerlog" "$b1log" "$b2log"; do
 done
 echo "router smoke: routed bytes identical to offline, zipf mix verified, 3 clean drains"
 
-echo "== serving bench artifact (BENCH_pr9.json) =="
-# Wall timings are machine-dependent: regenerate into a scratch file (the
-# generator enforces the 5x warm+cache floor and per-request byte-parity
-# itself) and validate the committed artifact as-is, cross-checked with the
-# other four.
-servebench=$(mktemp -t pgservebench.XXXXXX)
-trap 'kill "$servepid" "$b1pid" "$b2pid" "$routerpid" 2>/dev/null || true; rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom" "$pgserved" "$pgtracebin" "$servelog" "$servebody" "$offline" "$b1log" "$b2log" "$routerlog" "$servebench"' EXIT
-"$pgbench" -servebench "$servebench" \
-    -serve-requests 4000 -serve-fresh-requests 800 -serve-clients 8 -serve-distinct 16
-"$pgbench" -check-bench "$servebench"
-
 echo "== sampled-tier artifact (BENCH_pr10.json) =="
 # The sampling study is pure simulated cycles, so regenerate the committed
 # artifact in place (drift means the detection/overhead trade-off moved —
-# that must be a deliberate commit) and cross-validate all six artifacts in
-# one invocation.
+# that must be a deliberate commit) and validate all three artifacts in one
+# invocation.
 "$pgbench" -samplebench BENCH_pr10.json >/dev/null
-"$pgbench" -check-bench BENCH_pr3.json,BENCH_pr4.json,BENCH_pr7.json,BENCH_pr8.json,BENCH_pr9.json,BENCH_pr10.json
-
-echo "== pglint over every workload =="
-go build -o "$pglint" ./cmd/pglint
-
-fail=0
-for w in $("$pglint" -list); do
-    if "$pglint" -workload "$w" >/dev/null 2>&1; then
-        status=0
-    else
-        status=$?
-    fi
-    case "$w" in
-    running-example)
-        # Under the default v2 engine the Figure 1 bug is a witnessed
-        # POSSIBLE (the never-freed head is separated and proven
-        # elidable), so the lint exits 0; the class-granular v1 engine
-        # still flags it DEFINITE and must fail.
-        if [ "$status" -ne 0 ]; then
-            echo "pglint: $w: v2 lint failed (exit $status)" >&2
-            fail=1
-        elif ! "$pglint" -workload "$w" | grep -q 'witness: free\['; then
-            echo "pglint: $w: expected a free->use witness under v2" >&2
-            fail=1
-        elif "$pglint" -engine v1 -workload "$w" >/dev/null 2>&1; then
-            echo "pglint: $w: expected DEFINITE-UAF findings under v1, lint passed" >&2
-            fail=1
-        else
-            echo "pglint: $w: v2 witnessed POSSIBLE, v1 DEFINITE (expected)"
-        fi
-        ;;
-    *)
-        if [ "$status" -ne 0 ]; then
-            echo "pglint: $w: unexpected findings (exit $status)" >&2
-            "$pglint" -workload "$w" >&2 || true
-            fail=1
-        else
-            echo "pglint: $w: clean"
-        fi
-        ;;
-    esac
-done
-
-echo "== pglint corpus goldens (examples/minic) =="
-lintout=$(mktemp -t pglintout.XXXXXX)
-trap 'kill "$servepid" 2>/dev/null || true; rm -f "$pgbench" "$pglint" "$wallbench" "$tracebench" "$metrics" "$metrics.prom" "$pgserved" "$pgtracebin" "$servelog" "$servebody" "$offline" "$lintout"' EXIT
-for f in examples/minic/*.c; do
-    name=$(basename "$f" .c)
-    for engine in v1 v2; do
-        # Exit 1 just means DEFINITE findings (part of the report); only
-        # exit 2 is a lint failure.
-        if "$pglint" -json -engine "$engine" "$f" >"$lintout" 2>&1; then
-            status=0
-        else
-            status=$?
-        fi
-        if [ "$status" -eq 2 ]; then
-            echo "pglint: $name ($engine): lint error" >&2
-            cat "$lintout" >&2
-            fail=1
-            continue
-        fi
-        if diff -u "examples/minic/golden/$engine/$name.json" "$lintout"; then
-            echo "pglint: $name ($engine): matches golden"
-        else
-            echo "pglint: $name ($engine): report diverged from golden" >&2
-            echo "  (regenerate deliberately: go test ./cmd/pglint -run TestGoldenCorpus -update)" >&2
-            fail=1
-        fi
-    done
-done
+"$pgbench" -check-bench BENCH_pr3.json,BENCH_pr7.json,BENCH_pr10.json
 
 echo "== soundness gate (-race) =="
 # PROVEN-SAFE uses never trap, elision-miss stays 0, v2 refines v1 on every
 # workload/example, and the differential fuzz holds on random programs.
 go test -race ./internal/experiment -run TestSoundnessGate -count=1
 go test -race ./internal/minic/driver -run TestDifferentialV1V2Refinement -count=1
-
-exit $fail

@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/pageguard"
@@ -207,4 +210,72 @@ func TestFuzzSeedMatrix(t *testing.T) {
 			replayFuzz(t, policy, faults, events, stale)
 		}
 	}
+}
+
+// FuzzParseFile feeds arbitrary bytes to the trace parser, the first thing
+// pgserved runs on an untrusted request body. Whatever parses must survive
+// Format and a second ParseFile unchanged (line numbers aside: Format drops
+// comments and blank lines), and replaying it must return a report or an
+// error, never panic.
+func FuzzParseFile(f *testing.F) {
+	for _, pattern := range []string{"testdata/*.trace", "testdata/adversarial/*.trace"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	for _, src := range oversizeTraces {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tf, err := ParseFile(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var text bytes.Buffer
+		if err := tf.Format(&text); err != nil {
+			t.Fatalf("Format: %v", err)
+		}
+		again, err := ParseFile(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatalf("formatted trace does not parse: %v\n%s", err, text.Bytes())
+		}
+		if a, b := withoutLines(tf), withoutLines(again); !reflect.DeepEqual(a, b) {
+			t.Fatalf("Parse→Format→Parse changed the trace:\n%+v\n%+v", a, b)
+		}
+		// Replay time and memory grow with every simulated page an input
+		// maps (a 10 GB object takes seconds), so inputs allocating more
+		// than fuzzReplayBytes in total are checked for the round trip only.
+		var allocated uint64
+		for _, ev := range tf.Events {
+			if ev.Kind == EvAlloc {
+				allocated += ev.Size
+			}
+			if allocated > fuzzReplayBytes {
+				return
+			}
+		}
+		Replay(NewMachine(tf), tf.Events)
+	})
+}
+
+// fuzzReplayBytes caps the total allocation size FuzzParseFile replays.
+const fuzzReplayBytes = 64 << 20
+
+// withoutLines copies f with every source line number zeroed.
+func withoutLines(f *File) File {
+	out := *f
+	out.FaultLine, out.PolicyLine, out.VABudgetLine, out.GuardsLine, out.SamplingLine = 0, 0, 0, 0, 0
+	out.Events = append([]Event(nil), f.Events...)
+	for i := range out.Events {
+		out.Events[i].Line = 0
+	}
+	return out
 }

@@ -9,7 +9,8 @@
 //
 // Format: one event per line, '#' comments and blank lines ignored.
 //
-//	a <id> <size>     allocate <size> bytes, name the object <id>
+//	a <id> <size>     allocate <size> bytes, name the object <id>; <size>
+//	                  must fit the simulated address space (below 2^47)
 //	f <id>            free object <id>
 //	w <id> <off>      write 8 bytes at byte offset <off> of object <id>
 //	r <id> <off>      read 8 bytes at byte offset <off> of object <id>
@@ -53,6 +54,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim/kernel"
+	"repro/internal/sim/vm"
 )
 
 // EventKind discriminates trace events.
@@ -286,6 +288,10 @@ func ParseFile(r io.Reader) (*File, error) {
 				return nil, &ParseError{line, "bad number: " + err.Error()}
 			}
 			if ev.Kind == EvAlloc {
+				if n >= uint64(vm.UserAddrLimit) {
+					return nil, &ParseError{line, fmt.Sprintf(
+						"allocation of %d bytes exceeds the %d-byte simulated address space", n, uint64(vm.UserAddrLimit))}
+				}
 				ev.Size = n
 			} else {
 				ev.Off = n

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -132,6 +133,42 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("Parse(%q): expected error", src)
+		}
+	}
+}
+
+// oversizeTraces are allocations no simulated address space can hold. Both
+// used to wrap the allocator's page rounding: the first allocated a
+// one-word chunk and faulted on the next write as "unmapped", the second
+// failed in the remapper with a zero-page mremap.
+var oversizeTraces = []string{
+	"a 1 18446744073709551615\nw 1 5000\n",
+	"a 1 18446744073709547521\nw 1 5000\n",
+}
+
+// TestParseRejectsOversizeAlloc: an allocation size the 2^47-byte address
+// space cannot hold is a parse error on its own line.
+func TestParseRejectsOversizeAlloc(t *testing.T) {
+	for _, src := range oversizeTraces {
+		_, err := ParseFile(strings.NewReader(src))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 1 || !strings.Contains(pe.Msg, "address space") {
+			t.Errorf("ParseFile(%q) error = %v, want an address-space ParseError on line 1", src, err)
+		}
+	}
+}
+
+// TestReplayRejectsWrappingAlloc: a size that bypasses the parser (an Event
+// built in code) still fails the alloc instead of wrapping to a tiny object.
+func TestReplayRejectsWrappingAlloc(t *testing.T) {
+	for _, size := range []uint64{math.MaxUint64, math.MaxUint64 - 4094} {
+		events := []Event{
+			{Kind: EvAlloc, ID: 1, Size: size, Line: 1},
+			{Kind: EvWrite, ID: 1, Off: 5000, Line: 2},
+		}
+		_, err := Replay(NewMachine(&File{Events: events}), events)
+		if err == nil || !strings.Contains(err.Error(), "trace line 1:") || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("replay of a %d-byte alloc: error = %v, want an overflow error on line 1", size, err)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under examples/minic/golden")
 
 // corpusDir holds the mini-C example corpus; goldens live under
-// corpusDir/golden/<engine>/<name>.json.
+// corpusDir/golden/<name>.json.
 const corpusDir = "../../examples/minic"
 
 // corpusNames is the fixed set of corpus programs. The golden test fails if
@@ -44,38 +44,36 @@ func corpusFiles(t *testing.T) []string {
 }
 
 // TestGoldenCorpus locks the full -json report for every corpus program
-// under both engines against checked-in goldens. Any analysis change that
-// shifts a verdict, witness, or elision decision shows up as a golden diff
-// and must be regenerated deliberately with -update.
+// against checked-in goldens. Any analysis change that shifts a verdict,
+// witness, or elision decision shows up as a golden diff and must be
+// regenerated deliberately with -update.
 func TestGoldenCorpus(t *testing.T) {
 	for _, f := range corpusFiles(t) {
 		name := strings.TrimSuffix(filepath.Base(f), ".c")
-		for _, engine := range []string{"v1", "v2"} {
-			t.Run(engine+"/"+name, func(t *testing.T) {
-				var buf bytes.Buffer
-				if _, err := run("", options{jsonF: true, engine: engine}, []string{f}, &buf); err != nil {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, err := run("", options{jsonF: true}, []string{f}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join(corpusDir, "golden", name+".json")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				golden := filepath.Join(corpusDir, "golden", engine, name+".json")
-				if *update {
-					if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
 				}
-				want, err := os.ReadFile(golden)
-				if err != nil {
-					t.Fatalf("missing golden (regenerate with: go test ./cmd/pglint -run TestGoldenCorpus -update): %v", err)
-				}
-				if !bytes.Equal(want, buf.Bytes()) {
-					t.Errorf("report differs from %s\n--- golden ---\n%s\n--- got ---\n%s",
-						golden, want, buf.Bytes())
-				}
-			})
-		}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with: go test ./cmd/pglint -run TestGoldenCorpus -update): %v", err)
+			}
+			if !bytes.Equal(want, buf.Bytes()) {
+				t.Errorf("report differs from %s\n--- golden ---\n%s\n--- got ---\n%s",
+					golden, want, buf.Bytes())
+			}
+		})
 	}
 }
 
@@ -83,9 +81,9 @@ func TestGoldenCorpus(t *testing.T) {
 // demonstrate, reading them from the goldens themselves — so a careless
 // -update that regenerates nonsense still fails the suite.
 func TestGoldenCorpusVerdicts(t *testing.T) {
-	load := func(engine, name string) jsonReport {
+	load := func(name string) jsonReport {
 		t.Helper()
-		b, err := os.ReadFile(filepath.Join(corpusDir, "golden", engine, name+".json"))
+		b, err := os.ReadFile(filepath.Join(corpusDir, "golden", name+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,56 +92,48 @@ func TestGoldenCorpusVerdicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if doc.Schema != Schema {
-			t.Fatalf("%s/%s: schema %q, want %q", engine, name, doc.Schema, Schema)
+			t.Fatalf("%s: schema %q, want %q", name, doc.Schema, Schema)
 		}
-		if doc.Engine != engine {
-			t.Fatalf("%s/%s: engine %q", engine, name, doc.Engine)
+		if doc.Engine != Engine {
+			t.Fatalf("%s: engine %q, want %q", name, doc.Engine, Engine)
 		}
 		return doc
 	}
 
-	// Straight-line use-after-frees: DEFINITE under both engines.
+	// Straight-line use-after-frees: DEFINITE.
 	for _, name := range []string{"quickstart", "webserver"} {
-		for _, engine := range []string{"v1", "v2"} {
-			if doc := load(engine, name); doc.Stats.Definite == 0 {
-				t.Errorf("%s/%s: expected a DEFINITE finding", engine, name)
-			}
+		if doc := load(name); doc.Stats.Definite == 0 {
+			t.Errorf("%s: expected a DEFINITE finding", name)
 		}
 	}
 
-	// The running example: DEFINITE under v1 (class merging), demoted to
-	// witnessed POSSIBLE under v2 with the head newly elidable.
-	if doc := load("v1", "compiler"); doc.Stats.Definite == 0 || doc.Stats.Elidable != 0 {
-		t.Errorf("v1/compiler: want definite>0 and 0 elidable, got %+v", doc.Stats)
-	}
-	v2c := load("v2", "compiler")
-	if v2c.Stats.Definite != 0 || v2c.Stats.Possible == 0 || v2c.Stats.Elidable != 1 {
-		t.Errorf("v2/compiler: want 0 definite, possible>0, 1 elidable, got %+v", v2c.Stats)
+	// The running example: the head is separated from the freed tail
+	// nodes, so the Figure 1 uses are witnessed POSSIBLE and the head is
+	// elidable.
+	if doc := load("compiler"); doc.Stats.Definite != 0 || doc.Stats.Possible == 0 || doc.Stats.Elidable != 1 {
+		t.Errorf("compiler: want 0 definite, possible>0, 1 elidable, got %+v", doc.Stats)
 	}
 
-	// The shared-helper precision story: v1 merges the result record into
-	// the freed tree class, v2 proves it never freed.
-	if doc := load("v1", "olden"); doc.Stats.Elidable != 0 {
-		t.Errorf("v1/olden: want 0 elidable, got %+v", doc.Stats)
-	}
-	if doc := load("v2", "olden"); doc.Stats.Elidable != 1 || doc.Stats.Definite != 0 {
-		t.Errorf("v2/olden: want 1 elidable and 0 definite, got %+v", doc.Stats)
+	// The shared-helper precision story: the result record is proven never
+	// freed although it flows through the same helper as the freed tree.
+	if doc := load("olden"); doc.Stats.Elidable != 1 || doc.Stats.Definite != 0 {
+		t.Errorf("olden: want 1 elidable and 0 definite, got %+v", doc.Stats)
 	}
 
-	// Every non-PROVEN v2 finding across the corpus carries a witness that
+	// Every non-PROVEN finding across the corpus carries a witness that
 	// starts at a free and ends at the use.
 	for _, name := range corpusNames {
-		doc := load("v2", name)
+		doc := load(name)
 		for _, f := range doc.Findings {
 			if f.Verdict == "PROVEN-SAFE" {
 				continue
 			}
 			if len(f.Witness) < 2 {
-				t.Errorf("v2/%s: %s finding at %s has no witness", name, f.Verdict, f.Site)
+				t.Errorf("%s: %s finding at %s has no witness", name, f.Verdict, f.Site)
 				continue
 			}
 			if f.Witness[0].Role != "free" || f.Witness[len(f.Witness)-1].Role != "use" {
-				t.Errorf("v2/%s: witness at %s runs %s..%s, want free..use",
+				t.Errorf("%s: witness at %s runs %s..%s, want free..use",
 					name, f.Site, f.Witness[0].Role, f.Witness[len(f.Witness)-1].Role)
 			}
 		}

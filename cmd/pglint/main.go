@@ -1,8 +1,8 @@
 // Command pglint runs the static dangling-pointer analysis
 // (internal/minic/safety) over a mini-C program and prints ranked
 // diagnostics: DEFINITE-UAF findings first, then POSSIBLE-UAF, each with
-// allocation/free/use site provenance and (under the v2 engine) an
-// interprocedural witness path from the freeing statement to the use,
+// allocation/free/use site provenance and an interprocedural witness path
+// from the freeing statement to the use,
 // followed by the elision summary (which malloc sites are proven safe to
 // leave unprotected at run time).
 //
@@ -13,7 +13,6 @@
 //	pglint -safe file.c           # also list PROVEN-SAFE uses
 //	pglint -json file.c           # machine-readable report (schema pglint/2)
 //	pglint -stats file.c          # summary lines only
-//	pglint -engine v1 file.c      # class-granular unification engine
 //
 // Exit status: 0 when the program is clean, 1 when any DEFINITE-UAF finding
 // exists, 2 on usage, compile, or analysis errors — so CI pipelines can
@@ -29,7 +28,6 @@ import (
 	"os"
 
 	"repro/internal/minic/driver"
-	"repro/internal/minic/ir"
 	"repro/internal/minic/safety"
 	"repro/internal/obs"
 	"repro/pageguard"
@@ -39,11 +37,14 @@ import (
 // changes meaning; additions are backward compatible.
 const Schema = "pglint/2"
 
+// Engine is the -json document's "engine" field. It names the site-granular
+// analysis, kept under the name schema pglint/2 gave it.
+const Engine = "v2"
+
 type options struct {
-	safe   bool
-	jsonF  bool
-	stats  bool
-	engine string
+	safe  bool
+	jsonF bool
+	stats bool
 }
 
 func main() {
@@ -53,7 +54,6 @@ func main() {
 	list := flag.Bool("list", false, "list bundled workload names and exit")
 	jsonF := flag.Bool("json", false, "emit the machine-readable JSON report (schema "+Schema+")")
 	stats := flag.Bool("stats", false, "print only the summary lines")
-	engine := flag.String("engine", "v2", "analysis engine: v2 (site-granular, inclusion-based) or v1 (class-granular, unification)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: pglint [flags] file.c\n")
 		flag.PrintDefaults()
@@ -77,7 +77,7 @@ exit status:
 		return
 	}
 
-	opts := options{safe: *safe, jsonF: *jsonF, stats: *stats, engine: *engine}
+	opts := options{safe: *safe, jsonF: *jsonF, stats: *stats}
 	definite, err := run(*wl, opts, flag.Args(), os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pglint:", err)
@@ -109,27 +109,14 @@ func run(wl string, opts options, args []string, w io.Writer) (int, error) {
 	return lint(src, opts, w)
 }
 
-func analyze(src, engine string) (*safety.Report, error) {
-	prog, err := driver.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	var analyzeFn func(*ir.Program) (*safety.Report, error)
-	switch engine {
-	case "", "v2":
-		analyzeFn = safety.AnalyzeV2
-	case "v1":
-		analyzeFn = safety.Analyze
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want v1 or v2)", engine)
-	}
-	return analyzeFn(prog)
-}
-
 // lint compiles src, runs the safety analysis, and prints the report.
 // It returns the number of DEFINITE-UAF findings.
 func lint(src string, opts options, w io.Writer) (int, error) {
-	rep, err := analyze(src, opts.engine)
+	prog, err := driver.Compile(src)
+	if err != nil {
+		return 0, err
+	}
+	rep, err := safety.Analyze(prog)
 	if err != nil {
 		return 0, err
 	}
@@ -159,11 +146,7 @@ func lint(src string, opts options, w io.Writer) (int, error) {
 	fmt.Fprintf(w, "%d definite, %d possible, %d proven-safe of %d classified uses\n",
 		st.Definite, st.Possible, st.Proven, len(rep.Findings))
 
-	noun := "heap classes"
-	if rep.Engine == "v2" {
-		noun = "allocation sites"
-	}
-	fmt.Fprintf(w, "elision: %d of %d %s elidable", st.Elidable, st.Classes, noun)
+	fmt.Fprintf(w, "elision: %d of %d allocation sites elidable", st.Elidable, st.Classes)
 	if sites := rep.ElidableSites(); len(sites) > 0 {
 		fmt.Fprintf(w, " (malloc sites:")
 		for _, s := range sites {
@@ -224,7 +207,7 @@ type jsonStats struct {
 func writeJSON(w io.Writer, rep *safety.Report, st safety.Stats) error {
 	doc := jsonReport{
 		Schema:   Schema,
-		Engine:   rep.Engine,
+		Engine:   Engine,
 		Findings: []jsonFinding{},
 		Classes:  []jsonClass{},
 		Stats: jsonStats{

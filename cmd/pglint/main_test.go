@@ -8,35 +8,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunningExampleFlagsDefiniteV1: the original acceptance bar, preserved
-// under -engine v1 — Figure 1's dangling p->next->val is DEFINITE-UAF there
-// because the unification analysis merges the head into the freed class.
-func TestRunningExampleFlagsDefiniteV1(t *testing.T) {
-	var out strings.Builder
-	definite, err := lint(workload.RunningExampleSrc, options{engine: "v1"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if definite == 0 {
-		t.Fatal("running example produced no DEFINITE-UAF findings under v1")
-	}
-	text := out.String()
-	if !strings.Contains(text, "DEFINITE-UAF") {
-		t.Errorf("output missing DEFINITE-UAF:\n%s", text)
-	}
-	if !strings.Contains(text, "main:") {
-		t.Errorf("output does not locate the dangling use in main:\n%s", text)
-	}
-	if !strings.Contains(text, "freed at: free_all_but_head:") {
-		t.Errorf("output missing free-site provenance:\n%s", text)
-	}
-}
-
-// TestRunningExampleWitnessV2: under the site-granular engine the head is
-// (correctly) separated from the freed tail nodes, so p itself never
-// dangles and the p->next uses demote to POSSIBLE — but each must carry the
-// full interprocedural witness from the freeing loop through g back into
-// main. This is the sanctioned DEFINITE→POSSIBLE-with-witness shrink.
+// TestRunningExampleWitnessV2: the site-granular analysis separates the head
+// from the freed tail nodes, so p itself never dangles and the p->next uses
+// are POSSIBLE — but each must carry the full interprocedural witness from
+// the freeing loop through g back into main.
 func TestRunningExampleWitnessV2(t *testing.T) {
 	var out strings.Builder
 	definite, err := lint(workload.RunningExampleSrc, options{}, &out)
@@ -44,7 +19,7 @@ func TestRunningExampleWitnessV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	if definite != 0 {
-		t.Fatalf("v2 reports %d DEFINITE findings; expected the witnessed POSSIBLE demotion:\n%s",
+		t.Fatalf("%d DEFINITE findings; expected witnessed POSSIBLE ones:\n%s",
 			definite, out.String())
 	}
 	text := out.String()
@@ -58,7 +33,7 @@ func TestRunningExampleWitnessV2(t *testing.T) {
 
 // TestDefiniteRankedFirst: DEFINITE findings print before POSSIBLE ones.
 func TestDefiniteRankedFirst(t *testing.T) {
-	// Both tiers under v2: a[0] is definitely dangling after the
+	// Both tiers: a[0] is definitely dangling after the
 	// unconditional free; c's use is only conditionally reachable after
 	// free(c)... a second buffer freed behind a branch gives POSSIBLE.
 	src := `
@@ -136,35 +111,6 @@ void main() {
 	}
 }
 
-// TestEngineFlag: -engine v1 selects the class-granular analysis (summary
-// says "heap classes"), -engine v2 the site-granular one, anything else is
-// rejected.
-func TestEngineFlag(t *testing.T) {
-	src := `
-void main() {
-  int *p = (int*)malloc(4 * sizeof(int));
-  p[0] = 1;
-  print_int(p[0]);
-}
-`
-	var v1, v2 strings.Builder
-	if _, err := lint(src, options{engine: "v1"}, &v1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(v1.String(), "heap classes elidable") {
-		t.Errorf("v1 summary wrong:\n%s", v1.String())
-	}
-	if _, err := lint(src, options{engine: "v2"}, &v2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(v2.String(), "allocation sites elidable") {
-		t.Errorf("v2 summary wrong:\n%s", v2.String())
-	}
-	if _, err := lint(src, options{engine: "v3"}, &strings.Builder{}); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}
-
 // TestStatsFlag: -stats prints summaries only, no per-finding lines.
 func TestStatsFlag(t *testing.T) {
 	var out strings.Builder
@@ -185,7 +131,7 @@ func TestStatsFlag(t *testing.T) {
 // across runs.
 func TestJSONOutput(t *testing.T) {
 	// The callee unconditionally frees its argument's only site, so the
-	// later use is DEFINITE under v2 and its witness crosses the call.
+	// later use is DEFINITE and its witness crosses the call.
 	src := `
 void g(int *q) {
   free(q);
@@ -212,8 +158,8 @@ void main() {
 	if doc.Schema != Schema {
 		t.Errorf("schema = %q, want %q", doc.Schema, Schema)
 	}
-	if doc.Engine != "v2" {
-		t.Errorf("engine = %q, want v2", doc.Engine)
+	if doc.Engine != Engine {
+		t.Errorf("engine = %q, want %q", doc.Engine, Engine)
 	}
 	if len(doc.Findings) == 0 || len(doc.Classes) == 0 {
 		t.Fatalf("empty findings/classes:\n%s", out.String())
@@ -309,34 +255,21 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 // TestAllWorkloadsLint: every bundled workload must compile and analyze
-// under both engines; only the running example may carry DEFINITE findings
-// (v1) or POSSIBLE-with-witness findings standing in for them (v2).
+// with no DEFINITE findings; the running example's Figure 1 bug shows up as
+// witnessed POSSIBLE findings, so the lint exits 0 there too.
 func TestAllWorkloadsLint(t *testing.T) {
 	for _, wl := range workload.All() {
-		for _, engine := range []string{"v1", "v2"} {
-			var out strings.Builder
-			definite, err := run(wl.Name, options{engine: engine}, nil, &out)
-			if err != nil {
-				t.Errorf("%s/%s: %v", wl.Name, engine, err)
-				continue
-			}
-			if wl.Name == "running-example" {
-				switch engine {
-				case "v1":
-					if definite == 0 {
-						t.Errorf("%s/v1: expected DEFINITE findings", wl.Name)
-					}
-				case "v2":
-					// v2 demotes the Figure 1 bug to a witnessed POSSIBLE,
-					// so the lint exits 0 under the default engine.
-					if definite != 0 || !strings.Contains(out.String(), "witness: free[") {
-						t.Errorf("%s/v2: expected only witnessed POSSIBLE findings (%d DEFINITE):\n%s",
-							wl.Name, definite, out.String())
-					}
-				}
-			} else if definite != 0 {
-				t.Errorf("%s/%s: unexpected DEFINITE findings:\n%s", wl.Name, engine, out.String())
-			}
+		var out strings.Builder
+		definite, err := run(wl.Name, options{}, nil, &out)
+		if err != nil {
+			t.Errorf("%s: %v", wl.Name, err)
+			continue
+		}
+		if definite != 0 {
+			t.Errorf("%s: unexpected DEFINITE findings:\n%s", wl.Name, out.String())
+		}
+		if wl.Name == "running-example" && !strings.Contains(out.String(), "witness: free[") {
+			t.Errorf("%s: expected witnessed POSSIBLE findings:\n%s", wl.Name, out.String())
 		}
 	}
 }

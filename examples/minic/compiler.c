@@ -3,11 +3,11 @@
 // tail nodes in create_10_node_list; free_all_but_head frees every node
 // but the head, and main then reads p->next->val through a freed node.
 //
-// The two engines disagree here, by design: v1's unification merges the
-// never-freed head into the freed tail class and reports the use as
-// DEFINITE; v2 keeps the sites separate, proves the head elidable, and
-// demotes the use to POSSIBLE with an interprocedural witness from the
-// free in free_all_but_head to the use in main.
+// The analysis keeps the head and tail allocation sites apart: it proves
+// the never-freed head elidable and reports the use in main as POSSIBLE
+// (p itself never dangles; the node p->next reaches may be freed), with
+// an interprocedural witness from the free in free_all_but_head to the
+// use in main.
 struct s { int val; struct s *next; };
 
 void create_10_node_list(struct s *p) {

@@ -1,10 +1,10 @@
 // Long-lived process scenario in mini-C: per-request buffers churn through
 // a loop that allocates and frees each one, and a pointer to one mid-run
 // request is kept past its free — the stale pointer examples/longlived
-// probes after the churn. The read after the loop is POSSIBLE under both
-// engines (the keep happens on only one iteration's branch, so the
-// register is may-dangling, not must); v2 additionally attaches the
-// free-to-use witness path.
+// probes after the churn. The read after the loop is POSSIBLE (the keep
+// happens on only one iteration's branch, so the register is
+// may-dangling, not must), and the finding carries the free-to-use
+// witness path.
 void main() {
   int i;
   int *stale = NULL;

@@ -1,11 +1,11 @@
 // Olden scenario in mini-C: a treeadd-style workload with a result record
 // that outlives the tree. The tree nodes are freed after the sum; the
 // result record never is. Both structures pass through the same helper
-// (head), so v1's unification merges them into one freed class — no site
-// elides and the result reads stay POSSIBLE. v2 keeps the two allocation
-// sites separate: the tree stays guarded, the result record is proven
-// never freed and elides shadow-page protection, and its reads are
-// PROVEN-SAFE.
+// (head), but the analysis keeps the two allocation sites separate: the
+// tree stays guarded, the result record is proven never freed and elides
+// shadow-page protection, and its reads are PROVEN-SAFE. (A unification
+// analysis would merge both into one freed class, so neither would
+// elide.)
 struct tree { int val; struct tree *l; struct tree *r; };
 
 struct tree *build(int depth) {

@@ -1,7 +1,7 @@
 // Webserver scenario in mini-C: the buggy connection handler from
 // examples/webserver. A response buffer is freed after the first send,
 // then the retransmit path reads it — a classic server use-after-free,
-// DEFINITE under both engines.
+// DEFINITE under the static analysis.
 void main() {
   char *response = malloc(1024);
   int i;

@@ -47,6 +47,32 @@ func TestParseSamplingSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseSamplingSpec checks that the rendering of any spec
+// ParseSamplingSpec accepts is canonical: it parses back, and renders to
+// itself.
+func FuzzParseSamplingSpec(f *testing.F) {
+	for _, spec := range []string{
+		"rate=1", "rate=0", "rate=64,seed=7", "rate=16,quarantine=8,cool=4",
+		" rate = 4 , seed = 2 ", "seed=3", "rate=1,zone=2",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSamplingSpec(spec)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		s2, err := ParseSamplingSpec(canon)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", spec, canon, err)
+		}
+		if again := s2.String(); again != canon {
+			t.Fatalf("%q renders as %q, which renders as %q", spec, canon, again)
+		}
+	})
+}
+
 func TestSamplingSiteSelectionDeterministic(t *testing.T) {
 	s := &sampler{spec: SamplingSpec{Rate: 4, Seed: 11}}
 	sites := []string{"a.c:1", "a.c:2", "b.c:9", "lib.c:400", "main.c:77"}

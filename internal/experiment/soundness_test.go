@@ -1,21 +1,20 @@
 package experiment
 
 // The machine-checked soundness gate: every workload and every corpus
-// program is analyzed by both static engines and then run fully guarded,
-// and the run is held to the analysis's claims.
+// program is analyzed statically and then run fully guarded, and the run is
+// held to the analysis's claims.
 //
-//	(a) no use the v2 engine classified PROVEN-SAFE ever traps;
+//	(a) no use the analysis classified PROVEN-SAFE ever traps;
 //	(b) the elision-miss counter stays zero (an elided — proven
 //	    never-freed — object was never actually freed);
-//	(c) v2 refines v1: verdicts never weaken, POSSIBLE findings carry
-//	    free→…→use witnesses, elidable sites only grow
-//	    (safety.RefinementViolations);
-//	(d) v2 proves strictly more elidable sites than v1 on at least two
-//	    programs — the precision win the engine exists for.
+//	(c) every POSSIBLE finding carries a free→…→use witness
+//	    (safety.Report.WitnessViolations);
+//	(d) the elidable malloc sites are exactly the pinned ones, so any
+//	    precision change shows up here as a deliberate edit.
 //
 // CI runs this under -race (scripts/check.sh, ci.yml). The driver package's
-// TestDifferentialV1V2Refinement fuzzes the same contract on random
-// programs.
+// TestDifferentialPointsToSubset fuzzes (c) and the points-to subset the
+// analysis rests on over random programs.
 
 import (
 	"os"
@@ -66,9 +65,9 @@ func gateSources(t *testing.T) []gateSource {
 	return out
 }
 
-// runGuardedStatic compiles src through the static pipeline (v2 analysis,
-// elision marking, APA) and runs it once under the shadow runtime with
-// never-reuse — full guarding. It returns the program's terminating error
+// runGuardedStatic compiles src through the static pipeline (safety
+// analysis, elision marking, APA) and runs it once under the shadow runtime
+// with never-reuse — full guarding. It returns the program's terminating error
 // (nil, or the detected *core.DanglingError) and the remapper's counters.
 func runGuardedStatic(t *testing.T, src string) (error, core.Stats) {
 	t.Helper()
@@ -89,33 +88,49 @@ func runGuardedStatic(t *testing.T, src string) (error, core.Stats) {
 	return res.Err, shadow.Remapper().Stats()
 }
 
+// pinnedElidable lists, per gate source, the malloc sites the analysis
+// proves elidable; every source not listed has none.
+var pinnedElidable = map[string][]string{
+	"workload/ftpd":            {"do_command:38", "do_command:39", "do_command:40", "do_command:41"},
+	"workload/telnetd":         {"main:20", "main:23"},
+	"workload/bh":              {"main:16"},
+	"workload/bisort":          {"build:15"},
+	"workload/em3d":            {"build_side:18"},
+	"workload/mst":             {"addedge:17", "main:36"},
+	"workload/perimeter":       {"build:18"},
+	"workload/power":           {"build:10", "build:14"},
+	"workload/treeadd":         {"build:6"},
+	"workload/running-example": {"main:37"},
+	"corpus/compiler":          {"main:39"},
+	"corpus/olden":             {"main:42"},
+}
+
 func TestSoundnessGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	strictlyMore := 0
+	seen := map[string]bool{}
 	for _, gs := range gateSources(t) {
 		gs := gs
+		seen[gs.name] = true
 		t.Run(gs.name, func(t *testing.T) {
 			prog, err := driver.Compile(gs.src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			repV1, err := safety.Analyze(prog)
+			rep, err := safety.Analyze(prog)
 			if err != nil {
-				t.Fatalf("analyze v1: %v", err)
-			}
-			repV2, err := safety.AnalyzeV2(prog)
-			if err != nil {
-				t.Fatalf("analyze v2: %v", err)
+				t.Fatalf("analyze: %v", err)
 			}
 
-			// (c) the refinement contract.
-			for _, viol := range safety.RefinementViolations(repV1, repV2) {
-				t.Errorf("refinement: %s", viol)
+			// (c) the witness obligation.
+			for _, viol := range rep.WitnessViolations() {
+				t.Errorf("witness: %s", viol)
 			}
-			if len(repV2.ElidableSites()) > len(repV1.ElidableSites()) {
-				strictlyMore++
+
+			// (d) the exact elision result.
+			if got, want := rep.ElidableSites(), pinnedElidable[gs.name]; strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Errorf("elidable sites = %v, want %v", got, want)
 			}
 
 			// (a) + (b): run fully guarded under the proofs.
@@ -125,11 +140,9 @@ func TestSoundnessGate(t *testing.T) {
 					stats.ElisionMisses)
 			}
 			if de, ok := progErr.(*core.DanglingError); ok {
-				for _, rep := range []*safety.Report{repV2, repV1} {
-					for _, site := range rep.ProvenUseSites() {
-						if site == de.UseSite {
-							t.Errorf("trap at %s, which %s classified PROVEN-SAFE", de.UseSite, rep.Engine)
-						}
+				for _, site := range rep.ProvenUseSites() {
+					if site == de.UseSite {
+						t.Errorf("trap at %s, which the analysis classified PROVEN-SAFE", de.UseSite)
 					}
 				}
 			} else if progErr != nil {
@@ -137,9 +150,9 @@ func TestSoundnessGate(t *testing.T) {
 			}
 		})
 	}
-
-	// (d) the precision win: strictly more elidable sites on >= 2 programs.
-	if strictlyMore < 2 {
-		t.Errorf("v2 elides strictly more than v1 on %d programs, want >= 2", strictlyMore)
+	for name := range pinnedElidable {
+		if !seen[name] {
+			t.Errorf("pinnedElidable names %s, which is not a gate source", name)
+		}
 	}
 }

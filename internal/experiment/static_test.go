@@ -9,13 +9,13 @@ import (
 // staticElidable lists the workloads where the static safety analysis
 // proves at least one allocation site never-freed with allocation
 // dominating every use — the only programs where elision can actually
-// fire. The site-granular v2 engine (inclusion-based points-to) extends
-// the v1 set {bisort, mst, perimeter, power, treeadd} with workloads whose
-// never-freed sites v1 lumped into freed classes: bh and em3d (shared
-// index/cursor variables merged the classes), ftpd and telnetd (per-session
-// scratch buffers merged with freed transfer buffers), and the running
-// example (the never-freed list head merged with the freed tail nodes).
-// Everything else frees every allocation site it has.
+// fire. Besides {bisort, mst, perimeter, power, treeadd}, the site-granular
+// analysis elides never-freed sites a unification analysis would lump into
+// freed classes: bh and em3d (shared index/cursor variables), ftpd and
+// telnetd (per-session scratch buffers next to freed transfer buffers), and
+// the running example (the never-freed list head next to the freed tail
+// nodes). Everything else frees every allocation site it has.
+// TestSoundnessGate pins the exact sites.
 var staticElidable = map[string]bool{
 	"bisort": true, "mst": true, "perimeter": true, "power": true, "treeadd": true,
 	"bh": true, "em3d": true, "ftpd": true, "telnetd": true, "running-example": true,
@@ -124,10 +124,9 @@ func TestOursStaticElidesTreeadd(t *testing.T) {
 
 // TestOursStaticStillDetectsRunningExample: the Figure 1 bug must still be
 // caught at run time under ours+static — the analysis flags that use as
-// DEFINITE, so none of the freed sites is elided. The v2 engine does elide
-// exactly one allocation: the list head, which is never freed (v1 could not
-// separate it from the freed tail nodes). Eliding it must not affect
-// detection of the dangling p->next use.
+// POSSIBLE, so none of the freed sites is elided. It does elide exactly one
+// allocation: the list head, which is never freed. Eliding it must not
+// affect detection of the dangling p->next use.
 func TestOursStaticStillDetectsRunningExample(t *testing.T) {
 	w, err := workload.ByName("running-example")
 	if err != nil {

@@ -52,26 +52,13 @@ func CompileWithPools(src string) (*ir.Program, *poolalloc.Result, error) {
 // CompileStatic is CompileWithPools plus the static safety analysis: the
 // "ours+static" compilation. The safety pass runs on the pre-APA IR, marks
 // proven-elidable malloc sites, and the pool transformation carries the flag
-// onto the rewritten PoolAlloc instructions. Since pglint v2 this uses the
-// site-granular inclusion-based engine (safety.AnalyzeV2); CompileStaticV1
-// keeps the class-granular unification engine for differential checking.
+// onto the rewritten PoolAlloc instructions.
 func CompileStatic(src string) (*ir.Program, *poolalloc.Result, *safety.Report, error) {
-	return compileStatic(src, safety.AnalyzeV2)
-}
-
-// CompileStaticV1 is CompileStatic under the v1 (Steensgaard, class-granular)
-// safety analysis. It exists so tests and the soundness gate can compare the
-// two engines on identical programs.
-func CompileStaticV1(src string) (*ir.Program, *poolalloc.Result, *safety.Report, error) {
-	return compileStatic(src, safety.Analyze)
-}
-
-func compileStatic(src string, analyze func(*ir.Program) (*safety.Report, error)) (*ir.Program, *poolalloc.Result, *safety.Report, error) {
 	prog, err := Compile(src)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rep, err := analyze(prog)
+	rep, err := safety.Analyze(prog)
 	if err != nil {
 		return nil, nil, nil, err
 	}

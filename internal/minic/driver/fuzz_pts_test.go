@@ -1,12 +1,12 @@
 package driver
 
-// Differential testing of the two static engines: on random programs, the
-// site-granular inclusion analysis (pta2 / safety.AnalyzeV2) must refine
-// the class-granular unification analysis (pta / safety.Analyze) — points-to
-// sets stay inside v1's merged classes, verdicts never get weaker, and the
-// elision proof only grows. These are the fuzzed halves of the soundness
-// gate; the experiment package re-checks the same properties on the real
-// workloads and runs them guarded.
+// Differential testing of the points-to analyses the static safety analysis
+// rests on: on random programs, every inclusion-based points-to set (pta2,
+// which safety.Analyze consumes) must lie inside the unification class (pta,
+// which pool allocation consumes) of the same register, every POSSIBLE
+// finding must carry a free→…→use witness, and never-freed buffers must
+// elide. This is the fuzzed half of the soundness gate; the experiment
+// package runs the real workloads guarded under the same analysis.
 
 import (
 	"fmt"
@@ -20,9 +20,9 @@ import (
 	"repro/internal/minic/safety"
 )
 
-// checkPointsToSubset asserts that for every register, the v2 points-to set
-// (a set of per-site abstract objects) lies inside the single v1 class the
-// register points to — i.e. inclusion-based resolution only ever splits
+// checkPointsToSubset asserts that for every register, the pta2 points-to
+// set (a set of per-site abstract objects) lies inside the single pta class
+// the register points to — i.e. inclusion-based resolution only ever splits
 // unification's classes, never invents new aliases.
 func checkPointsToSubset(t *testing.T, label string, g1 *pta.Graph, g2 *pta2.Graph) {
 	t.Helper()
@@ -44,29 +44,28 @@ func checkPointsToSubset(t *testing.T, label string, g1 *pta.Graph, g2 *pta2.Gra
 		}
 		n1 := g1.RegPointsTo(k.Fn, k.Reg)
 		if n1 == nil {
-			t.Errorf("%s: %s r%d: v2 points to heap but v1 tracks no class", label, k.Fn, k.Reg)
+			t.Errorf("%s: %s r%d: pta2 points to heap but pta tracks no class", label, k.Fn, k.Reg)
 			continue
 		}
 		n1 = n1.Find()
 		for _, o := range heap {
 			c, ok := siteClass[o.Site]
 			if !ok {
-				t.Errorf("%s: %s r%d: v2 object %s has no v1 class", label, k.Fn, k.Reg, o.Label)
+				t.Errorf("%s: %s r%d: pta2 object %s has no pta class", label, k.Fn, k.Reg, o.Label)
 				continue
 			}
 			if c.Find() != n1 {
-				t.Errorf("%s: %s r%d: v2 points to %s outside the v1 class (id %d != %d)",
+				t.Errorf("%s: %s r%d: pta2 points to %s outside the pta class (id %d != %d)",
 					label, k.Fn, k.Reg, o.Label, c.Find().ID, n1.ID)
 			}
 		}
 	}
 }
 
-// TestDifferentialV1V2Refinement fuzzes the refinement contract: random
-// programs as generated (every buffer freed) and with the frees stripped
-// (every buffer never-freed, so elision should fire under both engines or
-// at least under v2).
-func TestDifferentialV1V2Refinement(t *testing.T) {
+// TestDifferentialPointsToSubset fuzzes the points-to subset and the witness
+// obligation on random programs as generated (every buffer freed) and with
+// the frees stripped (every buffer never-freed, so every buffer must elide).
+func TestDifferentialPointsToSubset(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
 		seeds = 8
@@ -105,20 +104,16 @@ func TestDifferentialV1V2Refinement(t *testing.T) {
 				}
 				checkPointsToSubset(t, v.name, g1, g2)
 
-				repV1, err := safety.Analyze(prog)
+				rep, err := safety.Analyze(prog)
 				if err != nil {
-					t.Fatalf("%s: analyze v1: %v", v.name, err)
+					t.Fatalf("%s: analyze: %v", v.name, err)
 				}
-				repV2, err := safety.AnalyzeV2(prog)
-				if err != nil {
-					t.Fatalf("%s: analyze v2: %v", v.name, err)
-				}
-				for _, viol := range safety.RefinementViolations(repV1, repV2) {
+				for _, viol := range rep.WitnessViolations() {
 					t.Errorf("%s: %s", v.name, viol)
 				}
-				if v.name == "leaky" && len(repV2.ElidableSites()) < len(g.bufs) {
-					t.Errorf("leaky: v2 elides %v, want all %d never-freed buffers\nprogram:\n%s",
-						repV2.ElidableSites(), len(g.bufs), v.src)
+				if v.name == "leaky" && len(rep.ElidableSites()) < len(g.bufs) {
+					t.Errorf("leaky: elides %v, want all %d never-freed buffers\nprogram:\n%s",
+						rep.ElidableSites(), len(g.bufs), v.src)
 				}
 				if t.Failed() {
 					t.Fatalf("%s variant failed\nprogram:\n%s", v.name, v.src)

@@ -223,8 +223,8 @@ func (g *Graph) slotNode(fn string, off uint64) *Node {
 	return n
 }
 
-// GlobalNode returns the storage node of a global variable.
-func (g *Graph) GlobalNode(name string) *Node {
+// globalNode returns the storage node of a global variable.
+func (g *Graph) globalNode(name string) *Node {
 	if n, ok := g.global[name]; ok {
 		return n
 	}
@@ -274,39 +274,8 @@ func (g *Graph) FreeNode(f *ir.Free) *Node {
 
 // RegPointsTo returns the class the values of register r in function fn may
 // point to, or nil when the register holds no pointers (or was never seen).
-// This is the query the static safety analysis asks for every load/store
-// address.
 func (g *Graph) RegPointsTo(fn string, r ir.Reg) *Node {
 	n, ok := g.regs[regKey{fn, r}]
-	if !ok {
-		return nil
-	}
-	return n.PointsTo()
-}
-
-// SlotNode returns the storage class of the frame slot at offset off in fn,
-// or nil when the slot was never seen.
-func (g *Graph) SlotNode(fn string, off uint64) *Node {
-	if n, ok := g.slots[slotKey{fn, off}]; ok {
-		return n.Find()
-	}
-	return nil
-}
-
-// SlotPointsTo returns the class the frame slot at offset off in fn points
-// to, or nil when the slot was never seen or holds no tracked pointers.
-func (g *Graph) SlotPointsTo(fn string, off uint64) *Node {
-	n, ok := g.slots[slotKey{fn, off}]
-	if !ok {
-		return nil
-	}
-	return n.PointsTo()
-}
-
-// GlobalPointsTo returns the class a global variable's value points to, or
-// nil when the global was never seen or holds no tracked pointers.
-func (g *Graph) GlobalPointsTo(name string) *Node {
-	n, ok := g.global[name]
 	if !ok {
 		return nil
 	}
@@ -425,7 +394,7 @@ func (g *Graph) scanFunc(prog *ir.Program, fn *ir.Func) error {
 			case *ir.FrameAddr:
 				g.addressOf(g.regNode(name, in.Dst), g.slotNode(name, in.Off))
 			case *ir.GlobalAddr:
-				g.addressOf(g.regNode(name, in.Dst), g.GlobalNode(in.Name))
+				g.addressOf(g.regNode(name, in.Dst), g.globalNode(in.Name))
 			case *ir.StrAddr:
 				g.addressOf(g.regNode(name, in.Dst), g.strs)
 			case *ir.Load:

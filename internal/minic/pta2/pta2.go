@@ -1,9 +1,9 @@
-// Package pta2 implements the v2 whole-program points-to analysis over
-// mini-C IR: an inclusion-based (Andersen-style) solver, in contrast to the
+// Package pta2 implements the whole-program points-to analysis the static
+// dangling-pointer analysis runs on, over mini-C IR: an inclusion-based (Andersen-style) solver, in contrast to the
 // unification-based (Steensgaard-style) analysis in internal/minic/pta.
 //
 // The difference that matters for the static dangling-pointer analysis is
-// granularity. The v1 analysis merges abstract objects into equivalence
+// granularity. The unification analysis merges abstract objects into equivalence
 // classes on every assignment, so two allocation sites whose pointers ever
 // flow through a common register — say a shared loop-index variable used to
 // subscript two unrelated arrays — collapse into one class, and a free of
@@ -583,7 +583,7 @@ func (g *Graph) Objects() []*Object {
 
 // RegKeys enumerates every (function, register) pair the analysis saw, in
 // deterministic order — the differential fuzz harness walks these to check
-// the v2 sets against the v1 classes.
+// these sets against the pta classes.
 func (g *Graph) RegKeys() []struct {
 	Fn  string
 	Reg ir.Reg

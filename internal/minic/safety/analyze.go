@@ -1,42 +1,5 @@
 package safety
 
-// The v2 engine: a site-granular reclassification of every dereference and
-// free, built on the inclusion-based points-to analysis (internal/minic/pta2)
-// instead of the v1 unification classes.
-//
-// Three things change relative to Analyze:
-//
-//   - Facts are allocation *sites*, not merged classes. A free only poisons
-//     the sites its operand's points-to set actually contains, so unrelated
-//     allocations that v1 lumped together (e.g. two arrays subscripted
-//     through a shared index variable) keep independent verdicts, and
-//     strictly more malloc sites prove elidable.
-//
-//   - The interprocedural boundary is a computed fixpoint instead of the v1
-//     worst-case assumption. v1 assumes every function but main starts with
-//     every reachable free already executed. Here each function f gets
-//     entryMay[f] — the sites that may actually be freed at some call to f —
-//     propagated over the call graph from main (entryMay[main] = ∅) using
-//     per-callsite may-freed facts, alongside exitSumm[f], the sites f (or
-//     its callees) may free, used at call instructions. Both are sound
-//     fixpoints: entryMay only shrinks relative to v1's boundary, so
-//     PROVEN-SAFE can only grow.
-//
-//   - Every non-PROVEN verdict carries a *witness*: the interprocedural
-//     chain from a freeing statement to the use (free → call sites,
-//     innermost first → use), reconstructed from shortest derivations of the
-//     dataflow facts.
-//
-// The soundness argument mirrors v1's: PROVEN-SAFE means no candidate site
-// of the use can have been freed when the use executes, under a points-to
-// set that over-approximates the concrete pointer (every v2 set is a subset
-// of the v1 class, which the differential fuzz harness checks), an exitSumm
-// that over-approximates callee behavior, and an entryMay that
-// over-approximates every calling context reachable from main. Elision
-// additionally requires the site to be absent from every reachable free's
-// points-to set, with the runtime's elision-miss counter as the production
-// backstop.
-
 import (
 	"fmt"
 	"sort"
@@ -47,22 +10,23 @@ import (
 	"repro/internal/minic/pta2"
 )
 
-// AnalyzeV2 runs the site-granular interprocedural analysis over a pre-APA
-// program. The returned Report has Engine == "v2": Classes describe
-// individual allocation sites, and non-PROVEN findings carry witness paths.
-func AnalyzeV2(prog *ir.Program) (*Report, error) {
+// Analyze runs the full static analysis over a pre-APA program (plain
+// Malloc/Free instructions; run it before poolalloc.Transform). The report's
+// Classes describe individual allocation sites, and non-PROVEN findings
+// carry witness paths.
+func Analyze(prog *ir.Program) (*Report, error) {
 	g, err := pta2.Analyze(prog)
 	if err != nil {
 		return nil, fmt.Errorf("safety: %w", err)
 	}
-	a := &analysisV2{
+	a := &analysis{
 		prog:    prog,
 		g:       g,
 		sidx:    make(map[int]int),
 		siteOf:  make(map[*ir.Malloc]int),
-		regPts:  make(map[regKey2]dfa.BitSet),
+		regPts:  make(map[regKey]dfa.BitSet),
 		freePts: make(map[*ir.Free]dfa.BitSet),
-		finfo:   make(map[string]*funcInfoV2),
+		finfo:   make(map[string]*funcInfo),
 		derivs:  make(map[int]*siteDeriv),
 	}
 	a.order, a.reach, a.callees = callGraph(prog)
@@ -74,7 +38,7 @@ func AnalyzeV2(prog *ir.Program) (*Report, error) {
 		return nil, err
 	}
 
-	rep := &Report{prog: prog, Engine: "v2"}
+	rep := &Report{}
 	for _, fname := range a.order {
 		if err := a.analyzeFunc(fname, rep); err != nil {
 			return nil, err
@@ -85,7 +49,8 @@ func AnalyzeV2(prog *ir.Program) (*Report, error) {
 	return rep, nil
 }
 
-type analysisV2 struct {
+// analysis carries the per-program state.
+type analysis struct {
 	prog *ir.Program
 	g    *pta2.Graph
 
@@ -102,11 +67,10 @@ type analysisV2 struct {
 	mallocsIn map[string][]*ir.Malloc
 
 	// freeLabels[s] are the labels of reachable frees that may free site
-	// s; anyFree is the union of every reachable free's candidate sites.
+	// s.
 	freeLabels []map[string]bool
-	anyFree    dfa.BitSet
 
-	regPts  map[regKey2]dfa.BitSet
+	regPts  map[regKey]dfa.BitSet
 	freePts map[*ir.Free]dfa.BitSet
 
 	// exitSumm[f]: sites possibly freed during a call to f (transitively).
@@ -115,17 +79,17 @@ type analysisV2 struct {
 	exitSumm map[string]dfa.BitSet
 	entryMay map[string]dfa.BitSet
 
-	finfo  map[string]*funcInfoV2
+	finfo  map[string]*funcInfo
 	derivs map[int]*siteDeriv
 }
 
-type regKey2 struct {
+type regKey struct {
 	fn  string
 	reg ir.Reg
 }
 
 // collectSites enumerates reachable allocation sites and free provenance.
-func (a *analysisV2) collectSites() error {
+func (a *analysis) collectSites() error {
 	a.mallocsIn = make(map[string][]*ir.Malloc)
 	for _, fname := range a.order {
 		fn := a.prog.Funcs[fname]
@@ -153,16 +117,12 @@ func (a *analysisV2) collectSites() error {
 		a.sidx[o.ID] = i
 		a.siteOf[o.Site] = i
 	}
-	n := len(a.sites)
-	a.freeLabels = make([]map[string]bool, n)
-	a.anyFree = dfa.NewBitSet(n)
+	a.freeLabels = make([]map[string]bool, len(a.sites))
 	for _, fname := range a.order {
 		for _, b := range a.prog.Funcs[fname].Blocks {
 			for _, in := range b.Instrs {
 				if f, ok := in.(*ir.Free); ok {
-					bits := a.freeBits(f)
-					a.anyFree.Or(bits)
-					for _, s := range bits.Elems() {
+					for _, s := range a.freeBits(f).Elems() {
 						if a.freeLabels[s] == nil {
 							a.freeLabels[s] = make(map[string]bool)
 						}
@@ -177,7 +137,7 @@ func (a *analysisV2) collectSites() error {
 
 // siteBits maps a points-to set to the dense bitset of reachable heap sites
 // it contains.
-func (a *analysisV2) siteBits(objs []*pta2.Object) dfa.BitSet {
+func (a *analysis) siteBits(objs []*pta2.Object) dfa.BitSet {
 	bits := dfa.NewBitSet(len(a.sites))
 	for _, o := range objs {
 		if o.Kind != pta2.ObjHeap {
@@ -190,8 +150,8 @@ func (a *analysisV2) siteBits(objs []*pta2.Object) dfa.BitSet {
 	return bits
 }
 
-func (a *analysisV2) regBits(fn string, r ir.Reg) dfa.BitSet {
-	k := regKey2{fn, r}
+func (a *analysis) regBits(fn string, r ir.Reg) dfa.BitSet {
+	k := regKey{fn, r}
 	if b, ok := a.regPts[k]; ok {
 		return b
 	}
@@ -200,7 +160,7 @@ func (a *analysisV2) regBits(fn string, r ir.Reg) dfa.BitSet {
 	return b
 }
 
-func (a *analysisV2) freeBits(f *ir.Free) dfa.BitSet {
+func (a *analysis) freeBits(f *ir.Free) dfa.BitSet {
 	if b, ok := a.freePts[f]; ok {
 		return b
 	}
@@ -211,7 +171,7 @@ func (a *analysisV2) freeBits(f *ir.Free) dfa.BitSet {
 
 // computeExitSummaries closes the per-function freed-site sets over the
 // call graph (iterating to a fixpoint handles recursion).
-func (a *analysisV2) computeExitSummaries() {
+func (a *analysis) computeExitSummaries() {
 	n := len(a.sites)
 	a.exitSumm = make(map[string]dfa.BitSet)
 	for _, fname := range a.order {
@@ -241,7 +201,7 @@ func (a *analysisV2) computeExitSummaries() {
 }
 
 // stepMay applies one instruction's effect on the site-level may-freed set.
-func (a *analysisV2) stepMay(in ir.Instr, may dfa.BitSet) {
+func (a *analysis) stepMay(in ir.Instr, may dfa.BitSet) {
 	switch in := in.(type) {
 	case *ir.Free:
 		may.Or(a.freeBits(in))
@@ -252,28 +212,28 @@ func (a *analysisV2) stepMay(in ir.Instr, may dfa.BitSet) {
 	}
 }
 
-// funcInfoV2 caches the per-function structures shared by the entry
+// funcInfo caches the per-function structures shared by the entry
 // propagation, the final classification, the elision check, and the witness
 // reconstruction.
-type funcInfoV2 struct {
+type funcInfo struct {
 	fn     *ir.Func
 	cfg    *dfa.CFG
 	mayGen []dfa.BitSet
 	// gens are the may-freed generators (Free and Call instructions) in
 	// block/instruction order.
-	gens []genV2
+	gens []gen
 	// blockReach[b1][b2] reports a CFG path b1 → … → b2 (length ≥ 0).
 	blockReach [][]bool
 }
 
-type genV2 struct {
+type gen struct {
 	b, i   int
 	label  string
 	callee string     // non-empty for call generators
 	bits   dfa.BitSet // candidate sites (frees only; calls use exitSumm)
 }
 
-func (a *analysisV2) funcInfo(fname string) (*funcInfoV2, error) {
+func (a *analysis) funcInfo(fname string) (*funcInfo, error) {
 	if fi, ok := a.finfo[fname]; ok {
 		return fi, nil
 	}
@@ -282,7 +242,7 @@ func (a *analysisV2) funcInfo(fname string) (*funcInfoV2, error) {
 	if err != nil {
 		return nil, fmt.Errorf("safety: %s: %w", fname, err)
 	}
-	fi := &funcInfoV2{fn: fn, cfg: cfg}
+	fi := &funcInfo{fn: fn, cfg: cfg}
 	n := len(a.sites)
 	fi.mayGen = make([]dfa.BitSet, len(fn.Blocks))
 	for bi, b := range fn.Blocks {
@@ -291,10 +251,10 @@ func (a *analysisV2) funcInfo(fname string) (*funcInfoV2, error) {
 			a.stepMay(in, g)
 			switch in := in.(type) {
 			case *ir.Free:
-				fi.gens = append(fi.gens, genV2{b: bi, i: ii, label: in.Site, bits: a.freeBits(in)})
+				fi.gens = append(fi.gens, gen{b: bi, i: ii, label: in.Site, bits: a.freeBits(in)})
 			case *ir.Call:
 				if a.reach[in.Callee] {
-					fi.gens = append(fi.gens, genV2{b: bi, i: ii, label: in.Site, callee: in.Callee})
+					fi.gens = append(fi.gens, gen{b: bi, i: ii, label: in.Site, callee: in.Callee})
 				}
 			}
 		}
@@ -324,7 +284,7 @@ func (a *analysisV2) funcInfo(fname string) (*funcInfoV2, error) {
 
 // strictlyBefore reports whether the program point (gb, gi) can execute
 // before (ub, ui) on some CFG path.
-func (fi *funcInfoV2) strictlyBefore(gb, gi, ub, ui int) bool {
+func (fi *funcInfo) strictlyBefore(gb, gi, ub, ui int) bool {
 	if gb == ub && gi < ui {
 		return true
 	}
@@ -338,7 +298,7 @@ func (fi *funcInfoV2) strictlyBefore(gb, gi, ub, ui int) bool {
 
 // solveMay runs the intraprocedural may-freed dataflow for fname under its
 // current entry boundary.
-func (a *analysisV2) solveMay(fname string) (*funcInfoV2, *dfa.Result, error) {
+func (a *analysis) solveMay(fname string) (*funcInfo, *dfa.Result, error) {
 	fi, err := a.funcInfo(fname)
 	if err != nil {
 		return nil, nil, err
@@ -353,7 +313,7 @@ func (a *analysisV2) solveMay(fname string) (*funcInfoV2, *dfa.Result, error) {
 // computeEntryMay propagates may-freed facts over the call graph to a
 // fixpoint: entryMay[main] = ∅, and each call from f to g unions the
 // may-freed set just before the callsite into entryMay[g].
-func (a *analysisV2) computeEntryMay() error {
+func (a *analysis) computeEntryMay() error {
 	n := len(a.sites)
 	a.entryMay = make(map[string]dfa.BitSet)
 	for _, fname := range a.order {
@@ -391,10 +351,9 @@ func (a *analysisV2) computeEntryMay() error {
 	return nil
 }
 
-// funcStateV2 is the site-granular analog of funcState: the per-function
-// machinery of the definite analysis.
-type funcStateV2 struct {
-	a     *analysisV2
+// funcState carries the per-function machinery of the definite analysis.
+type funcState struct {
+	a     *analysis
 	fname string
 	fn    *ir.Func
 
@@ -408,8 +367,8 @@ type funcStateV2 struct {
 	writable []bool
 }
 
-func (a *analysisV2) newFuncState(fname string, fn *ir.Func) *funcStateV2 {
-	fs := &funcStateV2{a: a, fname: fname, fn: fn, locIndex: make(map[loc]int)}
+func (a *analysis) newFuncState(fname string, fn *ir.Func) *funcState {
+	fs := &funcState{a: a, fname: fname, fn: fn, locIndex: make(map[loc]int)}
 	add := func(l loc) {
 		if _, ok := fs.locIndex[l]; ok {
 			return
@@ -460,22 +419,13 @@ func (a *analysisV2) newFuncState(fname string, fn *ir.Func) *funcStateV2 {
 	return fs
 }
 
-func (fs *funcStateV2) newState(dang dfa.BitSet) *symState {
-	return &symState{
-		dang:    dang,
-		dangReg: make(map[ir.Reg]bool),
-		addrOf:  make(map[ir.Reg]int),
-		srcLoc:  make(map[ir.Reg]int),
-	}
-}
-
-// recordV2 is the replay callback: one classified use with its candidate
+// record is the replay callback: one classified use with its candidate
 // sites and position (for witness reconstruction).
-type recordV2 func(kind UseKind, site string, sites dfa.BitSet, definite bool, b, i int)
+type record func(kind UseKind, site string, sites dfa.BitSet, definite bool, b, i int)
 
-// exec applies one instruction to the symbolic state — the site-granular
-// twin of funcState.exec.
-func (fs *funcStateV2) exec(bi, ii int, in ir.Instr, st *symState, rec recordV2) {
+// exec applies one instruction to the symbolic state, invoking rec (when
+// non-nil) for every heap use it encounters.
+func (fs *funcState) exec(bi, ii int, in ir.Instr, st *symState, rec record) {
 	switch in := in.(type) {
 	case *ir.Const, *ir.StrAddr:
 		st.clearReg(dstOf(in))
@@ -488,6 +438,8 @@ func (fs *funcStateV2) exec(bi, ii int, in ir.Instr, st *symState, rec recordV2)
 			st.addrOf[in.Dst] = li
 		}
 	case *ir.Bin:
+		// Pointer arithmetic keeps danglingness (field offsets into a
+		// freed object are just as dangling).
 		d := st.dangReg[in.A] || st.dangReg[in.B]
 		st.clearReg(in.Dst)
 		if d {
@@ -532,6 +484,8 @@ func (fs *funcStateV2) exec(bi, ii int, in ir.Instr, st *symState, rec recordV2)
 				st.dangReg[in.Dst] = true
 			}
 		} else if def {
+			// A value read through a dangling pointer is garbage;
+			// anything dereferenced through it is definitely wrong.
 			st.dangReg[in.Dst] = true
 		}
 	case *ir.Store:
@@ -576,7 +530,7 @@ func (fs *funcStateV2) exec(bi, ii int, in ir.Instr, st *symState, rec recordV2)
 	case *ir.Call:
 		// A location whose current value was handed to a callee that may
 		// free one of the sites that value points into certainly dangles
-		// afterwards — the Figure 1 pattern g(p), now at site precision.
+		// afterwards — the Figure 1 pattern g(p).
 		if summ, ok := fs.a.exitSumm[in.Callee]; ok {
 			for _, arg := range in.Args {
 				if li, ok := st.srcLoc[arg]; ok {
@@ -586,6 +540,8 @@ func (fs *funcStateV2) exec(bi, ii int, in ir.Instr, st *symState, rec recordV2)
 				}
 			}
 		}
+		// The callee may overwrite globals and escaped slots, so their
+		// facts (and value provenance) die here.
 		for li, w := range fs.writable {
 			if w {
 				st.dang.Clear(li)
@@ -602,9 +558,11 @@ func (fs *funcStateV2) exec(bi, ii int, in ir.Instr, st *symState, rec recordV2)
 	}
 }
 
-// solveDang runs the must-dangling location analysis to a fixpoint (same
-// lattice as v1: empty entry, top interior, intersect join).
-func (fs *funcStateV2) solveDang(cfg *dfa.CFG) []dfa.BitSet {
+// solveDang runs the must-dangling location analysis to a fixpoint: entry
+// facts are empty, interior blocks start at top, joins intersect, and each
+// block's transfer is the symbolic execution in exec. Returns the per-block
+// entry fact sets.
+func (fs *funcState) solveDang(cfg *dfa.CFG) []dfa.BitSet {
 	nb := len(fs.fn.Blocks)
 	nl := len(fs.locs)
 	in := make([]dfa.BitSet, nb)
@@ -634,7 +592,7 @@ func (fs *funcStateV2) solveDang(cfg *dfa.CFG) []dfa.BitSet {
 					}
 				}
 			}
-			st := fs.newState(in[b].Clone())
+			st := newSymState(in[b].Clone())
 			for ii, instr := range fs.fn.Blocks[b].Instrs {
 				fs.exec(b, ii, instr, st, nil)
 			}
@@ -648,7 +606,7 @@ func (fs *funcStateV2) solveDang(cfg *dfa.CFG) []dfa.BitSet {
 }
 
 // analyzeFunc classifies every heap use in one function at site granularity.
-func (a *analysisV2) analyzeFunc(fname string, rep *Report) error {
+func (a *analysis) analyzeFunc(fname string, rep *Report) error {
 	fi, may, err := a.solveMay(fname)
 	if err != nil {
 		return err
@@ -667,7 +625,7 @@ func (a *analysisV2) analyzeFunc(fname string, rep *Report) error {
 		if !fi.cfg.Reachable(bi) {
 			continue
 		}
-		st := fs.newState(dangIn[bi].Clone())
+		st := newSymState(dangIn[bi].Clone())
 		curMay := may.In[bi].Clone()
 		rec := func(kind UseKind, site string, sites dfa.BitSet, definite bool, ub, ui int) {
 			if sites.Empty() {
@@ -727,7 +685,7 @@ func (a *analysisV2) analyzeFunc(fname string, rep *Report) error {
 
 // computeElision decides, per allocation site, whether protection can be
 // skipped, and fills Report.Classes (one entry per site).
-func (a *analysisV2) computeElision(rep *Report) {
+func (a *analysis) computeElision(rep *Report) {
 	escaped := a.globalReachable()
 	doms := make(map[string]*domInfo)
 	for i, o := range a.sites {
@@ -751,8 +709,8 @@ func (a *analysisV2) computeElision(rep *Report) {
 }
 
 // globalReachable returns the object IDs transitively reachable from global
-// variables (the v2 analog of the v1 escape analysis's GlobalEscape).
-func (a *analysisV2) globalReachable() map[int]bool {
+// variables (ClassInfo.GlobalEscape).
+func (a *analysis) globalReachable() map[int]bool {
 	seen := make(map[int]bool)
 	var stack []*pta2.Object
 	push := func(objs []*pta2.Object) {
@@ -778,9 +736,9 @@ func (a *analysisV2) globalReachable() map[int]bool {
 // granularity: in the site's allocating function, every use that may touch
 // the site must be dominated by some allocation of a site the use's pointer
 // may reference. (Per-use compatibility is deliberately any-site-in-set, not
-// this-site-only, so the condition is never stricter than v1's class-level
-// check.)
-func (a *analysisV2) usesDominated(si int, cache map[string]*domInfo) bool {
+// this-site-only: a use through a pointer that may reference several sites
+// is covered by a dominating allocation of any of them.)
+func (a *analysis) usesDominated(si int, cache map[string]*domInfo) bool {
 	fname := a.sites[si].Fn
 	d := domFor(a.prog, fname, cache)
 	if d == nil {

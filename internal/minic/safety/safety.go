@@ -1,7 +1,7 @@
 // Package safety implements the static dangling-pointer analysis that sits
 // between the compiler front end and the shadow-page runtime: a
-// flow-sensitive analysis over the Steensgaard points-to classes
-// (internal/minic/pta), solved on the CFG/dataflow infrastructure in
+// flow-sensitive, site-granular analysis over the inclusion-based points-to
+// sets of internal/minic/pta2, solved on the CFG/dataflow infrastructure in
 // internal/minic/dfa.
 //
 // Every dereference and free is classified into one of three tiers:
@@ -10,30 +10,46 @@
 //     the granularity of the frame slot or global it was loaded from, and on
 //     every intraprocedural path that storage location certainly holds a
 //     freed pointer — it was directly freed, or its value was handed to a
-//     callee that (transitively) frees objects of its class. High-confidence
-//     report tier; a `free(p); use(p)` and the Figure 1 `g(p); p->next->val`
-//     both land here, while freeing a *different* object of the same class
-//     does not.
-//   - POSSIBLE-UAF: some free of the object's points-to class may have
-//     executed when the use runs (on some path, in some caller, or in a
-//     loop). Cannot be proven safe at class granularity.
-//   - PROVEN-SAFE: no free of the class can possibly have executed when the
-//     use runs. This is the *sound* tier: a PROVEN-SAFE use can never touch
-//     freed memory, because every function other than main is assumed to
-//     run with every reachable free already executed (the may-analysis entry
-//     boundary), so the proof holds in every calling context.
+//     callee that (transitively) may free an allocation site the value
+//     points into. A `free(p); use(p)` lands here, while freeing a
+//     *different* object does not.
+//   - POSSIBLE-UAF: some allocation site the pointer may reference may
+//     already be freed when the use runs (on some path, in some caller, or
+//     in a loop). Every such finding carries a *witness*: the
+//     interprocedural chain from a freeing statement to the use (free →
+//     call sites, innermost first → use), reconstructed from shortest
+//     derivations of the dataflow facts (witness.go).
+//   - PROVEN-SAFE: no allocation site the pointer may reference can have
+//     been freed when the use runs. This is the *sound* tier: a
+//     PROVEN-SAFE use can never touch freed memory.
+//
+// Facts are allocation *sites*: a free only poisons the sites its operand's
+// points-to set contains, so unrelated allocations keep independent
+// verdicts. The interprocedural boundary is a computed fixpoint: each
+// function f gets entryMay[f] — the sites that may already be freed at some
+// call to f — propagated over the call graph from main (entryMay[main] = ∅)
+// using per-callsite may-freed facts, alongside exitSumm[f], the sites f (or
+// its callees) may free, applied at call instructions.
+//
+// The soundness argument: PROVEN-SAFE means no candidate site of the use can
+// have been freed when the use executes, under a points-to set that
+// over-approximates the concrete pointer (every set lies inside the
+// unification class internal/minic/pta computes for the same register,
+// which the driver's differential fuzz checks), an exitSumm that
+// over-approximates callee behavior, and an entryMay that over-approximates
+// every calling context reachable from main.
 //
 // On top of the per-use verdicts the pass computes *elidable* malloc sites:
 // an allocation may skip shadow-page protection entirely (the canonical
-// pointer is returned to the program) when no free of its class is reachable
-// anywhere in the program — such objects are released only when their pool
-// is destroyed, and Automatic Pool Allocation's escape-driven pool placement
-// already guarantees no pointer into a pool outlives the pool. As a
-// belt-and-braces condition (and because class granularity merges allocation
-// sites) every use of the class inside an allocating function must also be
-// dominated by one of that function's allocations. The runtime double-checks
-// the proof with an elision-miss counter: a free that ever targets an elided
-// object would be the analysis being wrong, and is counted, not hidden.
+// pointer is returned to the program) when its site is absent from every
+// reachable free's points-to set — such objects are released only when
+// their pool is destroyed, and Automatic Pool Allocation's escape-driven
+// pool placement already guarantees no pointer into a pool outlives the
+// pool. As a belt-and-braces condition every use of the site inside its
+// allocating function must also be dominated by an allocation the use may
+// reference. The runtime double-checks the proof with an elision-miss
+// counter: a free that ever targets an elided object would be the analysis
+// being wrong, and is counted, not hidden.
 package safety
 
 import (
@@ -43,9 +59,7 @@ import (
 	"strings"
 
 	"repro/internal/minic/dfa"
-	"repro/internal/minic/escape"
 	"repro/internal/minic/ir"
-	"repro/internal/minic/pta"
 )
 
 // Verdict is the classification tier of one use.
@@ -107,8 +121,7 @@ type WitnessStep struct {
 	Role string
 }
 
-// Finding is one classified use of a heap class (v1) or allocation site set
-// (v2).
+// Finding is one classified use of a set of allocation sites.
 type Finding struct {
 	// Func and Line locate the use; Site is the "func:line" label.
 	Func string
@@ -117,27 +130,27 @@ type Finding struct {
 	Kind UseKind
 	// Verdict is the classification tier.
 	Verdict Verdict
-	// ClassID identifies the points-to class (pta.Node.ID) under the v1
-	// engine, or the primary allocation-site object (pta2.Object.ID) under
-	// v2.
+	// ClassID identifies the primary allocation-site object
+	// (pta2.Object.ID): the first candidate site that may already be freed
+	// at the use, else the first candidate site.
 	ClassID int
 	// AllocSites and FreeSites are the allocation and free provenance,
 	// deduplicated and sorted.
 	AllocSites []string
 	FreeSites  []string
-	// Witness, on non-PROVEN findings from the v2 engine, is the
-	// interprocedural path from a freeing statement to the use.
+	// Witness, on non-PROVEN findings, is the interprocedural path from a
+	// freeing statement to the use.
 	Witness []WitnessStep
 }
 
-// ClassInfo summarizes one heap points-to class.
+// ClassInfo summarizes one allocation site.
 type ClassInfo struct {
 	ID         int
 	AllocSites []string
 	FreeSites  []string
 	// GlobalEscape reports reachability from globals (diagnostic only).
 	GlobalEscape bool
-	// Elidable is the proof that protection can be skipped for the class.
+	// Elidable is the proof that protection can be skipped for the site.
 	Elidable bool
 	// ElideBlocked says why not, when Elidable is false.
 	ElideBlocked string
@@ -148,91 +161,17 @@ type Report struct {
 	// Findings are every classified use, sorted by (func, line, verdict,
 	// kind, class) so output is deterministic across runs.
 	Findings []Finding
-	// Classes are the heap classes (v1) or allocation sites (v2), ordered
-	// by ID.
+	// Classes are the reachable allocation sites, ordered by ID.
 	Classes []ClassInfo
-	// Engine names the analysis that produced the report: "v1" (the
-	// class-granular unification analysis) or "v2" (the site-granular
-	// inclusion analysis).
-	Engine string
 
-	prog *ir.Program
 	// elidableMallocs are the reachable malloc instructions of proven
 	// elidable allocations, in deterministic order.
 	elidableMallocs []*ir.Malloc
 }
 
-// analysis carries the per-program state.
-type analysis struct {
-	prog  *ir.Program
-	graph *pta.Graph
-	esc   *escape.Analysis
-
-	// reach is the set of functions reachable from main (every function
-	// when there is no main, so library fragments still lint).
-	reach map[string]bool
-	order []string // deterministic function order
-
-	// classes is the dense fact universe: reachable heap classes.
-	classes []*pta.Node
-	index   map[*pta.Node]int
-
-	// allocSites/freeSites collect provenance per class.
-	allocSites map[*pta.Node]map[string]bool
-	freeSites  map[*pta.Node]map[string]bool
-	mallocs    map[*pta.Node][]*ir.Malloc
-
-	// freeSumm is the per-function transitive closure of freed classes
-	// over the call graph.
-	freeSumm map[string]dfa.BitSet
-	callees  map[string][]string
-
-	// freedAnywhere is the set of classes with at least one reachable
-	// free: the sound entry assumption for every function but main.
-	freedAnywhere dfa.BitSet
-}
-
-// Analyze runs the full static analysis over a pre-APA program (plain
-// Malloc/Free instructions; run it before poolalloc.Transform).
-func Analyze(prog *ir.Program) (*Report, error) {
-	graph, err := pta.Analyze(prog)
-	if err != nil {
-		return nil, fmt.Errorf("safety: %w", err)
-	}
-	a := &analysis{
-		prog:       prog,
-		graph:      graph,
-		esc:        escape.New(prog, graph),
-		index:      make(map[*pta.Node]int),
-		allocSites: make(map[*pta.Node]map[string]bool),
-		freeSites:  make(map[*pta.Node]map[string]bool),
-		mallocs:    make(map[*pta.Node][]*ir.Malloc),
-	}
-	a.computeReach()
-	if err := a.collectClasses(); err != nil {
-		return nil, err
-	}
-	a.computeSummaries()
-
-	rep := &Report{prog: prog, Engine: "v1"}
-	for _, fname := range a.order {
-		if err := a.analyzeFunc(fname, rep); err != nil {
-			return nil, err
-		}
-	}
-	a.computeElision(rep)
-	sortFindings(rep.Findings)
-	return rep, nil
-}
-
-// computeReach marks functions reachable from main (all, if no main).
-func (a *analysis) computeReach() {
-	a.order, a.reach, a.callees = callGraph(a.prog)
-}
-
 // callGraph computes the deterministic per-function callee lists and the
 // set of functions reachable from main (every function when there is no
-// main, so library fragments still lint), shared by both analysis engines.
+// main, so library fragments still lint).
 func callGraph(prog *ir.Program) (order []string, reach map[string]bool, callees map[string][]string) {
 	reach = make(map[string]bool)
 	callees = make(map[string][]string)
@@ -276,202 +215,11 @@ func callGraph(prog *ir.Program) (order []string, reach map[string]bool, callees
 	return order, reach, callees
 }
 
-// collectClasses enumerates the heap classes touched by reachable code and
-// their allocation/free provenance.
-func (a *analysis) collectClasses() error {
-	addClass := func(n *pta.Node) *pta.Node {
-		n = n.Find()
-		if _, ok := a.index[n]; !ok {
-			a.index[n] = -1 // placeholder; dense index assigned below
-			a.classes = append(a.classes, n)
-		}
-		return n
-	}
-	for _, fname := range a.order {
-		fn := a.prog.Funcs[fname]
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				switch in := in.(type) {
-				case *ir.Malloc:
-					h := a.graph.SiteNode(in)
-					if h == nil {
-						continue
-					}
-					h = addClass(h)
-					addSite(a.allocSites, h, in.Site)
-					a.mallocs[h] = append(a.mallocs[h], in)
-				case *ir.Free:
-					h := a.graph.FreeNode(in)
-					if h == nil || !h.Find().Heap {
-						continue
-					}
-					h = addClass(h)
-					addSite(a.freeSites, h, in.Site)
-				case *ir.PoolAlloc, *ir.PoolFree:
-					return fmt.Errorf("safety: program already pool-allocated; analyze before the APA transformation")
-				}
-			}
-		}
-	}
-	// Dense, deterministic fact indexes ordered by class ID.
-	sort.Slice(a.classes, func(i, j int) bool { return a.classes[i].ID < a.classes[j].ID })
-	for i, c := range a.classes {
-		a.index[c] = i
-	}
-	a.freedAnywhere = dfa.NewBitSet(len(a.classes))
-	for c := range a.freeSites {
-		a.freedAnywhere.Set(a.index[c])
-	}
-	return nil
-}
-
-func addSite(m map[*pta.Node]map[string]bool, c *pta.Node, site string) {
-	if m[c] == nil {
-		m[c] = make(map[string]bool)
-	}
-	m[c][site] = true
-}
-
-// classIdx maps a (possibly nil) pta node to its dense fact index, or -1.
-func (a *analysis) classIdx(n *pta.Node) int {
-	if n == nil {
-		return -1
-	}
-	n = n.Find()
-	if !n.Heap {
-		return -1
-	}
-	i, ok := a.index[n]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
-// computeSummaries closes the per-function freed class sets over the call
-// graph (iterating to a fixpoint handles recursion).
-func (a *analysis) computeSummaries() {
-	n := len(a.classes)
-	a.freeSumm = make(map[string]dfa.BitSet)
-	for _, fname := range a.order {
-		frees := dfa.NewBitSet(n)
-		for _, b := range a.prog.Funcs[fname].Blocks {
-			for _, in := range b.Instrs {
-				if f, ok := in.(*ir.Free); ok {
-					if i := a.classIdx(a.graph.FreeNode(f)); i >= 0 {
-						frees.Set(i)
-					}
-				}
-			}
-		}
-		a.freeSumm[fname] = frees
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fname := range a.order {
-			for _, c := range a.callees[fname] {
-				if !a.reach[c] {
-					continue
-				}
-				if or(a.freeSumm[fname], a.freeSumm[c]) {
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// or unions src into dst, reporting whether dst changed.
-func or(dst, src dfa.BitSet) bool {
-	changed := false
-	for i := range dst {
-		if next := dst[i] | src[i]; next != dst[i] {
-			dst[i] = next
-			changed = true
-		}
-	}
-	return changed
-}
-
-// stepMay applies one instruction's effect on the class-level may-freed set.
-func (a *analysis) stepMay(in ir.Instr, may dfa.BitSet) {
-	switch in := in.(type) {
-	case *ir.Free:
-		if i := a.classIdx(a.graph.FreeNode(in)); i >= 0 {
-			may.Set(i)
-		}
-	case *ir.Call:
-		if summ, ok := a.freeSumm[in.Callee]; ok {
-			may.Or(summ)
-		}
-	}
-}
-
 // loc is one pointer storage location the definite analysis tracks: a frame
 // slot of the current function (global == "") or a program global.
 type loc struct {
 	global string
 	off    uint64
-}
-
-// funcState carries the per-function machinery of the definite analysis.
-type funcState struct {
-	a     *analysis
-	fname string
-	fn    *ir.Func
-	cfg   *dfa.CFG
-
-	locs     []loc
-	locIndex map[loc]int
-	// locClass[l] is the dense class index the location's value points
-	// into, or -1.
-	locClass []int
-	// locNode[l] is the location's own storage class (for store aliasing).
-	locNode []*pta.Node
-	// writable[l] marks locations a callee could overwrite: globals, and
-	// frame slots whose address escapes the usual load/store pattern.
-	writable []bool
-}
-
-func (a *analysis) newFuncState(fname string, fn *ir.Func, cfg *dfa.CFG) *funcState {
-	fs := &funcState{a: a, fname: fname, fn: fn, cfg: cfg, locIndex: make(map[loc]int)}
-	add := func(l loc) {
-		if _, ok := fs.locIndex[l]; ok {
-			return
-		}
-		fs.locIndex[l] = len(fs.locs)
-		fs.locs = append(fs.locs, l)
-	}
-	frameRegs := make(map[ir.Reg]uint64)
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if fa, ok := in.(*ir.FrameAddr); ok {
-				add(loc{off: fa.Off})
-				frameRegs[fa.Dst] = fa.Off
-			}
-		}
-	}
-	for _, g := range a.prog.Globals {
-		add(loc{global: g.Name})
-	}
-
-	addrTaken := addrTakenSlots(fn, frameRegs)
-
-	fs.locClass = make([]int, len(fs.locs))
-	fs.locNode = make([]*pta.Node, len(fs.locs))
-	fs.writable = make([]bool, len(fs.locs))
-	for i, l := range fs.locs {
-		if l.global != "" {
-			fs.locClass[i] = a.classIdx(a.graph.GlobalPointsTo(l.global))
-			fs.locNode[i] = a.graph.GlobalNode(l.global).Find()
-			fs.writable[i] = true
-		} else {
-			fs.locClass[i] = a.classIdx(a.graph.SlotPointsTo(fname, l.off))
-			fs.locNode[i] = a.graph.SlotNode(fname, l.off)
-			fs.writable[i] = addrTaken[l.off]
-		}
-	}
-	return fs
 }
 
 // addrTakenSlots returns the frame-slot offsets that are "address-taken" in
@@ -541,7 +289,8 @@ type symState struct {
 	srcLoc map[ir.Reg]int
 }
 
-func (fs *funcState) newState(dang dfa.BitSet) *symState {
+// newSymState starts a block's execution from the dangling facts dang.
+func newSymState(dang dfa.BitSet) *symState {
 	return &symState{
 		dang:    dang,
 		dangReg: make(map[ir.Reg]bool),
@@ -566,142 +315,6 @@ func (st *symState) dropSrcLoc(l int) {
 	}
 }
 
-// record is the replay callback: one classified use. classIdx is -1 for
-// addresses outside the tracked heap classes (no finding is emitted).
-type record func(kind UseKind, site string, classIdx int, definite bool)
-
-// exec applies one instruction to the symbolic state, invoking rec (when
-// non-nil) for every heap use it encounters.
-func (fs *funcState) exec(in ir.Instr, st *symState, rec record) {
-	switch in := in.(type) {
-	case *ir.Const, *ir.StrAddr:
-		st.clearReg(dstOf(in))
-	case *ir.FrameAddr:
-		st.clearReg(in.Dst)
-		st.addrOf[in.Dst] = fs.locIndex[loc{off: in.Off}]
-	case *ir.GlobalAddr:
-		st.clearReg(in.Dst)
-		if li, ok := fs.locIndex[loc{global: in.Name}]; ok {
-			st.addrOf[in.Dst] = li
-		}
-	case *ir.Bin:
-		// Pointer arithmetic keeps danglingness (field offsets into a
-		// freed object are just as dangling).
-		d := st.dangReg[in.A] || st.dangReg[in.B]
-		st.clearReg(in.Dst)
-		if d {
-			st.dangReg[in.Dst] = true
-		}
-	case *ir.Un:
-		d := st.dangReg[in.A]
-		st.clearReg(in.Dst)
-		if d {
-			st.dangReg[in.Dst] = true
-		}
-	case *ir.Cvt:
-		d := st.dangReg[in.A]
-		st.clearReg(in.Dst)
-		if d {
-			st.dangReg[in.Dst] = true
-		}
-	case *ir.Copy:
-		d := st.dangReg[in.Src]
-		ao, hasAO := st.addrOf[in.Src]
-		sl, hasSL := st.srcLoc[in.Src]
-		st.clearReg(in.Dst)
-		if d {
-			st.dangReg[in.Dst] = true
-		}
-		if hasAO {
-			st.addrOf[in.Dst] = ao
-		}
-		if hasSL {
-			st.srcLoc[in.Dst] = sl
-		}
-	case *ir.Load:
-		def := st.dangReg[in.Addr]
-		if rec != nil {
-			rec(UseRead, in.Site, fs.a.classIdx(fs.a.graph.RegPointsTo(fs.fname, in.Addr)), def)
-		}
-		li, fromLoc := st.addrOf[in.Addr]
-		st.clearReg(in.Dst)
-		if fromLoc {
-			st.srcLoc[in.Dst] = li
-			if st.dang.Has(li) {
-				st.dangReg[in.Dst] = true
-			}
-		} else if def {
-			// A value read through a dangling pointer is garbage;
-			// anything dereferenced through it is definitely wrong.
-			st.dangReg[in.Dst] = true
-		}
-	case *ir.Store:
-		def := st.dangReg[in.Addr]
-		if rec != nil {
-			rec(UseWrite, in.Site, fs.a.classIdx(fs.a.graph.RegPointsTo(fs.fname, in.Addr)), def)
-		}
-		if li, ok := st.addrOf[in.Addr]; ok {
-			if st.dangReg[in.Src] {
-				st.dang.Set(li)
-			} else {
-				st.dang.Clear(li)
-			}
-			st.dropSrcLoc(li)
-			break
-		}
-		// A store through an unknown pointer: conservatively forget
-		// facts about any location its points-to class could cover
-		// (heap stores alias no frame slot or global, so the common
-		// case forgets nothing).
-		tgt := fs.a.graph.RegPointsTo(fs.fname, in.Addr)
-		for li, n := range fs.locNode {
-			if tgt == nil || (n != nil && n == tgt.Find()) {
-				st.dang.Clear(li)
-				st.dropSrcLoc(li)
-			}
-		}
-	case *ir.Malloc:
-		st.clearReg(in.Dst)
-	case *ir.Free:
-		def := st.dangReg[in.Ptr]
-		if rec != nil {
-			rec(UseFree, in.Site, fs.a.classIdx(fs.a.graph.FreeNode(in)), def)
-		}
-		if li, ok := st.srcLoc[in.Ptr]; ok {
-			st.dang.Set(li)
-		}
-		st.dangReg[in.Ptr] = true
-	case *ir.Call:
-		// A location whose current value was handed to a callee that
-		// (transitively) frees objects of that value's class certainly
-		// dangles afterwards — the Figure 1 pattern g(p).
-		if summ, ok := fs.a.freeSumm[in.Callee]; ok {
-			for _, arg := range in.Args {
-				if li, ok := st.srcLoc[arg]; ok {
-					if ci := fs.locClass[li]; ci >= 0 && summ.Has(ci) {
-						st.dang.Set(li)
-					}
-				}
-			}
-		}
-		// The callee may overwrite globals and escaped slots, so their
-		// facts (and value provenance) die here.
-		for li, w := range fs.writable {
-			if w {
-				st.dang.Clear(li)
-				st.dropSrcLoc(li)
-			}
-		}
-		if in.Dst != ir.None {
-			st.clearReg(in.Dst)
-		}
-	case *ir.Intrinsic:
-		if in.Dst != ir.None {
-			st.clearReg(in.Dst)
-		}
-	}
-}
-
 // dstOf returns the destination register of a Const or StrAddr.
 func dstOf(in ir.Instr) ir.Reg {
 	switch in := in.(type) {
@@ -711,159 +324,6 @@ func dstOf(in ir.Instr) ir.Reg {
 		return in.Dst
 	}
 	return ir.None
-}
-
-// solveDang runs the must-dangling location analysis to a fixpoint: entry
-// facts are empty, interior blocks start at top, joins intersect, and each
-// block's transfer is the symbolic execution in exec. Returns the per-block
-// entry fact sets.
-func (fs *funcState) solveDang() []dfa.BitSet {
-	nb := len(fs.fn.Blocks)
-	nl := len(fs.locs)
-	in := make([]dfa.BitSet, nb)
-	out := make([]dfa.BitSet, nb)
-	for b := 0; b < nb; b++ {
-		in[b] = dfa.NewBitSet(nl)
-		out[b] = dfa.NewBitSet(nl)
-		if b != 0 {
-			in[b].Fill()
-			out[b].Fill()
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range fs.cfg.RPO() {
-			if b != 0 {
-				first := true
-				for _, p := range fs.cfg.Preds[b] {
-					if !fs.cfg.Reachable(p) {
-						continue
-					}
-					if first {
-						in[b].CopyFrom(out[p])
-						first = false
-					} else {
-						in[b].And(out[p])
-					}
-				}
-			}
-			st := fs.newState(in[b].Clone())
-			for _, instr := range fs.fn.Blocks[b].Instrs {
-				fs.exec(instr, st, nil)
-			}
-			if !out[b].Equal(st.dang) {
-				out[b].CopyFrom(st.dang)
-				changed = true
-			}
-		}
-	}
-	return in
-}
-
-// analyzeFunc classifies every heap use in one function: the location-level
-// definite analysis supplies the DEFINITE tier, the class-level may-freed
-// analysis separates POSSIBLE from PROVEN-SAFE.
-func (a *analysis) analyzeFunc(fname string, rep *Report) error {
-	fn := a.prog.Funcs[fname]
-	cfg, err := dfa.BuildCFG(fn)
-	if err != nil {
-		return fmt.Errorf("safety: %s: %w", fname, err)
-	}
-	fs := a.newFuncState(fname, fn, cfg)
-	dangIn := fs.solveDang()
-
-	n := len(a.classes)
-	mayGen := make([]dfa.BitSet, len(fn.Blocks))
-	for bi, b := range fn.Blocks {
-		g := dfa.NewBitSet(n)
-		for _, in := range b.Instrs {
-			a.stepMay(in, g)
-		}
-		mayGen[bi] = g
-	}
-	mayBoundary := dfa.NewBitSet(n)
-	if fname != "main" {
-		// Sound entry assumption: by the time any function other than
-		// main runs, every class freed anywhere may already be freed.
-		mayBoundary.CopyFrom(a.freedAnywhere)
-	}
-	may := dfa.Solve(cfg, dfa.Problem{
-		Dir: dfa.Forward, Join: dfa.Union, NumFacts: n,
-		Boundary: mayBoundary, Gen: mayGen,
-	})
-
-	// Replay each reachable block, classifying uses against the
-	// pre-instruction state.
-	type findingKey struct {
-		site    string
-		kind    UseKind
-		verdict Verdict
-		class   int
-	}
-	seen := make(map[findingKey]bool)
-	for bi, b := range fn.Blocks {
-		if !cfg.Reachable(bi) {
-			continue
-		}
-		st := fs.newState(dangIn[bi].Clone())
-		curMay := may.In[bi].Clone()
-		rec := func(kind UseKind, site string, classIdx int, definite bool) {
-			if classIdx < 0 {
-				return
-			}
-			c := a.classes[classIdx]
-			verdict := ProvenSafe
-			switch {
-			case definite:
-				verdict = DefiniteUAF
-			case curMay.Has(classIdx):
-				verdict = PossibleUAF
-			}
-			k := findingKey{site: site, kind: kind, verdict: verdict, class: c.ID}
-			if seen[k] {
-				return
-			}
-			seen[k] = true
-			rep.Findings = append(rep.Findings, Finding{
-				Func: funcOfSite(site), Line: lineOfSite(site), Site: site,
-				Kind: kind, Verdict: verdict, ClassID: c.ID,
-				AllocSites: sortedSites(a.allocSites[c]),
-				FreeSites:  sortedSites(a.freeSites[c]),
-			})
-		}
-		for _, in := range b.Instrs {
-			fs.exec(in, st, rec)
-			a.stepMay(in, curMay)
-		}
-	}
-	return nil
-}
-
-// computeElision decides, per class, whether its allocations can skip
-// shadow-page protection, and fills Report.Classes.
-func (a *analysis) computeElision(rep *Report) {
-	doms := make(map[string]*domInfo)
-	for _, c := range a.classes {
-		info := ClassInfo{
-			ID:           c.ID,
-			AllocSites:   sortedSites(a.allocSites[c]),
-			FreeSites:    sortedSites(a.freeSites[c]),
-			GlobalEscape: a.esc.GlobalEscape(c),
-		}
-		switch {
-		case len(a.mallocs[c]) == 0:
-			info.ElideBlocked = "no reachable allocation site"
-		case len(info.FreeSites) > 0:
-			info.ElideBlocked = fmt.Sprintf("freed at %s", strings.Join(info.FreeSites, ", "))
-		case !a.usesDominatedByAllocs(c, doms):
-			info.ElideBlocked = "a use is not dominated by an allocation of the class"
-		default:
-			info.Elidable = true
-			rep.elidableMallocs = append(rep.elidableMallocs, a.mallocs[c]...)
-		}
-		rep.Classes = append(rep.Classes, info)
-	}
-	sort.Slice(rep.Classes, func(i, j int) bool { return rep.Classes[i].ID < rep.Classes[j].ID })
 }
 
 // domInfo caches per-function dominator trees and instruction positions.
@@ -894,55 +354,6 @@ func domFor(prog *ir.Program, fname string, cache map[string]*domInfo) *domInfo 
 	return d
 }
 
-// usesDominatedByAllocs checks the belt-and-braces elision condition: in
-// every reachable function that allocates class c, each use of c must be
-// dominated by one of that function's allocations of c.
-func (a *analysis) usesDominatedByAllocs(c *pta.Node, cache map[string]*domInfo) bool {
-	// Group the class's mallocs by function.
-	byFunc := make(map[string][]*ir.Malloc)
-	for _, fname := range a.order {
-		fn := a.prog.Funcs[fname]
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if m, ok := in.(*ir.Malloc); ok && a.graph.SiteNode(m) == c {
-					byFunc[fname] = append(byFunc[fname], m)
-				}
-			}
-		}
-	}
-	for fname, ms := range byFunc {
-		d := domFor(a.prog, fname, cache)
-		if d == nil {
-			return false
-		}
-		fn := a.prog.Funcs[fname]
-		for bi, b := range fn.Blocks {
-			if !d.cfg.Reachable(bi) {
-				continue
-			}
-			for ii, in := range b.Instrs {
-				var addr ir.Reg
-				switch in := in.(type) {
-				case *ir.Load:
-					addr = in.Addr
-				case *ir.Store:
-					addr = in.Addr
-				default:
-					continue
-				}
-				n := a.graph.RegPointsTo(fname, addr)
-				if n == nil || n.Find() != c {
-					continue
-				}
-				if !dominatedByAny(d, ms, bi, ii) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // dominatedByAny reports whether instruction (bu, iu) is dominated by at
 // least one of the malloc instructions.
 func dominatedByAny(d *domInfo, ms []*ir.Malloc, bu, iu int) bool {
@@ -966,7 +377,7 @@ func dominatedByAny(d *domInfo, ms []*ir.Malloc, bu, iu int) bool {
 }
 
 // MarkElidable sets the Elidable flag on every reachable malloc instruction
-// of a proven class, returning how many sites were marked. Call it before
+// of a proven site, returning how many sites were marked. Call it before
 // poolalloc.Transform so the flag survives the PoolAlloc rewrite.
 func (r *Report) MarkElidable() int {
 	marked := 0
@@ -998,8 +409,8 @@ func (r *Report) ElidableSites() []string {
 type Stats struct {
 	// Definite, Possible, and Proven count classified uses per verdict.
 	Definite, Possible, Proven int
-	// Classes counts heap classes (v1) or allocation sites (v2); Elidable
-	// counts those proven safe to leave unprotected.
+	// Classes counts allocation sites; Elidable counts those proven safe
+	// to leave unprotected.
 	Classes, Elidable int
 }
 

@@ -5,27 +5,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/minic/check"
+	"repro/internal/minic/driver"
 	"repro/internal/minic/ir"
-	"repro/internal/minic/irgen"
-	"repro/internal/minic/parser"
 	"repro/internal/minic/poolalloc"
 	"repro/internal/minic/safety"
 )
 
 func compile(t *testing.T, src string) *ir.Program {
 	t.Helper()
-	astProg, err := parser.Parse(src)
+	prog, err := driver.Compile(src)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info, err := check.Check(astProg)
-	if err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	prog, err := irgen.Generate(info)
-	if err != nil {
-		t.Fatalf("irgen: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
 	return prog
 }
@@ -82,75 +72,6 @@ void main() {
   print_int(p->next->val);
 }
 `
-
-func TestFigure1MainUseIsDefinite(t *testing.T) {
-	rep := analyze(t, figure1)
-
-	var mainFindings []safety.Finding
-	for _, f := range rep.Findings {
-		if f.Func == "main" && f.Line >= 38 { // after the call to g
-			mainFindings = append(mainFindings, f)
-		}
-	}
-	if len(mainFindings) == 0 {
-		t.Fatal("no findings for main's post-call dereferences")
-	}
-	for _, f := range mainFindings {
-		if f.Verdict != safety.DefiniteUAF {
-			t.Errorf("%s %s: verdict %v, want DEFINITE-UAF", f.Site, f.Kind, f.Verdict)
-		}
-		if len(f.FreeSites) == 0 {
-			t.Errorf("%s: DEFINITE finding must carry free-site provenance", f.Site)
-		}
-		if len(f.AllocSites) == 0 {
-			t.Errorf("%s: finding must carry alloc-site provenance", f.Site)
-		}
-	}
-}
-
-func TestFigure1LoopFreeIsPossible(t *testing.T) {
-	rep := analyze(t, figure1)
-
-	// The free and dereferences inside free_all_but_head's loop are only
-	// POSSIBLE: the zero-trip path keeps them out of the must set, and
-	// the class is freed elsewhere, so they cannot be proven safe.
-	var got []safety.Finding
-	for _, f := range rep.Findings {
-		if f.Func == "free_all_but_head" {
-			got = append(got, f)
-		}
-	}
-	if len(got) == 0 {
-		t.Fatal("no findings in free_all_but_head")
-	}
-	sawFree := false
-	for _, f := range got {
-		if f.Verdict == safety.ProvenSafe {
-			t.Errorf("%s %s: PROVEN-SAFE for a freed class", f.Site, f.Kind)
-		}
-		if f.Kind == safety.UseFree {
-			sawFree = true
-			if f.Verdict != safety.PossibleUAF {
-				t.Errorf("loop free at %s: verdict %v, want POSSIBLE-UAF", f.Site, f.Verdict)
-			}
-		}
-	}
-	if !sawFree {
-		t.Error("the free instruction itself was not classified")
-	}
-}
-
-func TestFigure1NothingElidable(t *testing.T) {
-	rep := analyze(t, figure1)
-	for _, c := range rep.Classes {
-		if c.Elidable {
-			t.Errorf("class %d (allocs %v) elidable despite frees %v", c.ID, c.AllocSites, c.FreeSites)
-		}
-	}
-	if sites := rep.ElidableSites(); len(sites) != 0 {
-		t.Errorf("ElidableSites = %v, want none", sites)
-	}
-}
 
 func TestNeverFreedIsProvenSafeAndElidable(t *testing.T) {
 	prog := compile(t, `
@@ -283,10 +204,27 @@ void main() {
 	}
 }
 
-// Satellite: recursion. A recursive function that frees its argument on the
-// base case must push every use of the class to POSSIBLE, never PROVEN-SAFE,
-// and block elision.
-func TestRecursiveFreeDegradesToPossible(t *testing.T) {
+// verdicts reduces a report to one verdict per "site/kind" key, failing on
+// a key that carries two different verdicts.
+func verdicts(t *testing.T, rep *safety.Report) map[string]safety.Verdict {
+	t.Helper()
+	out := map[string]safety.Verdict{}
+	for _, f := range rep.Findings {
+		k := f.Site + "/" + f.Kind.String()
+		if v, ok := out[k]; ok && v != f.Verdict {
+			t.Fatalf("%s: verdicts %v and %v", k, v, f.Verdict)
+		}
+		out[k] = f.Verdict
+	}
+	return out
+}
+
+// Recursion: a recursive function that frees its argument after recursing
+// on the tail. Every read happens on the way down, before any free, so it
+// is PROVEN-SAFE; the free itself may follow the recursive call's free of
+// another object from the same site, so it is POSSIBLE; and the freed site
+// must not elide.
+func TestRecursiveFreeVerdicts(t *testing.T) {
 	rep := analyze(t, `
 struct s { int val; struct s *next; };
 
@@ -303,18 +241,24 @@ void main() {
   drop(p);
 }
 `)
-	assertNoProvenSafeOutsideDominatedAllocs(t, rep, "drop")
-	for _, c := range rep.Classes {
-		if c.Elidable {
-			t.Errorf("class %d elidable despite recursive free", c.ID)
-		}
+	want := map[string]safety.Verdict{
+		"main:12/write": safety.ProvenSafe,
+		"main:13/write": safety.ProvenSafe,
+		"drop:6/read":   safety.ProvenSafe,
+		"drop:7/free":   safety.PossibleUAF,
+	}
+	if got := verdicts(t, rep); !reflect.DeepEqual(got, want) {
+		t.Errorf("verdicts = %v, want %v", got, want)
+	}
+	if sites := rep.ElidableSites(); len(sites) != 0 {
+		t.Errorf("ElidableSites = %v despite the recursive free", sites)
 	}
 }
 
-// Satellite: pointers returned through struct fields. The pointer escapes
-// through box.inner; once any free of the class exists, uses in the helper
-// must degrade to POSSIBLE.
-func TestStructFieldReturnDegradesToPossible(t *testing.T) {
+// Pointers returned through struct fields: fill allocates box.ptr, main
+// reads it back and frees both objects. Every use precedes the free of its
+// own site, so all are PROVEN-SAFE, and both freed sites keep protection.
+func TestStructFieldReturnVerdicts(t *testing.T) {
 	rep := analyze(t, `
 struct inner { int val; };
 struct box { struct inner *ptr; };
@@ -332,11 +276,19 @@ void main() {
   free(b);
 }
 `)
-	assertNoProvenSafeOutsideDominatedAllocs(t, rep, "fill")
-	for _, c := range rep.Classes {
-		if c.Elidable {
-			t.Errorf("class %d elidable despite frees %v", c.ID, c.FreeSites)
+	for _, f := range rep.Findings {
+		if f.Verdict != safety.ProvenSafe {
+			t.Errorf("%s %s: %v, want PROVEN-SAFE", f.Site, f.Kind, f.Verdict)
 		}
+	}
+	got := verdicts(t, rep)
+	for _, k := range []string{"fill:6/write", "fill:7/read", "fill:7/write", "main:13/read", "main:14/free", "main:15/free"} {
+		if _, ok := got[k]; !ok {
+			t.Errorf("use %s not classified", k)
+		}
+	}
+	if sites := rep.ElidableSites(); len(sites) != 0 {
+		t.Errorf("ElidableSites = %v despite the frees", sites)
 	}
 }
 
@@ -381,25 +333,6 @@ void main() {
 		if c.Elidable {
 			t.Errorf("class %d elidable despite global-reachable free", c.ID)
 		}
-	}
-}
-
-// assertNoProvenSafeOutsideDominatedAllocs fails on any PROVEN-SAFE finding
-// in fn, a function whose class is freed somewhere in the program.
-func assertNoProvenSafeOutsideDominatedAllocs(t *testing.T, rep *safety.Report, fn string) {
-	t.Helper()
-	n := 0
-	for _, f := range rep.Findings {
-		if f.Func != fn {
-			continue
-		}
-		n++
-		if f.Verdict == safety.ProvenSafe {
-			t.Errorf("%s %s in %s: PROVEN-SAFE, want POSSIBLE (class is freed)", f.Site, f.Kind, fn)
-		}
-	}
-	if n == 0 {
-		t.Fatalf("no findings in %s", fn)
 	}
 }
 
@@ -485,14 +418,191 @@ func TestVerdictAndKindStrings(t *testing.T) {
 }
 
 func TestByVerdict(t *testing.T) {
-	rep := analyze(t, figure1)
+	rep := analyze(t, `
+struct s { int val; };
+void main() {
+  struct s *p = (struct s*)malloc(sizeof(struct s));
+  p->val = 1;
+  free(p);
+  print_int(p->val);
+}
+`)
 	def := rep.ByVerdict(safety.DefiniteUAF)
-	if len(def) == 0 {
-		t.Fatal("figure1 must have DEFINITE findings")
+	if len(def) != 1 || def[0].Site != "main:7" {
+		t.Fatalf("ByVerdict(DEFINITE-UAF) = %+v, want the read at main:7", def)
 	}
-	for _, f := range def {
-		if f.Verdict != safety.DefiniteUAF {
-			t.Errorf("ByVerdict returned %v", f.Verdict)
+	for _, v := range []safety.Verdict{safety.ProvenSafe, safety.PossibleUAF, safety.DefiniteUAF} {
+		for _, f := range rep.ByVerdict(v) {
+			if f.Verdict != v {
+				t.Errorf("ByVerdict(%v) returned %v", v, f.Verdict)
+			}
 		}
+	}
+}
+
+func roles(w []safety.WitnessStep) string {
+	var rs []string
+	for _, s := range w {
+		rs = append(rs, s.Role)
+	}
+	return strings.Join(rs, ",")
+}
+
+// The paper's running example in miniature: free in a callee, use after
+// return. The use is DEFINITE and carries an interprocedural witness.
+func TestV2RunningExample(t *testing.T) {
+	src := `
+void g(int *q) {
+  free(q);
+}
+void main() {
+  int *p = (int*)malloc(4 * sizeof(int));
+  p[0] = 7;
+  g(p);
+  print_int(p[0]);
+}
+`
+	r2 := analyze(t, src)
+	var def []safety.Finding
+	for _, f := range r2.Findings {
+		if f.Verdict == safety.DefiniteUAF {
+			def = append(def, f)
+		}
+	}
+	if len(def) == 0 {
+		t.Fatalf("expected a DEFINITE finding, got %+v", r2.Findings)
+	}
+	use := def[0]
+	if use.Func != "main" {
+		t.Fatalf("definite finding in %s, want main", use.Func)
+	}
+	if len(use.Witness) == 0 {
+		t.Fatalf("definite finding lacks a witness: %+v", use)
+	}
+	got := roles(use.Witness)
+	if got != "free,call,use" {
+		t.Fatalf("witness roles = %s, want free,call,use", got)
+	}
+	if use.Witness[0].Site != "g:3" {
+		t.Fatalf("witness free step = %s, want g:3", use.Witness[0].Site)
+	}
+	if use.Witness[len(use.Witness)-1].Site != use.Site {
+		t.Fatalf("witness must end at the use site")
+	}
+}
+
+// Two arrays subscripted through a shared counter (a unification analysis
+// would merge them into one class): the sites stay apart, so the un-freed
+// array's uses are PROVEN-SAFE and its malloc site elides.
+func TestV2SharedIndexPrecision(t *testing.T) {
+	src := `
+void main() {
+  int *bodies = (int*)malloc(8 * sizeof(int));
+  int *cells = (int*)malloc(8 * sizeof(int));
+  int c;
+  for (c = 0; c < 8; c = c + 1) {
+    bodies[c] = c;
+    cells[c] = 2 * c;
+  }
+  int s = 0;
+  for (c = 0; c < 8; c = c + 1) s = s + bodies[c] + cells[c];
+  print_int(s);
+  free(cells);
+}
+`
+	r2 := analyze(t, src)
+	el2 := r2.ElidableSites()
+	if len(el2) != 1 || el2[0] != "main:3" {
+		t.Fatalf("elidable = %v, want [main:3]", el2)
+	}
+	// The never-freed array's uses must be proven safe.
+	sawProven := false
+	for _, f := range r2.Findings {
+		for _, as := range f.AllocSites {
+			if as == "main:3" && len(f.AllocSites) == 1 {
+				if f.Verdict != safety.ProvenSafe {
+					t.Fatalf("use %s of main:3 is %v, want PROVEN-SAFE", f.Site, f.Verdict)
+				}
+				sawProven = true
+			}
+		}
+	}
+	if !sawProven {
+		t.Fatalf("no finding attributes only main:3")
+	}
+	// And the freed array keeps a POSSIBLE (loop: use and free alternate
+	// orders are not distinguished intraprocedurally) or better verdict
+	// with witnesses where non-proven.
+	for _, f := range r2.Findings {
+		if f.Verdict != safety.ProvenSafe && len(f.Witness) == 0 {
+			t.Fatalf("non-proven finding without witness: %+v", f)
+		}
+	}
+}
+
+// The interprocedural boundary: a helper that only runs before any free is
+// proven safe by the entryMay fixpoint (assuming every free has already
+// happened at every non-main entry would leave it POSSIBLE).
+func TestV2EntryBoundaryPrecision(t *testing.T) {
+	src := `
+int use(int *q) {
+  return q[0];
+}
+void main() {
+  int *p = (int*)malloc(4 * sizeof(int));
+  p[0] = 9;
+  print_int(use(p));
+  free(p);
+}
+`
+	sawUse := false
+	for _, f := range analyze(t, src).Findings {
+		if f.Func == "use" {
+			sawUse = true
+			if f.Verdict != safety.ProvenSafe {
+				t.Fatalf("verdict in use() = %v, want PROVEN-SAFE", f.Verdict)
+			}
+		}
+	}
+	if !sawUse {
+		t.Fatal("no finding in use()")
+	}
+}
+
+// Free-before-call through the entry boundary: the callee's use must be
+// POSSIBLE with a witness that crosses the callsite.
+func TestV2EntryWitness(t *testing.T) {
+	src := `
+int *gp;
+int peek() {
+  return gp[0];
+}
+void main() {
+  gp = (int*)malloc(4 * sizeof(int));
+  gp[0] = 3;
+  free(gp);
+  print_int(peek());
+}
+`
+	r2 := analyze(t, src)
+	found := false
+	for _, f := range r2.Findings {
+		if f.Func != "peek" || f.Verdict == safety.ProvenSafe {
+			continue
+		}
+		found = true
+		got := roles(f.Witness)
+		if got != "free,call,use" {
+			t.Fatalf("witness roles = %s (steps %+v), want free,call,use", got, f.Witness)
+		}
+		if f.Witness[0].Site != "main:9" {
+			t.Fatalf("free step = %s, want main:9", f.Witness[0].Site)
+		}
+		if f.Witness[1].Site != "main:10" {
+			t.Fatalf("call step = %s, want main:10", f.Witness[1].Site)
+		}
+	}
+	if !found {
+		t.Fatalf("expected a non-proven finding in peek(): %+v", r2.Findings)
 	}
 }

@@ -1,6 +1,6 @@
 package safety
 
-// Witness reconstruction for the v2 engine. The dataflow fixpoints record
+// Witness reconstruction. The dataflow fixpoints record
 // *that* a site may be freed at a program point but not *why*; this file
 // recovers a why — a shortest interprocedural derivation — after the fact,
 // so only sites that actually appear in findings pay for it.
@@ -26,7 +26,7 @@ package safety
 // stored via-edge is exactly one cheaper than the fact it derives, so the
 // step reconstruction below walks strictly decreasing costs and terminates
 // too. Because the maps mirror the dataflow's own transfer functions, every
-// fact the fixpoint in v2.go derives has a finite-cost derivation here; the
+// fact the fixpoint in analyze.go derives has a finite-cost derivation here; the
 // nil returns are belt-and-braces.
 
 import "math"
@@ -46,7 +46,7 @@ type siteDeriv struct {
 	entryVia  map[string]genPos // the callsite generator in the caller
 }
 
-func (a *analysisV2) deriv(s int) *siteDeriv {
+func (a *analysis) deriv(s int) *siteDeriv {
 	if d, ok := a.derivs[s]; ok {
 		return d
 	}
@@ -107,7 +107,7 @@ func (a *analysisV2) deriv(s int) *siteDeriv {
 
 // genCost is the cost of realizing the generator's may-freed effect on site
 // d.s, or -1 if the generator cannot free it (under current exitDist).
-func (d *siteDeriv) genCost(g genV2) int {
+func (d *siteDeriv) genCost(g gen) int {
 	if g.callee == "" {
 		if g.bits.Has(d.s) {
 			return 1
@@ -124,7 +124,7 @@ func (d *siteDeriv) genCost(g genV2) int {
 // before point (b, i) of fname": (cost, generator index or -1, viaEntry).
 // Intra-function generators win ties over the entry fact so witnesses stay
 // as local as possible. Returns cost -1 when no derivation exists.
-func (d *siteDeriv) mayDistAt(a *analysisV2, fname string, b, i int) (int, int, bool) {
+func (d *siteDeriv) mayDistAt(a *analysis, fname string, b, i int) (int, int, bool) {
 	fi := a.finfo[fname]
 	best, bestGen := math.MaxInt, -1
 	for gi, g := range fi.gens {
@@ -146,7 +146,7 @@ func (d *siteDeriv) mayDistAt(a *analysisV2, fname string, b, i int) (int, int, 
 
 // exitSteps expands exitVia[fname] into witness steps: the originating free
 // first, then the call chain innermost-first.
-func (d *siteDeriv) exitSteps(a *analysisV2, fname string) []WitnessStep {
+func (d *siteDeriv) exitSteps(a *analysis, fname string) []WitnessStep {
 	gp, ok := d.exitVia[fname]
 	if !ok {
 		return nil
@@ -163,7 +163,7 @@ func (d *siteDeriv) exitSteps(a *analysisV2, fname string) []WitnessStep {
 }
 
 // mayFreedSteps expands a "may-freed before (b, i) in fname" fact.
-func (d *siteDeriv) mayFreedSteps(a *analysisV2, fname string, b, i int) []WitnessStep {
+func (d *siteDeriv) mayFreedSteps(a *analysis, fname string, b, i int) []WitnessStep {
 	_, gi, viaEntry := d.mayDistAt(a, fname, b, i)
 	switch {
 	case viaEntry:
@@ -185,7 +185,7 @@ func (d *siteDeriv) mayFreedSteps(a *analysisV2, fname string, b, i int) []Witne
 
 // entrySteps expands entryVia[fname]: the derivation at the caller's
 // callsite, then the callsite itself as the transfer into fname.
-func (d *siteDeriv) entrySteps(a *analysisV2, fname string) []WitnessStep {
+func (d *siteDeriv) entrySteps(a *analysis, fname string) []WitnessStep {
 	gp, ok := d.entryVia[fname]
 	if !ok {
 		return nil
@@ -200,7 +200,7 @@ func (d *siteDeriv) entrySteps(a *analysisV2, fname string) []WitnessStep {
 
 // witnessFor builds the full chain for a finding: the derivation of "site s
 // may be freed at the use point", closed with the use itself.
-func (a *analysisV2) witnessFor(fname string, ub, ui int, useSite string, s int) []WitnessStep {
+func (a *analysis) witnessFor(fname string, ub, ui int, useSite string, s int) []WitnessStep {
 	d := a.deriv(s)
 	steps := d.mayFreedSteps(a, fname, ub, ui)
 	if steps == nil {

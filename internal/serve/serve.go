@@ -365,7 +365,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 // in its own goroutine building a fresh machine; if the budget expires first
 // the goroutine is abandoned (it cannot be interrupted mid-simulation but
 // holds only its own memory plus one worker slot until it finishes) and the
-// handler reports 503.
+// handler reports 503. A panic in fn is recovered on the worker goroutine
+// and returned as a *panicError, so it frees the worker slot instead of
+// killing the server.
 func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, error) {
 	select {
 	case s.workers <- struct{}{}:
@@ -381,8 +383,14 @@ func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, 
 	go func() {
 		defer s.background.Done()
 		defer func() { <-s.workers }()
-		v, err := fn()
-		ch <- outcome{v, err}
+		var out outcome
+		defer func() {
+			if p := recover(); p != nil {
+				out = outcome{err: &panicError{val: p}}
+			}
+			ch <- out
+		}()
+		out.v, out.err = fn()
 	}()
 	select {
 	case out := <-ch:
@@ -391,6 +399,11 @@ func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, 
 		return nil, ctx.Err()
 	}
 }
+
+// panicError is a panic recovered on a worker goroutine.
+type panicError struct{ val any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
 // mergeReplayMetrics folds one finished process's snapshot into the fleet
 // aggregate. Snapshot.Add is commutative over the integral pg_* series, so
@@ -448,6 +461,7 @@ const (
 	ErrCodeUnknownWorkload = "unknown-workload" // 404: no workload with that name
 	ErrCodeUnknownTrace    = "unknown-trace"    // 404: no corpus trace with that name
 	ErrCodeUnknownMode     = "unknown-mode"     // 400: unrecognized ?mode= value
+	ErrCodeInternal        = "internal"         // 500: the run panicked on its worker
 )
 
 // ErrorBody is the JSON schema of every non-2xx pgserved response:
@@ -576,39 +590,26 @@ func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.Fi
 	case ent != nil:
 		// Cache hit: serve without simulating.
 	case leader:
-		// First request for this key: simulate on a worker slot. The
-		// flight completes inside the worker goroutine, so a replay whose
-		// handler timed out still publishes its result to the cache and to
-		// any waiters (no completed replay work is lost).
-		v, err := s.runIsolated(ctx, func() (any, error) {
-			e, rerr := s.renderReplay(tf, extra, withSpans)
-			s.cache.complete(key, call, e, rerr)
-			return e, rerr
+		// First request for this key: simulate on a worker slot.
+		e, err := s.lead(ctx, key, call, func() (*replayEntry, error) {
+			return s.renderReplay(tf, extra, withSpans)
 		})
 		if err != nil {
-			if ctx.Err() != nil {
-				// If the worker goroutine never started (no slot before
-				// the deadline), release the waiters; the flight-scoped
-				// complete is settle-once, so when the background goroutine
-				// later finishes the flight itself the finished entry still
-				// caches without touching any successor flight.
-				s.cache.complete(key, call, nil, err)
-			}
-			s.replayError(w, ctx, err)
+			s.runError(w, ctx, err, "replay")
 			return
 		}
-		s.writeEntry(w, r, v.(*replayEntry), "miss", start, execStart)
+		s.writeEntry(w, r, e, "miss", start, execStart)
 		return
 	default:
 		// Another request is simulating this exact key: wait for it.
 		select {
 		case <-call.done:
 		case <-ctx.Done():
-			s.replayError(w, ctx, ctx.Err())
+			s.runError(w, ctx, ctx.Err(), "replay")
 			return
 		}
 		if call.err != nil {
-			s.replayError(w, ctx, call.err)
+			s.runError(w, ctx, call.err, "replay")
 			return
 		}
 		ent = call.ent
@@ -616,6 +617,28 @@ func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.Fi
 	s.mergeReplayMetrics(ent.metrics)
 	s.count(s.replays)
 	s.writeEntry(w, r, ent, "hit", start, execStart)
+}
+
+// lead simulates one cache miss with render on a worker slot and settles its
+// flight. The flight completes inside the worker goroutine, so a replay whose
+// handler timed out still publishes its result to the cache and to any
+// waiters (no completed replay work is lost). Any runIsolated error also
+// settles the flight here — the worker never started (no slot before the
+// deadline), was abandoned, or panicked before its own complete — so waiters
+// never block on a flight nobody will finish. complete is settle-once and
+// flight-scoped, so when an abandoned worker later finishes, its entry still
+// caches without touching any successor flight.
+func (s *Server) lead(ctx context.Context, key replayKey, call *inflightReplay, render func() (*replayEntry, error)) (*replayEntry, error) {
+	v, err := s.runIsolated(ctx, func() (any, error) {
+		e, rerr := render()
+		s.cache.complete(key, call, e, rerr)
+		return e, rerr
+	})
+	if err != nil {
+		s.cache.complete(key, call, nil, err)
+		return nil, err
+	}
+	return v.(*replayEntry), nil
 }
 
 // renderReplay simulates one trace and renders its full response body,
@@ -659,17 +682,23 @@ func detectionReports(rep *trace.Report) []*pageguard.TrapReport {
 	return out
 }
 
-// replayError maps a replay failure onto the shedding ladder's error codes.
-func (s *Server) replayError(w http.ResponseWriter, ctx context.Context, err error) {
+// runError maps a failed worker run (what names it in the detail) onto the
+// shedding ladder's error codes.
+func (s *Server) runError(w http.ResponseWriter, ctx context.Context, err error, what string) {
 	s.count(s.errs)
-	if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	var pe *panicError
+	switch {
+	case errors.As(err, &pe):
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal,
+			what+" failed: "+err.Error(), 0)
+	case ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.count(s.timeouts)
 		writeError(w, http.StatusServiceUnavailable, ErrCodeTimeout,
-			"replay exceeded the request budget", 0)
-		return
+			what+" exceeded the request budget", 0)
+	default:
+		writeError(w, http.StatusUnprocessableEntity, ErrCodeReplayFailed,
+			what+" failed: "+err.Error(), 0)
 	}
-	writeError(w, http.StatusUnprocessableEntity, ErrCodeReplayFailed,
-		"replay failed: "+err.Error(), 0)
 }
 
 // writeEntry serves a rendered replay body and records the /debug/spans
@@ -771,15 +800,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		}, nil
 	})
 	if err != nil {
-		s.count(s.errs)
-		if ctx.Err() != nil {
-			s.count(s.timeouts)
-			writeError(w, http.StatusServiceUnavailable, ErrCodeTimeout,
-				"workload run exceeded the request budget", 0)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeReplayFailed,
-			"workload run failed: "+err.Error(), 0)
+		s.runError(w, ctx, err, "workload run")
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -35,6 +35,39 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseSchedule checks that the rendering of any schedule ParseSchedule
+// accepts is canonical: it parses back, and renders to itself. Strings are
+// compared rather than structs because distinct rules can share a form —
+// "seed=0;*:vabudget=0" parses to a parameterless rule that renders as
+// "every=1", and both fail every matching call.
+func FuzzParseSchedule(f *testing.F) {
+	for _, spec := range []string{
+		"seed=42;mremap:prob=0.02;mprotect:after=10,times=3,errno=EAGAIN",
+		"seed=0;mmap:every=4",
+		"seed=7;*:prob=0.5",
+		"seed=5;mremap:vabudget=448;mmap:framebudget=1024",
+		"seed=11;mprotect-runs:after=2,times=1",
+		"seed=0;*:vabudget=0",
+		"",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		s2, err := ParseSchedule(canon)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", spec, canon, err)
+		}
+		if again := s2.String(); again != canon {
+			t.Fatalf("%q renders as %q, which renders as %q", spec, canon, again)
+		}
+	})
+}
+
 func TestScheduleParseErrors(t *testing.T) {
 	bad := []string{
 		"seed=x",

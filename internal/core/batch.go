@@ -70,7 +70,6 @@ func (r *Remapper) Flush() error {
 		return err
 	}
 	for _, obj := range objs {
-		r.stats.ShadowPagesFreed -= obj.ShadowRun.Pages
 		r.dropUnprotected(obj)
 	}
 	return nil

@@ -188,7 +188,8 @@ type Remapper struct {
 	proc *kernel.Process
 
 	// objects indexes every shadow page to its object for fault
-	// explanation and reuse bookkeeping.
+	// explanation and reuse bookkeeping. Only index and unindex write it;
+	// lookup reads it.
 	objects map[vm.VPN]*Object
 	// byPool tracks objects per pool so pool destroys can retire records.
 	byPool map[*pool.Pool][]*Object
@@ -202,26 +203,18 @@ type Remapper struct {
 	// reclaimed under a reuse policy.
 	recycled []pool.PageRun
 
-	// elided records allocations handed out at their canonical address
-	// (no shadow pages, no remap header) on the strength of a static
-	// proof; elidedByPool lets pool destroys retire those records before
-	// the addresses can be recycled.
-	elided       map[vm.Addr]bool
-	elidedByPool map[*pool.Pool][]vm.Addr
-
-	// degraded records allocations handed out at their canonical address
-	// because shadow-page setup failed persistently (degrade.go);
-	// degradedByPool lets pool destroys retire those records.
-	degraded       map[vm.Addr]bool
-	degradedByPool map[*pool.Pool][]vm.Addr
+	// canon records every allocation handed out at its canonical address
+	// (no shadow pages, no remap header), by why it was: a static elision
+	// proof, a degraded shadow setup, or the sampling tier passing it by.
+	// Free forwards such addresses straight to the allocator; canonByPool
+	// lets pool destroys retire the records before the addresses can be
+	// recycled.
+	canon       map[vm.Addr]canonKind
+	canonByPool map[*pool.Pool][]vm.Addr
 
 	// sampling, when non-nil, is the GWP-ASan-style sampled tier
-	// (sampling.go); unsampled records its canonical-address allocations so
-	// Free forwards them untouched, and unsampledByPool lets pool destroys
-	// retire those records.
-	sampling        *sampler
-	unsampled       map[vm.Addr]bool
-	unsampledByPool map[*pool.Pool][]vm.Addr
+	// (sampling.go).
+	sampling *sampler
 	// retry bounds the transient-failure retry ladder.
 	retry RetryConfig
 
@@ -256,18 +249,14 @@ type Remapper struct {
 // reproduces the paper's base scheme).
 func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
 	return &Remapper{
-		proc:            proc,
-		objects:         make(map[vm.VPN]*Object),
-		byPool:          make(map[*pool.Pool][]*Object),
-		freedInPool:     make(map[*pool.Pool][]*Object),
-		elided:          make(map[vm.Addr]bool),
-		elidedByPool:    make(map[*pool.Pool][]vm.Addr),
-		degraded:        make(map[vm.Addr]bool),
-		degradedByPool:  make(map[*pool.Pool][]vm.Addr),
-		unsampled:       make(map[vm.Addr]bool),
-		unsampledByPool: make(map[*pool.Pool][]vm.Addr),
-		retry:           DefaultRetryConfig(),
-		policy:          policy,
+		proc:        proc,
+		objects:     make(map[vm.VPN]*Object),
+		byPool:      make(map[*pool.Pool][]*Object),
+		freedInPool: make(map[*pool.Pool][]*Object),
+		canon:       make(map[vm.Addr]canonKind),
+		canonByPool: make(map[*pool.Pool][]vm.Addr),
+		retry:       DefaultRetryConfig(),
+		policy:      policy,
 	}
 }
 
@@ -352,7 +341,7 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 	// decision is pure Go bookkeeping (no simulated cycles), so a rate-1
 	// run charges exactly what an unsampled-tier run does.
 	if r.sampling != nil && !r.sampling.shouldSample(site) {
-		return r.allocUnsampled(al, owner, size, site)
+		return r.allocCanonical(al, owner, size, site, canonUnsampled)
 	}
 	// Scope kernel charges (the allocator's mmaps, the shadow mremap) to
 	// the allocation site for cycle attribution, and group them under one
@@ -384,7 +373,8 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 		// PolicyNever, allocator faults) still propagate.
 		var se *kernel.SyscallError
 		if errors.As(err, &se) {
-			return r.degradeAlloc(owner, canon), nil
+			r.recordCanonical(owner, canon, canonDegraded)
+			return canon, nil
 		}
 		return 0, fmt.Errorf("core: shadow block: %w", err)
 	}
@@ -416,9 +406,7 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 		AllocSeq:   r.allocSeq,
 		Guarded:    guarded,
 	}
-	for i := uint64(0); i < span; i++ {
-		r.objects[vm.PageOf(shadowBase)+vm.VPN(i)] = obj
-	}
+	r.index(obj)
 	if owner != nil {
 		owner.AttachRun(run)
 		r.byPool[owner] = append(r.byPool[owner], obj)
@@ -443,20 +431,65 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 // the remapper records the address so a free that contradicts the proof is
 // counted in Stats.ElisionMisses instead of corrupting the header protocol.
 func (r *Remapper) AllocElided(al Allocator, owner *pool.Pool, size uint64, site string) (vm.Addr, error) {
+	return r.allocCanonical(al, owner, size, site, canonElided)
+}
+
+// canonKind says why an allocation was handed out at its canonical address.
+type canonKind uint8
+
+// Canonical-address record kinds.
+const (
+	// canonElided: a static proof said the object is never freed before
+	// its uses (AllocElided).
+	canonElided canonKind = iota + 1
+	// canonDegraded: shadow-page setup failed persistently (degrade.go).
+	canonDegraded
+	// canonUnsampled: the sampling tier did not guard the site
+	// (sampling.go).
+	canonUnsampled
+)
+
+// allocCanonical is the unprotected allocation path shared by elided and
+// unsampled allocations: the program receives the canonical address (no
+// shadow pages, no remap header), exactly what the native allocator would
+// hand out, under its own span name.
+func (r *Remapper) allocCanonical(al Allocator, owner *pool.Pool, size uint64, site string, kind canonKind) (vm.Addr, error) {
 	defer r.proc.SetSite(r.proc.SetSite(site))
+	span := "alloc-elided"
+	if kind == canonUnsampled {
+		span = "alloc-unsampled"
+	}
 	tr := r.proc.Tracer()
-	defer tr.End(tr.Begin("alloc-elided", site))
+	defer tr.End(tr.Begin(span, site))
 	canon, err := al.Alloc(size)
 	if err != nil {
 		return 0, err
 	}
-	r.elided[canon] = true
-	if owner != nil {
-		r.elidedByPool[owner] = append(r.elidedByPool[owner], canon)
-	}
-	r.stats.ElidedAllocs++
+	r.recordCanonical(owner, canon, kind)
 	r.proc.Profile().CountAlloc(site)
 	return canon, nil
+}
+
+// recordCanonical records a canonical-address allocation so Free forwards it
+// untouched instead of reading a header that does not exist, and counts it
+// under its kind.
+func (r *Remapper) recordCanonical(owner *pool.Pool, canon vm.Addr, kind canonKind) {
+	r.canon[canon] = kind
+	if owner != nil {
+		r.canonByPool[owner] = append(r.canonByPool[owner], canon)
+	}
+	switch kind {
+	case canonElided:
+		r.stats.ElidedAllocs++
+	case canonDegraded:
+		r.stats.DegradedAllocs++
+		r.proc.Flight().Record(obs.FlightEvent{
+			Cycles: r.proc.Meter().Cycles(), Kind: obs.FlightDegrade,
+			What: "degraded-alloc", Site: r.proc.Site(), Addr: uint64(canon),
+		})
+	case canonUnsampled:
+		r.stats.UnsampledAllocs++
+	}
 }
 
 // Free deallocates the object at the shadow address f, protecting its shadow
@@ -473,30 +506,21 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 	defer tr.End(tr.Begin("free", site))
 	r.maybeIntervalReclaim()
 
-	// A degraded allocation was handed out at its canonical address with
-	// no shadow pages or remap header: forward the free untouched.
-	if r.degraded[f] {
-		r.stats.DegradedFrees++
-		delete(r.degraded, f)
-		return al.Free(f)
-	}
-
-	// An unsampled allocation was handed out at its canonical address with
-	// no shadow pages or remap header: forward the free untouched. (Its
-	// later stale uses go undetected — that is the sampling tier's traded
-	// coverage, measured by the ground-truth ledger.)
-	if r.unsampled[f] {
-		r.stats.UnsampledFrees++
-		delete(r.unsampled, f)
-		return al.Free(f)
-	}
-
-	// An elided object being freed means the static never-freed proof was
-	// wrong. Count the miss and forward the plain free — the address IS
-	// the canonical address, so the header protocol does not apply.
-	if r.elided[f] {
-		r.stats.ElisionMisses++
-		delete(r.elided, f)
+	// A canonical-address allocation has no shadow pages or remap header:
+	// forward the free untouched.
+	if kind, ok := r.canon[f]; ok {
+		delete(r.canon, f)
+		switch kind {
+		case canonDegraded:
+			r.stats.DegradedFrees++
+		case canonUnsampled:
+			// Its later stale uses go undetected — that is the sampling
+			// tier's traded coverage, measured by the ground-truth ledger.
+			r.stats.UnsampledFrees++
+		case canonElided:
+			// The static never-freed proof was wrong: count the miss.
+			r.stats.ElisionMisses++
+		}
 		return al.Free(f)
 	}
 
@@ -511,7 +535,7 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 		return err
 	}
 
-	obj := r.objects[vm.PageOf(f)]
+	obj := r.ObjectAt(f)
 	if obj != nil && obj.State == StateFreed && obj.ShadowAddr == f {
 		// A double free whose mprotect is still queued (batched mode):
 		// the page did not trap, but the bookkeeping knows.
@@ -593,7 +617,6 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 		if !errors.As(err, &se) {
 			return err
 		}
-		r.stats.ShadowPagesFreed -= obj.ShadowRun.Pages
 		r.dropUnprotected(obj)
 	}
 	return nil
@@ -606,7 +629,7 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 func (r *Remapper) Explain(fault *vm.Fault, site string) error {
 	// Attribute the trap delivery to the allocation site of the object the
 	// access landed in, when one is known.
-	obj := r.objects[vm.PageOf(fault.Addr)]
+	obj := r.ObjectAt(fault.Addr)
 	if obj != nil {
 		defer r.proc.SetSite(r.proc.SetSite(obj.AllocSite))
 	}
@@ -642,7 +665,45 @@ func (r *Remapper) Explain(fault *vm.Fault, site string) error {
 // ObjectAt returns the remapper's record covering the shadow page of addr,
 // if any (diagnostics and tests).
 func (r *Remapper) ObjectAt(addr vm.Addr) *Object {
-	return r.objects[vm.PageOf(addr)]
+	return r.lookup(vm.PageOf(addr))
+}
+
+// lookup returns the object indexed at shadow page vpn, or nil.
+func (r *Remapper) lookup(vpn vm.VPN) *Object {
+	return r.objects[vpn]
+}
+
+// index maps every page of obj's shadow run to obj.
+func (r *Remapper) index(obj *Object) {
+	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
+		r.objects[pageOfRun(obj, i)] = obj
+	}
+}
+
+// unindex drops obj's shadow pages from the index, leaving any page since
+// re-indexed to another object alone.
+func (r *Remapper) unindex(obj *Object) {
+	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
+		if vpn := pageOfRun(obj, i); r.objects[vpn] == obj {
+			delete(r.objects, vpn)
+		}
+	}
+}
+
+// retire is the one path out of tracking: it settles the page counter of
+// obj's state before the call, marks it recycled by reason, and drops its
+// pages from the index. Callers add their own step (recycling the run,
+// clearing quarantine, a flight event).
+func (r *Remapper) retire(obj *Object, reason RecycleReason) {
+	switch obj.State {
+	case StateLive:
+		r.stats.ShadowPagesLive -= obj.ShadowRun.Pages
+	case StateFreed:
+		r.stats.ShadowPagesFreed -= obj.ShadowRun.Pages
+	}
+	obj.State = StateRecycled
+	obj.RecycledBy = reason
+	r.unindex(obj)
 }
 
 // OnPoolDestroy retires the remapper's records for a pool that is about to
@@ -653,45 +714,22 @@ func (r *Remapper) ObjectAt(addr vm.Addr) *Object {
 // Call this immediately before pool.Destroy.
 func (r *Remapper) OnPoolDestroy(p *pool.Pool) {
 	for _, obj := range r.byPool[p] {
-		if obj.State == StateLive {
-			r.stats.ShadowPagesLive -= obj.ShadowRun.Pages
-		}
-		if obj.State == StateFreed {
-			r.stats.ShadowPagesFreed -= obj.ShadowRun.Pages
-		}
-		obj.State = StateRecycled
-		obj.RecycledBy = RecycledByPoolDestroy
+		r.retire(obj, RecycledByPoolDestroy)
 		// A quarantined object retired by its pool's destroy no longer
 		// delays anything; clearing the flag keeps the quarantine
 		// eviction counter honest.
 		obj.Quarantined = false
-		for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-			vpn := vm.PageOf(obj.ShadowRun.Addr) + vm.VPN(i)
-			if r.objects[vpn] == obj {
-				delete(r.objects, vpn)
-			}
-		}
 	}
 	delete(r.byPool, p)
 	delete(r.freedInPool, p)
-	// Retire elided-address records too: after the destroy those canonical
-	// pages return to the shared free list and may be recycled, and a
-	// later legitimate free at a recycled address must not count as a
-	// miss.
-	for _, addr := range r.elidedByPool[p] {
-		delete(r.elided, addr)
+	// Retire canonical-address records too: after the destroy those
+	// canonical pages return to the shared free list and may be recycled,
+	// and a later legitimate free at a recycled address must not take the
+	// forwarding path (or count as an elision miss).
+	for _, addr := range r.canonByPool[p] {
+		delete(r.canon, addr)
 	}
-	delete(r.elidedByPool, p)
-	// Degraded-allocation records are canonical pool addresses too.
-	for _, addr := range r.degradedByPool[p] {
-		delete(r.degraded, addr)
-	}
-	delete(r.degradedByPool, p)
-	// Unsampled-allocation records are canonical pool addresses too.
-	for _, addr := range r.unsampledByPool[p] {
-		delete(r.unsampled, addr)
-	}
-	delete(r.unsampledByPool, p)
+	delete(r.canonByPool, p)
 
 	// Pool destruction is the §3.3 mass-recycling event: a scheduled
 	// collector configured for it runs a cycle now, while the other pools'

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/sim/kernel"
 	"repro/internal/sim/vm"
 )
@@ -64,36 +63,13 @@ func (r *Remapper) retryTransient(op func() error) error {
 	return err
 }
 
-// degradeAlloc records a canonical-address fallback allocation: the program
-// receives canon itself, no shadow pages and no remap header exist, and Free
-// must forward the pointer straight to the underlying allocator.
-func (r *Remapper) degradeAlloc(owner *pool.Pool, canon vm.Addr) vm.Addr {
-	r.degraded[canon] = true
-	if owner != nil {
-		r.degradedByPool[owner] = append(r.degradedByPool[owner], canon)
-	}
-	r.stats.DegradedAllocs++
-	r.proc.Flight().Record(obs.FlightEvent{
-		Cycles: r.proc.Meter().Cycles(), Kind: obs.FlightDegrade,
-		What: "degraded-alloc", Site: r.proc.Site(), Addr: uint64(canon),
-	})
-	return canon
-}
-
 // dropUnprotected retires an object whose free-time mprotect failed
 // persistently: its shadow pages stay mapped RW (aliased to canonical frames
 // the allocator will reuse), so the object leaves the tracking maps and the
 // detection guarantee no longer covers it. The run stays attached to its
 // pool — pool destroy releases the pages as usual.
 func (r *Remapper) dropUnprotected(obj *Object) {
-	obj.State = StateRecycled
-	obj.RecycledBy = RecycledByUnprotected
-	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		vpn := pageOfRun(obj, i)
-		if r.objects[vpn] == obj {
-			delete(r.objects, vpn)
-		}
-	}
+	r.retire(obj, RecycledByUnprotected)
 	r.stats.UnprotectedFrees++
 	r.proc.Flight().Record(obs.FlightEvent{
 		Cycles: r.proc.Meter().Cycles(), Kind: obs.FlightDegrade,
@@ -165,27 +141,19 @@ func (r *Remapper) healthCheck() error {
 	for _, run := range r.recycled {
 		for i := uint64(0); i < run.Pages; i++ {
 			vpn := vm.PageOf(run.Addr) + vm.VPN(i)
-			if obj, ok := r.objects[vpn]; ok {
+			if obj := r.lookup(vpn); obj != nil {
 				return fmt.Errorf("core: health: recycled run page %#x still indexed to %s object",
 					uint64(vpn)<<vm.PageShift, obj.State)
 			}
 		}
 	}
-	// (4) An address cannot be both elided (static proof) and degraded
-	// (runtime fallback) — the two fallback free paths would double-free.
-	for addr := range r.degraded {
-		if r.elided[addr] {
-			return fmt.Errorf("core: health: %#x is both elided and degraded", addr)
-		}
-	}
-	// (4b) Likewise for unsampled addresses: each canonical-address record
-	// must belong to exactly one fallback free path.
-	for addr := range r.unsampled {
-		if r.elided[addr] {
-			return fmt.Errorf("core: health: %#x is both elided and unsampled", addr)
-		}
-		if r.degraded[addr] {
-			return fmt.Errorf("core: health: %#x is both degraded and unsampled", addr)
+	// (4) No canonical-address record lies on a shadow page still indexed
+	// to an object: Free would forward that shadow pointer to the
+	// allocator as if it were canonical.
+	for addr := range r.canon {
+		if obj := r.lookup(vm.PageOf(addr)); obj != nil {
+			return fmt.Errorf("core: health: canonical record %#x lies on a shadow page of %s object (alloc %s)",
+				addr, obj.State, obj.AllocSite)
 		}
 	}
 	// (5) Queued batch entries are freed (awaiting protection) or recycled

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -136,6 +137,37 @@ func TestUnprotectedFreeDegrades(t *testing.T) {
 	health(t, f)
 }
 
+// TestGCSkipsUnprotectedFrees is the double-retire regression test: objects
+// whose free-time mprotect failed for good were already retired by the
+// unprotected-free path, so the conservative collector must not recycle
+// them again. Their pages are still mapped RW; recycling them would hand
+// out accessible pages and drive ShadowPagesFreed below zero.
+func TestGCSkipsUnprotectedFrees(t *testing.T) {
+	f := newFaultFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}, "seed=1;mprotect:every=1")
+	a, b := f.alloc(t, 64), f.alloc(t, 64)
+	objs := []*Object{f.rm.ObjectAt(a), f.rm.ObjectAt(b)}
+	f.free(t, a)
+	f.free(t, b)
+	if got := f.rm.Stats().UnprotectedFrees; got != 2 {
+		t.Fatalf("UnprotectedFrees = %d, want 2", got)
+	}
+	if pages := f.rm.CollectGarbage(); pages != 0 {
+		t.Errorf("collector recycled %d pages of unprotected objects", pages)
+	}
+	health(t, f)
+	for _, obj := range objs {
+		if obj.State != StateRecycled || obj.RecycledBy != RecycledByUnprotected {
+			t.Errorf("object seq %d: %s by %s, want recycled by unprotected", obj.AllocSeq, obj.State, obj.RecycledBy)
+		}
+	}
+	if st := f.rm.Stats(); st.RecycledPages != 0 || len(f.rm.RecycledRuns()) != 0 {
+		t.Errorf("recycled pages %d, runs %v; want none", st.RecycledPages, f.rm.RecycledRuns())
+	}
+	if log := f.rm.GCCycleLog(); len(log) != 1 || log[0].ObjectsRecycled != 0 {
+		t.Errorf("GC cycle log = %+v, want one cycle recycling nothing", log)
+	}
+}
+
 // TestBatchedFlushDegrades: a persistent failure of the batched multi-run
 // mprotect degrades the whole batch to unprotected frees.
 func TestBatchedFlushDegrades(t *testing.T) {
@@ -179,8 +211,8 @@ func TestDegradedPoolAllocRetiredOnDestroy(t *testing.T) {
 	if err := p.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.rm.degraded) != 0 {
-		t.Errorf("degraded records survive pool destroy: %v", f.rm.degraded)
+	if len(f.rm.canon) != 0 {
+		t.Errorf("degraded records survive pool destroy: %v", f.rm.canon)
 	}
 	health(t, f)
 }
@@ -198,10 +230,11 @@ func TestHealthCheckCatchesCorruption(t *testing.T) {
 		t.Error("corrupted live-page counter passed the health check")
 	}
 	f.rm.stats.ShadowPagesLive -= 7
-	f.rm.degraded[a] = true
-	f.rm.elided[a] = true
-	if err := f.rm.HealthCheck(); err == nil {
-		t.Error("elided+degraded overlap passed the health check")
+	// A canonical record on a live object's shadow page would make Free
+	// forward the shadow pointer to the allocator.
+	f.rm.canon[a] = canonDegraded
+	if err := f.rm.HealthCheck(); err == nil || !strings.Contains(err.Error(), "canonical record") {
+		t.Errorf("canonical record on a shadow page passed the health check: %v", err)
 	}
 }
 

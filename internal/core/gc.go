@@ -170,54 +170,13 @@ func (r *Remapper) collect(trigger GCTrigger) GCCycle {
 	rec.ScannedWords = words
 	rec.Cycles = cycles
 
-	// Recycle unmarked freed runs.
-	var pages, objects uint64
-	keepNoPool := r.freedNoPool[:0]
-	for _, obj := range r.freedNoPool {
-		// Quarantined sampled objects are exempt even when unreferenced:
-		// the sampling tier's quarantine delays their release by policy.
-		if byVPN[vm.PageOf(obj.ShadowRun.Addr)].marked || obj.Quarantined {
-			keepNoPool = append(keepNoPool, obj)
-			continue
-		}
-		pages += r.recycleObject(obj)
-		objects++
-	}
-	r.freedNoPool = keepNoPool
-	for _, p := range r.freedPoolsSorted() {
-		objs := r.freedInPool[p]
-		keep := objs[:0]
-		for _, obj := range objs {
-			if byVPN[vm.PageOf(obj.ShadowRun.Addr)].marked || obj.Quarantined {
-				keep = append(keep, obj)
-				continue
-			}
-			pages += r.recycleObject(obj)
-			objects++
-		}
-		r.freedInPool[p] = keep
-	}
-	rec.PagesRecycled = pages
-	rec.ObjectsRecycled = objects
+	// Recycle unmarked freed runs. Quarantined sampled objects are exempt
+	// even when unreferenced: the sampling tier's quarantine delays their
+	// release by policy.
+	rec.PagesRecycled, rec.ObjectsRecycled = r.sweepFreed(RecycledByGC, func(obj *Object) bool {
+		return byVPN[vm.PageOf(obj.ShadowRun.Addr)].marked || obj.Quarantined
+	})
 	return rec
-}
-
-// recycleObject moves one freed object's shadow run to the recycled list.
-func (r *Remapper) recycleObject(obj *Object) uint64 {
-	obj.State = StateRecycled
-	obj.RecycledBy = RecycledByGC
-	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		vpn := pageOfRun(obj, i)
-		if r.objects[vpn] == obj {
-			delete(r.objects, vpn)
-		}
-	}
-	if obj.Pool != nil {
-		obj.Pool.DetachRun(obj.ShadowRun)
-	}
-	r.recycled = append(r.recycled, obj.ShadowRun)
-	r.stats.ShadowPagesFreed -= obj.ShadowRun.Pages
-	return obj.ShadowRun.Pages
 }
 
 // liveNoPoolObjects returns live direct-mode objects (not owned by a pool),

@@ -71,8 +71,8 @@ func (r *Remapper) explainGuard(fault *vm.Fault, site string) error {
 	if vpn == 0 {
 		return nil
 	}
-	obj, ok := r.objects[vpn-1]
-	if !ok || obj.State != StateLive || !obj.Guarded {
+	obj := r.lookup(vpn - 1)
+	if obj == nil || obj.State != StateLive || !obj.Guarded {
 		return nil
 	}
 	if vm.PageOf(obj.ShadowRun.Addr)+vm.VPN(obj.ShadowRun.Pages) != vpn {

@@ -90,62 +90,61 @@ func (r *Remapper) maybeIntervalReclaim() {
 // remapper-local free list, giving up the detection guarantee for those
 // (already freed) objects. Returns the number of pages reclaimed.
 func (r *Remapper) reclaimFreed() uint64 {
-	var pages uint64
-	recycle := func(obj *Object) {
-		// Objects already retired (unprotected-free degradation, pool
-		// destroy) must not be recycled again: their pages are not
-		// PROT_NONE and their counters were already settled.
-		if obj.State != StateFreed {
-			return
-		}
-		obj.State = StateRecycled
-		obj.RecycledBy = RecycledByReclaim
-		for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-			vpn := pageOfRun(obj, i)
-			if r.objects[vpn] == obj {
-				delete(r.objects, vpn)
-			}
-		}
-		if obj.Pool != nil {
-			obj.Pool.DetachRun(obj.ShadowRun)
-		}
-		r.recycled = append(r.recycled, obj.ShadowRun)
-		pages += obj.ShadowRun.Pages
-		r.stats.ShadowPagesFreed -= obj.ShadowRun.Pages
-	}
 	// Quarantined sampled objects survive the reclaim (and stay on the
 	// freed lists for a later one): the sampling tier's bounded quarantine
 	// exists precisely to keep their PROT_NONE pages trapping a little
 	// longer than the reuse policy otherwise would.
-	keepNoPool := r.freedNoPool[:0]
-	for _, obj := range r.freedNoPool {
-		if obj.Quarantined && obj.State == StateFreed {
-			keepNoPool = append(keepNoPool, obj)
-			continue
-		}
-		recycle(obj)
-	}
-	r.freedNoPool = keepNoPool
-	if len(r.freedNoPool) == 0 {
-		r.freedNoPool = nil
-	}
-	for _, p := range r.freedPoolsSorted() {
-		objs := r.freedInPool[p]
-		keep := objs[:0]
-		for _, obj := range objs {
-			if obj.Quarantined && obj.State == StateFreed {
-				keep = append(keep, obj)
-				continue
-			}
-			recycle(obj)
-		}
-		if len(keep) == 0 {
-			delete(r.freedInPool, p)
-		} else {
-			r.freedInPool[p] = keep
-		}
-	}
+	pages, _ := r.sweepFreed(RecycledByReclaim, func(obj *Object) bool {
+		return obj.Quarantined && obj.State == StateFreed
+	})
 	return pages
+}
+
+// sweepFreed walks the freed lists — direct-mode objects first, then each
+// pool's in ID order, the order recycled runs feed address reuse in — keeping
+// the objects keep accepts and recycling the rest. Returns the pages and
+// objects recycled.
+func (r *Remapper) sweepFreed(reason RecycleReason, keep func(*Object) bool) (pages, objects uint64) {
+	sweep := func(objs []*Object) []*Object {
+		kept := objs[:0]
+		for _, obj := range objs {
+			if keep(obj) {
+				kept = append(kept, obj)
+			} else if r.recycle(obj, reason) {
+				pages += obj.ShadowRun.Pages
+				objects++
+			}
+		}
+		if len(kept) == 0 {
+			return nil
+		}
+		return kept
+	}
+	r.freedNoPool = sweep(r.freedNoPool)
+	for _, p := range r.freedPoolsSorted() {
+		if kept := sweep(r.freedInPool[p]); kept != nil {
+			r.freedInPool[p] = kept
+		} else {
+			delete(r.freedInPool, p)
+		}
+	}
+	return pages, objects
+}
+
+// recycle retires one freed object and moves its shadow run to the recycled
+// list. Objects already retired (unprotected-free degradation) are skipped:
+// their pages are not PROT_NONE and their counters were already settled.
+// Reports whether the object was recycled.
+func (r *Remapper) recycle(obj *Object, reason RecycleReason) bool {
+	if obj.State != StateFreed {
+		return false
+	}
+	r.retire(obj, reason)
+	if obj.Pool != nil {
+		obj.Pool.DetachRun(obj.ShadowRun)
+	}
+	r.recycled = append(r.recycled, obj.ShadowRun)
+	return true
 }
 
 // freedPoolsSorted returns the pools with pending freed objects in a

@@ -202,3 +202,30 @@ func TestGCScansGlobalsImplicitly(t *testing.T) {
 		t.Fatalf("global-referenced dangler no longer traps after GC: %v", err)
 	}
 }
+
+// FuzzParsePolicySpec checks that the rendering of any spec ParsePolicySpec
+// accepts is canonical: it parses back, and renders to itself. The spec
+// arrives in untrusted trace headers (!policy).
+func FuzzParsePolicySpec(f *testing.F) {
+	for _, spec := range []string{
+		"never", "on-exhaustion", "interval=32", "gc", "gc=4",
+		"gc=16,watermark=32", "gc=8,minfreed=4,cooldown=8", "gc,pooldestroy",
+		"gc=0", "interval=0", "gc,watermark", "gc=2,bogus",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, s, err := ParsePolicySpec(spec)
+		if err != nil {
+			return
+		}
+		canon := PolicySpecString(p, s)
+		p2, s2, err := ParsePolicySpec(canon)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", spec, canon, err)
+		}
+		if again := PolicySpecString(p2, s2); again != canon {
+			t.Fatalf("%q renders as %q, which renders as %q", spec, canon, again)
+		}
+	})
+}

@@ -5,9 +5,6 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
-
-	"repro/internal/pool"
-	"repro/internal/sim/vm"
 )
 
 // The sampled always-on detection tier (GWP-ASan mode). Full shadow-page
@@ -249,26 +246,4 @@ func (r *Remapper) quarantineAdd(obj *Object) {
 			r.stats.SamplingQuarantineEvictions++
 		}
 	}
-}
-
-// allocUnsampled is the unguarded allocation path of the sampled tier: the
-// program receives the canonical address (no shadow pages, no remap header),
-// exactly what the native allocator would hand out. The address is recorded
-// so Free forwards it untouched instead of reading a header that does not
-// exist.
-func (r *Remapper) allocUnsampled(al Allocator, owner *pool.Pool, size uint64, site string) (vm.Addr, error) {
-	defer r.proc.SetSite(r.proc.SetSite(site))
-	tr := r.proc.Tracer()
-	defer tr.End(tr.Begin("alloc-unsampled", site))
-	canon, err := al.Alloc(size)
-	if err != nil {
-		return 0, err
-	}
-	r.unsampled[canon] = true
-	if owner != nil {
-		r.unsampledByPool[owner] = append(r.unsampledByPool[owner], canon)
-	}
-	r.stats.UnsampledAllocs++
-	r.proc.Profile().CountAlloc(site)
-	return canon, nil
 }

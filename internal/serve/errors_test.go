@@ -67,6 +67,18 @@ func TestSheddingResponsesCarryStructuredErrors(t *testing.T) {
 		t.Fatalf("bad trace code = %q", eb.Code)
 	}
 
+	// 400 bad-trace for an r/w offset that would wrap onto the remap
+	// header, with the offending line named.
+	for _, src := range []string{"a 1 64\nw 1 18446744073709551608\nf 1\n", "a 1 64\nr 1 18446744073709551608\n"} {
+		resp, body = post("/replay", src)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("wrapping offset: status %s", resp.Status)
+		}
+		if eb := decodeError(t, resp, body); eb.Code != ErrCodeBadTrace || !strings.Contains(eb.Error, "line 2") {
+			t.Fatalf("wrapping offset: code %q, error %q", eb.Code, eb.Error)
+		}
+	}
+
 	// 413 body-too-large.
 	resp, body = post("/replay", strings.Repeat("# padding\n", 64))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

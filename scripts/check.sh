@@ -12,7 +12,7 @@
 #   corpus replayed bit-for-bit, graceful drain), the router smoke (two
 #   snapshot+cache backends, routed bytes diffed against pgtrace -ndjson,
 #   merged crash buckets checked as the per-bucket sum of the backends), and
-#   the v1-vs-v2 soundness gate under -race.
+#   the elision soundness gate and points-to subset fuzz under -race.
 #
 # Host wall-clock cost is measured by perfbench (BENCHMARK.json), not here.
 #

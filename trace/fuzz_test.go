@@ -44,13 +44,16 @@ var fuzzPolicies = []string{
 }
 
 // fuzzFaults is the fault-schedule matrix: transient bursts, sustained
-// probabilistic failures, and an injected VA budget on the aliasing path.
+// probabilistic failures, an injected VA budget on the aliasing path, and an
+// mprotect that never succeeds (every free degrades to unprotected, which
+// the reuse policies must not recycle a second time).
 var fuzzFaults = []string{
 	"",
 	"seed=7;mremap:after=3,times=2",
 	"seed=9;mprotect:prob=0.05",
 	"seed=3;mremap:vabudget=400",
 	"seed=5;mremap:prob=0.02;mprotect:after=2,times=3",
+	"seed=1;mprotect:every=1",
 }
 
 // genFuzzEvents decodes an arbitrary byte string into a semantically valid
@@ -231,7 +234,7 @@ func FuzzParseFile(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	for _, src := range oversizeTraces {
+	for _, src := range append(oversizeTraces, wrapOffsetTraces...) {
 		f.Add([]byte(src))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -12,8 +12,11 @@
 //	a <id> <size>     allocate <size> bytes, name the object <id>; <size>
 //	                  must fit the simulated address space (below 2^47)
 //	f <id>            free object <id>
-//	w <id> <off>      write 8 bytes at byte offset <off> of object <id>
+//	w <id> <off>      write 8 bytes at byte offset <off> of object <id>;
+//	                  <off> must lie inside the simulated address space
+//	                  (below 2^47), so it cannot wrap below the object
 //	r <id> <off>      read 8 bytes at byte offset <off> of object <id>
+//	                  (same bound)
 //	z <id>            forget object <id>: drop the replayer's simulated
 //	                  root for it, modelling a program that loses its last
 //	                  (stale) copy of the pointer — after this, a reuse
@@ -294,6 +297,12 @@ func ParseFile(r io.Reader) (*File, error) {
 				}
 				ev.Size = n
 			} else {
+				// base+off would wrap: a huge offset lands below the
+				// object, on its hidden remap header.
+				if n >= uint64(vm.UserAddrLimit) {
+					return nil, &ParseError{line, fmt.Sprintf(
+						"offset %d lies outside the %d-byte simulated address space", n, uint64(vm.UserAddrLimit))}
+				}
 				ev.Off = n
 			}
 		}

@@ -158,6 +158,31 @@ func TestParseRejectsOversizeAlloc(t *testing.T) {
 	}
 }
 
+// wrapOffsetTraces access an object at an offset no simulated address can
+// reach. The first two used to wrap base+off onto the hidden remap header:
+// the write overwrote it (the free then failed as "corrupted allocation
+// header"), and the read silently returned the header word.
+var wrapOffsetTraces = []string{
+	"a 1 64\nw 1 18446744073709551608\nf 1\n",
+	"a 1 64\nr 1 18446744073709551608\nf 1\n",
+	"a 1 64\nr 1 140737488355328\nf 1\n",
+}
+
+// TestParseRejectsWrappingOffset: an r/w offset at or past 2^47 is a parse
+// error on its own line, while the largest in-range offset still parses.
+func TestParseRejectsWrappingOffset(t *testing.T) {
+	for _, src := range wrapOffsetTraces {
+		_, err := ParseFile(strings.NewReader(src))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 2 || !strings.Contains(pe.Msg, "address space") {
+			t.Errorf("ParseFile(%q) error = %v, want an address-space ParseError on line 2", src, err)
+		}
+	}
+	if _, err := ParseFile(strings.NewReader("a 1 64\nr 1 140737488355327\n")); err != nil {
+		t.Errorf("offset 2^47-1 rejected: %v", err)
+	}
+}
+
 // TestReplayRejectsWrappingAlloc: a size that bypasses the parser (an Event
 // built in code) still fails the alloc instead of wrapping to a tiny object.
 func TestReplayRejectsWrappingAlloc(t *testing.T) {

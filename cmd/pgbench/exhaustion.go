@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/cliff"
-	"repro/internal/experiment"
 )
 
 // printExhaustionStudy renders the §3.4 exhaustion ladder (cliff workloads
@@ -27,14 +24,12 @@ func printExhaustionStudy() error {
 	return nil
 }
 
-// exhaustBenchDoc is the -exhaustbench export: the machine-readable
-// exhaustion ladder plus the adversarial corpus's planted ground truth,
-// both re-verified at generation time.
-type exhaustBenchDoc struct {
-	Schema  string              `json:"schema"`
-	ClockHz float64             `json:"clock_hz"`
-	Cells   []exhaustBenchCell  `json:"cells"`
-	Corpus  []exhaustBenchTrace `json:"corpus"`
+// exhaustionSection is the document's exhaustion section: the
+// machine-readable ladder plus the adversarial corpus's planted ground
+// truth, both re-verified at generation time.
+type exhaustionSection struct {
+	Cells  []exhaustBenchCell  `json:"cells"`
+	Corpus []exhaustBenchTrace `json:"corpus"`
 }
 
 type exhaustBenchCell struct {
@@ -63,19 +58,19 @@ type exhaustBenchTrace struct {
 	Missed      uint64 `json:"missed,omitempty"`
 }
 
-// runExhaustBench regenerates the exhaustion ladder and the corpus soak
-// (both self-checking) and writes the combined artifact as JSON to path.
-func runExhaustBench(path string) error {
+// genExhaustion regenerates the exhaustion ladder and the corpus soak (both
+// self-checking) as the document's exhaustion section.
+func genExhaustion() (exhaustionSection, error) {
+	var doc exhaustionSection
 	s, err := cliff.GenExhaustionStudy(nil)
 	if err != nil {
-		return err
+		return doc, err
 	}
 	// The corpus soak re-verifies the planted ground truth before the
-	// expectations are written out as the artifact's corpus section.
+	// expectations are written out as the section's corpus.
 	if _, err := cliff.GenCorpusChaos(); err != nil {
-		return err
+		return doc, err
 	}
-	doc := exhaustBenchDoc{Schema: "pgbench-exhaustion/v1", ClockHz: experiment.ClockHz}
 	for _, c := range s.Cells {
 		doc.Cells = append(doc.Cells, exhaustBenchCell{
 			Workload:         c.Workload,
@@ -104,26 +99,15 @@ func runExhaustBench(path string) error {
 			Missed:      c.Expect.Missed,
 		})
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d ladder cells, %d corpus traces\n", path, len(doc.Cells), len(doc.Corpus))
-	return nil
+	return doc, nil
 }
 
-// checkExhaustBench validates a -exhaustbench output file: completeness
+// checkExhaustion validates the exhaustion section: completeness
 // (every cliff workload under every ladder rung, every corpus trace) and
 // the ladder's structural claims — the never-reuse rung died at the cliff,
 // every mitigation survived, zero misses at the default interval, a real
 // missed-detection window under gc@64, and conservation of planted errors.
-func checkExhaustBench(path string, doc *exhaustBenchDoc) error {
-	if doc.ClockHz != experiment.ClockHz {
-		return fmt.Errorf("%s: clock_hz %g, want %g", path, doc.ClockHz, experiment.ClockHz)
-	}
+func checkExhaustion(path string, doc *exhaustionSection) error {
 	cells := map[string]map[string]exhaustBenchCell{}
 	for _, c := range doc.Cells {
 		if cells[c.Workload] == nil {
@@ -186,7 +170,5 @@ func checkExhaustBench(path string, doc *exhaustBenchDoc) error {
 			return fmt.Errorf("%s: missing corpus trace %s", path, c.Name)
 		}
 	}
-	fmt.Printf("%s: ok (%d ladder cells across %d workloads x %d rungs, %d corpus traces)\n",
-		path, len(doc.Cells), len(cliff.CliffWorkloads()), len(rungs), len(doc.Corpus))
 	return nil
 }

@@ -13,10 +13,8 @@
 //	pgbench -probe treeadd      # raw counters for one workload across configs
 //	pgbench -faults SPEC ...    # inject a kernel fault schedule into runs
 //	pgbench -metrics out.json   # export metric snapshots + cycle attribution
-//	pgbench -bench out.json     # machine-readable per-workload results
-//	pgbench -exhaustbench f.json   # machine-readable exhaustion ladder + corpus
-//	pgbench -samplebench f.json    # machine-readable sampled-tier study
-//	pgbench -check-bench a.json,b.json  # validate artifacts, one per schema
+//	pgbench -bench BENCH_sim.json  # simulated-cycle document: per-workload
+//	                               # results, exhaustion ladder, sampled tier
 //
 // Host wall-clock cost is not measured here: perfbench (BENCHMARK.json)
 // measures the served and table-regeneration workloads end to end.
@@ -27,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/cliff"
@@ -55,11 +52,8 @@ func main() {
 	probe := flag.String("probe", "", "print raw counters for one workload")
 	faults := flag.String("faults", "", "kernel fault schedule for -probe/-table runs")
 	metrics := flag.String("metrics", "", "write metric snapshots + cycle attribution (JSON and .prom) to this path")
-	bench := flag.String("bench", "", "write machine-readable per-workload results (JSON) to this path")
-	checkBenchPath := flag.String("check-bench", "",
-		"validate benchmark artifacts (comma-separated and/or positional paths, one per schema) and exit")
-	exhaustbench := flag.String("exhaustbench", "", "write the machine-readable exhaustion ladder + corpus (JSON) to this path")
-	samplebench := flag.String("samplebench", "", "run the sampled-tier study (detection probability vs rate vs overhead) and write its JSON report to this path")
+	bench := flag.String("bench", "",
+		"write the checked simulated-cycle document (per-workload results, exhaustion ladder, sampled tier; JSON) to this path")
 	parallel := flag.Int("j", defaultParallelism(),
 		"worker goroutines for table/study cells (0 = one per CPU, 1 = sequential; default $PGBENCH_PARALLEL)")
 	list := flag.Bool("list", false, "list the workloads and exit")
@@ -71,33 +65,14 @@ func main() {
 		}
 		return
 	}
-	if *checkBenchPath != "" {
-		paths := strings.Split(*checkBenchPath, ",")
-		paths = append(paths, flag.Args()...)
-		if err := checkBench(paths); err != nil {
-			fmt.Fprintln(os.Stderr, "pgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *samplebench != "" {
-		if err := runSampleBench(*samplebench); err != nil {
-			fmt.Fprintln(os.Stderr, "pgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*table, *study, *probe, *faults, *metrics, *bench, *exhaustbench, *parallel); err != nil {
+	if err := run(*table, *study, *probe, *faults, *metrics, *bench, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "pgbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table int, study, probe, faults, metrics, bench, exhaustbench string, parallel int) error {
+func run(table int, study, probe, faults, metrics, bench string, parallel int) error {
 	opts := experiment.Options{Faults: faults, Parallelism: parallel}
-	if exhaustbench != "" {
-		return runExhaustBench(exhaustbench)
-	}
 	if metrics != "" {
 		return runMetrics(metrics, opts)
 	}

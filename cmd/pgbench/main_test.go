@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,16 +27,16 @@ func TestProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps every configuration")
 	}
-	if err := run(0, "", "jwhois", "", "", "", "", 1); err != nil {
+	if err := run(0, "", "jwhois", "", "", "", 1); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if err := run(0, "", "no-such-workload", "", "", "", "", 1); err == nil {
+	if err := run(0, "", "no-such-workload", "", "", "", 1); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestUnknownStudy(t *testing.T) {
-	if err := run(0, "bogus", "", "", "", "", "", 1); err == nil {
+	if err := run(0, "bogus", "", "", "", "", 1); err == nil {
 		t.Fatal("unknown study accepted")
 	}
 }
@@ -43,7 +45,7 @@ func TestSingleTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table sweep")
 	}
-	if err := run(2, "", "", "", "", "", "", 1); err != nil {
+	if err := run(2, "", "", "", "", "", 1); err != nil {
 		t.Fatalf("table 2: %v", err)
 	}
 }
@@ -55,7 +57,7 @@ func TestMetricsExport(t *testing.T) {
 		t.Skip("runs every Olden workload")
 	}
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := run(0, "", "", "", path, "", "", 1); err != nil {
+	if err := run(0, "", "", "", path, "", 1); err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
 
@@ -98,24 +100,46 @@ func TestMetricsExport(t *testing.T) {
 	}
 }
 
-// TestBenchExportAndCheck round-trips -bench through -check-bench and
-// validates the rows against a direct measurement.
+// update rewrites the committed simulated-cycle document from a fresh
+// regeneration instead of diffing against it:
+//
+//	go test ./cmd/pgbench -run TestBenchExportAndCheck -update
+var update = flag.Bool("update", false, "rewrite the committed BENCH_sim.json")
+
+// benchGolden is the committed -bench document.
+const benchGolden = "../../BENCH_sim.json"
+
+// TestBenchExportAndCheck regenerates the -bench document (the generator
+// checks it before writing), byte-compares it with the committed
+// BENCH_sim.json, and validates its rows against a direct measurement.
 func TestBenchExportAndCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps utilities + Olden under two configurations")
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run(0, "", "", "", "", path, "", 1); err != nil {
+	if err := run(0, "", "", "", "", path, 1); err != nil {
 		t.Fatalf("bench: %v", err)
 	}
-	if err := checkBench([]string{path}); err != nil {
-		t.Fatalf("check-bench: %v", err)
-	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if *update {
+		if err := os.WriteFile(benchGolden, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		want, err := os.ReadFile(benchGolden)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with: go test ./cmd/pgbench -run TestBenchExportAndCheck -update): %v", err)
+		}
+		if line, got, exp := firstDiff(data, want); line > 0 {
+			t.Errorf("BENCH_sim.json drifted from a fresh regeneration at line %d:\n got: %s\nwant: %s\n"+
+				"(a deliberate change regenerates it with: go test ./cmd/pgbench -run TestBenchExportAndCheck -update)",
+				line, got, exp)
+		}
+	}
+
 	var doc benchDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
@@ -179,8 +203,8 @@ func TestParallelTableByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates Table 3 twice")
 	}
-	seq := captureStdout(t, func() error { return run(3, "", "", "", "", "", "", 1) })
-	par := captureStdout(t, func() error { return run(3, "", "", "", "", "", "", 8) })
+	seq := captureStdout(t, func() error { return run(3, "", "", "", "", "", 1) })
+	par := captureStdout(t, func() error { return run(3, "", "", "", "", "", 8) })
 	if seq != par {
 		t.Errorf("table 3 output differs between -j 1 and -j 8:\n-j 1:\n%s\n-j 8:\n%s", seq, par)
 	}
@@ -197,7 +221,7 @@ func TestParallelMetricsByteIdentical(t *testing.T) {
 	workloadsJSON := func(parallel int) []byte {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "metrics.json")
-		if err := run(0, "", "", "", path, "", "", parallel); err != nil {
+		if err := run(0, "", "", "", path, "", parallel); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -221,28 +245,37 @@ func TestParallelMetricsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckBenchRejectsCorruptFiles exercises the validator's failure paths.
-func TestCheckBenchRejectsCorruptFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+// firstDiff returns the 1-based number of the first line where got and
+// want differ, with both versions of that line, or 0 when they are equal.
+func firstDiff(got, want []byte) (int, string, string) {
+	if bytes.Equal(got, want) {
+		return 0, "", ""
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; ; i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
 		}
-		return p
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl || i >= len(g) || i >= len(w) {
+			return i + 1, gl, wl
+		}
 	}
-	if err := checkBench([]string{filepath.Join(dir, "missing.json")}); err == nil {
-		t.Error("missing file accepted")
-	}
-	if err := checkBench([]string{write("junk.json", "{")}); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if err := checkBench([]string{write("schema.json", `{"schema":"other/v9"}`)}); err == nil {
-		t.Error("wrong schema accepted")
-	}
-	if err := checkBench([]string{write("empty.json",
-		`{"schema":"pgbench/v1","clock_hz":3e9,"results":[]}`)}); err == nil {
-		t.Error("empty results accepted")
+}
+
+// TestCheckBenchRejectsCorruptFiles exercises the checker's failure paths on
+// in-memory documents.
+func TestCheckBenchRejectsCorruptFiles(t *testing.T) {
+	for name, doc := range map[string]*benchDoc{
+		"wrong schema":   {Schema: "other/v9", ClockHz: experiment.ClockHz},
+		"wrong clock_hz": {Schema: benchSchema, ClockHz: 1e9},
+		"empty results":  {Schema: benchSchema, ClockHz: experiment.ClockHz},
+	} {
+		if err := checkBench(name, doc); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -1,60 +1,36 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
-	"repro/internal/experiment"
 	"repro/internal/samplestudy"
 )
 
-// sampleBenchDoc is the -samplebench export (schema pgbench-sampling/v1):
-// the sampled always-on tier's detection-probability/overhead trade-off over
-// the adversarial corpus. All numbers are simulated cycles, so the artifact
-// is deterministic and diffable across machines.
-type sampleBenchDoc struct {
-	Schema  string  `json:"schema"`
-	ClockHz float64 `json:"clock_hz"`
+// samplingSection is the document's sampling section: the sampled
+// always-on tier's detection-probability/overhead trade-off over the
+// adversarial corpus.
+type samplingSection struct {
 	// Seed is the site-selection seed every row replayed under.
 	Seed uint64 `json:"seed"`
 	// Rows is the study, one row per swept sampling rate, in sweep order.
 	Rows []samplestudy.Row `json:"rows"`
 }
 
-// runSampleBench generates the sampling study and writes the artifact.
-func runSampleBench(path string) error {
+// genSampling generates the sampling study.
+func genSampling() (samplingSection, error) {
 	study, err := samplestudy.Gen()
 	if err != nil {
-		return err
+		return samplingSection{}, err
 	}
-	doc := sampleBenchDoc{
-		Schema:  "pgbench-sampling/v1",
-		ClockHz: experiment.ClockHz,
-		Seed:    samplestudy.Seed,
-		Rows:    study.Rows,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(study)
-	fmt.Printf("wrote %s (%d rates)\n", path, len(doc.Rows))
-	return nil
+	return samplingSection{Seed: samplestudy.Seed, Rows: study.Rows}, nil
 }
 
-// checkSampleBench validates a -samplebench artifact: every swept rate
-// present in order, ledger conservation per row, the unguarded baseline
-// detecting nothing for free, detection probability non-increasing in the
-// rate, and the 1-in-64 tier's overhead under 10% of full guarding — the
-// acceptance criterion that makes the sampled tier deployable always-on.
-func checkSampleBench(path string, doc *sampleBenchDoc) error {
-	if doc.ClockHz != experiment.ClockHz {
-		return fmt.Errorf("%s: clock_hz %g, want %g", path, doc.ClockHz, experiment.ClockHz)
-	}
+// checkSampling validates the sampling section: every swept rate present in
+// order, ledger conservation per row, the unguarded baseline detecting
+// nothing for free, detection probability non-increasing in the rate, and
+// the 1-in-64 tier's overhead under 10% of full guarding — the acceptance
+// criterion that makes the sampled tier deployable always-on.
+func checkSampling(path string, doc *samplingSection) error {
 	if len(doc.Rows) != len(samplestudy.Rates) {
 		return fmt.Errorf("%s: %d rows, want one per swept rate (%d)", path, len(doc.Rows), len(samplestudy.Rates))
 	}
@@ -95,7 +71,5 @@ func checkSampleBench(path string, doc *sampleBenchDoc) error {
 	if r64.OverheadShare >= 0.10 {
 		return fmt.Errorf("%s: 1/64 overhead share %.4f breaches the <0.10 acceptance bound", path, r64.OverheadShare)
 	}
-	fmt.Printf("%s: ok (%d rates, 1/64 overhead share %.4f, P(detect) %.3f..%.3f)\n",
-		path, len(doc.Rows), r64.OverheadShare, r64.DetectionProb, full.DetectionProb)
 	return nil
 }

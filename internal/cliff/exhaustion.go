@@ -65,7 +65,7 @@ func exhaustionRungs(watermark uint64) []ExhaustionRung {
 }
 
 // ExhaustionRungNames returns the ladder's rung names in order — the
-// completeness contract for exported artifacts (pgbench -exhaustbench).
+// completeness contract for the exhaustion section of `pgbench -bench`.
 func ExhaustionRungNames() []string {
 	rungs := exhaustionRungs(0)
 	names := make([]string, len(rungs))

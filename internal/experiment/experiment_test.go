@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -211,16 +213,28 @@ func TestVAStudyShapes(t *testing.T) {
 	}
 }
 
-// TestTableRendering smoke-tests the human-readable output.
+// TestTableRendering pins Tables 1-3 to the blocks EXPERIMENTS.md records:
+// each table's body (its title line dropped) must equal, byte for byte, the
+// fenced block after "Measured (`pgbench -table N`):".
 func TestTableRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table sweep")
 	}
-	if out := table1(t).String(); !strings.Contains(out, "enscript") || !strings.Contains(out, "Ratio1") {
-		t.Errorf("table 1 rendering broken:\n%s", out)
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out := table3(t).String(); !strings.Contains(out, "treeadd") {
-		t.Errorf("table 3 rendering broken:\n%s", out)
+	for n, table := range []fmt.Stringer{table1(t), table2(t), table3(t)} {
+		marker := fmt.Sprintf("Measured (`pgbench -table %d`):", n+1)
+		_, rest, ok := strings.Cut(string(doc), marker)
+		_, rest, fenced := strings.Cut(rest, "```\n")
+		want, _, closed := strings.Cut(rest, "```")
+		if !ok || !fenced || !closed {
+			t.Fatalf("EXPERIMENTS.md: no fenced block after %q", marker)
+		}
+		if _, got, _ := strings.Cut(table.String(), "\n"); got != want {
+			t.Errorf("table %d differs from EXPERIMENTS.md:\ngot:\n%s\nwant:\n%s", n+1, got, want)
+		}
 	}
 }
 

@@ -34,8 +34,10 @@ import (
 	"time"
 
 	"repro/internal/cliff"
+	"repro/internal/core"
 	"repro/internal/minic/safety"
 	"repro/internal/obs"
+	"repro/internal/sim/kernel"
 	"repro/internal/workload"
 	"repro/pageguard"
 	"repro/trace"
@@ -504,6 +506,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	s.count(s.requests["replay"])
 	defer s.observeLatency(start)
 	w.Header().Set("X-Pg-Trace-Id", s.traceID(r))
+	o, ok := s.queryOverrides(w, r)
+	if !ok {
+		return
+	}
 
 	release, ok := s.admit(w, r)
 	if !ok {
@@ -525,16 +531,49 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Query parameters override the trace's own directives.
-	if qs := r.URL.Query().Get("faults"); qs != "" {
-		tf.FaultSpec = qs
+	if o.faults != "" {
+		tf.FaultSpec = o.faults
 	}
 	if r.URL.Query().Get("guards") == "1" {
 		tf.Guards = true
 	}
-	if qs := r.URL.Query().Get("sampling"); qs != "" {
-		tf.SamplingSpec = qs
+	if o.sampling != "" {
+		tf.SamplingSpec = o.sampling
 	}
 	s.replayFile(w, r, tf, start)
+}
+
+// overrides are a replay request's ?faults= and ?sampling= query
+// parameters, which override the trace's '!faults' and '!sampling'
+// directives ("" = no override).
+type overrides struct {
+	faults, sampling string
+}
+
+// queryOverrides reads the request's overrides and parses each with the
+// parser of the directive it overrides. A malformed spec is answered here,
+// before admission, with 400 bad-trace naming the parameter — the answer
+// the spec gets as a trace directive — and the second result is false.
+func (s *Server) queryOverrides(w http.ResponseWriter, r *http.Request) (overrides, bool) {
+	q := r.URL.Query()
+	o := overrides{faults: q.Get("faults"), sampling: q.Get("sampling")}
+	bad := func(param, what string, err error) (overrides, bool) {
+		s.count(s.errs)
+		writeError(w, http.StatusBadRequest, ErrCodeBadTrace,
+			fmt.Sprintf("bad trace: ?%s= override: bad %s: %v", param, what, err), 0)
+		return o, false
+	}
+	if o.faults != "" {
+		if _, err := kernel.ParseSchedule(o.faults); err != nil {
+			return bad("faults", "fault schedule", err)
+		}
+	}
+	if o.sampling != "" {
+		if _, err := core.ParseSamplingSpec(o.sampling); err != nil {
+			return bad("sampling", "sampling spec", err)
+		}
+	}
+	return o, true
 }
 
 // buildMachine returns the machine for one replay: a fork of the pre-warmed
@@ -834,6 +873,10 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, err.Error(), 0)
 		return
 	}
+	o, ok := s.queryOverrides(w, r)
+	if !ok {
+		return
+	}
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -855,9 +898,11 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?sampling=rate=N[,...] replays the corpus trace under the sampled
-	// detection tier — the crash-bucket smoke drives exactly this.
-	if qs := r.URL.Query().Get("sampling"); qs != "" {
-		tf.SamplingSpec = qs
+	// detection tier — the crash-bucket smoke drives exactly this. The
+	// corpus keeps its committed fault schedule: ?faults= is checked like
+	// every override but not applied.
+	if o.sampling != "" {
+		tf.SamplingSpec = o.sampling
 	}
 	s.replayFile(w, r, tf, start)
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cliff"
 )
 
 // faultedTrace loads the bundled fault-annotated trace (produced by a
@@ -377,5 +379,39 @@ func TestBadTraceRejected(t *testing.T) {
 	resp2, _ := postReplay(t, ts.URL, []byte("r 9 0\n"))
 	if resp2.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("semantic error status = %s, want 422", resp2.Status)
+	}
+
+	// A bad ?faults= or ?sampling= override is a 400 naming the parameter,
+	// answered before admission: with every admission slot taken it is
+	// still a 400, not a 429.
+	for i := 0; i < cap(s.queue); i++ {
+		s.queue <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(s.queue); i++ {
+			<-s.queue
+		}
+	}()
+	corpus := "/corpus/" + cliff.Corpus()[0].Name
+	for _, tc := range []struct{ path, param string }{
+		{"/replay?faults=bogus", "?faults="},
+		{"/replay?sampling=rate=abc", "?sampling="},
+		{corpus + "?sampling=rate=abc", "?sampling="},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "text/plain", strings.NewReader("a 1 64\nf 1\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %s: status %s, want 400: %s", tc.path, resp.Status, body)
+		}
+		if eb := decodeError(t, resp, body); eb.Code != ErrCodeBadTrace || !strings.Contains(eb.Error, tc.param) {
+			t.Fatalf("POST %s: code %q, error %q, want bad-trace naming %s", tc.path, eb.Code, eb.Error, tc.param)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate:
 #   formatting, vet, build, and the Go tests (which also hold the pglint
-#   workload and golden-corpus checks and the page-table / parallel-harness
-#   parity tests); then the production-hardening soaks: the chaos matrix
-#   (every workload under fixed-seed fault schedules), the trap containment
-#   experiment, the simulated-cycle bench artifacts (BENCH_pr3.json,
-#   BENCH_pr7.json and BENCH_pr10.json regenerated in place and validated),
+#   workload and golden-corpus checks, the page-table / parallel-harness
+#   parity tests, and the BENCH_sim.json golden: `pgbench -bench`
+#   regenerated, checked and byte-compared with the committed document);
+#   then the production-hardening soaks: the chaos matrix (every workload
+#   under fixed-seed fault schedules), the trap containment experiment,
 #   the attribution-exact metrics export, the pgserved smoke (HTTP replay
 #   parity, the ?spans=1 stream matching pgtrace -ndjson -spans with
 #   leaf-span cycles reconciling to kernel-charged cycles, the adversarial
@@ -60,19 +60,6 @@ echo "chaos soak: all workloads x all schedules clean"
 
 echo "== trap containment =="
 "$pgbench" -study containment
-
-echo "== bench artifact (BENCH_pr3.json) =="
-# Regenerate the committed machine-readable results and validate them: the
-# simulation is deterministic, so the artifact tracks the perf model.
-"$pgbench" -bench BENCH_pr3.json
-"$pgbench" -check-bench BENCH_pr3.json
-
-echo "== exhaustion ladder + corpus artifact (BENCH_pr7.json) =="
-# Regenerate the committed exhaustion ladder (the generator self-checks the
-# cliff: never-reuse dies, every mitigation survives, planted errors are
-# conserved, zero misses at the default gc=256 interval); the three bench
-# artifacts are validated together after the sampled-tier step.
-"$pgbench" -exhaustbench BENCH_pr7.json
 
 echo "== observability export (attribution exactness) =="
 metrics=$tmp/metrics.json
@@ -253,14 +240,6 @@ for log in "$routerlog" "$b1log" "$b2log"; do
     fi
 done
 echo "router smoke: routed bytes identical to offline, zipf mix verified, 3 clean drains"
-
-echo "== sampled-tier artifact (BENCH_pr10.json) =="
-# The sampling study is pure simulated cycles, so regenerate the committed
-# artifact in place (drift means the detection/overhead trade-off moved —
-# that must be a deliberate commit) and validate all three artifacts in one
-# invocation.
-"$pgbench" -samplebench BENCH_pr10.json >/dev/null
-"$pgbench" -check-bench BENCH_pr3.json,BENCH_pr7.json,BENCH_pr10.json
 
 echo "== soundness gate (-race) =="
 # PROVEN-SAFE uses never trap, elision-miss stays 0, POSSIBLE findings carry

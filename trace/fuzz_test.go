@@ -234,8 +234,10 @@ func FuzzParseFile(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	for _, src := range append(oversizeTraces, wrapOffsetTraces...) {
-		f.Add([]byte(src))
+	for _, seeds := range [][]string{oversizeTraces, wrapOffsetTraces, repeatedDirectiveTraces} {
+		for _, src := range seeds {
+			f.Add([]byte(src))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tf, err := ParseFile(bytes.NewReader(data))
@@ -265,7 +267,22 @@ func FuzzParseFile(f *testing.F) {
 				return
 			}
 		}
-		Replay(NewMachine(tf), tf.Events)
+		rep, err := Replay(NewMachine(tf), tf.Events)
+		if err != nil {
+			return
+		}
+		// A completed replay settles exactly one verdict per stale use,
+		// none of them inconsistent, with a clean health check.
+		led := rep.Ledger
+		if led.Detected+led.Missed+led.Inconsistent != uint64(rep.StaleOps) {
+			t.Fatalf("ledger %+v does not account for %d stale ops", led, rep.StaleOps)
+		}
+		if led.Inconsistent != 0 {
+			t.Fatalf("%d inconsistent ledger entries", led.Inconsistent)
+		}
+		if rep.Health != nil {
+			t.Fatalf("health: %v", rep.Health)
+		}
 	})
 }
 

@@ -25,7 +25,8 @@
 //	                  event (recorded by fault-injection runs; verified,
 //	                  not executed, on replay)
 //
-// A trace may carry directives before any event, in this fixed order:
+// A trace may carry directives before any event, each at most once, in
+// this fixed order:
 //
 //	!faults <spec>    the producing run's fault-injection schedule
 //	                  (kernel.ParseSchedule format)
@@ -167,13 +168,25 @@ func Parse(r io.Reader) ([]Event, error) {
 	return f.Events, nil
 }
 
-// ParseFile reads a complete trace, including the optional '!faults'
-// directive.
+// ParseFile reads a complete trace, including its optional directives.
+// Each directive may appear at most once.
 func ParseFile(r io.Reader) (*File, error) {
 	out := &File{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	line := 0
+	// placed checks a directive line: it must precede every event, and it
+	// must not repeat the directive of line first (0 when none), whose
+	// setting it would silently override.
+	placed := func(name string, first int) error {
+		if len(out.Events) > 0 {
+			return &ParseError{line, name + " directive must precede all events"}
+		}
+		if first != 0 {
+			return &ParseError{line, fmt.Sprintf("repeated %s directive (first on line %d)", name, first)}
+		}
+		return nil
+	}
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -181,8 +194,8 @@ func ParseFile(r io.Reader) (*File, error) {
 			continue
 		}
 		if spec, ok := strings.CutPrefix(text, "!faults"); ok {
-			if len(out.Events) > 0 {
-				return nil, &ParseError{line, "!faults directive must precede all events"}
+			if err := placed("!faults", out.FaultLine); err != nil {
+				return nil, err
 			}
 			out.FaultSpec = strings.TrimSpace(spec)
 			out.FaultLine = line
@@ -192,8 +205,8 @@ func ParseFile(r io.Reader) (*File, error) {
 			continue
 		}
 		if spec, ok := strings.CutPrefix(text, "!policy"); ok {
-			if len(out.Events) > 0 {
-				return nil, &ParseError{line, "!policy directive must precede all events"}
+			if err := placed("!policy", out.PolicyLine); err != nil {
+				return nil, err
 			}
 			out.PolicySpec = strings.TrimSpace(spec)
 			out.PolicyLine = line
@@ -203,8 +216,8 @@ func ParseFile(r io.Reader) (*File, error) {
 			continue
 		}
 		if spec, ok := strings.CutPrefix(text, "!vabudget"); ok {
-			if len(out.Events) > 0 {
-				return nil, &ParseError{line, "!vabudget directive must precede all events"}
+			if err := placed("!vabudget", out.VABudgetLine); err != nil {
+				return nil, err
 			}
 			n, err := strconv.ParseUint(strings.TrimSpace(spec), 10, 64)
 			if err != nil || n == 0 {
@@ -215,16 +228,16 @@ func ParseFile(r io.Reader) (*File, error) {
 			continue
 		}
 		if text == "!guards" {
-			if len(out.Events) > 0 {
-				return nil, &ParseError{line, "!guards directive must precede all events"}
+			if err := placed("!guards", out.GuardsLine); err != nil {
+				return nil, err
 			}
 			out.Guards = true
 			out.GuardsLine = line
 			continue
 		}
 		if spec, ok := strings.CutPrefix(text, "!sampling"); ok {
-			if len(out.Events) > 0 {
-				return nil, &ParseError{line, "!sampling directive must precede all events"}
+			if err := placed("!sampling", out.SamplingLine); err != nil {
+				return nil, err
 			}
 			out.SamplingSpec = strings.TrimSpace(spec)
 			out.SamplingLine = line

@@ -135,6 +135,25 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): expected error", src)
 		}
 	}
+	for _, src := range repeatedDirectiveTraces {
+		_, err := ParseFile(strings.NewReader(src))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 3 || !strings.Contains(pe.Msg, "first on line 1") {
+			t.Errorf("ParseFile(%q) error = %v, want a ParseError on line 3 naming line 1", src, err)
+		}
+	}
+}
+
+// repeatedDirectiveTraces repeat one directive on line 3 after its first
+// occurrence on line 1. The second line used to win silently: a second
+// !policy replayed under the later policy, and a second !faults checked the
+// 'x' records against the wrong schedule.
+var repeatedDirectiveTraces = []string{
+	"!policy never\n# comment\n!policy gc=4\na 1 64\n",
+	"!faults seed=1;mremap:every=2\n!policy gc=4\n!faults seed=2\na 1 64\n",
+	"!vabudget 64\n\n!vabudget 128\n",
+	"!guards\n!sampling rate=4\n!guards\n",
+	"!sampling rate=4\n!guards\n!sampling rate=64,seed=7\n",
 }
 
 // oversizeTraces are allocations no simulated address space can hold. Both

@@ -58,7 +58,7 @@ func (e *ViolationError) Error() string {
 type Runtime struct {
 	proc *kernel.Process
 	// byPage maps each page of each object to its record.
-	byPage map[vm.VPN]*object
+	byPage vm.PageMap[*object]
 	live   map[vm.Addr]*object
 }
 
@@ -67,9 +67,8 @@ var _ interp.Runtime = (*Runtime)(nil)
 // New returns an Electric Fence runtime on proc.
 func New(proc *kernel.Process) *Runtime {
 	return &Runtime{
-		proc:   proc,
-		byPage: make(map[vm.VPN]*object),
-		live:   make(map[vm.Addr]*object),
+		proc: proc,
+		live: make(map[vm.Addr]*object),
 	}
 }
 
@@ -85,7 +84,7 @@ func (r *Runtime) Malloc(size uint64, site string) (vm.Addr, error) {
 	}
 	obj := &object{addr: addr, size: size, pages: pages, alloc: site}
 	for i := uint64(0); i < pages; i++ {
-		r.byPage[vm.PageOf(addr)+vm.VPN(i)] = obj
+		r.byPage.Set(vm.PageOf(addr)+vm.VPN(i), obj)
 	}
 	r.live[addr] = obj
 	return addr, nil
@@ -99,7 +98,7 @@ func (r *Runtime) Free(addr vm.Addr, site string) error {
 	}
 	obj, ok := r.live[addr]
 	if !ok {
-		if old := r.byPage[vm.PageOf(addr)]; old != nil && old.freed {
+		if old := r.byPage.Get(vm.PageOf(addr)); old != nil && old.freed {
 			return &ViolationError{
 				Addr: addr, UseSite: site,
 				AllocSite: old.alloc, FreeSite: old.free, Double: true,
@@ -137,7 +136,7 @@ func (r *Runtime) PoolFree(handle uint64, addr vm.Addr, site string) error {
 // Explain implements interp.Runtime.
 func (r *Runtime) Explain(fault *vm.Fault, site string) error {
 	r.proc.Meter().ChargeTrap()
-	obj := r.byPage[vm.PageOf(fault.Addr)]
+	obj := r.byPage.Get(vm.PageOf(fault.Addr))
 	if obj == nil || !obj.freed {
 		return fault
 	}

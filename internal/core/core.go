@@ -190,7 +190,7 @@ type Remapper struct {
 	// objects indexes every shadow page to its object for fault
 	// explanation and reuse bookkeeping. Only index and unindex write it;
 	// lookup reads it.
-	objects map[vm.VPN]*Object
+	objects vm.PageMap[*Object]
 	// byPool tracks objects per pool so pool destroys can retire records.
 	byPool map[*pool.Pool][]*Object
 	// freedNoPool are freed direct-mode objects eligible for recycling.
@@ -250,7 +250,6 @@ type Remapper struct {
 func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
 	return &Remapper{
 		proc:        proc,
-		objects:     make(map[vm.VPN]*Object),
 		byPool:      make(map[*pool.Pool][]*Object),
 		freedInPool: make(map[*pool.Pool][]*Object),
 		canon:       make(map[vm.Addr]canonKind),
@@ -670,13 +669,13 @@ func (r *Remapper) ObjectAt(addr vm.Addr) *Object {
 
 // lookup returns the object indexed at shadow page vpn, or nil.
 func (r *Remapper) lookup(vpn vm.VPN) *Object {
-	return r.objects[vpn]
+	return r.objects.Get(vpn)
 }
 
 // index maps every page of obj's shadow run to obj.
 func (r *Remapper) index(obj *Object) {
 	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		r.objects[pageOfRun(obj, i)] = obj
+		r.objects.Set(pageOfRun(obj, i), obj)
 	}
 }
 
@@ -684,8 +683,8 @@ func (r *Remapper) index(obj *Object) {
 // re-indexed to another object alone.
 func (r *Remapper) unindex(obj *Object) {
 	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		if vpn := pageOfRun(obj, i); r.objects[vpn] == obj {
-			delete(r.objects, vpn)
+		if vpn := pageOfRun(obj, i); r.lookup(vpn) == obj {
+			r.objects.Set(vpn, nil)
 		}
 	}
 }

@@ -108,18 +108,24 @@ func (r *Remapper) HealthCheck() error {
 func (r *Remapper) healthCheck() error {
 	// (1) The page index only holds live and freed objects, and every
 	// object's pages agree on their owner.
+	var err error
 	seen := make(map[*Object]bool)
-	for vpn, obj := range r.objects {
-		if obj.State != StateLive && obj.State != StateFreed {
-			return fmt.Errorf("core: health: %s object (alloc %s) still indexed at page %#x",
-				obj.State, obj.AllocSite, uint64(vpn)<<vm.PageShift)
-		}
+	r.objects.ForEach(func(vpn vm.VPN, obj *Object) {
 		base := vm.PageOf(obj.ShadowRun.Addr)
-		if vpn < base || uint64(vpn-base) >= obj.ShadowRun.Pages {
-			return fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
+		switch {
+		case err != nil:
+		case obj.State != StateLive && obj.State != StateFreed:
+			err = fmt.Errorf("core: health: %s object (alloc %s) still indexed at page %#x",
+				obj.State, obj.AllocSite, uint64(vpn)<<vm.PageShift)
+		case vpn < base || uint64(vpn-base) >= obj.ShadowRun.Pages:
+			err = fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
 				uint64(vpn)<<vm.PageShift, obj.ShadowRun.Addr, obj.ShadowRun.Pages)
+		default:
+			seen[obj] = true
 		}
-		seen[obj] = true
+	})
+	if err != nil {
+		return err
 	}
 	// (2) Page counters match the indexed objects exactly.
 	var live, freed uint64

@@ -63,38 +63,16 @@ func (r *Remapper) collect(trigger GCTrigger) GCCycle {
 		})
 	}()
 
-	// Gather the freed-object set, indexed by shadow VPN.
-	type cand struct {
-		obj    *Object
-		marked bool
-	}
-	byVPN := make(map[vm.VPN]*cand)
-	var cands []*cand
-	add := func(obj *Object) {
-		c := &cand{obj: obj}
-		cands = append(cands, c)
-		for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-			byVPN[pageOfRun(obj, i)] = c
-		}
-	}
-	for _, obj := range r.freedNoPool {
-		add(obj)
-	}
-	for _, p := range r.freedPoolsSorted() {
-		for _, obj := range r.freedInPool[p] {
-			add(obj)
-		}
-	}
-	if len(cands) == 0 {
+	if len(r.freedNoPool) == 0 && len(r.freedInPool) == 0 {
 		return rec
 	}
 
+	// Mark every freed object a scanned word points into, through the
+	// shadow-page index.
+	marked := make(map[*Object]bool)
 	mark := func(word uint64) {
-		if word >= vm.UserAddrLimit {
-			return
-		}
-		if c, ok := byVPN[vm.PageOf(word)]; ok {
-			c.marked = true
+		if obj := r.lookup(vm.PageOf(word)); obj != nil && obj.State == StateFreed {
+			marked[obj] = true
 		}
 	}
 
@@ -174,28 +152,24 @@ func (r *Remapper) collect(trigger GCTrigger) GCCycle {
 	// even when unreferenced: the sampling tier's quarantine delays their
 	// release by policy.
 	rec.PagesRecycled, rec.ObjectsRecycled = r.sweepFreed(RecycledByGC, func(obj *Object) bool {
-		return byVPN[vm.PageOf(obj.ShadowRun.Addr)].marked || obj.Quarantined
+		return marked[obj] || obj.Quarantined
 	})
 	return rec
 }
 
 // liveNoPoolObjects returns live direct-mode objects (not owned by a pool),
-// sorted by ShadowAddr. The map iteration order is nondeterministic; the
-// sort keeps the root-scan order — and with it cycle charging and any future
-// diagnostics — bit-for-bit reproducible, matching the
-// freedPoolsSorted/livePools treatment above.
+// sorted by ShadowAddr: the index walk is ascending by shadow page and an
+// object's pages are contiguous, so each object appears once, in address
+// order. A stable order keeps the root-scan order — and with it cycle
+// charging and any future diagnostics — bit-for-bit reproducible, matching
+// the freedPoolsSorted/livePools treatment above.
 func (r *Remapper) liveNoPoolObjects() []*Object {
-	seen := make(map[*Object]struct{})
 	var out []*Object
-	for _, obj := range r.objects {
-		if obj.Pool == nil && obj.State == StateLive {
-			if _, ok := seen[obj]; !ok {
-				seen[obj] = struct{}{}
-				out = append(out, obj)
-			}
+	r.objects.ForEach(func(_ vm.VPN, obj *Object) {
+		if obj.Pool == nil && obj.State == StateLive && (len(out) == 0 || out[len(out)-1] != obj) {
+			out = append(out, obj)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ShadowAddr < out[j].ShadowAddr })
+	})
 	return out
 }
 

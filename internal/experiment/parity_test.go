@@ -1,21 +1,16 @@
 package experiment
 
-// Golden parity tests for the wall-clock fast paths. The radix page table,
-// the MMU's one-entry translation cache, the interpreter predecoder, and the
-// parallel harness are all pure host-time optimizations: every simulated
-// number — cycles, instruction and syscall counts, TLB and cache behaviour,
-// page-table statistics, and the rendered tables — must be bit-identical to
-// the original map-based, sequential implementation. These tests enforce
-// that by running the same cells through the legacy map page table
-// (vm.NewLegacyMapSpace, selected via kernel.Config.LegacyPageTable) and the
-// radix table, and through worker counts 1 and 8, and requiring deep
-// equality of everything a Measurement carries.
+// Parity tests for the parallel harness. Running cells on many workers is a
+// pure host-time optimization: every simulated number — cycles, instruction
+// and syscall counts, TLB and cache behaviour, page-table statistics, and
+// the rendered tables — must be bit-identical to a sequential run. These
+// tests enforce that by running the same cells through worker counts 1 and
+// 8 and requiring deep equality of everything a Measurement carries.
 
 import (
 	"reflect"
 	"testing"
 
-	"repro/internal/sim/kernel"
 	"repro/internal/workload"
 )
 
@@ -45,67 +40,6 @@ func parityCells(t *testing.T) []Cell {
 		cells = append(cells, Cell{Workload: w, Config: pc.config})
 	}
 	return cells
-}
-
-// legacyOptions returns Options that force the map-based page table.
-func legacyOptions() Options {
-	cfg := kernel.DefaultConfig()
-	cfg.LegacyPageTable = true
-	return Options{Kernel: &cfg}
-}
-
-// TestPageTableParity runs each parity cell through the legacy map-based
-// page table and the radix page table and requires the two Measurements to
-// be deeply equal: same cycles, same counter snapshot (instructions, memory
-// accesses, syscalls, traps — the TLB and cache outcomes are folded into the
-// cycle total, so cycle equality is outcome equality), same page and frame
-// statistics, same metric snapshot, same attribution profile, same output.
-func TestPageTableParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs each parity cell twice")
-	}
-	for _, cell := range parityCells(t) {
-		name := cell.Workload.Name + "/" + cell.Config.String()
-		radix, err := Run(cell.Workload, cell.Config, Options{})
-		if err != nil {
-			t.Fatalf("%s (radix): %v", name, err)
-		}
-		legacy, err := Run(cell.Workload, cell.Config, legacyOptions())
-		if err != nil {
-			t.Fatalf("%s (legacy map): %v", name, err)
-		}
-		if radix.Cycles != legacy.Cycles {
-			t.Errorf("%s: cycles %d (radix) != %d (legacy map)", name, radix.Cycles, legacy.Cycles)
-		}
-		if radix.Counters != legacy.Counters {
-			t.Errorf("%s: counters %+v (radix) != %+v (legacy map)", name, radix.Counters, legacy.Counters)
-		}
-		if !reflect.DeepEqual(radix, legacy) {
-			t.Errorf("%s: measurements differ beyond cycles/counters:\nradix:  %+v\nlegacy: %+v",
-				name, radix, legacy)
-		}
-	}
-}
-
-// TestTable3PageTableParity renders Table 3 under both page tables and
-// requires byte-identical output — the whole-table version of the cell-level
-// check, covering every Olden workload under the table's configurations.
-func TestTable3PageTableParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates Table 3 twice")
-	}
-	radix, err := GenTable3(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := GenTable3(legacyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if radix.String() != legacy.String() {
-		t.Errorf("Table 3 differs across page tables:\nradix:\n%s\nlegacy map:\n%s",
-			radix, legacy)
-	}
 }
 
 // TestRunCellsParallelParity fans the parity cells out across 8 workers and

@@ -10,7 +10,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim/cost"
@@ -53,10 +52,6 @@ type Config struct {
 	// Faults optionally injects deterministic syscall failures into the
 	// fallible memory syscalls (nil = every syscall succeeds).
 	Faults *Schedule
-	// LegacyPageTable selects the map-backed page table instead of the
-	// radix one. Test-only: the golden parity test runs both and asserts
-	// identical simulated results.
-	LegacyPageTable bool
 }
 
 // DefaultConfig returns the reference machine.
@@ -129,9 +124,6 @@ func NewProcess(sys *System, cfg Config) (*Process, error) {
 		cfg.GlobalPages = 64
 	}
 	space := vm.NewSpace()
-	if cfg.LegacyPageTable {
-		space = vm.NewLegacyMapSpace()
-	}
 	if cfg.VABudgetPages != 0 {
 		if need := cfg.StackPages + cfg.GlobalPages; cfg.VABudgetPages < need {
 			return nil, fmt.Errorf("kernel: VA budget of %d pages cannot cover the %d fixed stack+globals pages", cfg.VABudgetPages, need)
@@ -428,15 +420,14 @@ func (p *Process) RemapFixedAlias(addr, srcAddr vm.Addr, n uint64) error {
 // real OS) the per-process page table — "any wastage in address space in one
 // connection is not carried over to the other connections".
 func (p *Process) Exit() error {
+	// Teardown runs in ascending VPN order (ForEach's order): frame
+	// free-list order decides which physical frames the *next* process
+	// gets, and the data cache is physically indexed, so a nondeterministic
+	// order would make multi-process measurements nondeterministic.
 	var vpns []vm.VPN
 	p.space.ForEach(func(v vm.VPN, _ phys.FrameID, _ vm.Prot) {
 		vpns = append(vpns, v)
 	})
-	// Deterministic teardown order: frame free-list order decides which
-	// physical frames the *next* process gets, and the data cache is
-	// physically indexed — map-iteration order here would make multi-
-	// process measurements nondeterministic.
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
 	for _, v := range vpns {
 		if err := p.dropMapping(v); err != nil {
 			return err

@@ -345,18 +345,16 @@ func TestTranslationCacheInvalidatedByUnmapRemap(t *testing.T) {
 	}
 }
 
-// benchSpace builds an MMU over n mapped RW pages for the access benchmarks.
-func benchSpace(b *testing.B, legacy bool, pages uint64) (*MMU, vm.Addr) {
-	b.Helper()
-	var space *vm.Space
-	if legacy {
-		space = vm.NewLegacyMapSpace()
-	} else {
-		space = vm.NewSpace()
-	}
+// BenchmarkAccess measures the full simulated load path — radix page table,
+// translation cache, TLB hierarchy, data cache, cycle meter. Every access
+// lands on a different page than the last (page stride plus a small prime
+// offset), so the one-entry translation cache never hits and each iteration
+// performs a real page-table lookup.
+func BenchmarkAccess(b *testing.B) {
+	const pages = 512
+	space := vm.NewSpace()
 	mem := phys.NewMemory(0)
-	meter := cost.NewMeter(cost.Default())
-	m := New(space, mem, meter, DefaultConfig())
+	m := New(space, mem, cost.NewMeter(cost.Default()), DefaultConfig())
 	vpn, err := space.ReservePages(pages)
 	if err != nil {
 		b.Fatal(err)
@@ -368,18 +366,7 @@ func benchSpace(b *testing.B, legacy bool, pages uint64) (*MMU, vm.Addr) {
 		}
 		space.Map(vpn+vm.VPN(i), f, vm.ProtRW)
 	}
-	return m, uint64(vpn) << vm.PageShift
-}
-
-// benchmarkAccess measures the full simulated load path — page table (radix
-// or legacy map), translation cache, TLB hierarchy, data cache, cycle meter.
-// Every access lands on a different page than the last (page stride plus a
-// small prime offset), so the one-entry translation cache never hits and
-// each iteration performs a real page-table lookup — the operation the radix
-// tree replaces the map hash in.
-func benchmarkAccess(b *testing.B, legacy bool) {
-	const pages = 512
-	m, base := benchSpace(b, legacy, pages)
+	base := uint64(vpn) << vm.PageShift
 	// Pre-touch so the timed loop measures steady state.
 	for p := uint64(0); p < pages; p++ {
 		if _, err := m.ReadWord(base+p*vm.PageSize, 8); err != nil {
@@ -397,13 +384,4 @@ func benchmarkAccess(b *testing.B, legacy bool) {
 			addr = base + (addr-base)%vm.PageSize
 		}
 	}
-}
-
-// BenchmarkAccess compares the simulated-access fast path against the two
-// page-table implementations. The radix sub-benchmark is the production
-// configuration; the legacy map is the pre-optimization baseline the
-// radix page table's speedup is measured against.
-func BenchmarkAccess(b *testing.B) {
-	b.Run("radix", func(b *testing.B) { benchmarkAccess(b, false) })
-	b.Run("legacy-map", func(b *testing.B) { benchmarkAccess(b, true) })
 }

@@ -140,20 +140,20 @@ func (f *Fault) Error() string {
 
 // pte is one page-table entry. present distinguishes a live entry from an
 // absent one: ProtNone is a valid protection for a *mapped* page (that is how
-// freed shadow pages are poisoned), so the protection bits cannot double as a
-// presence flag.
+// freed shadow pages are poisoned), and frame 0 is a valid frame, so without
+// it a mapped entry could equal the zero value the radix reads as absent.
 type pte struct {
 	frame   phys.FrameID
 	prot    Prot
 	present bool
 }
 
-// Radix page-table geometry. A VPN has UserAddrBits-PageShift = 35
-// significant bits, split across three levels (11 + 12 + 12) exactly like a
-// hardware page-table walk: top-level directory of 2048 entries, mid-level
-// directories of 4096, and leaves of 4096 PTEs. The bump allocator hands out
-// VPNs densely from the bottom of the space, so leaves fill up before new
-// ones are needed and the tree stays shallow and compact.
+// Radix geometry. A VPN has UserAddrBits-PageShift = 35 significant bits,
+// split across three levels (11 + 12 + 12) exactly like a hardware page-table
+// walk: top-level directory of 2048 entries, mid-level directories of 4096,
+// and leaves of 4096 slots. The bump allocator hands out VPNs densely from
+// the bottom of the space, so leaves fill up before new ones are needed and
+// the tree stays shallow and compact.
 const (
 	radixLeafBits = 12
 	radixMidBits  = 12
@@ -167,44 +167,145 @@ const (
 	radixMidMask  = radixMidSize - 1
 )
 
-// spaceToken identifies the Space that owns a radix node. Nodes reached from
-// a Space whose token differs from the node's owner are shared with a frozen
+// spaceToken identifies the owner of a radix node. A node reached through a
+// tree whose token differs from the node's owner is shared with a frozen
 // snapshot parent and must be path-copied before mutation (persistent-tree
 // copy-on-write, the same aliasing idea the shadow pages use, applied to the
-// page table itself).
+// page table itself). Trees that are never forked use the nil token.
 type spaceToken struct{ _ byte }
 
-type radixLeaf struct {
-	owner *spaceToken
-	ptes  [radixLeafSize]pte
+// PageMap maps virtual page numbers to values of T. It is the package's one
+// page-indexed structure: a three-level radix tree (see the geometry
+// constants above) whose zero T means absent, so Set with the zero value
+// deletes. A lookup is three array indexings instead of a map hash, which is
+// what keeps the simulated load/store fast path free of hashing. Space keeps
+// its page-table entries in one (with copy-on-write node ownership for
+// forks); the layers above the MMU key their per-page records by it. The
+// zero PageMap is empty and ready to use; a copy shares the original's nodes,
+// so do not copy one in use. Not safe for concurrent use.
+type PageMap[T comparable] struct {
+	root [radixTopSize]*radixMid[T]
 }
 
-type radixMid struct {
+type radixMid[T comparable] struct {
 	owner  *spaceToken
-	leaves [radixMidSize]*radixLeaf
+	leaves [radixMidSize]*radixLeaf[T]
+}
+
+type radixLeaf[T comparable] struct {
+	owner *spaceToken
+	slots [radixLeafSize]T
+}
+
+// get returns a pointer to the present slot for vpn, or nil when the slot is
+// absent (or its path is not populated). The slot must not be written: it
+// may be shared with a snapshot parent.
+func (m *PageMap[T]) get(vpn VPN) *T {
+	top := vpn >> (radixMidBits + radixLeafBits)
+	if top >= radixTopSize {
+		return nil // beyond the 47-bit user space: never present
+	}
+	mid := m.root[top]
+	if mid == nil {
+		return nil
+	}
+	leaf := mid.leaves[(vpn>>radixLeafBits)&radixMidMask]
+	if leaf == nil {
+		return nil
+	}
+	e := &leaf.slots[vpn&radixLeafMask]
+	var zero T
+	if *e == zero {
+		return nil
+	}
+	return e
+}
+
+// ensure returns a writable pointer to the (possibly absent) slot for vpn,
+// allocating nodes along the path as needed and path-copying any node not
+// owned by owner. vpn must lie inside the 47-bit user space.
+func (m *PageMap[T]) ensure(vpn VPN, owner *spaceToken) *T {
+	top := vpn >> (radixMidBits + radixLeafBits)
+	if top >= radixTopSize {
+		panic(fmt.Sprintf("vm: page %#x beyond the %d-bit user space", uint64(vpn)<<PageShift, UserAddrBits))
+	}
+	mid := m.root[top]
+	if mid == nil || mid.owner != owner {
+		cp := &radixMid[T]{owner: owner}
+		if mid != nil {
+			cp.leaves = mid.leaves
+		}
+		mid = cp
+		m.root[top] = cp
+	}
+	li := (vpn >> radixLeafBits) & radixMidMask
+	leaf := mid.leaves[li]
+	if leaf == nil || leaf.owner != owner {
+		cp := &radixLeaf[T]{owner: owner}
+		if leaf != nil {
+			cp.slots = leaf.slots
+		}
+		leaf = cp
+		mid.leaves[li] = cp
+	}
+	return &leaf.slots[vpn&radixLeafMask]
+}
+
+// ForEach calls fn for every entry in ascending VPN order.
+func (m *PageMap[T]) ForEach(fn func(VPN, T)) {
+	var zero T
+	for ti, mid := range m.root {
+		if mid == nil {
+			continue
+		}
+		for mi, leaf := range mid.leaves {
+			if leaf == nil {
+				continue
+			}
+			base := VPN(ti)<<(radixMidBits+radixLeafBits) | VPN(mi)<<radixLeafBits
+			for li := range leaf.slots {
+				if v := leaf.slots[li]; v != zero {
+					fn(base|VPN(li), v)
+				}
+			}
+		}
+	}
+}
+
+// Get returns the value at vpn, or the zero T when none is set.
+func (m *PageMap[T]) Get(vpn VPN) T {
+	if e := m.get(vpn); e != nil {
+		return *e
+	}
+	var zero T
+	return zero
+}
+
+// Set stores v at vpn; the zero v deletes the entry. vpn must lie inside the
+// 47-bit user space.
+func (m *PageMap[T]) Set(vpn VPN, v T) {
+	var zero T
+	if v == zero && m.get(vpn) == nil {
+		return // deleting an absent entry allocates no nodes
+	}
+	*m.ensure(vpn, nil) = v
 }
 
 // Space is one process's virtual address space. It owns no physical memory;
 // frames are allocated and freed by the kernel layer, which also decides
 // frame lifetimes under aliasing. Not safe for concurrent use.
 //
-// The page table is a three-level radix tree (see the geometry constants
-// above): Translate is three array indexings instead of a map hash, which is
-// what keeps the simulated load/store fast path free of hashing. A map-backed
-// legacy mode (NewLegacyMapSpace) is kept solely so the parity tests can
-// prove the radix table changes no observable result.
+// The page table is a PageMap of pte slots. A forked Space shares its
+// parent's radix nodes and path-copies each one on first write.
 type Space struct {
-	root [radixTopSize]*radixMid
+	pt PageMap[pte]
 	// self is this Space's node-ownership token: radix nodes whose owner
 	// field equals self may be mutated in place; any other node is shared
 	// with a snapshot parent and is copied on first write.
 	self *spaceToken
 	// frozen marks a snapshot parent: all mutation panics, Fork is legal.
 	frozen bool
-	// legacy, when non-nil, replaces the radix tree with the original
-	// map-based page table. Parity-test shim only.
-	legacy map[VPN]pte
-	// mapped is the live page-table entry count (len() of the former map).
+	// mapped is the live page-table entry count.
 	mapped uint64
 	// epoch increments on every Map/Protect/Unmap so the MMU's one-entry
 	// translation cache can validate itself without a table walk.
@@ -229,7 +330,7 @@ type Space struct {
 	budget uint64
 }
 
-// NewSpace returns an empty address space backed by the radix page table.
+// NewSpace returns an empty address space.
 func NewSpace() *Space {
 	return &Space{
 		self: new(spaceToken),
@@ -237,98 +338,17 @@ func NewSpace() *Space {
 	}
 }
 
-// NewLegacyMapSpace returns an empty address space backed by the original
-// map[VPN]pte page table. It exists only for the golden parity tests, which
-// run workloads through both page-table implementations and require
-// bit-identical simulation results; production paths always use NewSpace.
-func NewLegacyMapSpace() *Space {
-	s := NewSpace()
-	s.legacy = make(map[VPN]pte)
-	return s
-}
-
 // Epoch returns the page-table mutation counter. Any cached translation made
 // at an earlier epoch may be stale.
 func (s *Space) Epoch() uint64 { return s.epoch }
 
-// lookupPTE returns a pointer to the live entry for vpn, or nil when the
-// page is unmapped (or the radix path is not populated).
-func (s *Space) lookupPTE(vpn VPN) *pte {
-	top := vpn >> (radixMidBits + radixLeafBits)
-	if top >= radixTopSize {
-		return nil // beyond the 47-bit user space: never mapped
-	}
-	mid := s.root[top]
-	if mid == nil {
-		return nil
-	}
-	leaf := mid.leaves[(vpn>>radixLeafBits)&radixMidMask]
-	if leaf == nil {
-		return nil
-	}
-	e := &leaf.ptes[vpn&radixLeafMask]
-	if !e.present {
-		return nil
-	}
-	return e
-}
-
-// ensurePTE returns a pointer to the (possibly absent) entry for vpn,
-// allocating radix nodes along the path as needed and path-copying any node
-// still shared with a snapshot parent.
-func (s *Space) ensurePTE(vpn VPN) *pte {
-	top := vpn >> (radixMidBits + radixLeafBits)
-	mid := s.root[top]
-	if mid == nil {
-		mid = &radixMid{owner: s.self}
-		s.root[top] = mid
-	} else if mid.owner != s.self {
-		cp := &radixMid{owner: s.self, leaves: mid.leaves}
-		mid = cp
-		s.root[top] = cp
-	}
-	li := (vpn >> radixLeafBits) & radixMidMask
-	leaf := mid.leaves[li]
-	if leaf == nil {
-		leaf = &radixLeaf{owner: s.self}
-		mid.leaves[li] = leaf
-	} else if leaf.owner != s.self {
-		cp := &radixLeaf{owner: s.self, ptes: leaf.ptes}
-		leaf = cp
-		mid.leaves[li] = leaf
-	}
-	return &leaf.ptes[vpn&radixLeafMask]
-}
-
 // mutablePTE returns a writable pointer to the live entry for vpn, or nil
-// when the page is unmapped. Unlike lookupPTE it path-copies shared radix
-// nodes, so the returned entry is always safe to mutate; unlike ensurePTE it
-// never allocates nodes for absent paths.
+// when the page is unmapped, path-copying shared radix nodes on the way.
 func (s *Space) mutablePTE(vpn VPN) *pte {
-	top := vpn >> (radixMidBits + radixLeafBits)
-	if top >= radixTopSize {
+	if s.pt.get(vpn) == nil {
 		return nil
 	}
-	mid := s.root[top]
-	if mid == nil {
-		return nil
-	}
-	li := (vpn >> radixLeafBits) & radixMidMask
-	leaf := mid.leaves[li]
-	if leaf == nil || !leaf.ptes[vpn&radixLeafMask].present {
-		return nil
-	}
-	if mid.owner != s.self {
-		cp := &radixMid{owner: s.self, leaves: mid.leaves}
-		mid = cp
-		s.root[top] = cp
-	}
-	if leaf.owner != s.self {
-		cp := &radixLeaf{owner: s.self, ptes: leaf.ptes}
-		leaf = cp
-		mid.leaves[li] = leaf
-	}
-	return &leaf.ptes[vpn&radixLeafMask]
+	return s.pt.ensure(vpn, s.self)
 }
 
 // ErrAddressSpaceExhausted is reported when ReservePages passes the 47-bit
@@ -344,10 +364,13 @@ func (s *Space) ReservePages(n uint64) (VPN, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("vm: reserve of zero pages")
 	}
-	if uint64(s.next)+n > UserAddrLimit>>PageShift {
+	// Both checks subtract from the limit instead of adding n to the
+	// counter, so no n wraps past them. next never exceeds the limit; a
+	// budget already below everMapped refuses every reservation.
+	if n > UserAddrLimit>>PageShift-uint64(s.next) {
 		return 0, ErrAddressSpaceExhausted
 	}
-	if s.budget != 0 && s.everMapped+n > s.budget {
+	if s.budget != 0 && (s.everMapped > s.budget || n > s.budget-s.everMapped) {
 		return 0, ErrAddressSpaceExhausted
 	}
 	v := s.next
@@ -364,29 +387,14 @@ func (s *Space) Map(vpn VPN, frame phys.FrameID, prot Prot) {
 		panic("vm: Map on a frozen snapshot")
 	}
 	s.epoch++
-	if s.legacy != nil {
-		if _, ok := s.legacy[vpn]; !ok {
-			s.noteMapped()
-		}
-		s.legacy[vpn] = pte{frame: frame, prot: prot, present: true}
-		return
-	}
-	if uint64(vpn) >= UserAddrLimit>>PageShift {
-		panic(fmt.Sprintf("vm: map of page %#x beyond the %d-bit user space", uint64(vpn)<<PageShift, UserAddrBits))
-	}
-	e := s.ensurePTE(vpn)
+	e := s.pt.ensure(vpn, s.self)
 	if !e.present {
-		s.noteMapped()
+		s.mapped++
+		if s.mapped > s.peakMapped {
+			s.peakMapped = s.mapped
+		}
 	}
 	*e = pte{frame: frame, prot: prot, present: true}
-}
-
-// noteMapped bumps the live-entry count and its high-water mark.
-func (s *Space) noteMapped() {
-	s.mapped++
-	if s.mapped > s.peakMapped {
-		s.peakMapped = s.mapped
-	}
 }
 
 // Unmap removes the mapping for vpn. Unmapping an unmapped page is an error
@@ -396,14 +404,6 @@ func (s *Space) Unmap(vpn VPN) error {
 		panic("vm: Unmap on a frozen snapshot")
 	}
 	s.epoch++
-	if s.legacy != nil {
-		if _, ok := s.legacy[vpn]; !ok {
-			return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
-		}
-		delete(s.legacy, vpn)
-		s.mapped--
-		return nil
-	}
 	e := s.mutablePTE(vpn)
 	if e == nil {
 		return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
@@ -419,15 +419,6 @@ func (s *Space) Protect(vpn VPN, prot Prot) error {
 		panic("vm: Protect on a frozen snapshot")
 	}
 	s.epoch++
-	if s.legacy != nil {
-		e, ok := s.legacy[vpn]
-		if !ok {
-			return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
-		}
-		e.prot = prot
-		s.legacy[vpn] = e
-		return nil
-	}
 	e := s.mutablePTE(vpn)
 	if e == nil {
 		return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
@@ -438,11 +429,7 @@ func (s *Space) Protect(vpn VPN, prot Prot) error {
 
 // Lookup returns the frame and protection of vpn.
 func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
-	if s.legacy != nil {
-		e, ok := s.legacy[vpn]
-		return e.frame, e.prot, ok
-	}
-	e := s.lookupPTE(vpn)
+	e := s.pt.get(vpn)
 	if e == nil {
 		return 0, 0, false
 	}
@@ -452,14 +439,7 @@ func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
 // Translate checks an access of the given kind to addr and returns the frame
 // backing it. On failure it returns a *Fault.
 func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
-	var e *pte
-	if s.legacy != nil {
-		if le, ok := s.legacy[PageOf(addr)]; ok {
-			e = &le
-		}
-	} else {
-		e = s.lookupPTE(PageOf(addr))
-	}
+	e := s.pt.get(PageOf(addr))
 	if e == nil {
 		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultUnmapped}
 	}
@@ -473,33 +453,9 @@ func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
 	return e.frame, nil
 }
 
-// ForEach calls fn for every live page-table entry. Iteration order is
-// unspecified (the radix table happens to iterate in ascending VPN order; the
-// legacy map does not). Used by the kernel's teardown and the
-// conservative-GC study, both of which order their work independently.
+// ForEach calls fn for every live page-table entry, in ascending VPN order.
 func (s *Space) ForEach(fn func(VPN, phys.FrameID, Prot)) {
-	if s.legacy != nil {
-		for v, e := range s.legacy {
-			fn(v, e.frame, e.prot)
-		}
-		return
-	}
-	for ti, mid := range s.root {
-		if mid == nil {
-			continue
-		}
-		for mi, leaf := range mid.leaves {
-			if leaf == nil {
-				continue
-			}
-			base := VPN(ti)<<(radixMidBits+radixLeafBits) | VPN(mi)<<radixLeafBits
-			for li := range leaf.ptes {
-				if e := &leaf.ptes[li]; e.present {
-					fn(base|VPN(li), e.frame, e.prot)
-				}
-			}
-		}
-	}
+	s.pt.ForEach(func(vpn VPN, e pte) { fn(vpn, e.frame, e.prot) })
 }
 
 // MappedPages returns the number of live page-table entries.
@@ -544,8 +500,8 @@ func (s *Space) Fork() *Space {
 	if !s.frozen {
 		panic("vm: Fork of an unfrozen Space")
 	}
-	n := &Space{
-		root:       s.root, // shallow: nodes stay owned by the parent's token
+	return &Space{
+		pt:         s.pt, // shallow: nodes stay owned by the parent's token
 		self:       new(spaceToken),
 		mapped:     s.mapped,
 		epoch:      s.epoch,
@@ -554,11 +510,4 @@ func (s *Space) Fork() *Space {
 		everMapped: s.everMapped,
 		budget:     s.budget,
 	}
-	if s.legacy != nil {
-		n.legacy = make(map[VPN]pte, len(s.legacy))
-		for v, e := range s.legacy {
-			n.legacy[v] = e
-		}
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -238,13 +239,10 @@ func TestPageSpanProperty(t *testing.T) {
 	}
 }
 
-// forEachSpace runs a subtest against both page-table implementations: the
-// radix tree and the legacy map shim the parity tests keep alive. Edge-case
-// behaviour must be identical in both.
+// forEachSpace runs an edge-case subtest against a fresh radix-backed Space.
 func forEachSpace(t *testing.T, fn func(t *testing.T, s *Space)) {
 	t.Helper()
 	t.Run("radix", func(t *testing.T) { fn(t, NewSpace()) })
-	t.Run("legacy-map", func(t *testing.T) { fn(t, NewLegacyMapSpace()) })
 }
 
 // TestBoundaryVPN maps the very last page of the 47-bit user space and
@@ -352,92 +350,187 @@ func TestProtectPartiallyMappedRange(t *testing.T) {
 	})
 }
 
-// TestRadixMatchesLegacyMap drives both page-table implementations through
-// the same pseudo-random mix of Map/Protect/Unmap/Translate traffic and
-// requires identical observable state throughout — the differential version
-// of the experiment-level golden parity test.
-func TestRadixMatchesLegacyMap(t *testing.T) {
-	radix := NewSpace()
-	legacy := NewLegacyMapSpace()
-	// Deterministic xorshift stream; no host randomness in tests.
+// xorshift returns a deterministic pseudo-random stream; tests use no host
+// randomness.
+func xorshift() func() uint64 {
 	state := uint64(0x9E3779B97F4A7C15)
-	next := func() uint64 {
+	return func() uint64 {
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
 		return state
 	}
+}
+
+// TestRadixMatchesLegacyMap drives the radix page table and a test-local
+// map[VPN]pte model of the original map-backed page table through the same
+// pseudo-random mix of Map/Protect/Unmap/Translate traffic and requires
+// identical observable state throughout.
+func TestRadixMatchesLegacyMap(t *testing.T) {
+	radix := NewSpace()
+	model := make(map[VPN]pte)
+	next := xorshift()
 	const pages = 300
 	base, err := radix.ReservePages(pages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lbase, err := legacy.ReservePages(pages); err != nil || lbase != base {
-		t.Fatalf("legacy ReservePages = %v %v, want %v", lbase, err, base)
-	}
 	prots := []Prot{ProtNone, ProtRead, ProtRW}
 	for step := 0; step < 5000; step++ {
 		vpn := base + VPN(next()%pages)
+		me, mapped := model[vpn]
 		switch next() % 4 {
 		case 0:
 			frame := phys.FrameID(next() % 64)
 			prot := prots[next()%uint64(len(prots))]
 			radix.Map(vpn, frame, prot)
-			legacy.Map(vpn, frame, prot)
+			model[vpn] = pte{frame: frame, prot: prot, present: true}
 		case 1:
 			prot := prots[next()%uint64(len(prots))]
-			rErr := radix.Protect(vpn, prot)
-			lErr := legacy.Protect(vpn, prot)
-			if (rErr == nil) != (lErr == nil) {
-				t.Fatalf("step %d: Protect(%#x) radix err %v, legacy err %v", step, vpn, rErr, lErr)
+			if err := radix.Protect(vpn, prot); (err == nil) != mapped {
+				t.Fatalf("step %d: Protect(%#x) err %v, model mapped %v", step, vpn, err, mapped)
+			}
+			if mapped {
+				me.prot = prot
+				model[vpn] = me
 			}
 		case 2:
-			rErr := radix.Unmap(vpn)
-			lErr := legacy.Unmap(vpn)
-			if (rErr == nil) != (lErr == nil) {
-				t.Fatalf("step %d: Unmap(%#x) radix err %v, legacy err %v", step, vpn, rErr, lErr)
+			if err := radix.Unmap(vpn); (err == nil) != mapped {
+				t.Fatalf("step %d: Unmap(%#x) err %v, model mapped %v", step, vpn, err, mapped)
 			}
+			delete(model, vpn)
 		case 3:
 			addr := Addr(vpn)<<PageShift + next()%PageSize
-			kind := AccessRead
+			kind, need := AccessRead, ProtRead
 			if next()%2 == 0 {
-				kind = AccessWrite
+				kind, need = AccessWrite, ProtWrite
 			}
-			rf, rFault := radix.Translate(addr, kind)
-			lf, lFault := legacy.Translate(addr, kind)
-			if (rFault == nil) != (lFault == nil) || rf != lf {
-				t.Fatalf("step %d: Translate(%#x, %v) radix (%v, %v), legacy (%v, %v)",
-					step, addr, kind, rf, rFault, lf, lFault)
+			var want *Fault
+			switch {
+			case !mapped:
+				want = &Fault{Addr: addr, Access: kind, Reason: FaultUnmapped}
+			case me.prot&need == 0:
+				want = &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
 			}
-			if rFault != nil && rFault.Reason != lFault.Reason {
-				t.Fatalf("step %d: fault reasons differ: %v vs %v", step, rFault.Reason, lFault.Reason)
+			f, fault := radix.Translate(addr, kind)
+			if (fault == nil) != (want == nil) || (want == nil && f != me.frame) {
+				t.Fatalf("step %d: Translate(%#x, %v) = (%v, %v), model (%v, %v)",
+					step, addr, kind, f, fault, me.frame, want)
+			}
+			if fault != nil && *fault != *want {
+				t.Fatalf("step %d: fault %v, model %v", step, fault, want)
 			}
 		}
-		if radix.MappedPages() != legacy.MappedPages() {
-			t.Fatalf("step %d: mapped %d (radix) vs %d (legacy)", step, radix.MappedPages(), legacy.MappedPages())
+		if radix.MappedPages() != uint64(len(model)) {
+			t.Fatalf("step %d: mapped %d (radix) vs %d (model)", step, radix.MappedPages(), len(model))
 		}
 	}
-	// Final sweep: every page's Lookup must agree.
+	// Final sweep: every page's Lookup must agree, and ForEach must visit
+	// exactly the model's pages in ascending order.
 	for i := VPN(0); i < pages; i++ {
-		rf, rp, rok := radix.Lookup(base + i)
-		lf, lp, lok := legacy.Lookup(base + i)
-		if rf != lf || rp != lp || rok != lok {
-			t.Fatalf("page %d: radix (%v,%v,%v) vs legacy (%v,%v,%v)", i, rf, rp, rok, lf, lp, lok)
+		f, p, ok := radix.Lookup(base + i)
+		me, mok := model[base+i]
+		if f != me.frame || p != me.prot || ok != mok {
+			t.Fatalf("page %d: radix (%v,%v,%v) vs model (%v,%v,%v)", i, f, p, ok, me.frame, me.prot, mok)
+		}
+	}
+	var visited []VPN
+	radix.ForEach(func(v VPN, f phys.FrameID, p Prot) {
+		if me := model[v]; f != me.frame || p != me.prot {
+			t.Fatalf("ForEach(%#x) = (%v,%v), model (%v,%v)", v, f, p, me.frame, me.prot)
+		}
+		visited = append(visited, v)
+	})
+	checkAscendingKeys(t, visited, model)
+}
+
+// checkAscendingKeys requires got to hold exactly model's keys, ascending.
+func checkAscendingKeys[V any](t *testing.T, got []VPN, model map[VPN]V) {
+	t.Helper()
+	if len(got) != len(model) {
+		t.Fatalf("visited %d pages, model holds %d", len(got), len(model))
+	}
+	for i, v := range got {
+		if _, ok := model[v]; !ok {
+			t.Fatalf("visited page %#x the model does not hold", v)
+		}
+		if i > 0 && got[i-1] >= v {
+			t.Fatalf("visit order not ascending: %#x then %#x", got[i-1], v)
 		}
 	}
 }
 
-// benchmarkTranslate isolates the page-table walk itself: Lookup over a
-// 64Ki-page working set, the operation the radix tree replaces map hashing
-// in. Unlike the full MMU access path (where TLB/cache/meter work dilutes
-// the difference), this shows the table implementations' raw gap.
-func benchmarkTranslate(b *testing.B, legacy bool) {
-	var s *Space
-	if legacy {
-		s = NewLegacyMapSpace()
-	} else {
-		s = NewSpace()
+// TestPageMapMatchesMapModel drives a PageMap and a map model through random
+// Set and delete-by-zero traffic spread across leaf and mid-level boundaries
+// and up to the last user page, checking Get after every step and ForEach's
+// keys and order at the end.
+func TestPageMapMatchesMapModel(t *testing.T) {
+	var pm PageMap[uint32]
+	model := make(map[VPN]uint32)
+	next := xorshift()
+	last := VPN(UserAddrLimit>>PageShift) - 1
+	// Clusters straddle a leaf boundary, a mid-level boundary and the end
+	// of the user space.
+	clusters := []VPN{16, radixLeafSize - 40, radixLeafSize*radixMidSize - 40, last - 79}
+	for step := 0; step < 20000; step++ {
+		vpn := clusters[next()%uint64(len(clusters))] + VPN(next()%80)
+		if next()%3 == 0 {
+			pm.Set(vpn, 0)
+			delete(model, vpn)
+		} else {
+			v := uint32(next()%1000) + 1
+			pm.Set(vpn, v)
+			model[vpn] = v
+		}
+		probe := clusters[next()%uint64(len(clusters))] + VPN(next()%80)
+		if got, want := pm.Get(probe), model[probe]; got != want {
+			t.Fatalf("step %d: Get(%#x) = %d, model %d", step, probe, got, want)
+		}
 	}
+	if got := pm.Get(last + 1); got != 0 {
+		t.Fatalf("Get beyond the user space = %d, want 0", got)
+	}
+	var visited []VPN
+	pm.ForEach(func(v VPN, val uint32) {
+		if val != model[v] {
+			t.Fatalf("ForEach(%#x) = %d, model %d", v, val, model[v])
+		}
+		visited = append(visited, v)
+	})
+	checkAscendingKeys(t, visited, model)
+}
+
+// TestReservePagesRefusesWrappingCounts asks for reservations whose size
+// would wrap the bump pointer or the budget counter: both must fail with
+// ErrAddressSpaceExhausted and leave the space's counters unchanged.
+func TestReservePagesRefusesWrappingCounts(t *testing.T) {
+	check := func(t *testing.T, s *Space, n uint64) {
+		t.Helper()
+		next, reserved := s.NextFreshPage(), s.ReservedPages()
+		if v, err := s.ReservePages(n); !errors.Is(err, ErrAddressSpaceExhausted) {
+			t.Fatalf("ReservePages(%#x) = %#x, %v; want ErrAddressSpaceExhausted", n, v, err)
+		}
+		if s.NextFreshPage() != next || s.ReservedPages() != reserved {
+			t.Fatalf("failed reservation moved next %#x -> %#x, reserved %d -> %d",
+				next, s.NextFreshPage(), reserved, s.ReservedPages())
+		}
+	}
+	t.Run("limit", func(t *testing.T) { check(t, NewSpace(), math.MaxUint64) })
+	t.Run("budget", func(t *testing.T) {
+		s := NewSpace()
+		if _, err := s.ReservePages(10); err != nil {
+			t.Fatal(err)
+		}
+		s.SetBudget(100)
+		check(t, s, math.MaxUint64-5)
+	})
+}
+
+// BenchmarkTranslate isolates the page-table walk itself: Lookup over a
+// 64Ki-page working set, without the TLB, cache and meter work of the full
+// MMU access path.
+func BenchmarkTranslate(b *testing.B) {
+	s := NewSpace()
 	const pages = 65536
 	vpn, err := s.ReservePages(pages)
 	if err != nil {
@@ -456,11 +549,4 @@ func benchmarkTranslate(b *testing.B, legacy bool) {
 		sink += uint64(f)
 	}
 	_ = sink
-}
-
-// BenchmarkTranslate compares raw page-table lookup between the radix tree
-// and the legacy map page table.
-func BenchmarkTranslate(b *testing.B) {
-	b.Run("radix", func(b *testing.B) { benchmarkTranslate(b, false) })
-	b.Run("legacy-map", func(b *testing.B) { benchmarkTranslate(b, true) })
 }

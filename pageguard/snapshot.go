@@ -26,10 +26,10 @@ type Snapshot struct {
 // up one process on it, and freezes the pair as a fork source.
 //
 // Options that reconfigure the machine's structure (MaxFrames, StackPages,
-// the MMU/cost model, the legacy page table) are baked into the snapshot and
-// must match at Fork time; per-request knobs (fault schedule, VA budget,
-// reuse policy, GC schedule, overflow guards, span tracing) may be changed
-// freely by Fork's extra options.
+// the MMU/cost model) are baked into the snapshot and must match at Fork
+// time; per-request knobs (fault schedule, VA budget, reuse policy, GC
+// schedule, overflow guards, span tracing) may be changed freely by Fork's
+// extra options.
 func NewSnapshot(opts ...Option) (*Snapshot, error) {
 	m := NewMachine(opts...)
 	if m.cfg.schedErr != nil {

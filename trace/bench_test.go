@@ -1,0 +1,59 @@
+package trace
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/pageguard"
+)
+
+// replayBenchTrace renders a trace shaped like perfbench's replay-unique
+// request: 160 objects of 12 to 28 pages, each allocated, written, read and
+// freed, plus two dangling reads. The fixed seed keeps every run replaying
+// the same bytes.
+func replayBenchTrace() string {
+	const objects = 160
+	rng := rand.New(rand.NewSource(1))
+	dangling := map[int]bool{37: true, 118: true}
+	var b strings.Builder
+	for id := 1; id <= objects; id++ {
+		size := 49152 + rng.Intn(7)*16384
+		fmt.Fprintf(&b, "a %d %d\nw %d %d\nr %d %d\nf %d\n",
+			id, size, id, rng.Intn(size/8)*8, id, rng.Intn(64)*8, id)
+		if dangling[id] {
+			fmt.Fprintf(&b, "r %d %d\n", id, rng.Intn(64)*8)
+		}
+	}
+	return b.String()
+}
+
+// BenchmarkReplay measures the replay layer as pgserved runs it on a cache
+// miss: fork the pre-warmed snapshot, then replay the parsed events on the
+// fork. Parsing and rendering are outside the timed loop.
+func BenchmarkReplay(b *testing.B) {
+	f, err := ParseFile(strings.NewReader(replayBenchTrace()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := pageguard.NewSnapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := snap.Fork(f.MachineOptions()...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := Replay(m, f.Events)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Detections) != 2 {
+			b.Fatalf("replay detected %d dangling uses, want 2", len(rep.Detections))
+		}
+	}
+}

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -13,21 +13,69 @@ import (
 )
 
 // replayKey is the content hash that identifies one replay result: the
-// SHA-256 of the canonical trace rendering (File.Format — every
-// semantics-affecting directive included: faults, policy, VA budget, guards,
-// after query-parameter overrides were applied) plus the spans flag. Two
-// requests with the same key are guaranteed the same response bytes by the
-// replayer's determinism, which is what makes memoizing them sound.
+// SHA-256 of the spans flag, every event's source line, and the canonical
+// trace rendering (File.Format — every semantics-affecting directive
+// included: faults, policy, VA budget, guards, after query-parameter
+// overrides were applied). Two requests with the same key are guaranteed the
+// same response bytes by the replayer's determinism, which is what makes
+// memoizing them sound. The lines are part of the key because the body names
+// them (a detection's sites are "trace:<line>") while Format drops them: a
+// comment that moves the events down a line changes the response.
 type replayKey [sha256.Size]byte
 
 func keyForReplay(tf *trace.File, spans bool) replayKey {
-	var b bytes.Buffer
-	if spans {
-		b.WriteString("!spans\n") // not a trace directive; just a key discriminator
+	h := sha256.New()
+	// The flag and the length-prefixed line list come first, so the
+	// canonical text that follows cannot be mistaken for either.
+	var buf [512]byte
+	b := append(buf[:0], flag(spans))
+	b = binary.AppendUvarint(b, uint64(len(tf.Events)))
+	for _, ev := range tf.Events {
+		if len(b) > len(buf)-binary.MaxVarintLen64 {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.AppendUvarint(b, uint64(ev.Line))
 	}
-	tf.Format(&b)
-	return sha256.Sum256(b.Bytes())
+	h.Write(b)
+	tf.Format(h)
+	var k replayKey
+	h.Sum(k[:0])
+	return k
 }
+
+// rawKey identifies one request as it arrived: the SHA-256 of the body
+// bytes and every response-changing query parameter, each length-prefixed.
+// trace.ParseFile is deterministic and the overrides are applied to its
+// result, so one rawKey always yields one replayKey; the raw index relies on
+// that to serve a repeat without parsing.
+type rawKey [sha256.Size]byte
+
+func rawKeyFor(body []byte, o overrides) rawKey {
+	h := sha256.New()
+	var n [8]byte
+	for _, field := range [...][]byte{body, []byte(o.faults), []byte(o.sampling), {flag(o.guards), flag(o.spans)}} {
+		binary.BigEndian.PutUint64(n[:], uint64(len(field)))
+		h.Write(n[:])
+		h.Write(field)
+	}
+	var k rawKey
+	h.Sum(k[:0])
+	return k
+}
+
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// maxAliases bounds the raw keys one cache entry answers to. Comment or
+// whitespace variants of one trace share a canonical entry; without the
+// bound a client sending endless variants would grow the raw index without
+// limit. Past it the oldest alias is dropped and its next request parses.
+const maxAliases = 4
 
 // replayEntry is one memoized replay result: the full response body plus the
 // per-process metrics snapshot that must merge into the fleet aggregate on
@@ -57,15 +105,21 @@ type inflightReplay struct {
 }
 
 // replayCache is a bounded LRU of memoized replay results with single-flight
-// dedup of concurrent identical requests. Safe for concurrent use.
+// dedup of concurrent identical requests, fronted by an index of raw request
+// hashes. Safe for concurrent use.
 type replayCache struct {
-	mu       sync.Mutex
-	max      int
-	entries  map[replayKey]*list.Element
+	mu      sync.Mutex
+	max     int
+	entries map[replayKey]*list.Element
+	// raw maps a request's rawKey to the entry its canonical key names. It
+	// holds hashes only, at most maxAliases per live entry, and an entry's
+	// aliases leave with it on eviction.
+	raw      map[rawKey]*list.Element
 	lru      *list.List // front = most recently used
 	inflight map[replayKey]*inflightReplay
 
 	hits      atomic.Uint64
+	rawHits   atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
@@ -74,6 +128,8 @@ type replayCache struct {
 type lruItem struct {
 	key replayKey
 	ent *replayEntry
+	// aliases are the raw keys in raw that point here, oldest first.
+	aliases []rawKey
 }
 
 // newReplayCache builds a cache bounded to max entries and registers its
@@ -82,12 +138,16 @@ func newReplayCache(max int, reg *obs.Registry) *replayCache {
 	c := &replayCache{
 		max:      max,
 		entries:  make(map[replayKey]*list.Element),
+		raw:      make(map[rawKey]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[replayKey]*inflightReplay),
 	}
 	reg.CounterFunc("pg_cache_hits_total",
 		"replay requests served from the content-hash cache (including single-flight waiters)",
 		c.hits.Load)
+	reg.CounterFunc("pg_cache_raw_hits_total",
+		"cache hits answered from the raw-body index without parsing the trace (a subset of pg_cache_hits_total)",
+		c.rawHits.Load)
 	reg.CounterFunc("pg_cache_misses_total",
 		"replay requests that simulated because no cache entry existed",
 		c.misses.Load)
@@ -102,6 +162,48 @@ func newReplayCache(max int, reg *obs.Registry) *replayCache {
 			return float64(len(c.entries))
 		})
 	return c
+}
+
+// lookupRaw returns the entry a request's raw key is aliased to, counting a
+// hit, or nil when the key has no alias and the request must parse.
+func (c *replayCache) lookupRaw(rk rawKey) *replayEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.raw[rk]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(el)
+	c.hits.Add(1)
+	c.rawHits.Add(1)
+	return el.Value.(*lruItem).ent
+}
+
+// alias points rk at the live entry for key, so the next request with the
+// same raw bytes skips the parse. It does nothing when key has no entry
+// (the replay failed, or the entry was already evicted) or rk is already
+// aliased; past maxAliases the entry's oldest alias is dropped. A nil cache
+// does nothing.
+func (c *replayCache) alias(rk rawKey, key replayKey) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	if _, ok := c.raw[rk]; ok {
+		return
+	}
+	it := el.Value.(*lruItem)
+	if len(it.aliases) == maxAliases {
+		delete(c.raw, it.aliases[0])
+		it.aliases = append(it.aliases[:0], it.aliases[1:]...)
+	}
+	it.aliases = append(it.aliases, rk)
+	c.raw[rk] = el
 }
 
 // begin resolves a key against the cache. Exactly one of the returns is
@@ -156,9 +258,11 @@ func (c *replayCache) complete(key replayKey, f *inflightReplay, ent *replayEntr
 		if _, exists := c.entries[key]; !exists {
 			c.entries[key] = c.lru.PushFront(&lruItem{key: key, ent: ent})
 			for c.lru.Len() > c.max {
-				last := c.lru.Back()
-				c.lru.Remove(last)
-				delete(c.entries, last.Value.(*lruItem).key)
+				last := c.lru.Remove(c.lru.Back()).(*lruItem)
+				delete(c.entries, last.key)
+				for _, rk := range last.aliases {
+					delete(c.raw, rk)
+				}
 				c.evictions.Add(1)
 			}
 		}

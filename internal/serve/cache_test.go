@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,31 +20,193 @@ func cachedServer(t *testing.T, entries int) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// postQuery POSTs body to /replay with the query string q ("" or "?...").
+func postQuery(t *testing.T, url, q string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/replay"+q, "text/plain", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// blankVariant is tr with blanks around every line and a comment after the
+// last event: other bytes, the same canonical trace, every event on the
+// line it had.
+func blankVariant(tr []byte, comment string) []byte {
+	v := bytes.ReplaceAll(tr, []byte("\n"), []byte(" \t\n\v"))
+	return append(v, "# "+comment+"\n"...)
+}
+
 // TestCacheHitByteIdentity: repeat requests are served from the cache
 // (X-Pg-Cache flips miss -> hit) with bodies byte-identical to the offline
-// replay, and the hit/miss counters account for every request.
+// replay, and the hit/miss counters account for every request. A repeat of
+// the same bytes is answered from the raw-body index; a body that differs
+// only in blanks and comments reaches the same canonical entry, and its own
+// repeat is then a raw hit. Each response-changing query parameter on the
+// same bytes, and a comment that moves the events to other lines, misses
+// and serves its own body.
 func TestCacheHitByteIdentity(t *testing.T) {
 	tr := faultedTrace(t)
 	want, err := offlineNDJSON(tr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	variant := blankVariant(tr, "recorded by pgtrace")
 	s, ts := cachedServer(t, 64)
-	states := []string{"miss", "hit", "hit"}
-	for i, wantState := range states {
-		resp, body := postReplay(t, ts.URL, tr)
+	for i, step := range []struct {
+		body  []byte
+		state string
+		raw   bool
+	}{
+		{tr, "miss", false},
+		{tr, "hit", true},
+		{tr, "hit", true},
+		{variant, "hit", false},
+		{variant, "hit", true},
+	} {
+		rawBefore := s.cache.rawHits.Load()
+		resp, body := postReplay(t, ts.URL, step.body)
 		if resp.StatusCode != 200 {
 			t.Fatalf("request %d: status %s: %s", i, resp.Status, body)
 		}
-		if got := resp.Header.Get("X-Pg-Cache"); got != wantState {
-			t.Errorf("request %d: X-Pg-Cache = %q, want %q", i, got, wantState)
+		if got := resp.Header.Get("X-Pg-Cache"); got != step.state {
+			t.Errorf("request %d: X-Pg-Cache = %q, want %q", i, got, step.state)
+		}
+		if raw := s.cache.rawHits.Load() > rawBefore; raw != step.raw {
+			t.Errorf("request %d: raw-index hit = %v, want %v", i, raw, step.raw)
 		}
 		if !bytes.Equal(body, want) {
-			t.Errorf("request %d (%s) diverged from the offline replay", i, wantState)
+			t.Errorf("request %d (%s) diverged from the offline replay", i, step.state)
 		}
 	}
-	if h, m := s.cache.hits.Load(), s.cache.misses.Load(); h != 2 || m != 1 {
-		t.Errorf("hits=%d misses=%d, want 2/1", h, m)
+	if h, m, r := s.cache.hits.Load(), s.cache.misses.Load(), s.cache.rawHits.Load(); h != 4 || m != 1 || r != 3 {
+		t.Errorf("hits=%d misses=%d raw hits=%d, want 4/1/3", h, m, r)
+	}
+
+	// The same bytes under each parameter. The leading comment line makes
+	// room for the directive the parameter stands for in the offline
+	// reference, so both put every event on the same line.
+	body := []byte("#\n" + uafTrace)
+	for _, tc := range []struct {
+		query, directive string
+		spans            bool
+	}{
+		{"", "#", false},
+		{"?sampling=rate=64,seed=3", "!sampling rate=64,seed=3", false},
+		{"?guards=1", "!guards", false},
+		{"?spans=1", "#", true},
+	} {
+		want, err := offlineNDJSON([]byte(tc.directive+"\n"+uafTrace), tc.spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []string{"miss", "hit"} {
+			resp, got := postQuery(t, ts.URL, tc.query, body)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%q: status %s: %s", tc.query, resp.Status, got)
+			}
+			if st := resp.Header.Get("X-Pg-Cache"); st != state {
+				t.Errorf("%q: X-Pg-Cache = %q, want %q", tc.query, st, state)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%q (%s) diverged from the offline replay of %q", tc.query, state, tc.directive)
+			}
+		}
+		if tc.query != "" && bytes.Equal(want, mustOffline(t, body)) {
+			t.Errorf("%q: reference body equals the plain one; the case checks nothing", tc.query)
+		}
+	}
+
+	// Detection sites name source lines, so a comment that moves every
+	// event down a line is a different response.
+	resp, got := postReplay(t, ts.URL, append([]byte("#\n#\n"), tr...))
+	if st := resp.Header.Get("X-Pg-Cache"); st != "miss" {
+		t.Errorf("line-shifted trace: X-Pg-Cache = %q, want miss", st)
+	}
+	if !bytes.Equal(got, mustOffline(t, append([]byte("#\n#\n"), tr...))) {
+		t.Error("line-shifted trace diverged from its offline replay")
+	}
+}
+
+func mustOffline(t *testing.T, tr []byte) []byte {
+	t.Helper()
+	b, err := offlineNDJSON(tr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCacheRawAliasBound: the raw index stores at most maxAliases raw keys
+// per entry, whatever the number of distinct bodies that share it, keeping
+// the most recent ones.
+func TestCacheRawAliasBound(t *testing.T) {
+	tr := slowTrace(4)
+	want := mustOffline(t, tr)
+	s, ts := cachedServer(t, 64)
+	variants := make([][]byte, 100)
+	for i := range variants {
+		variants[i] = blankVariant(tr, fmt.Sprintf("variant %d", i))
+		if resp, body := postReplay(t, ts.URL, variants[i]); resp.StatusCode != 200 || !bytes.Equal(body, want) {
+			t.Fatalf("variant %d: status %s, body diverged=%v", i, resp.Status, !bytes.Equal(body, want))
+		}
+	}
+	s.cache.mu.Lock()
+	raw, entries := len(s.cache.raw), len(s.cache.entries)
+	s.cache.mu.Unlock()
+	if entries != 1 || raw > maxAliases {
+		t.Fatalf("%d entries, %d raw aliases; want 1 entry and at most %d aliases", entries, raw, maxAliases)
+	}
+	// Newest first: a repeat answered by the index changes no alias, while
+	// one that parses aliases itself and drops the entry's oldest alias.
+	for i := len(variants) - 1; i >= 0; i-- {
+		v := variants[i]
+		before := s.cache.rawHits.Load()
+		resp, body := postReplay(t, ts.URL, v)
+		if resp.Header.Get("X-Pg-Cache") != "hit" || !bytes.Equal(body, want) {
+			t.Fatalf("variant %d repeat: X-Pg-Cache %q, body diverged=%v", i, resp.Header.Get("X-Pg-Cache"), !bytes.Equal(body, want))
+		}
+		if wantRaw := i >= len(variants)-maxAliases; (s.cache.rawHits.Load() > before) != wantRaw {
+			t.Errorf("variant %d repeat: raw hit = %v, want %v", i, !wantRaw, wantRaw)
+		}
+	}
+}
+
+// TestCacheEvictionDropsRawAliases: an evicted entry takes its raw aliases
+// with it, and a repeat of the evicted trace's bytes parses, misses and
+// serves a correct body.
+func TestCacheEvictionDropsRawAliases(t *testing.T) {
+	s, ts := cachedServer(t, 1)
+	a, b := slowTrace(1), slowTrace(2)
+	for _, tr := range [][]byte{a, a, b} {
+		if resp, body := postReplay(t, ts.URL, tr); resp.StatusCode != 200 {
+			t.Fatalf("status %s: %s", resp.Status, body)
+		}
+	}
+	s.cache.mu.Lock()
+	_, aliasA := s.cache.raw[rawKeyFor(a, overrides{})]
+	_, aliasB := s.cache.raw[rawKeyFor(b, overrides{})]
+	raw := len(s.cache.raw)
+	s.cache.mu.Unlock()
+	if aliasA || !aliasB || raw != 1 {
+		t.Fatalf("after evicting a: alias a=%v, alias b=%v, %d aliases; want false, true, 1", aliasA, aliasB, raw)
+	}
+	before := s.cache.rawHits.Load()
+	resp, body := postReplay(t, ts.URL, a)
+	if got := resp.Header.Get("X-Pg-Cache"); got != "miss" {
+		t.Errorf("evicted trace served X-Pg-Cache %q, want miss", got)
+	}
+	if s.cache.rawHits.Load() != before {
+		t.Error("evicted trace was answered from the raw index")
+	}
+	if !bytes.Equal(body, mustOffline(t, a)) {
+		t.Error("evicted trace's repeat diverged from the offline replay")
 	}
 }
 
@@ -81,7 +244,9 @@ func TestCacheOffServesWithoutCacheHeader(t *testing.T) {
 
 // TestCacheSingleFlight: concurrent identical requests simulate once — the
 // leader replays, every waiter is served the same entry, and the miss counter
-// records exactly one simulation.
+// records exactly one simulation. A second concurrent round mixes repeats,
+// answered from the raw index, with blank variants that parse and alias
+// themselves at the same time.
 func TestCacheSingleFlight(t *testing.T) {
 	tr := slowTrace(800)
 	want, err := offlineNDJSON(tr, false)
@@ -90,32 +255,49 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 	s, ts := cachedServer(t, 64)
 	const clients = 8
-	var wg sync.WaitGroup
-	errs := make([]string, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := postReplay(t, ts.URL, tr)
-			switch {
-			case resp.StatusCode != 200:
-				errs[i] = resp.Status
-			case !bytes.Equal(body, want):
-				errs[i] = "body diverged"
+	round := func(body func(i int) []byte) {
+		var wg sync.WaitGroup
+		errs := make([]string, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, got := postReplay(t, ts.URL, body(i))
+				switch {
+				case resp.StatusCode != 200:
+					errs[i] = resp.Status
+				case !bytes.Equal(got, want):
+					errs[i] = "body diverged"
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, e := range errs {
+			if e != "" {
+				t.Errorf("client %d: %s", i, e)
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, e := range errs {
-		if e != "" {
-			t.Errorf("client %d: %s", i, e)
 		}
 	}
+	round(func(int) []byte { return tr })
 	if m := s.cache.misses.Load(); m != 1 {
 		t.Errorf("misses = %d, want 1 (single-flight should dedup concurrent identical requests)", m)
 	}
 	if h := s.cache.hits.Load(); h != clients-1 {
 		t.Errorf("hits = %d, want %d", h, clients-1)
+	}
+
+	// Three variants plus tr's own alias stay within maxAliases, so every
+	// repeat of tr is a raw hit whatever the interleaving. (A late client of
+	// the first round may already have been one.)
+	rawBefore := s.cache.rawHits.Load()
+	round(func(i int) []byte {
+		if i%2 == 1 && i < 6 {
+			return blankVariant(tr, fmt.Sprint(i))
+		}
+		return tr
+	})
+	if m, h, r := s.cache.misses.Load(), s.cache.hits.Load(), s.cache.rawHits.Load()-rawBefore; m != 1 || h != 2*clients-1 || r != clients-3 {
+		t.Errorf("misses=%d hits=%d second-round raw hits=%d, want 1/%d/%d", m, h, r, 2*clients-1, clients-3)
 	}
 }
 
@@ -186,31 +368,49 @@ func TestCacheSpansKeyedSeparately(t *testing.T) {
 	}
 }
 
-// TestCacheMetricsDeterminism: the merged replay-metrics snapshot is a
-// function of the served request multiset alone — three serves of one trace
-// produce identical merged metrics whether each simulated (cache off) or two
-// were cache hits.
+// TestCacheMetricsDeterminism: the merged replay-metrics snapshot and the
+// crash-bucket database are functions of the served request multiset alone
+// — the same requests produce byte-identical /metrics/replay.json and
+// /buckets whether each simulated (cache off) or most were answered from the
+// cache, raw-index hits included.
 func TestCacheMetricsDeterminism(t *testing.T) {
 	tr := faultedTrace(t)
-	serveThrice := func(cfg Config) []byte {
-		s := New(cfg)
+	variant := blankVariant(tr, "variant")
+	requests := [][]byte{tr, tr, tr, variant, variant, []byte(uafTrace), tr, []byte(uafTrace)}
+	serve := func(cfg Config) (metrics, buckets []byte, s *Server) {
+		s = New(cfg)
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
-		for i := 0; i < 3; i++ {
-			if resp, body := postReplay(t, ts.URL, tr); resp.StatusCode != 200 {
-				t.Fatalf("status %s: %s", resp.Status, body)
+		for _, body := range requests {
+			if resp, got := postReplay(t, ts.URL, body); resp.StatusCode != 200 {
+				t.Fatalf("status %s: %s", resp.Status, got)
 			}
 		}
-		var buf bytes.Buffer
-		if err := s.ReplaySnapshot().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
+		get := func(path string) []byte {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
 		}
-		return buf.Bytes()
+		return get("/metrics/replay.json"), get("/buckets"), s
 	}
-	uncached := serveThrice(Config{})
-	cached := serveThrice(Config{Snapshots: true, CacheEntries: 64})
-	if !bytes.Equal(uncached, cached) {
+	uncachedMetrics, uncachedBuckets, _ := serve(Config{})
+	cachedMetrics, cachedBuckets, s := serve(Config{Snapshots: true, CacheEntries: 64})
+	if r := s.cache.rawHits.Load(); r != 5 {
+		t.Errorf("raw hits = %d, want 5", r)
+	}
+	if !bytes.Equal(uncachedMetrics, cachedMetrics) {
 		t.Errorf("merged replay metrics diverge between cached and uncached serving:\n%s\nvs\n%s",
-			uncached, cached)
+			uncachedMetrics, cachedMetrics)
+	}
+	if !bytes.Equal(uncachedBuckets, cachedBuckets) {
+		t.Errorf("crash buckets diverge between cached and uncached serving:\n%s\nvs\n%s",
+			uncachedBuckets, cachedBuckets)
 	}
 }

@@ -240,11 +240,12 @@ func (rt *Router) firstUsable() *routerBackend {
 	return nil
 }
 
-// replayHash computes the routing hash for a replay body: the same canonical
-// trace rendering the backend replay cache keys on (so one trace's repeats
-// always share a backend cache), plus the query string, whose parameters
-// change replay semantics. An unparseable body hashes raw — the backend will
-// reject it, but consistently.
+// replayHash computes the routing hash for a replay body: the canonical
+// trace rendering the backend replay cache keys on (so one trace's repeats,
+// and its comment and whitespace variants, always share a backend cache),
+// plus the query string, whose parameters change replay semantics. An
+// unparseable body hashes raw — the backend will reject it, but
+// consistently.
 func replayHash(body []byte, rawQuery string) uint64 {
 	h := sha256.New()
 	if tf, err := trace.ParseFile(bytes.NewReader(body)); err == nil {
@@ -260,8 +261,7 @@ func replayHash(body []byte, rawQuery string) uint64 {
 func (rt *Router) handleReplay(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
-			fmt.Sprintf("trace larger than the %d-byte request limit", rt.cfg.MaxBodyBytes), 0)
+		writeBodyError(w, err, rt.cfg.MaxBodyBytes)
 		return
 	}
 	rt.proxy(w, r, rt.pick(replayHash(body, r.URL.RawQuery)), body)

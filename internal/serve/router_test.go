@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/trace"
@@ -171,6 +174,40 @@ func TestRouterNoBackend(t *testing.T) {
 	}
 	if rt.noBackend.Load() == 0 {
 		t.Error("pgrouter_no_backend_total not incremented")
+	}
+}
+
+// TestRouterBodyReadErrors: only a body over the limit is a 413. A body
+// that fails mid-stream (a client abort, a truncated chunked upload) is a
+// 400 bad-trace at the router exactly as at a backend; the router used to
+// answer every read error with 413 body-too-large.
+func TestRouterBodyReadErrors(t *testing.T) {
+	rt, _, servers, _ := routerFixture(t, 1)
+	for _, tc := range []struct {
+		name   string
+		body   func() io.Reader
+		status int
+		code   string
+	}{
+		{"truncated", func() io.Reader {
+			return io.MultiReader(strings.NewReader("a 1 64\nw 1"), iotest.ErrReader(io.ErrUnexpectedEOF))
+		}, http.StatusBadRequest, ErrCodeBadTrace},
+		{"over limit", func() io.Reader {
+			return bytes.NewReader(bytes.Repeat([]byte("# padding\n"), 1<<17))
+		}, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge},
+	} {
+		for name, h := range map[string]http.Handler{"router": rt.Handler(), "backend": servers[0].Handler()} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/replay", tc.body()))
+			resp := rec.Result()
+			body := rec.Body.Bytes()
+			if resp.StatusCode != tc.status {
+				t.Fatalf("%s, %s: status %s, want %d: %s", tc.name, name, resp.Status, tc.status, body)
+			}
+			if eb := decodeError(t, resp, body); eb.Code != tc.code {
+				t.Errorf("%s, %s: code %q, want %q", tc.name, name, eb.Code, tc.code)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -501,6 +502,19 @@ func writeError(w http.ResponseWriter, status int, code, detail string, retryAft
 	w.Write(append(b, '\n'))
 }
 
+// writeBodyError answers a replay body that could not be read: 413 when it
+// ran past limit, 400 bad-trace for any other read error (a client abort, a
+// truncated chunked body).
+func writeBodyError(w http.ResponseWriter, err error, limit int64) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
+			fmt.Sprintf("trace larger than the %d-byte request limit", limit), 0)
+		return
+	}
+	writeError(w, http.StatusBadRequest, ErrCodeBadTrace, "bad trace: "+err.Error(), 0)
+}
+
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.count(s.requests["replay"])
@@ -517,16 +531,25 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	tf, err := trace.ParseFile(body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		s.count(s.errs)
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge,
-				fmt.Sprintf("trace larger than the %d-byte request limit", s.cfg.MaxBodyBytes), 0)
+		writeBodyError(w, err, s.cfg.MaxBodyBytes)
+		return
+	}
+	// A repeat of bytes already answered is served from the raw index: no
+	// parse, no canonical key.
+	var rk rawKey
+	if s.cache != nil {
+		rk = rawKeyFor(body, o)
+		if ent := s.cache.lookupRaw(rk); ent != nil {
+			s.serveHit(w, r, ent, start, time.Now())
 			return
 		}
+	}
+	tf, err := trace.ParseFile(bytes.NewReader(body))
+	if err != nil {
+		s.count(s.errs)
 		writeError(w, http.StatusBadRequest, ErrCodeBadTrace, "bad trace: "+err.Error(), 0)
 		return
 	}
@@ -534,20 +557,25 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if o.faults != "" {
 		tf.FaultSpec = o.faults
 	}
-	if r.URL.Query().Get("guards") == "1" {
+	if o.guards {
 		tf.Guards = true
 	}
 	if o.sampling != "" {
 		tf.SamplingSpec = o.sampling
 	}
-	s.replayFile(w, r, tf, start)
+	if key, ok := s.replayFile(w, r, tf, o.spans, start); ok {
+		s.cache.alias(rk, key)
+	}
 }
 
-// overrides are a replay request's ?faults= and ?sampling= query
-// parameters, which override the trace's '!faults' and '!sampling'
-// directives ("" = no override).
+// overrides are a replay request's query parameters that change its
+// response: ?faults= and ?sampling= override the trace's '!faults' and
+// '!sampling' directives ("" = no override), ?guards=1 turns on '!guards',
+// and ?spans=1 appends the span stream to the body. They are read in one
+// place so that the raw cache key covers every parameter a request applies.
 type overrides struct {
 	faults, sampling string
+	guards, spans    bool
 }
 
 // queryOverrides reads the request's overrides and parses each with the
@@ -556,7 +584,12 @@ type overrides struct {
 // the spec gets as a trace directive — and the second result is false.
 func (s *Server) queryOverrides(w http.ResponseWriter, r *http.Request) (overrides, bool) {
 	q := r.URL.Query()
-	o := overrides{faults: q.Get("faults"), sampling: q.Get("sampling")}
+	o := overrides{
+		faults:   q.Get("faults"),
+		sampling: q.Get("sampling"),
+		guards:   q.Get("guards") == "1",
+		spans:    q.Get("spans") == "1",
+	}
 	bad := func(param, what string, err error) (overrides, bool) {
 		s.count(s.errs)
 		writeError(w, http.StatusBadRequest, ErrCodeBadTrace,
@@ -592,11 +625,11 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) *pagegu
 }
 
 // replayFile runs the trace (directives honoured) on a worker slot and
-// streams the canonical NDJSON result. With ?spans=1 the machine is built
-// with span tracing and the body carries the span stream (plus the
-// leaf-vs-charged reconciliation trailer) after the replay lines — the
-// same bytes pgtrace -ndjson -spans produces offline. start is the
-// handler's arrival time, used only for the /debug/spans host-side record.
+// streams the canonical NDJSON result. With withSpans (?spans=1) the machine
+// is built with span tracing and the body carries the span stream (plus the
+// leaf-vs-charged reconciliation trailer) after the replay lines — the same
+// bytes pgtrace -ndjson -spans produces offline. start is the handler's
+// arrival time, used only for the /debug/spans host-side record.
 //
 // With the content-hash cache enabled, identical requests are served from
 // the memoized body without simulating; concurrent identical misses simulate
@@ -604,9 +637,9 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) *pagegu
 // takes the same render and write path and skips only the key, begin and
 // complete steps. Every 200 response — simulated or cached — merges the
 // replay's process metrics into the fleet aggregate, so the merged snapshot
-// stays a function of the served request multiset alone.
-func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.File, start time.Time) {
-	withSpans := r.URL.Query().Get("spans") == "1"
+// stays a function of the served request multiset alone. On a 200 it returns
+// the canonical key (zero with the cache off) and true.
+func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.File, withSpans bool, start time.Time) (replayKey, bool) {
 	var extra []pageguard.Option
 	if withSpans {
 		extra = append(extra, pageguard.WithSpanTracing())
@@ -635,24 +668,32 @@ func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.Fi
 		})
 		if err != nil {
 			s.runError(w, ctx, err, "replay")
-			return
+			return key, false
 		}
 		s.writeEntry(w, r, e, "miss", start, execStart)
-		return
+		return key, true
 	default:
 		// Another request is simulating this exact key: wait for it.
 		select {
 		case <-call.done:
 		case <-ctx.Done():
 			s.runError(w, ctx, ctx.Err(), "replay")
-			return
+			return key, false
 		}
 		if call.err != nil {
 			s.runError(w, ctx, call.err, "replay")
-			return
+			return key, false
 		}
 		ent = call.ent
 	}
+	s.serveHit(w, r, ent, start, execStart)
+	return key, true
+}
+
+// serveHit serves a cached entry: its process metrics merge into the fleet
+// aggregate and it counts as a completed replay, exactly as if it had been
+// simulated again.
+func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, ent *replayEntry, start, execStart time.Time) {
 	s.mergeReplayMetrics(ent.metrics)
 	s.count(s.replays)
 	s.writeEntry(w, r, ent, "hit", start, execStart)
@@ -899,12 +940,13 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	}
 	// ?sampling=rate=N[,...] replays the corpus trace under the sampled
 	// detection tier — the crash-bucket smoke drives exactly this. The
-	// corpus keeps its committed fault schedule: ?faults= is checked like
-	// every override but not applied.
+	// corpus keeps its committed fault schedule and guard setting: ?faults=
+	// is checked like every override but not applied, and ?guards= is not
+	// applied.
 	if o.sampling != "" {
 		tf.SamplingSpec = o.sampling
 	}
-	s.replayFile(w, r, tf, start)
+	s.replayFile(w, r, tf, o.spans, start)
 }
 
 // corpusEntry is one line of the GET /corpus listing.

@@ -9,12 +9,12 @@ import (
 	"repro/pageguard"
 )
 
-// replayBenchTrace renders a trace shaped like perfbench's replay-unique
-// request: 160 objects of 12 to 28 pages, each allocated, written, read and
-// freed, plus two dangling reads. The fixed seed keeps every run replaying
-// the same bytes.
-func replayBenchTrace() string {
-	const objects = 160
+// pageBenchTrace renders a trace shaped like perfbench's replay requests:
+// objects objects of 12 to 28 pages, each allocated, written, read and
+// freed, plus two dangling reads. 160 objects is a replay-unique request,
+// 640 replay-zipf's base trace (about 25 KB). The fixed seed keeps every run
+// replaying the same bytes.
+func pageBenchTrace(objects int) string {
 	rng := rand.New(rand.NewSource(1))
 	dangling := map[int]bool{37: true, 118: true}
 	var b strings.Builder
@@ -33,7 +33,7 @@ func replayBenchTrace() string {
 // miss: fork the pre-warmed snapshot, then replay the parsed events on the
 // fork. Parsing and rendering are outside the timed loop.
 func BenchmarkReplay(b *testing.B) {
-	f, err := ParseFile(strings.NewReader(replayBenchTrace()))
+	f, err := ParseFile(strings.NewReader(pageBenchTrace(160)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,3 +57,22 @@ func BenchmarkReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParseFile measures the parse pgserved runs on every cache miss,
+// over a replay-zipf-sized trace.
+func BenchmarkParseFile(b *testing.B) {
+	src := pageBenchTrace(640)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := ParseFile(strings.NewReader(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		parsed = f
+	}
+}
+
+// parsed keeps BenchmarkParseFile's result live.
+var parsed *File

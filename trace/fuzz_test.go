@@ -239,6 +239,9 @@ func FuzzParseFile(f *testing.F) {
 			f.Add([]byte(src))
 		}
 	}
+	for _, tc := range spaceTraces {
+		f.Add([]byte(tc.src))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tf, err := ParseFile(bytes.NewReader(data))
 		if err != nil {

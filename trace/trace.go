@@ -53,8 +53,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/sim/kernel"
@@ -172,6 +174,12 @@ func Parse(r io.Reader) ([]Event, error) {
 // Each directive may appear at most once.
 func ParseFile(r io.Reader) (*File, error) {
 	out := &File{}
+	if l, ok := r.(interface{ Len() int }); ok {
+		// An in-memory body (bytes.Reader, strings.Reader) sizes the event
+		// slice up front, at about eight bytes per event line, instead of
+		// growing it through a dozen copies.
+		out.Events = make([]Event, 0, l.Len()/8)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	line := 0
@@ -187,10 +195,44 @@ func ParseFile(r io.Reader) (*File, error) {
 		}
 		return nil
 	}
+	// fields is reused across lines: an event line costs no allocation.
+	fields := make([][]byte, 0, 4)
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		// text is set for a directive line only; fields hold an event's.
+		var text string
+		if b := sc.Bytes(); isASCII(b) {
+			b = trimASCIISpace(b)
+			if len(b) == 0 || b[0] == '#' {
+				continue
+			}
+			if b[0] == '!' {
+				text = string(b)
+			} else {
+				fields = appendASCIIFields(fields[:0], b)
+			}
+		} else {
+			// strings.TrimSpace and strings.Fields also treat Unicode
+			// spaces such as U+0085 and U+00A0 as separators; lines that
+			// may hold one keep exactly that behaviour.
+			text = strings.TrimSpace(string(b))
+			if text == "" || text[0] == '#' {
+				continue
+			}
+			if text[0] != '!' {
+				fields = fields[:0]
+				for _, f := range strings.Fields(text) {
+					fields = append(fields, []byte(f))
+				}
+				text = ""
+			}
+		}
+		if text == "" {
+			ev, err := parseEvent(fields, line)
+			if err != nil {
+				return nil, err
+			}
+			out.Events = append(out.Events, ev)
 			continue
 		}
 		if spec, ok := strings.CutPrefix(text, "!faults"); ok {
@@ -246,80 +288,7 @@ func ParseFile(r io.Reader) (*File, error) {
 			}
 			continue
 		}
-		if strings.HasPrefix(text, "!") {
-			return nil, &ParseError{line, fmt.Sprintf("unknown directive %q", text)}
-		}
-		fields := strings.Fields(text)
-		ev := Event{Line: line}
-		switch fields[0] {
-		case "x":
-			if len(fields) != 3 {
-				return nil, &ParseError{line, "want: x <call> <errno>"}
-			}
-			if _, err := kernel.ParseSyscallKind(fields[1]); err != nil {
-				return nil, &ParseError{line, err.Error()}
-			}
-			if _, err := kernel.ParseErrno(fields[2]); err != nil {
-				return nil, &ParseError{line, err.Error()}
-			}
-			ev.Kind = EvFault
-			ev.Call = fields[1]
-			ev.Errno = fields[2]
-			out.Events = append(out.Events, ev)
-			continue
-		case "a":
-			if len(fields) != 3 {
-				return nil, &ParseError{line, "want: a <id> <size>"}
-			}
-			ev.Kind = EvAlloc
-		case "f":
-			if len(fields) != 2 {
-				return nil, &ParseError{line, "want: f <id>"}
-			}
-			ev.Kind = EvFree
-		case "z":
-			if len(fields) != 2 {
-				return nil, &ParseError{line, "want: z <id>"}
-			}
-			ev.Kind = EvForget
-		case "w", "r":
-			if len(fields) != 3 {
-				return nil, &ParseError{line, "want: r|w <id> <off>"}
-			}
-			ev.Kind = EvWrite
-			if fields[0] == "r" {
-				ev.Kind = EvRead
-			}
-		default:
-			return nil, &ParseError{line, fmt.Sprintf("unknown event %q", fields[0])}
-		}
-		id, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return nil, &ParseError{line, "bad id: " + err.Error()}
-		}
-		ev.ID = id
-		if len(fields) == 3 {
-			n, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				return nil, &ParseError{line, "bad number: " + err.Error()}
-			}
-			if ev.Kind == EvAlloc {
-				if n >= uint64(vm.UserAddrLimit) {
-					return nil, &ParseError{line, fmt.Sprintf(
-						"allocation of %d bytes exceeds the %d-byte simulated address space", n, uint64(vm.UserAddrLimit))}
-				}
-				ev.Size = n
-			} else {
-				// base+off would wrap: a huge offset lands below the
-				// object, on its hidden remap header.
-				if n >= uint64(vm.UserAddrLimit) {
-					return nil, &ParseError{line, fmt.Sprintf(
-						"offset %d lies outside the %d-byte simulated address space", n, uint64(vm.UserAddrLimit))}
-				}
-				ev.Off = n
-			}
-		}
-		out.Events = append(out.Events, ev)
+		return nil, &ParseError{line, fmt.Sprintf("unknown directive %q", text)}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -327,32 +296,188 @@ func ParseFile(r io.Reader) (*File, error) {
 	return out, nil
 }
 
-// Format renders events back into the textual format.
-func Format(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, ev := range events {
-		var err error
-		switch ev.Kind {
-		case EvAlloc:
-			_, err = fmt.Fprintf(bw, "a %d %d\n", ev.ID, ev.Size)
-		case EvFree:
-			_, err = fmt.Fprintf(bw, "f %d\n", ev.ID)
-		case EvForget:
-			_, err = fmt.Fprintf(bw, "z %d\n", ev.ID)
-		case EvWrite:
-			_, err = fmt.Fprintf(bw, "w %d %d\n", ev.ID, ev.Off)
-		case EvRead:
-			_, err = fmt.Fprintf(bw, "r %d %d\n", ev.ID, ev.Off)
-		case EvFault:
-			_, err = fmt.Fprintf(bw, "x %s %s\n", ev.Call, ev.Errno)
-		default:
-			err = fmt.Errorf("trace: unknown event kind %q", ev.Kind)
+// parseEvent decodes one event line already split into fields (at least
+// one). Only an 'x' event allocates: its call and errno names.
+func parseEvent(fields [][]byte, line int) (Event, error) {
+	ev := Event{Line: line}
+	switch string(fields[0]) {
+	case "x":
+		if len(fields) != 3 {
+			return ev, &ParseError{line, "want: x <call> <errno>"}
 		}
+		ev.Kind = EvFault
+		ev.Call = string(fields[1])
+		ev.Errno = string(fields[2])
+		if _, err := kernel.ParseSyscallKind(ev.Call); err != nil {
+			return ev, &ParseError{line, err.Error()}
+		}
+		if _, err := kernel.ParseErrno(ev.Errno); err != nil {
+			return ev, &ParseError{line, err.Error()}
+		}
+		return ev, nil
+	case "a":
+		if len(fields) != 3 {
+			return ev, &ParseError{line, "want: a <id> <size>"}
+		}
+		ev.Kind = EvAlloc
+	case "f":
+		if len(fields) != 2 {
+			return ev, &ParseError{line, "want: f <id>"}
+		}
+		ev.Kind = EvFree
+	case "z":
+		if len(fields) != 2 {
+			return ev, &ParseError{line, "want: z <id>"}
+		}
+		ev.Kind = EvForget
+	case "w", "r":
+		if len(fields) != 3 {
+			return ev, &ParseError{line, "want: r|w <id> <off>"}
+		}
+		ev.Kind = EvWrite
+		if fields[0][0] == 'r' {
+			ev.Kind = EvRead
+		}
+	default:
+		return ev, &ParseError{line, fmt.Sprintf("unknown event %q", fields[0])}
+	}
+	id, err := parseUint(fields[1])
+	if err != nil {
+		return ev, &ParseError{line, "bad id: " + err.Error()}
+	}
+	ev.ID = id
+	if len(fields) == 3 {
+		n, err := parseUint(fields[2])
 		if err != nil {
-			return err
+			return ev, &ParseError{line, "bad number: " + err.Error()}
+		}
+		if ev.Kind == EvAlloc {
+			if n >= uint64(vm.UserAddrLimit) {
+				return ev, &ParseError{line, fmt.Sprintf(
+					"allocation of %d bytes exceeds the %d-byte simulated address space", n, uint64(vm.UserAddrLimit))}
+			}
+			ev.Size = n
+		} else {
+			// base+off would wrap: a huge offset lands below the
+			// object, on its hidden remap header.
+			if n >= uint64(vm.UserAddrLimit) {
+				return ev, &ParseError{line, fmt.Sprintf(
+					"offset %d lies outside the %d-byte simulated address space", n, uint64(vm.UserAddrLimit))}
+			}
+			ev.Off = n
 		}
 	}
-	return bw.Flush()
+	return ev, nil
+}
+
+// parseUint is strconv.ParseUint(string(b), 10, 64) without the string: a
+// field of decimal digits that fits in 64 bits is converted in place, and
+// anything else goes to strconv for its exact value or error.
+func parseUint(b []byte) (uint64, error) {
+	if len(b) == 0 {
+		return strconv.ParseUint("", 10, 64)
+	}
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if d > 9 || n > (math.MaxUint64-d)/10 {
+			return strconv.ParseUint(string(b), 10, 64)
+		}
+		n = n*10 + d
+	}
+	return n, nil
+}
+
+// isASCII reports whether b holds only bytes below 0x80.
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// isASCIISpace reports the bytes unicode.IsSpace accepts below 0x80, the
+// set strings.TrimSpace and strings.Fields use on ASCII input.
+func isASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// trimASCIISpace is strings.TrimSpace for an ASCII line.
+func trimASCIISpace(b []byte) []byte {
+	for len(b) > 0 && isASCIISpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isASCIISpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// appendASCIIFields is strings.Fields for an ASCII line: it appends the
+// space-separated fields of b to dst as subslices of b.
+func appendASCIIFields(dst [][]byte, b []byte) [][]byte {
+	start := -1
+	for i, c := range b {
+		switch {
+		case isASCIISpace(c):
+			if start >= 0 {
+				dst = append(dst, b[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, b[start:])
+	}
+	return dst
+}
+
+// formatChunk is the buffered length at which Format hands its rendering to
+// the writer.
+const formatChunk = 4096
+
+// Format renders events back into the textual format.
+func Format(w io.Writer, events []Event) error {
+	buf := make([]byte, 0, formatChunk+64)
+	for _, ev := range events {
+		switch ev.Kind {
+		case EvAlloc, EvWrite, EvRead:
+			n := ev.Off
+			if ev.Kind == EvAlloc {
+				n = ev.Size
+			}
+			buf = append(buf, byte(ev.Kind), ' ')
+			buf = strconv.AppendUint(buf, ev.ID, 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendUint(buf, n, 10)
+		case EvFree, EvForget:
+			buf = append(buf, byte(ev.Kind), ' ')
+			buf = strconv.AppendUint(buf, ev.ID, 10)
+		case EvFault:
+			buf = append(buf, "x "...)
+			buf = append(buf, ev.Call...)
+			buf = append(buf, ' ')
+			buf = append(buf, ev.Errno...)
+		default:
+			return fmt.Errorf("trace: unknown event kind %q", ev.Kind)
+		}
+		buf = append(buf, '\n')
+		if len(buf) >= formatChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // Format renders the complete trace, directives included, in the canonical

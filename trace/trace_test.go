@@ -156,6 +156,49 @@ var repeatedDirectiveTraces = []string{
 	"!sampling rate=4\n!guards\n!sampling rate=64,seed=7\n",
 }
 
+// spaceTraces pin how ParseFile treats whitespace: ASCII lines split on the
+// six ASCII spaces ('\v' and '\f' included), and a line holding any byte at
+// or above 0x80 keeps the strings.TrimSpace/strings.Fields rule, which also
+// splits on Unicode spaces such as U+0085 and U+00A0. want is the accepted
+// trace's canonical rendering, or the rejected trace's error text.
+var spaceTraces = []struct{ src, want string }{
+	{"a\v1\f64\n", "a 1 64\n"},
+	{"\f a 1 64 \v\nf\t1\r\n", "a 1 64\nf 1\n"},
+	{"\v!guards\f\na 1 64\n", "!guards\na 1 64\n"},
+	{"a\v1\v\v\n", "trace line 1: want: a <id> <size>"},
+	{"a\u00a01\u00a064\n", "a 1 64\n"},
+	{"a 1 64\u0085\nf\u00851\n", "a 1 64\nf 1\n"},
+	{"\u0085# comment\n\u00a0\na 1 64\n", "a 1 64\n"},
+	{"!guards\u00a0\n", "!guards\n"},
+	{"a 1 64\nx\u00a0mprotect\u0085ENOMEM\n", "a 1 64\nx mprotect ENOMEM\n"},
+	{"a 1\u00a0\u00a0\n", "trace line 1: want: a <id> <size>"},
+	{"a 1 6\u00a04\n", "trace line 1: want: a <id> <size>"},
+	{"a 1 64\nw 1 6\xff4\n", `trace line 2: bad number: strconv.ParseUint: parsing "6\xff4": invalid syntax`},
+	{"\u00a0q 1\n", `trace line 1: unknown event "q"`},
+	{"a\u20281 64\n", "a 1 64\n"},
+	{"a 1 ６４\n", `trace line 1: bad number: strconv.ParseUint: parsing "６４": invalid syntax`},
+}
+
+// TestParseFileSpaces: every line of spaceTraces is accepted or rejected
+// exactly as pinned.
+func TestParseFileSpaces(t *testing.T) {
+	for _, tc := range spaceTraces {
+		var got string
+		if f, err := ParseFile(strings.NewReader(tc.src)); err != nil {
+			got = err.Error()
+		} else {
+			var b strings.Builder
+			if err := f.Format(&b); err != nil {
+				t.Fatal(err)
+			}
+			got = b.String()
+		}
+		if got != tc.want {
+			t.Errorf("ParseFile(%q) = %q, want %q", tc.src, got, tc.want)
+		}
+	}
+}
+
 // oversizeTraces are allocations no simulated address space can hold. Both
 // used to wrap the allocator's page rounding: the first allocated a
 // one-word chunk and faulted on the next write as "unmapped", the second

@@ -119,7 +119,7 @@ type replayCache struct {
 	inflight map[replayKey]*inflightReplay
 
 	hits      atomic.Uint64
-	rawHits   atomic.Uint64
+	rawHits   atomic.Uint64 // the hits answered from raw, a subset of hits
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
@@ -145,9 +145,6 @@ func newReplayCache(max int, reg *obs.Registry) *replayCache {
 	reg.CounterFunc("pg_cache_hits_total",
 		"replay requests served from the content-hash cache (including single-flight waiters)",
 		c.hits.Load)
-	reg.CounterFunc("pg_cache_raw_hits_total",
-		"cache hits answered from the raw-body index without parsing the trace (a subset of pg_cache_hits_total)",
-		c.rawHits.Load)
 	reg.CounterFunc("pg_cache_misses_total",
 		"replay requests that simulated because no cache entry existed",
 		c.misses.Load)

@@ -51,11 +51,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"repro/internal/core"
@@ -170,6 +171,10 @@ func Parse(r io.Reader) ([]Event, error) {
 	return f.Events, nil
 }
 
+// maxPresizedEvents bounds the event slice ParseFile allocates before it
+// has seen an event.
+const maxPresizedEvents = 4096
+
 // ParseFile reads a complete trace, including its optional directives.
 // Each directive may appear at most once.
 func ParseFile(r io.Reader) (*File, error) {
@@ -177,8 +182,9 @@ func ParseFile(r io.Reader) (*File, error) {
 	if l, ok := r.(interface{ Len() int }); ok {
 		// An in-memory body (bytes.Reader, strings.Reader) sizes the event
 		// slice up front, at about eight bytes per event line, instead of
-		// growing it through a dozen copies.
-		out.Events = make([]Event, 0, l.Len()/8)
+		// growing it through a dozen copies. The cap keeps a large body
+		// that holds few events from costing a large slice.
+		out.Events = make([]Event, 0, min(l.Len()/8, maxPresizedEvents))
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
@@ -199,35 +205,12 @@ func ParseFile(r io.Reader) (*File, error) {
 	fields := make([][]byte, 0, 4)
 	for sc.Scan() {
 		line++
-		// text is set for a directive line only; fields hold an event's.
-		var text string
-		if b := sc.Bytes(); isASCII(b) {
-			b = trimASCIISpace(b)
-			if len(b) == 0 || b[0] == '#' {
-				continue
-			}
-			if b[0] == '!' {
-				text = string(b)
-			} else {
-				fields = appendASCIIFields(fields[:0], b)
-			}
-		} else {
-			// strings.TrimSpace and strings.Fields also treat Unicode
-			// spaces such as U+0085 and U+00A0 as separators; lines that
-			// may hold one keep exactly that behaviour.
-			text = strings.TrimSpace(string(b))
-			if text == "" || text[0] == '#' {
-				continue
-			}
-			if text[0] != '!' {
-				fields = fields[:0]
-				for _, f := range strings.Fields(text) {
-					fields = append(fields, []byte(f))
-				}
-				text = ""
-			}
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 || b[0] == '#' {
+			continue
 		}
-		if text == "" {
+		if b[0] != '!' {
+			fields = appendFields(fields[:0], b)
 			ev, err := parseEvent(fields, line)
 			if err != nil {
 				return nil, err
@@ -235,6 +218,7 @@ func ParseFile(r io.Reader) (*File, error) {
 			out.Events = append(out.Events, ev)
 			continue
 		}
+		text := string(b)
 		if spec, ok := strings.CutPrefix(text, "!faults"); ok {
 			if err := placed("!faults", out.FaultLine); err != nil {
 				return nil, err
@@ -341,13 +325,13 @@ func parseEvent(fields [][]byte, line int) (Event, error) {
 	default:
 		return ev, &ParseError{line, fmt.Sprintf("unknown event %q", fields[0])}
 	}
-	id, err := parseUint(fields[1])
+	id, err := strconv.ParseUint(string(fields[1]), 10, 64)
 	if err != nil {
 		return ev, &ParseError{line, "bad id: " + err.Error()}
 	}
 	ev.ID = id
 	if len(fields) == 3 {
-		n, err := parseUint(fields[2])
+		n, err := strconv.ParseUint(string(fields[2]), 10, 64)
 		if err != nil {
 			return ev, &ParseError{line, "bad number: " + err.Error()}
 		}
@@ -370,65 +354,33 @@ func parseEvent(fields [][]byte, line int) (Event, error) {
 	return ev, nil
 }
 
-// parseUint is strconv.ParseUint(string(b), 10, 64) without the string: a
-// field of decimal digits that fits in 64 bits is converted in place, and
-// anything else goes to strconv for its exact value or error.
-func parseUint(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return strconv.ParseUint("", 10, 64)
-	}
-	var n uint64
-	for _, c := range b {
-		d := uint64(c - '0')
-		if d > 9 || n > (math.MaxUint64-d)/10 {
-			return strconv.ParseUint(string(b), 10, 64)
-		}
-		n = n*10 + d
-	}
-	return n, nil
-}
+// asciiSpace marks the bytes below 0x80 that unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// isASCII reports whether b holds only bytes below 0x80.
-func isASCII(b []byte) bool {
-	for _, c := range b {
-		if c >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
-}
-
-// isASCIISpace reports the bytes unicode.IsSpace accepts below 0x80, the
-// set strings.TrimSpace and strings.Fields use on ASCII input.
-func isASCIISpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
-
-// trimASCIISpace is strings.TrimSpace for an ASCII line.
-func trimASCIISpace(b []byte) []byte {
-	for len(b) > 0 && isASCIISpace(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isASCIISpace(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// appendASCIIFields is strings.Fields for an ASCII line: it appends the
-// space-separated fields of b to dst as subslices of b.
-func appendASCIIFields(dst [][]byte, b []byte) [][]byte {
+// appendFields is strings.Fields over bytes without the copies: it appends
+// the fields of b to dst as subslices of b, splitting at every rune
+// unicode.IsSpace accepts (U+0085 and U+00A0 as well as the ASCII spaces).
+// An invalid byte decodes as utf8.RuneError, which is no space.
+func appendFields(dst [][]byte, b []byte) [][]byte {
 	start := -1
-	for i, c := range b {
-		switch {
-		case isASCIISpace(c):
-			if start >= 0 {
-				dst = append(dst, b[start:i])
-				start = -1
-			}
-		case start < 0:
-			start = i
+	for i := 0; i < len(b); {
+		space, n := false, 1
+		if c := b[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, n = utf8.DecodeRune(b[i:])
+			space = unicode.IsSpace(r)
 		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst = append(dst, b[start:i])
+			start = -1
+		}
+		i += n
 	}
 	if start >= 0 {
 		dst = append(dst, b[start:])
@@ -436,14 +388,13 @@ func appendASCIIFields(dst [][]byte, b []byte) [][]byte {
 	return dst
 }
 
-// formatChunk is the buffered length at which Format hands its rendering to
-// the writer.
-const formatChunk = 4096
-
 // Format renders events back into the textual format.
 func Format(w io.Writer, events []Event) error {
-	buf := make([]byte, 0, formatChunk+64)
+	bw := bufio.NewWriter(w)
+	// buf holds one line at a time; it is reused, so no event allocates.
+	buf := make([]byte, 0, 64)
 	for _, ev := range events {
+		buf = buf[:0]
 		switch ev.Kind {
 		case EvAlloc, EvWrite, EvRead:
 			n := ev.Off
@@ -465,19 +416,11 @@ func Format(w io.Writer, events []Event) error {
 		default:
 			return fmt.Errorf("trace: unknown event kind %q", ev.Kind)
 		}
-		buf = append(buf, '\n')
-		if len(buf) >= formatChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+		if _, err := bw.Write(append(buf, '\n')); err != nil {
+			return err
 		}
 	}
-	if len(buf) == 0 {
-		return nil
-	}
-	_, err := w.Write(buf)
-	return err
+	return bw.Flush()
 }
 
 // Format renders the complete trace, directives included, in the canonical

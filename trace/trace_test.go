@@ -199,6 +199,18 @@ func TestParseFileSpaces(t *testing.T) {
 	}
 }
 
+// TestParseFilePresizeBounded: a large in-memory body that holds no event
+// costs no more than maxPresizedEvents of event slice up front.
+func TestParseFilePresizeBounded(t *testing.T) {
+	f, err := ParseFile(strings.NewReader(strings.Repeat("# comment\n", 100_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Events) != 0 || cap(f.Events) > maxPresizedEvents {
+		t.Fatalf("events len %d cap %d, want 0 and at most %d", len(f.Events), cap(f.Events), maxPresizedEvents)
+	}
+}
+
 // oversizeTraces are allocations no simulated address space can hold. Both
 // used to wrap the allocator's page rounding: the first allocated a
 // one-word chunk and faulted on the next write as "unmapped", the second

@@ -47,9 +47,9 @@ func (r *Remapper) SetRetryConfig(rc RetryConfig) { r.retry = rc }
 // (budget) syscall errors, and success all return immediately.
 func (r *Remapper) retryTransient(op func() error) error {
 	err := op()
-	for attempt := 0; attempt < r.retry.MaxRetries; attempt++ {
+	for attempt := 0; attempt < r.retry.MaxRetries && err != nil; attempt++ {
 		var se *kernel.SyscallError
-		if err == nil || !errors.As(err, &se) || !se.Transient {
+		if !errors.As(err, &se) || !se.Transient {
 			return err
 		}
 		r.stats.TransientRetries++

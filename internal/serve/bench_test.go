@@ -12,7 +12,7 @@ import (
 // cacheBenchBody is one TraceVariants variant of a trace shaped like
 // perfbench's replay-zipf base: 640 objects of 12 to 28 pages, each
 // allocated, written, read and freed, about 25 KB in all.
-func cacheBenchBody(b *testing.B) []byte {
+func cacheBenchBody(tb testing.TB) []byte {
 	rng := rand.New(rand.NewSource(1))
 	var base bytes.Buffer
 	for id := 1; id <= 640; id++ {
@@ -22,7 +22,7 @@ func cacheBenchBody(b *testing.B) []byte {
 	}
 	vs, err := TraceVariants(base.Bytes(), 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return vs[1]
 }

@@ -101,7 +101,9 @@ func (p *Process) chargeSyscall(kind SyscallKind, pages uint64) {
 	}
 	p.sysHist[i].Observe(cycles)
 	p.prof.AddSyscall(p.site, kind.category(), cycles)
-	p.tracer.Leaf("sys:"+kind.String(), p.site, start, start+cycles)
+	if p.tracer != nil {
+		p.tracer.Leaf("sys:"+kind.String(), p.site, start, start+cycles)
+	}
 	p.flight.Record(obs.FlightEvent{
 		Cycles: start + cycles, Kind: obs.FlightSyscall, What: kind.String(),
 		Site: p.site, Pages: pages,

@@ -1,0 +1,73 @@
+//go:build !race
+
+package trace
+
+import (
+	"io"
+	"strings"
+	"testing"
+
+	"repro/pageguard"
+)
+
+// Allocation ceilings over the benchmarks' own inputs. Host timing is too
+// noisy to gate, but allocation counts are nearly deterministic, so a change
+// that puts an allocation back on one of these paths fails here. A change
+// that beats a ceiling lowers it; one that raises a ceiling says why. The
+// race detector changes allocation counts, so these tests are built only
+// without it.
+
+// TestParseFileAllocs pins BenchmarkParseFile's input: the parse allocates
+// the event slice and its scanner, never per line.
+func TestParseFileAllocs(t *testing.T) {
+	src := pageBenchTrace(640)
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := ParseFile(strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 4 {
+		t.Fatalf("ParseFile: %v allocs, ceiling 4", got)
+	}
+}
+
+// TestReplayAllocs pins BenchmarkReplay's input: a forked replay of a
+// replay-unique-shaped trace.
+func TestReplayAllocs(t *testing.T) {
+	const ceiling = 1303 // 1,278 measured with go1.24, plus 2%
+	f, err := ParseFile(strings.NewReader(pageBenchTrace(160)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := pageguard.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(10, func() {
+		m, err := snap.Fork(f.MachineOptions()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(m, f.Events); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Fatalf("forked replay: %v allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestWriteNDJSONAllocs pins BenchmarkWriteNDJSON's input: the render of a
+// replay-detect-shaped report with 10 detections.
+func TestWriteNDJSONAllocs(t *testing.T) {
+	const ceiling = 102 // measured with go1.24
+	rep := detectBenchReport(t)
+	got := testing.AllocsPerRun(20, func() {
+		if err := WriteNDJSON(io.Discard, rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Fatalf("WriteNDJSON: %v allocs, ceiling %d", got, ceiling)
+	}
+}

@@ -95,16 +95,6 @@ func TestReplayLedgerDeterministic(t *testing.T) {
 	}
 }
 
-func TestReplayForgetUnknownID(t *testing.T) {
-	events, err := Parse(strings.NewReader("a 1 8\nz 2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(NewMachine(&File{}), events); err == nil {
-		t.Fatal("forget of unknown id did not error")
-	}
-}
-
 func TestReplayDoubleFreeCountsStat(t *testing.T) {
 	events, err := Parse(strings.NewReader("a 1 64\nf 1\nf 1\n"))
 	if err != nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/pageguard"
 )
@@ -30,6 +31,8 @@ type Report struct {
 	// Annotated is the event stream with 'x' fault records interleaved
 	// after the operations that absorbed them — writing it (with the
 	// schedule in the header) produces a self-verifying trace of this run.
+	// Until the first injected fault it shares the array of Replay's events
+	// argument (a fault-free replay copies nothing); treat it as read-only.
 	Annotated []Event
 	// Stats is the process's final detector statistics.
 	Stats pageguard.Stats
@@ -101,223 +104,31 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// ptrs maps trace ids to their current (or last) pointer; freed ids
-	// stay mapped so stale accesses replay faithfully.
-	ptrs := make(map[uint64]pageguard.Ptr)
-	// allocLine/freeLine record each id's provenance (the trace lines that
-	// allocated and freed it) so detections carry source positions.
-	allocLine := make(map[uint64]int)
-	freeLine := make(map[uint64]int)
-	rep := &Report{}
-
-	// Ground truth for the missed-detection ledger. The replayer knows
-	// exactly which ids the trace freed, so every later touch of such an
-	// id is a stale use by construction; handles capture the detector's
-	// own object records at allocation time so a detection can be checked
-	// for correct attribution (the DanglingError must name that very
-	// object).
-	handles := make(map[uint64]*pageguard.ObjectRecord)
-	stale := make(map[uint64]bool)
-
-	// The replayer's pointer copies live in Go maps, which the simulated
-	// conservative collector cannot see. Each id therefore gets an 8-byte
-	// root slot in the simulated globals segment (a GC root range)
-	// holding the object's pointer: while the root is live, a correct
-	// collector must not recycle the object's shadow pages. The 'z'
-	// (forget) event zeroes and releases the slot, modelling a program
-	// that lost its last copy of the pointer.
-	rootSlots := make(map[uint64]pageguard.Ptr)
-	var freeSlots []pageguard.Ptr
-	setRoot := func(id uint64, ptr pageguard.Ptr, line int) error {
-		slot, ok := rootSlots[id]
-		if !ok {
-			if n := len(freeSlots); n > 0 {
-				slot, freeSlots = freeSlots[n-1], freeSlots[:n-1]
-			} else {
-				var err error
-				if slot, err = proc.AllocGlobal(8); err != nil {
-					return &ReplayError{line, "root table: " + err.Error()}
-				}
-			}
-			rootSlots[id] = slot
-		}
-		return proc.WriteWordAt(slot, 0, 8, uint64(ptr), "root")
-	}
-
-	verify := false
+	r := &replayer{proc: proc, rep: &Report{}, events: events}
+	allocs := 0
 	for _, ev := range events {
-		if ev.Kind == EvFault {
-			verify = true
-			break
+		r.verify = r.verify || ev.Kind == EvFault
+		if ev.Kind == EvAlloc {
+			allocs++
 		}
 	}
-	verified := 0  // 'x' records checked against the live fault log
-	annotated := 0 // live faults already copied into rep.Annotated
-	drainFaults := func() {
-		for _, f := range proc.InjectedFaults()[annotated:] {
-			rep.Annotated = append(rep.Annotated, Event{
-				Kind: EvFault, Call: f.Call.String(), Errno: f.Errno.String(),
-			})
-			annotated++
-		}
-	}
-
-	note := func(ev Event, err error) error {
-		if err == nil {
-			return nil
-		}
-		var de *pageguard.DanglingError
-		if errors.As(err, &de) {
-			if de.Report != nil {
-				de.Report.AllocLine = allocLine[ev.ID]
-				de.Report.FreeLine = freeLine[ev.ID]
-			}
-			rep.Detections = append(rep.Detections, Detection{Line: ev.Line, Err: err, Report: de.Report})
-			return nil
-		}
-		var oe *pageguard.OverflowError
-		if errors.As(err, &oe) {
-			rep.Detections = append(rep.Detections, Detection{Line: ev.Line, Err: err})
-			return nil
-		}
-		return fmt.Errorf("trace line %d: %w", ev.Line, err)
-	}
-
-	// classifyStale settles one ground-truth stale use with the ledger and
-	// never fails the replay: under a reuse policy the detector may
-	// legitimately return a raw fault (shadow pages recycled, attribution
-	// gone) or nothing at all (pages re-aliased to a new object) — those
-	// are exactly the missed detections being measured.
-	classifyStale := func(ev Event, err error) {
-		rep.StaleOps++
-		obj := handles[ev.ID]
-		var de *pageguard.DanglingError
-		detected := errors.As(err, &de) && obj != nil && de.Object == obj
-		proc.NoteStaleUse(obj, detected)
-		if err == nil {
-			return
-		}
-		if errors.As(err, &de) {
-			if de.Report != nil {
-				de.Report.AllocLine = allocLine[ev.ID]
-				de.Report.FreeLine = freeLine[ev.ID]
-			}
-			rep.Detections = append(rep.Detections, Detection{Line: ev.Line, Err: err, Report: de.Report})
-		}
-	}
+	r.index = make(map[uint64]int32, allocs)
+	r.ids = make([]idState, 0, allocs)
 
 	// The replay root span: every op span (and, through them, every leaf
 	// the kernel emits) nests under it. With tracing disabled BeginSpan
 	// returns 0 and EndSpan ignores it.
 	replaySpan := proc.BeginSpan("replay", "")
-
 	for _, ev := range events {
-		if ev.Kind == EvFault {
-			faults := proc.InjectedFaults()
-			if verified >= len(faults) {
-				return rep, &ReplayError{ev.Line, fmt.Sprintf(
-					"trace records injected fault %q that did not occur on replay (is the machine missing the trace's fault schedule?)",
-					ev.Call+" "+ev.Errno)}
-			}
-			f := faults[verified]
-			if f.Call.String() != ev.Call || f.Errno.String() != ev.Errno {
-				return rep, &ReplayError{ev.Line, fmt.Sprintf(
-					"injected fault diverges: trace records %s %s, replay injected %s %s",
-					ev.Call, ev.Errno, f.Call, f.Errno)}
-			}
-			verified++
-			continue
+		if err := r.step(ev); err != nil {
+			return r.rep, err
 		}
-		if verify && verified != len(proc.InjectedFaults()) {
-			return rep, &ReplayError{ev.Line, fmt.Sprintf(
-				"replay injected %d faults before this event but the trace records %d",
-				len(proc.InjectedFaults()), verified)}
-		}
-		rep.Events++
-		rep.Annotated = append(rep.Annotated, ev)
-		site := fmt.Sprintf("trace:%d", ev.Line)
-		opSpan := proc.BeginSpan(opSpanName(ev.Kind), site)
-		switch ev.Kind {
-		case EvAlloc:
-			ptr, err := proc.Malloc(ev.Size, site)
-			if err != nil {
-				return rep, fmt.Errorf("trace line %d: %w", ev.Line, err)
-			}
-			ptrs[ev.ID] = ptr
-			allocLine[ev.ID] = ev.Line
-			delete(freeLine, ev.ID)
-			handles[ev.ID] = proc.ObjectAt(ptr)
-			delete(stale, ev.ID)
-			if err := setRoot(ev.ID, ptr, ev.Line); err != nil {
-				return rep, err
-			}
-			rep.Allocs++
-		case EvFree:
-			ptr, ok := ptrs[ev.ID]
-			if !ok {
-				return rep, &ReplayError{ev.Line, fmt.Sprintf("free of unknown id %d", ev.ID)}
-			}
-			wasStale := stale[ev.ID]
-			err := proc.Free(ptr, site)
-			if wasStale {
-				// A second free of an id the trace already freed: ground
-				// truth says double-free, whatever the detector returned.
-				classifyStale(ev, err)
-			} else {
-				if err == nil {
-					freeLine[ev.ID] = ev.Line
-					stale[ev.ID] = true
-				}
-				if err := note(ev, err); err != nil {
-					return rep, err
-				}
-			}
-			rep.Frees++
-		case EvWrite:
-			ptr, ok := ptrs[ev.ID]
-			if !ok {
-				return rep, &ReplayError{ev.Line, fmt.Sprintf("write to unknown id %d", ev.ID)}
-			}
-			err := proc.WriteWordAt(ptr, ev.Off, 8, uint64(ev.Line), site)
-			if stale[ev.ID] {
-				classifyStale(ev, err)
-			} else if err := note(ev, err); err != nil {
-				return rep, err
-			}
-			rep.Writes++
-		case EvRead:
-			ptr, ok := ptrs[ev.ID]
-			if !ok {
-				return rep, &ReplayError{ev.Line, fmt.Sprintf("read of unknown id %d", ev.ID)}
-			}
-			_, err := proc.ReadWordAt(ptr, ev.Off, 8, site)
-			if stale[ev.ID] {
-				classifyStale(ev, err)
-			} else if err != nil {
-				if err := note(ev, err); err != nil {
-					return rep, err
-				}
-			}
-			rep.Reads++
-		case EvForget:
-			slot, ok := rootSlots[ev.ID]
-			if !ok {
-				return rep, &ReplayError{ev.Line, fmt.Sprintf("forget of unknown id %d", ev.ID)}
-			}
-			if err := proc.WriteWordAt(slot, 0, 8, 0, "root"); err != nil {
-				return rep, fmt.Errorf("trace line %d: %w", ev.Line, err)
-			}
-			delete(rootSlots, ev.ID)
-			freeSlots = append(freeSlots, slot)
-			rep.Forgets++
-		}
-		proc.EndSpan(opSpan)
-		drainFaults()
 	}
 	proc.EndSpan(replaySpan)
-	if faults := proc.InjectedFaults(); verify && verified != len(faults) {
+	rep := r.rep
+	if faults := proc.InjectedFaults(); r.verify && r.verified != len(faults) {
 		return rep, &ReplayError{0, fmt.Sprintf(
-			"replay injected %d faults but the trace records %d", len(faults), verified)}
+			"replay injected %d faults but the trace records %d", len(faults), r.verified)}
 	}
 	rep.InjectedFaults = proc.InjectedFaults()
 	rep.Stats = proc.Stats()
@@ -336,19 +147,204 @@ func Replay(m *pageguard.Machine, events []Event) (*Report, error) {
 	return rep, nil
 }
 
-// opSpanName names the grouping span for one trace event.
-func opSpanName(k EventKind) string {
+// replayer is one replay in progress: Replay feeds it the events in order
+// through step.
+type replayer struct {
+	proc   *pageguard.Process
+	rep    *Report
+	events []Event // Replay's input, which rep.Annotated shares until a fault
+	// index maps each id the trace has allocated to its state in ids. Ids
+	// are chosen by the trace, so this one map stays.
+	index map[uint64]int32
+	ids   []idState
+	// freeSlots holds root slots released by 'z' events, for reuse.
+	freeSlots []pageguard.Ptr
+	// verify is set when the trace carries 'x' fault records; verified
+	// counts those checked against the live fault log, annotated the live
+	// faults already copied into rep.Annotated.
+	verify              bool
+	verified, annotated int
+}
+
+// idState is everything the replayer knows about one trace id.
+type idState struct {
+	// ptr is the id's current (or last) pointer: a freed id keeps it so
+	// stale uses replay faithfully.
+	ptr pageguard.Ptr
+	// allocLine and freeLine are the trace lines that allocated and freed
+	// the id (freeLine is 0 while live), so detections carry source
+	// positions.
+	allocLine, freeLine int
+	// obj is the detector's record of the object, captured at allocation,
+	// so the ledger can check that a detection names that very object.
+	obj *pageguard.ObjectRecord
+	// stale is the ledger's ground truth: the trace freed the id, so every
+	// later touch of it is a stale use by construction.
+	stale bool
+	// The simulated conservative collector cannot see Go memory, so each id
+	// gets an 8-byte root slot in the simulated globals segment holding its
+	// pointer: while rooted, the object's shadow pages must not be recycled.
+	// A 'z' (forget) event zeroes and releases the slot, modelling a program
+	// that lost its last copy of the pointer.
+	slot   pageguard.Ptr
+	rooted bool
+}
+
+// step executes one event.
+func (r *replayer) step(ev Event) error {
+	proc, rep := r.proc, r.rep
+	if ev.Kind == EvFault {
+		faults := proc.InjectedFaults()
+		if r.verified >= len(faults) {
+			return &ReplayError{ev.Line, fmt.Sprintf(
+				"trace records injected fault %q that did not occur on replay (is the machine missing the trace's fault schedule?)",
+				ev.Call+" "+ev.Errno)}
+		}
+		f := faults[r.verified]
+		if f.Call.String() != ev.Call || f.Errno.String() != ev.Errno {
+			return &ReplayError{ev.Line, fmt.Sprintf(
+				"injected fault diverges: trace records %s %s, replay injected %s %s",
+				ev.Call, ev.Errno, f.Call, f.Errno)}
+		}
+		r.verified++
+		return nil
+	}
+	if r.verify && r.verified != len(proc.InjectedFaults()) {
+		return &ReplayError{ev.Line, fmt.Sprintf(
+			"replay injected %d faults before this event but the trace records %d",
+			len(proc.InjectedFaults()), r.verified)}
+	}
+	rep.Events++
+	if r.annotated == 0 {
+		// Before the first injected fault no 'x' record can have passed
+		// verification, so the annotated stream is the input replayed so
+		// far. The capped capacity makes the first append copy it.
+		rep.Annotated = r.events[:rep.Events:rep.Events]
+	} else {
+		rep.Annotated = append(rep.Annotated, ev)
+	}
+	spanName, verb := opNames(ev.Kind)
+	var st *idState
+	if verb != "" {
+		i, ok := r.index[ev.ID]
+		if !ok || ev.Kind == EvForget && !r.ids[i].rooted {
+			return &ReplayError{ev.Line, fmt.Sprintf("%s unknown id %d", verb, ev.ID)}
+		}
+		st = &r.ids[i]
+	}
+	var buf [32]byte
+	site := string(strconv.AppendInt(append(buf[:0], "trace:"...), int64(ev.Line), 10))
+	opSpan := proc.BeginSpan(spanName, site)
+	switch ev.Kind {
+	case EvAlloc:
+		ptr, err := proc.Malloc(ev.Size, site)
+		if err != nil {
+			return fmt.Errorf("trace line %d: %w", ev.Line, err)
+		}
+		i, ok := r.index[ev.ID]
+		if !ok {
+			i, r.ids = int32(len(r.ids)), append(r.ids, idState{})
+			r.index[ev.ID] = i
+		}
+		st = &r.ids[i]
+		st.ptr, st.allocLine, st.freeLine = ptr, ev.Line, 0
+		st.obj, st.stale = proc.ObjectAt(ptr), false
+		if !st.rooted {
+			if n := len(r.freeSlots); n > 0 {
+				st.slot, r.freeSlots = r.freeSlots[n-1], r.freeSlots[:n-1]
+			} else if st.slot, err = proc.AllocGlobal(8); err != nil {
+				return &ReplayError{ev.Line, "root table: " + err.Error()}
+			}
+			st.rooted = true
+		}
+		if err := proc.WriteWordAt(st.slot, 0, 8, uint64(ptr), "root"); err != nil {
+			return err
+		}
+		rep.Allocs++
+	case EvFree:
+		// A free of an id the trace already freed is a double free by
+		// ground truth, whatever the detector returns.
+		if err := proc.Free(st.ptr, site); err == nil && !st.stale {
+			st.freeLine, st.stale = ev.Line, true
+		} else if err := r.settle(ev.Line, st, err); err != nil {
+			return err
+		}
+		rep.Frees++
+	case EvWrite:
+		if err := r.settle(ev.Line, st, proc.WriteWordAt(st.ptr, ev.Off, 8, uint64(ev.Line), site)); err != nil {
+			return err
+		}
+		rep.Writes++
+	case EvRead:
+		_, err := proc.ReadWordAt(st.ptr, ev.Off, 8, site)
+		if err := r.settle(ev.Line, st, err); err != nil {
+			return err
+		}
+		rep.Reads++
+	case EvForget:
+		if err := proc.WriteWordAt(st.slot, 0, 8, 0, "root"); err != nil {
+			return fmt.Errorf("trace line %d: %w", ev.Line, err)
+		}
+		st.rooted = false
+		r.freeSlots = append(r.freeSlots, st.slot)
+		rep.Forgets++
+	}
+	proc.EndSpan(opSpan)
+	for _, f := range proc.InjectedFaults()[r.annotated:] {
+		rep.Annotated = append(rep.Annotated, Event{
+			Kind: EvFault, Call: f.Call.String(), Errno: f.Errno.String(),
+		})
+		r.annotated++
+	}
+	return nil
+}
+
+// settle records what the detector returned for one use of st on line. On
+// a live id a dangling or overflow error is a detection and any other error
+// fails the replay. A stale use is settled with the ledger and never fails
+// the replay: under a reuse policy the detector may legitimately return a
+// raw fault or nothing at all, and those are the missed detections being
+// measured. Only a dangling error detects a stale use.
+func (r *replayer) settle(line int, st *idState, err error) error {
+	if err == nil && !st.stale {
+		return nil
+	}
+	var de *pageguard.DanglingError
+	dangling := errors.As(err, &de)
+	if st.stale {
+		r.rep.StaleOps++
+		r.proc.NoteStaleUse(st.obj, dangling && st.obj != nil && de.Object == st.obj)
+	}
+	var oe *pageguard.OverflowError
+	switch {
+	case dangling:
+		if de.Report != nil {
+			de.Report.AllocLine, de.Report.FreeLine = st.allocLine, st.freeLine
+		}
+		r.rep.Detections = append(r.rep.Detections, Detection{Line: line, Err: err, Report: de.Report})
+	case st.stale:
+	case errors.As(err, &oe):
+		r.rep.Detections = append(r.rep.Detections, Detection{Line: line, Err: err})
+	default:
+		return fmt.Errorf("trace line %d: %w", line, err)
+	}
+	return nil
+}
+
+// opNames names the grouping span for one trace event and, for an event
+// that uses an allocated id, its verb in an unknown-id error.
+func opNames(k EventKind) (span, verb string) {
 	switch k {
 	case EvAlloc:
-		return "op:alloc"
+		return "op:alloc", ""
 	case EvFree:
-		return "op:free"
+		return "op:free", "free of"
 	case EvWrite:
-		return "op:write"
+		return "op:write", "write to"
 	case EvRead:
-		return "op:read"
+		return "op:read", "read of"
 	case EvForget:
-		return "op:forget"
+		return "op:forget", "forget of"
 	}
-	return "op:?"
+	return "op:?", ""
 }

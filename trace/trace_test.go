@@ -331,17 +331,38 @@ w 1 0
 	}
 }
 
+// TestReplayUnknownID checks that a use of an unknown id fails the replay
+// with a *ReplayError on its line: a read, write, free or forget of an id
+// never allocated, and a forget of an id whose root an earlier 'z' already
+// dropped.
 func TestReplayUnknownID(t *testing.T) {
-	events, err := Parse(strings.NewReader("r 9 0"))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, src string
+		line      int
+		msg       string
+	}{
+		{"read", "r 9 0\n", 1, "read of unknown id 9"},
+		{"write", "w 9 0\n", 1, "write to unknown id 9"},
+		{"free", "f 9\n", 1, "free of unknown id 9"},
+		{"forget", "z 9\n", 1, "forget of unknown id 9"},
+		{"forget-other-id", "a 1 8\nz 2\n", 2, "forget of unknown id 2"},
+		{"second-forget", "a 1 8\nz 1\nz 1\n", 3, "forget of unknown id 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, err := Parse(strings.NewReader(tc.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Replay(pageguard.NewMachine(), events)
+			var re *ReplayError
+			if !errors.As(err, &re) {
+				t.Fatalf("err = %v, want a *ReplayError", err)
+			}
+			if re.Line != tc.line || re.Msg != tc.msg {
+				t.Fatalf("ReplayError = line %d %q, want line %d %q", re.Line, re.Msg, tc.line, tc.msg)
+			}
+		})
 	}
-	_, err = Replay(pageguard.NewMachine(), events)
-	var re *ReplayError
-	if err == nil || !strings.Contains(err.Error(), "unknown id") {
-		t.Fatalf("expected ReplayError, got %v", err)
-	}
-	_ = re
 }
 
 // TestReplayRandomTracesDetectExactlyInjectedBugs generates random traces

@@ -414,3 +414,69 @@ func TestCacheMetricsDeterminism(t *testing.T) {
 			uncachedBuckets, cachedBuckets)
 	}
 }
+
+// danglingTrace is a distinct trace per i: i+1 objects of i-dependent size,
+// each read once after its free, so bodies carry trap reports with flight
+// windows and differ in length.
+func danglingTrace(i int) []byte {
+	var b bytes.Buffer
+	for id := 1; id <= i+1; id++ {
+		fmt.Fprintf(&b, "a %d %d\nw %d 0\nf %d\nr %d 8\n", id, 64+16*i, id, id, id)
+	}
+	return b.Bytes()
+}
+
+// TestRenderScratchNeverAliasesCachedBodies: misses render into pooled
+// scratch buffers, and a cached body must never share one. Concurrent
+// distinct misses, with and without spans, fill the cache; a second wave
+// of distinct misses reuses the pool; then every first-wave body is fetched
+// again as a hit and must still equal its offline replay byte for byte.
+// CI runs it under -race -count=10.
+func TestRenderScratchNeverAliasesCachedBodies(t *testing.T) {
+	const perWave = 8
+	s, ts := cachedServer(t, 4*perWave)
+	query := func(i int) string {
+		if i%3 == 0 {
+			return "?spans=1"
+		}
+		return ""
+	}
+	want := make([][]byte, 2*perWave)
+	for i := range want {
+		var err error
+		if want[i], err = offlineNDJSON(danglingTrace(i), query(i) != ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wave := func(from, to int, state string) {
+		var wg sync.WaitGroup
+		errs := make([]string, to-from)
+		for i := from; i < to; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, got := postQuery(t, ts.URL, query(i), danglingTrace(i))
+				switch {
+				case resp.StatusCode != 200:
+					errs[i-from] = resp.Status
+				case resp.Header.Get("X-Pg-Cache") != state:
+					errs[i-from] = "X-Pg-Cache " + resp.Header.Get("X-Pg-Cache") + ", want " + state
+				case !bytes.Equal(got, want[i]):
+					errs[i-from] = state + " body diverged from the offline replay"
+				}
+			}(i)
+		}
+		wg.Wait()
+		for k, e := range errs {
+			if e != "" {
+				t.Errorf("trace %d: %s", from+k, e)
+			}
+		}
+	}
+	wave(0, perWave, "miss")
+	wave(perWave, 2*perWave, "miss")
+	wave(0, perWave, "hit")
+	if m := s.cache.misses.Load(); m != 2*perWave {
+		t.Errorf("misses = %d, want %d", m, 2*perWave)
+	}
+}

@@ -721,6 +721,15 @@ func (s *Server) lead(ctx context.Context, key replayKey, call *inflightReplay, 
 	return v.(*replayEntry), nil
 }
 
+// renderScratch holds render buffers between cache misses, so a render
+// appends into a buffer already grown to a body's size. Bodies are cloned
+// out of it: no pooled buffer is ever cached or served.
+var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxRenderScratch bounds the buffers renderScratch keeps. A buffer that
+// grew past it for one unusually large body is left to the collector.
+const maxRenderScratch = 1 << 20
+
 // renderReplay simulates one trace and renders its full response body,
 // merging the process metrics and counting the completion. Runs on a worker
 // goroutine.
@@ -729,25 +738,41 @@ func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpan
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteNDJSON(&buf, rep); err != nil {
+	body, err := renderBody(rep, withSpans)
+	if err != nil {
 		return nil, err
-	}
-	if withSpans {
-		if err := trace.WriteSpansNDJSON(&buf, rep); err != nil {
-			return nil, err
-		}
 	}
 	s.mergeReplayMetrics(rep.Metrics)
 	s.count(s.replays)
 	return &replayEntry{
-		body:    buf.Bytes(),
+		body:    body,
 		metrics: rep.Metrics,
 		reports: detectionReports(rep),
 		spans:   len(rep.Spans),
 		leaf:    pageguard.LeafSpanCycleSum(rep.Spans),
 		charged: rep.ChargedCycles,
 	}, nil
+}
+
+// renderBody renders rep's NDJSON body, followed by its span stream with
+// withSpans, into a renderScratch buffer and returns an exact-size copy.
+func renderBody(rep *trace.Report, withSpans bool) ([]byte, error) {
+	p := renderScratch.Get().(*[]byte)
+	b, err := trace.AppendNDJSON((*p)[:0], rep)
+	if err == nil && withSpans {
+		w := bytes.NewBuffer(b)
+		err = trace.WriteSpansNDJSON(w, rep)
+		b = w.Bytes()
+	}
+	var body []byte
+	if err == nil {
+		body = bytes.Clone(b)
+	}
+	if cap(b) <= maxRenderScratch {
+		*p = b[:0]
+		renderScratch.Put(p)
+	}
+	return body, err
 }
 
 // detectionReports extracts the replay's TrapReports (dangling detections

@@ -58,9 +58,11 @@ func TestReplayAllocs(t *testing.T) {
 }
 
 // TestWriteNDJSONAllocs pins BenchmarkWriteNDJSON's input: the render of a
-// replay-detect-shaped report with 10 detections.
+// replay-detect-shaped report with 10 detections. The render buffer is
+// pooled; what remains is the flight index and each detection's error
+// message.
 func TestWriteNDJSONAllocs(t *testing.T) {
-	const ceiling = 102 // measured with go1.24
+	const ceiling = 78 // measured with go1.24; 102 under encoding/json
 	rep := detectBenchReport(t)
 	got := testing.AllocsPerRun(20, func() {
 		if err := WriteNDJSON(io.Discard, rep); err != nil {
@@ -69,5 +71,22 @@ func TestWriteNDJSONAllocs(t *testing.T) {
 	})
 	if got > ceiling {
 		t.Fatalf("WriteNDJSON: %v allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestAppendNDJSONAllocs pins the same render into a buffer the caller
+// reuses, as pgserved renders a cache miss: the body's bytes cost nothing.
+func TestAppendNDJSONAllocs(t *testing.T) {
+	const ceiling = 78 // measured with go1.24
+	rep := detectBenchReport(t)
+	var buf []byte
+	got := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = AppendNDJSON(buf[:0], rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Fatalf("AppendNDJSON: %v allocs, ceiling %d", got, ceiling)
 	}
 }

@@ -3,9 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/sim/kernel"
 	"repro/pageguard"
 )
 
@@ -92,4 +97,140 @@ f 1
 			t.Fatalf("detection line missing provenance: %s", line)
 		}
 	}
+}
+
+// referenceBody renders rep through the encoding/json reference encoder.
+func referenceBody(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := referenceNDJSON(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkAppendMatchesReference appends rep after prefix and requires the
+// prefix kept and the rest byte-identical to the reference encoder.
+func checkAppendMatchesReference(t *testing.T, prefix string, rep *Report) {
+	t.Helper()
+	got, err := AppendNDJSON([]byte(prefix), rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:len(prefix)]) != prefix {
+		t.Fatalf("AppendNDJSON overwrote its destination's %d bytes", len(prefix))
+	}
+	if want := referenceBody(t, rep); !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("AppendNDJSON diverged from encoding/json:\n%s\nwant:\n%s", got[len(prefix):], want)
+	}
+}
+
+// TestAppendNDJSONCoversEveryField sets every field of a TrapReport and its
+// flight events, and every Stats counter, to a non-zero value and compares
+// the render with the reference encoder. A field added to one of those
+// structs and not to AppendNDJSON fails here; a field of a kind this test
+// cannot fill fails too, so the test is extended with it.
+func TestAppendNDJSONCoversEveryField(t *testing.T) {
+	fill := func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			switch f.Kind() {
+			case reflect.String:
+				f.SetString(v.Type().Field(i).Name)
+			case reflect.Int, reflect.Int64:
+				f.SetInt(-int64(i + 1))
+			case reflect.Uint64:
+				f.SetUint(uint64(i + 1))
+			case reflect.Slice:
+				// Flight: filled below.
+			default:
+				t.Fatalf("%s.%s: kind %s not covered", v.Type(), v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	var r pageguard.TrapReport
+	fill(reflect.ValueOf(&r).Elem())
+	r.Flight = make([]pageguard.FlightEvent, 2)
+	for i := range r.Flight {
+		fill(reflect.ValueOf(&r.Flight[i]).Elem())
+		r.Flight[i].Seq += uint64(i)
+	}
+	rep := &Report{Events: 1, Allocs: 2, Frees: 3, Reads: 4, Writes: 5, Forgets: 6,
+		Detections: []Detection{{Line: 7, Err: errors.New("dangling"), Report: &r}}}
+	fill(reflect.ValueOf(&rep.Stats).Elem())
+	checkAppendMatchesReference(t, "", rep)
+}
+
+// fuzzReport builds a Report from the fuzzer's strings and integers. shape
+// is consumed a byte at a time (zero once exhausted) to pick the number of
+// faults, detections and flight events and which value fills each field, so
+// the fuzzer reaches omitted zero fields, nil errors and reports, negative
+// offsets, and flight events that share a Seq but differ in a field.
+func fuzzReport(s1, s2 string, n int64, u uint64, shape []byte) *Report {
+	next := func() byte {
+		if len(shape) == 0 {
+			return 0
+		}
+		b := shape[0]
+		shape = shape[1:]
+		return b
+	}
+	strs := []string{"", s1, s2, "trace:12"}
+	str := func() string { return strs[next()%4] }
+	nums := []uint64{0, u, uint64(n), math.MaxUint64, 1}
+	num := func() uint64 { return nums[next()%5] }
+	rep := &Report{Events: int(n), Allocs: int(u), Frees: int(num()), Reads: int(num()),
+		Writes: int(num()), Forgets: int(num())}
+	for k := next() % 3; k > 0; k-- {
+		rep.InjectedFaults = append(rep.InjectedFaults,
+			pageguard.FaultEvent{Call: kernel.SyscallKind(next()), Errno: kernel.Errno(next())})
+	}
+	for k := next() % 4; k > 0; k-- {
+		d := Detection{Line: int(num())}
+		if next()%4 != 0 {
+			d.Err = errors.New(str())
+		}
+		if next()%4 != 0 {
+			r := &pageguard.TrapReport{Kind: obs.TrapKind(str()), UseSite: str(),
+				AllocSite: str(), FreeSite: str(), ObjectSeq: num(), ObjectSize: num(),
+				Pool: str(), PoolID: num(), State: str(), Offset: int64(num()),
+				PageOffset: num(), FaultAddr: num(), ShadowAddr: num(), CanonAddr: num(),
+				FreeCycles: num(), TrapCycles: num(), CyclesSinceFree: num(),
+				AllocLine: int(num()), FreeLine: int(num())}
+			base := num()
+			for j := next() % 8; j > 0; j-- {
+				r.Flight = append(r.Flight, pageguard.FlightEvent{Seq: base + uint64(next()%8),
+					Cycles: num(), Kind: str(), What: str(), Site: str(),
+					Obj: num(), Addr: num(), Pages: num()})
+			}
+			d.Report = r
+		}
+		rep.Detections = append(rep.Detections, d)
+	}
+	st := reflect.ValueOf(&rep.Stats).Elem()
+	for i := 0; i < st.NumField(); i++ {
+		st.Field(i).SetUint(num())
+	}
+	return rep
+}
+
+// FuzzAppendNDJSON is the differential check of the hand-written encoder:
+// on any report it appends exactly what the encoding/json reference
+// encoder writes, after whatever its destination already held.
+func FuzzAppendNDJSON(f *testing.F) {
+	repeats := []byte{0, 0, 0, 0, 0, 3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+		1, 1, 1, 1, 1, 7, 3, 1, 1, 1, 1, 1, 1, 1, 3, 2, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1, 1}
+	f.Add("<>&", `"\`, int64(-8), uint64(3), repeats)
+	f.Add("<", ">", int64(2), uint64(5), repeats)
+	f.Add("&", "\u2028\u2029", int64(9), uint64(1), repeats)
+	f.Add(`"`, `\`, int64(1), uint64(2), repeats)
+	f.Add(" ", " ", int64(-1), uint64(math.MaxUint64), repeats)
+	f.Add("\xff\xfe", "ok\xc3", int64(0), uint64(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add("\x00\x01\b\f\t\n\r\x1f", "\x7f", int64(4096), uint64(1<<63), repeats)
+	f.Add("", "", int64(0), uint64(0), []byte{})
+	f.Add("", "", int64(0), uint64(0), bytes.Repeat([]byte{0, 3, 1}, 40))
+	f.Add("a", "b", int64(-1<<63), uint64(math.MaxUint64), bytes.Repeat([]byte{2, 3, 1, 5, 7, 4}, 30))
+	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, u uint64, shape []byte) {
+		checkAppendMatchesReference(t, s1, fuzzReport(s1, s2, n, u, shape))
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -233,4 +234,51 @@ func FuzzAppendNDJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, u uint64, shape []byte) {
 		checkAppendMatchesReference(t, s1, fuzzReport(s1, s2, n, u, shape))
 	})
+}
+
+// TestWriteNDJSONConcurrent: WriteNDJSON renders through a pooled buffer,
+// so concurrent renders of different reports must each write exactly their
+// own body. Run under -race.
+func TestWriteNDJSONConcurrent(t *testing.T) {
+	var reps []*Report
+	for _, src := range []string{detectBenchTrace(), pageBenchTrace(40), "a 1 64\nf 1\nr 1 0\nf 1\n"} {
+		f, err := ParseFile(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Replay(NewMachine(f), f.Events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	const rounds = 8
+	errs := make(chan error, rounds*len(reps))
+	var wg sync.WaitGroup
+	for r := 0; r < rounds; r++ {
+		for _, rep := range reps {
+			wg.Add(1)
+			go func(rep *Report) {
+				defer wg.Done()
+				want, err := AppendNDJSON(nil, rep)
+				if err != nil {
+					errs <- err
+					return
+				}
+				var got bytes.Buffer
+				if err := WriteNDJSON(&got, rep); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					errs <- errors.New("WriteNDJSON body differs from AppendNDJSON")
+				}
+			}(rep)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

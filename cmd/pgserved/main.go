@@ -9,7 +9,7 @@
 //
 //	pgserved -addr :8080                        # serve
 //	pgserved -route -backends URL,URL ...       # route across backends
-//	pgserved -load -url URL -trace t.txt -n 64  # load-generate + verify
+//	pgserved -load -url URL -trace t.txt -n 64  # check parity under load
 //
 // Serving endpoints:
 //
@@ -44,13 +44,13 @@
 // On SIGTERM/SIGINT the server stops accepting connections and drains
 // in-flight replays before exiting.
 //
-// Serving performance: the server pre-warms one machine snapshot at boot and
-// copy-on-write forks it per request (-snapshots, on by default), and
-// memoizes full response bodies in a bounded content-hash LRU keyed by the
-// canonical trace rendering (-cache N entries; 0 disables). Both are pure
-// accelerations — byte-identical responses and identical merged metrics,
-// enforced by parity tests. With either off, behaviour matches the original
-// fresh-machine path exactly.
+// Serving has one configuration: the server pre-warms one machine snapshot
+// at boot and copy-on-write forks it per request, and memoizes full response
+// bodies in a bounded content-hash LRU keyed by the canonical trace rendering
+// (-cache N entries, at least 1). Responses and merged metrics are
+// byte-identical to a fresh machine's offline replay, enforced by parity
+// tests. The cache cannot be disabled, and -snapshots accepts only true
+// (the value perfbench passes); -snapshots=false and -cache 0 exit 2.
 //
 // The -route mode runs pgserved as a sharded router: requests are consistent-
 // hashed by trace content across -backends, so each backend's replay cache
@@ -58,13 +58,12 @@
 // -health-interval; draining or unreachable backends leave the ring and their
 // keys fail over to the next backend on the ring.
 //
-// The -load mode is pgload, the bundled load generator: it fires -n replays
-// of the trace from -c concurrent clients, retries sheds, and asserts every
+// The -load mode is pgload, the bundled parity check: it fires -n replays of
+// the trace from -c concurrent clients, retries sheds, and asserts every
 // response is byte-identical to the offline replay (what pgtrace -ndjson
 // prints) — exit status 1 on any divergence. -distinct K derives K trace
-// variants from the base trace and -load-dist zipf draws them from a seeded
-// Zipf(-zipf-s) distribution, modelling the skewed request mixes a cache
-// serves in production.
+// variants from the base trace and sends request i the variant i mod K.
+// It measures nothing; perfbench (perfbench/run.sh) is the benchmark.
 package main
 
 import (
@@ -91,8 +90,8 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request replay budget (0 = 30s)")
 	maxBody := flag.Int64("max-body", 0, "request body limit in bytes (0 = 1 MiB)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
-	snapshots := flag.Bool("snapshots", true, "fork each replay machine from a pre-warmed copy-on-write snapshot")
-	cache := flag.Int("cache", 1024, "content-hash replay cache entries (0 disables)")
+	snapshots := flag.Bool("snapshots", true, "fork each replay machine from the pre-warmed snapshot (the only serving path; false is refused)")
+	cache := flag.Int("cache", 1024, "content-hash replay cache entries (at least 1)")
 
 	route := flag.Bool("route", false, "run as a sharded router over -backends instead of serving replays directly")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (route mode)")
@@ -105,18 +104,19 @@ func main() {
 	c := flag.Int("c", 8, "concurrent clients (load mode)")
 	out := flag.String("out", "", "write one verified response body to this file (load mode)")
 	spans := flag.Bool("spans", false, "request ?spans=1 and verify the span stream against the offline traced replay (load mode)")
-	loadDist := flag.String("load-dist", "uniform", "trace-mix distribution: uniform or zipf (load mode)")
-	distinct := flag.Int("distinct", 1, "number of distinct trace variants derived from -trace (load mode)")
-	zipfS := flag.Float64("zipf-s", 1.2, "Zipf skew exponent for -load-dist zipf (load mode)")
-	seed := flag.Int64("seed", 1, "trace-mix draw seed (load mode)")
+	distinct := flag.Int("distinct", 1, "number of distinct trace variants derived from -trace; request i sends variant i mod K (load mode)")
 	flag.Parse()
 
+	if err := checkServingFlags(*snapshots, *cache); err != nil {
+		fmt.Fprintln(os.Stderr, "pgserved:", err)
+		os.Exit(2)
+	}
 	var err error
 	switch {
 	case *load:
 		err = runLoad(loadArgs{
 			url: *url, traceFile: *traceFile, n: *n, c: *c, out: *out, spans: *spans,
-			dist: *loadDist, distinct: *distinct, zipfS: *zipfS, seed: *seed,
+			distinct: *distinct,
 		})
 	case *route:
 		err = runRoute(*addr, *backends, *healthInterval, *drain)
@@ -124,13 +124,26 @@ func main() {
 		err = runServe(*addr, serve.Config{
 			Workers: *workers, QueueDepth: *queue,
 			Timeout: *timeout, MaxBodyBytes: *maxBody,
-			Snapshots: *snapshots, CacheEntries: *cache,
+			CacheEntries: *cache,
 		}, *drain)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgserved:", err)
 		os.Exit(1)
 	}
+}
+
+// checkServingFlags refuses the serving configurations that no longer
+// exist: the fresh-machine path (-snapshots=false) and the cache-off path
+// (-cache below 1).
+func checkServingFlags(snapshots bool, cache int) error {
+	if !snapshots {
+		return errors.New("-snapshots=false: the fresh-machine serving path was removed; every replay forks the pre-warmed snapshot")
+	}
+	if cache < 1 {
+		return fmt.Errorf("-cache %d: the replay cache can no longer be disabled; give at least 1 entry", cache)
+	}
+	return nil
 }
 
 func runServe(addr string, cfg serve.Config, drain time.Duration) error {
@@ -203,11 +216,9 @@ func serveOn(ln net.Listener, s drainable, drain time.Duration) error {
 }
 
 type loadArgs struct {
-	url, traceFile, out, dist string
-	n, c, distinct            int
-	zipfS                     float64
-	seed                      int64
-	spans                     bool
+	url, traceFile, out string
+	n, c, distinct      int
+	spans               bool
 }
 
 func runLoad(a loadArgs) error {
@@ -224,7 +235,6 @@ func runLoad(a loadArgs) error {
 	}
 	opts := serve.LoadOptions{
 		URL: url, Trace: traceText, Requests: n, Concurrency: c, Spans: spans,
-		Dist: a.dist, ZipfS: a.zipfS, Seed: a.seed,
 	}
 	if a.distinct > 1 {
 		opts.Traces, err = serve.TraceVariants(traceText, a.distinct)
@@ -234,21 +244,7 @@ func runLoad(a loadArgs) error {
 	}
 	rep, err := serve.RunLoad(opts)
 	if rep != nil {
-		fmt.Println("pgload:", rep)
-		if rep.CacheHits > 0 {
-			fmt.Printf("pgload: %d cache hits (%.1f%%), aggregate p50=%s p99=%s\n",
-				rep.CacheHits, 100*float64(rep.CacheHits)/float64(max(rep.Requests, 1)),
-				rep.P50.Round(time.Microsecond), rep.P99.Round(time.Microsecond))
-		}
-		for _, cs := range rep.Clients {
-			if cs.Requests == 0 && cs.Shed == 0 {
-				continue
-			}
-			fmt.Printf("pgload: client %d: %d ok, %d shed, p50=%s p95=%s p99=%s\n",
-				cs.Client, cs.Requests, cs.Shed,
-				cs.P50.Round(time.Microsecond), cs.P95.Round(time.Microsecond),
-				cs.P99.Round(time.Microsecond))
-		}
+		fmt.Printf("pgload: %s, %d cache hits\n", rep, rep.CacheHits)
 	}
 	if err != nil {
 		return err

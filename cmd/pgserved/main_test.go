@@ -77,3 +77,26 @@ func TestLoadFlagsValidated(t *testing.T) {
 		t.Fatal("missing -trace accepted")
 	}
 }
+
+// TestRemovedServingPathsRefused: the shipped configuration is the only one.
+// -snapshots=false and a cache below one entry are refused, each naming what
+// was removed; main exits 2 on either.
+func TestRemovedServingPathsRefused(t *testing.T) {
+	if err := checkServingFlags(true, 1024); err != nil {
+		t.Fatalf("shipped flags refused: %v", err)
+	}
+	for _, tc := range []struct {
+		snapshots bool
+		cache     int
+		want      string
+	}{
+		{false, 1024, "fresh-machine serving path was removed"},
+		{true, 0, "can no longer be disabled"},
+		{true, -1, "can no longer be disabled"},
+	} {
+		err := checkServingFlags(tc.snapshots, tc.cache)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-snapshots=%v -cache=%d: error %v, want one naming %q", tc.snapshots, tc.cache, err, tc.want)
+		}
+	}
+}

@@ -179,12 +179,8 @@ func (c *replayCache) lookupRaw(rk rawKey) *replayEntry {
 // alias points rk at the live entry for key, so the next request with the
 // same raw bytes skips the parse. It does nothing when key has no entry
 // (the replay failed, or the entry was already evicted) or rk is already
-// aliased; past maxAliases the entry's oldest alias is dropped. A nil cache
-// does nothing.
+// aliased; past maxAliases the entry's oldest alias is dropped.
 func (c *replayCache) alias(rk rawKey, key replayKey) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -230,8 +226,7 @@ func (c *replayCache) begin(key replayKey) (ent *replayEntry, call *inflightRepl
 }
 
 // complete finishes the flight f: stores the entry on success (err == nil)
-// and wakes every waiter. On a nil cache (caching disabled) it does
-// nothing. Calling it twice for one flight is safe — the
+// and wakes every waiter. Calling it twice for one flight is safe — the
 // handler may release waiters with a timeout error while the abandoned
 // worker goroutine later completes with the real result, which still caches.
 //
@@ -244,9 +239,6 @@ func (c *replayCache) begin(key replayKey) (ent *replayEntry, call *inflightRepl
 // loop runs only when an entry is actually inserted, so
 // pg_cache_evictions_total counts real LRU evictions exactly once each.
 func (c *replayCache) complete(key replayKey, f *inflightReplay, ent *replayEntry, err error) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	if c.inflight[key] == f {
 		delete(c.inflight, key)

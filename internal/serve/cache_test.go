@@ -8,13 +8,16 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/trace"
 )
 
-// cachedServer boots a server with the serving accelerations on: snapshot
-// forking plus a content-hash cache of the given size.
+// cachedServer boots a server whose content-hash cache holds the given
+// number of entries.
 func cachedServer(t *testing.T, entries int) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Snapshots: true, CacheEntries: entries})
+	s := New(Config{CacheEntries: entries})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -210,38 +213,6 @@ func TestCacheEvictionDropsRawAliases(t *testing.T) {
 	}
 }
 
-// TestCacheOffServesWithoutCacheHeader: with the cache disabled every
-// request simulates on the same render path as a cache miss, with the same
-// bytes, and no response carries an X-Pg-Cache header.
-func TestCacheOffServesWithoutCacheHeader(t *testing.T) {
-	tr := faultedTrace(t)
-	want, err := offlineNDJSON(tr, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	for i := 0; i < 2; i++ {
-		resp, body := postReplay(t, ts.URL, tr)
-		if resp.StatusCode != 200 {
-			t.Fatalf("request %d: status %s: %s", i, resp.Status, body)
-		}
-		if got, ok := resp.Header["X-Pg-Cache"]; ok {
-			t.Errorf("request %d: cache-off response carries X-Pg-Cache %q", i, got)
-		}
-		if !bytes.Equal(body, want) {
-			t.Errorf("request %d diverged from the offline replay", i)
-		}
-	}
-	s.mu.Lock()
-	got := s.replays.Value()
-	s.mu.Unlock()
-	if got != 2 {
-		t.Errorf("replays = %d, want 2 (every cache-off request simulates)", got)
-	}
-}
-
 // TestCacheSingleFlight: concurrent identical requests simulate once — the
 // leader replays, every waiter is served the same entry, and the miss counter
 // records exactly one simulation. A second concurrent round mixes repeats,
@@ -369,49 +340,58 @@ func TestCacheSpansKeyedSeparately(t *testing.T) {
 }
 
 // TestCacheMetricsDeterminism: the merged replay-metrics snapshot and the
-// crash-bucket database are functions of the served request multiset alone
-// — the same requests produce byte-identical /metrics/replay.json and
-// /buckets whether each simulated (cache off) or most were answered from the
-// cache, raw-index hits included.
+// crash-bucket database are functions of the served request multiset alone.
+// Most of these requests are answered from the cache, raw-index hits
+// included, yet /metrics/replay.json and /buckets are byte-identical to the
+// ones computed offline: each request's fresh-machine replay metrics summed,
+// and its TrapReports recorded under the trace id the server assigns it.
 func TestCacheMetricsDeterminism(t *testing.T) {
 	tr := faultedTrace(t)
 	variant := blankVariant(tr, "variant")
 	requests := [][]byte{tr, tr, tr, variant, variant, []byte(uafTrace), tr, []byte(uafTrace)}
-	serve := func(cfg Config) (metrics, buckets []byte, s *Server) {
-		s = New(cfg)
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		for _, body := range requests {
-			if resp, got := postReplay(t, ts.URL, body); resp.StatusCode != 200 {
-				t.Fatalf("status %s: %s", resp.Status, got)
-			}
+
+	var wantMetrics obs.Snapshot
+	db := newBucketDB()
+	for i, body := range requests {
+		tf, err := trace.ParseFile(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		get := func(path string) []byte {
-			resp, err := http.Get(ts.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			b, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
+		rep, err := trace.Replay(trace.NewMachine(tf), tf.Events)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return get("/metrics/replay.json"), get("/buckets"), s
+		wantMetrics.Add(rep.Metrics)
+		db.record(fmt.Sprintf("pg-%08x", i+1), detectionReports(rep))
 	}
-	uncachedMetrics, uncachedBuckets, _ := serve(Config{})
-	cachedMetrics, cachedBuckets, s := serve(Config{Snapshots: true, CacheEntries: 64})
+	var metricsWant bytes.Buffer
+	if err := wantMetrics.WriteJSON(&metricsWant); err != nil {
+		t.Fatal(err)
+	}
+	bucketsWant := httptest.NewRecorder()
+	writeBuckets(bucketsWant, db.snapshot())
+
+	s, ts := cachedServer(t, 64)
+	for _, body := range requests {
+		if resp, got := postReplay(t, ts.URL, body); resp.StatusCode != 200 {
+			t.Fatalf("status %s: %s", resp.Status, got)
+		}
+	}
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readAll(t, resp)
+	}
 	if r := s.cache.rawHits.Load(); r != 5 {
 		t.Errorf("raw hits = %d, want 5", r)
 	}
-	if !bytes.Equal(uncachedMetrics, cachedMetrics) {
-		t.Errorf("merged replay metrics diverge between cached and uncached serving:\n%s\nvs\n%s",
-			uncachedMetrics, cachedMetrics)
+	if got := get("/metrics/replay.json"); !bytes.Equal(got, metricsWant.Bytes()) {
+		t.Errorf("merged replay metrics diverge from the offline sum:\n%s\nvs\n%s", got, metricsWant.Bytes())
 	}
-	if !bytes.Equal(uncachedBuckets, cachedBuckets) {
-		t.Errorf("crash buckets diverge between cached and uncached serving:\n%s\nvs\n%s",
-			uncachedBuckets, cachedBuckets)
+	if got := get("/buckets"); !bytes.Equal(got, bucketsWant.Body.Bytes()) {
+		t.Errorf("crash buckets diverge from the offline replays' reports:\n%s\nvs\n%s", got, bucketsWant.Body.Bytes())
 	}
 }
 

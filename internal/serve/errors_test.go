@@ -227,3 +227,34 @@ func TestCorpusEndpointsMatchDirectReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestVABudgetErrorMatchesOffline: a trace whose VA budget cannot cover the
+// fixed stack+globals pages is a 422 whose detail carries the error text
+// pgtrace's fresh-machine replay reports. The forked machine defers the
+// budget error to the replay, so the server builds no second machine; no
+// fallback series exists.
+func TestVABudgetErrorMatchesOffline(t *testing.T) {
+	tr := []byte("!vabudget 100\na 1 64\nf 1\n")
+	_, offlineErr := offlineNDJSON(tr, false)
+	if offlineErr == nil {
+		t.Fatal("offline replay accepted a 100-page VA budget")
+	}
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postReplay(t, ts.URL, tr)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %s, want 422: %s", resp.Status, body)
+	}
+	eb := decodeError(t, resp, body)
+	if eb.Code != ErrCodeReplayFailed || eb.Error != "replay failed: "+offlineErr.Error() {
+		t.Fatalf("code %q, error %q; want %q, %q", eb.Code, eb.Error, ErrCodeReplayFailed, "replay failed: "+offlineErr.Error())
+	}
+	host := s.HostSnapshot()
+	if _, ok := host.Counters["pgserved_snapshot_fallbacks_total"]; ok {
+		t.Error("pgserved_snapshot_fallbacks_total is still exported")
+	}
+	if got := host.Counters["pgserved_snapshot_forks_total"]; got != 1 {
+		t.Errorf("pgserved_snapshot_forks_total = %d, want 1", got)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // readAll drains and closes a response body.
@@ -190,66 +189,6 @@ func TestDebugSpansRing(t *testing.T) {
 	if found.LeafCycles != found.ChargedCycles {
 		t.Fatalf("debug record fails reconciliation: leaf=%d charged=%d",
 			found.LeafCycles, found.ChargedCycles)
-	}
-}
-
-// TestLoadPerClientStats: RunLoad fills the per-client breakdown — every
-// client that completed requests has ordered, nonzero percentiles, and the
-// per-client counts sum to the run totals.
-func TestLoadPerClientStats(t *testing.T) {
-	tr := faultedTrace(t)
-	s := New(Config{Workers: 2, QueueDepth: 16})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	rep, err := RunLoad(LoadOptions{
-		URL: ts.URL, Trace: tr, Requests: 12, Concurrency: 4, Spans: true,
-	})
-	if err != nil {
-		t.Fatalf("%v (%v)", err, rep)
-	}
-	if len(rep.Clients) != 4 {
-		t.Fatalf("clients = %d, want 4", len(rep.Clients))
-	}
-	var sumReq, sumShed int
-	for i, c := range rep.Clients {
-		if c.Client != i {
-			t.Fatalf("client %d mislabeled as %d", i, c.Client)
-		}
-		sumReq += c.Requests
-		sumShed += c.Shed
-		if c.Requests == 0 {
-			continue
-		}
-		if c.P50 <= 0 || c.P50 > c.P95 || c.P95 > c.P99 {
-			t.Fatalf("client %d percentiles out of order: %v %v %v", i, c.P50, c.P95, c.P99)
-		}
-	}
-	if sumReq != rep.Requests || sumShed != rep.Shed {
-		t.Fatalf("per-client sums (%d req, %d shed) != totals (%d, %d)",
-			sumReq, sumShed, rep.Requests, rep.Shed)
-	}
-}
-
-// TestPercentileNearestRank pins the nearest-rank definition the load
-// summary uses.
-func TestPercentileNearestRank(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	sorted := []time.Duration{ms(1), ms(2), ms(3), ms(4), ms(5), ms(6), ms(7), ms(8), ms(9), ms(10)}
-	if got := percentile(sorted, 50); got != ms(5) {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := percentile(sorted, 95); got != ms(10) {
-		t.Fatalf("p95 = %v", got)
-	}
-	if got := percentile(sorted, 99); got != ms(10) {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Fatalf("empty p50 = %v", got)
-	}
-	if got := percentile(sorted[:1], 99); got != ms(1) {
-		t.Fatalf("single-sample p99 = %v", got)
 	}
 }
 

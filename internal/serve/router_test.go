@@ -17,7 +17,7 @@ import (
 	"repro/trace"
 )
 
-// routerFixture boots n cached backends and a router over them, returning
+// routerFixture boots n backends and a router over them, returning
 // the router's test server plus the backend servers and their Server handles.
 func routerFixture(t *testing.T, n int) (*Router, *httptest.Server, []*Server, []*httptest.Server) {
 	t.Helper()
@@ -25,7 +25,7 @@ func routerFixture(t *testing.T, n int) (*Router, *httptest.Server, []*Server, [
 	var servers []*Server
 	var backends []*httptest.Server
 	for i := 0; i < n; i++ {
-		s := New(Config{Snapshots: true, CacheEntries: 64})
+		s := New(Config{CacheEntries: 64})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		servers = append(servers, s)
@@ -229,14 +229,19 @@ func TestRouterPropagatesRetryAfter(t *testing.T) {
 	// Fill both admission slots (1 executing + 1 queued) with slow replays
 	// posted directly to the backend, then hit the router until the shed
 	// surfaces.
-	slow := slowTrace(20000)
+	// Two distinct variants, so the second queues behind the first instead
+	// of joining its cache flight.
+	slow, err := TraceVariants(slowTrace(20000), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var hold sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		hold.Add(1)
-		go func() {
+		go func(body []byte) {
 			defer hold.Done()
-			postReplay(t, backend.URL, slow)
-		}()
+			postReplay(t, backend.URL, body)
+		}(slow[i])
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	// Probe only once both slow replays hold the admission slots: a probe
@@ -294,14 +299,19 @@ func TestRouterLoadRetriesSheds(t *testing.T) {
 	// slots (1 executing + 1 queued) with slow replays and wait until a
 	// probe observes the 429 — so the load run is guaranteed to shed even
 	// on a starved CPU where its own clients never overlap.
-	slow := slowTrace(20000)
+	// Two distinct variants, so the second queues behind the first instead
+	// of joining its cache flight.
+	slow, err := TraceVariants(slowTrace(20000), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var hold sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		hold.Add(1)
-		go func() {
+		go func(body []byte) {
 			defer hold.Done()
-			postReplay(t, backend.URL, slow)
-		}()
+			postReplay(t, backend.URL, body)
+		}(slow[i])
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	// Probe only once both slow replays hold the admission slots: a probe
@@ -342,25 +352,41 @@ func TestRouterLoadRetriesSheds(t *testing.T) {
 	}
 }
 
-// TestRouterZipfMixAcrossBackends: the Zipf load mix rides through the router
-// with byte-parity intact and cache hits accumulating on the hot traces.
-func TestRouterZipfMixAcrossBackends(t *testing.T) {
-	_, front, _, _ := routerFixture(t, 2)
-	traces, err := TraceVariants(slowTrace(40), 8)
+// TestRouterMixAcrossBackends: a round-robin mix of 32 variants rides
+// through the router with byte parity intact, and the router spreads the
+// keys: every backend simulates at least one variant, the backends together
+// simulate each variant exactly once, and every repeat is a cache hit. 32
+// keys, not 8: httptest ports are random, so ring placement changes per run,
+// and with 8 keys all of them land on one backend about once in 128 runs.
+func TestRouterMixAcrossBackends(t *testing.T) {
+	const variants, requests = 32, 128
+	_, front, servers, _ := routerFixture(t, 2)
+	traces, err := TraceVariants(slowTrace(40), variants)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := RunLoad(LoadOptions{
-		URL: front.URL, Traces: traces, Dist: "zipf", Requests: 64, Concurrency: 4,
+		URL: front.URL, Traces: traces, Requests: requests, Concurrency: 4,
 	})
 	if err != nil {
-		t.Fatalf("zipf load through router: %v (%v)", err, rep)
+		t.Fatalf("mixed load through router: %v (%v)", err, rep)
 	}
-	if rep.Requests != 64 || rep.Mismatches != 0 {
+	if rep.Requests != requests || rep.Mismatches != 0 {
 		t.Fatalf("load report: %v", rep)
 	}
-	if rep.CacheHits == 0 {
-		t.Error("zipf mix over 8 variants produced zero cache hits across 64 requests")
+	var misses uint64
+	for i, s := range servers {
+		m := s.HostSnapshot().Counters["pg_cache_misses_total"]
+		if m < 1 {
+			t.Errorf("backend %d simulated no variant: every key routed to one backend", i)
+		}
+		misses += m
+	}
+	if misses != variants {
+		t.Errorf("backends simulated %d times, want %d (each variant once)", misses, variants)
+	}
+	if rep.CacheHits != requests-variants {
+		t.Errorf("cache hits = %d, want %d", rep.CacheHits, requests-variants)
 	}
 }
 

@@ -4,12 +4,13 @@
 // process — the fleet-facing deployment GWP-ASan-style systems use, built on
 // the paper's §1.1 "intercept all calls to malloc and free" adoption path.
 //
-// Every request gets a fresh pageguard.Machine, so replays are hermetic and
-// byte-for-bit deterministic whatever the concurrency: the NDJSON body of a
-// replay depends only on the trace, never on the worker count or
-// interleaving. The server's shared state is limited to admission control
-// (a bounded worker pool plus a bounded queue) and metrics aggregation
-// (per-process snapshots merged commutatively).
+// Every request gets its own pageguard.Machine, forked copy-on-write from one
+// pre-warmed snapshot, so replays are hermetic and byte-for-bit deterministic
+// whatever the concurrency: the NDJSON body of a replay depends only on the
+// trace, never on the worker count or interleaving. The server's shared
+// state is limited to admission control (a bounded worker pool plus a
+// bounded queue), a content-hash cache of finished bodies, and metrics
+// aggregation (per-process snapshots merged commutatively).
 //
 // The load-shedding ladder, outermost first:
 //
@@ -59,13 +60,7 @@ type Config struct {
 	Timeout time.Duration
 	// RetryAfter is the hint returned with 429 responses (0 = 1s).
 	RetryAfter time.Duration
-	// Snapshots enables the pre-warmed copy-on-write machine snapshot:
-	// replay machines are forked from one frozen image instead of built
-	// from scratch per request. Responses are byte-identical either way
-	// (the parity tests enforce it); off preserves the fresh-machine path
-	// exactly.
-	Snapshots bool
-	// CacheEntries bounds the content-hash replay cache (0 = disabled).
+	// CacheEntries bounds the content-hash replay cache (0 = 1024).
 	// Identical requests (canonical trace + semantics knobs) are served
 	// from the cache without simulating, with single-flight dedup of
 	// concurrent misses.
@@ -87,6 +82,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
+	}
+	if c.CacheEntries <= 0 {
+		c.CacheEntries = 1024
 	}
 	return c
 }
@@ -123,15 +121,11 @@ type Server struct {
 	shed     *obs.Counter
 	timeouts *obs.Counter
 
-	// snap, when non-nil, is the pre-warmed frozen machine image every
-	// replay machine is forked from (Config.Snapshots). forks/forkFallbacks
-	// count fork successes and structural-mismatch fallbacks to the fresh
-	// path.
-	snap          *pageguard.Snapshot
-	forks         atomic.Uint64
-	forkFallbacks atomic.Uint64
-	// cache, when non-nil, memoizes replay responses by content hash
-	// (Config.CacheEntries).
+	// snap is the pre-warmed frozen machine image every replay machine is
+	// forked from; forks counts the forks.
+	snap  *pageguard.Snapshot
+	forks atomic.Uint64
+	// cache memoizes replay responses by content hash (Config.CacheEntries).
 	cache *replayCache
 	// buckets is the crash-bucket database: every served replay's
 	// TrapReports deduplicated by (alloc site, free site), GET /buckets.
@@ -167,9 +161,16 @@ type debugEntry struct {
 	ChargedCycles uint64 `json:"charged_cycles"`
 }
 
-// New builds a server.
+// New builds a server. It panics if the default-shape snapshot cannot be
+// booted, which with no options cannot happen.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	// A default-shape snapshot serves every request: trace directives and
+	// query overrides are all fork-compatible per-request knobs.
+	snap, err := pageguard.NewSnapshot()
+	if err != nil {
+		panic(fmt.Sprintf("serve: boot the replay snapshot: %v", err))
+	}
 	s := &Server{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
@@ -177,6 +178,7 @@ func New(cfg Config) *Server {
 		queue:      make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		reg:        obs.NewRegistry(),
 		staticSeen: make(map[string]bool),
+		snap:       snap,
 		buckets:    newBucketDB(),
 	}
 	// Latency buckets in microseconds: 100us .. 10s.
@@ -204,24 +206,10 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(cfg.Workers) })
 	obs.RegisterBuildInfo(s.reg, time.Now())
 
-	if cfg.Snapshots {
-		// A default-shape snapshot serves every request: trace directives
-		// and query overrides are all fork-compatible per-request knobs.
-		// If snapshot creation somehow fails, the fresh-machine path still
-		// serves correctly.
-		if snap, err := pageguard.NewSnapshot(); err == nil {
-			s.snap = snap
-		}
-		s.reg.CounterFunc("pgserved_snapshot_forks_total",
-			"replay machines forked from the pre-warmed snapshot",
-			s.forks.Load)
-		s.reg.CounterFunc("pgserved_snapshot_fallbacks_total",
-			"replay machines built fresh because fork options were structurally incompatible",
-			s.forkFallbacks.Load)
-	}
-	if cfg.CacheEntries > 0 {
-		s.cache = newReplayCache(cfg.CacheEntries, s.reg)
-	}
+	s.reg.CounterFunc("pgserved_snapshot_forks_total",
+		"replay machines forked from the pre-warmed snapshot",
+		s.forks.Load)
+	s.cache = newReplayCache(cfg.CacheEntries, s.reg)
 
 	s.mux.HandleFunc("POST /replay", s.handleReplay)
 	s.mux.HandleFunc("POST /workload/{name}", s.handleWorkload)
@@ -365,7 +353,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // runIsolated executes fn on a worker slot under the request budget. fn runs
-// in its own goroutine building a fresh machine; if the budget expires first
+// in its own goroutine on its own machine; if the budget expires first
 // the goroutine is abandoned (it cannot be interrupted mid-simulation but
 // holds only its own memory plus one worker slot until it finishes) and the
 // handler reports 503. A panic in fn is recovered on the worker goroutine
@@ -539,13 +527,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	// A repeat of bytes already answered is served from the raw index: no
 	// parse, no canonical key.
-	var rk rawKey
-	if s.cache != nil {
-		rk = rawKeyFor(body, o)
-		if ent := s.cache.lookupRaw(rk); ent != nil {
-			s.serveHit(w, r, ent, start, time.Now())
-			return
-		}
+	rk := rawKeyFor(body, o)
+	if ent := s.cache.lookupRaw(rk); ent != nil {
+		s.serveHit(w, r, ent, start, time.Now())
+		return
 	}
 	tf, err := trace.ParseFile(bytes.NewReader(body))
 	if err != nil {
@@ -609,19 +594,19 @@ func (s *Server) queryOverrides(w http.ResponseWriter, r *http.Request) (overrid
 	return o, true
 }
 
-// buildMachine returns the machine for one replay: a fork of the pre-warmed
-// snapshot when enabled and the trace's directives are fork-compatible
-// (they always are today — the fallback guards future structural options),
-// else a fresh machine exactly as before.
-func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) *pageguard.Machine {
-	if s.snap != nil {
-		if m, err := s.snap.Fork(tf.MachineOptions(extra...)...); err == nil {
-			s.forks.Add(1)
-			return m
-		}
-		s.forkFallbacks.Add(1)
+// buildMachine forks the machine for one replay from the pre-warmed
+// snapshot. Trace directives and query overrides are per-request knobs, so
+// the structural-mismatch error cannot happen today; it guards options a
+// later trace directive might add. A knob the process cannot be set up with
+// (a VA budget below the fixed pages) fails in the replay, with the fresh
+// machine's error.
+func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) (*pageguard.Machine, error) {
+	m, err := s.snap.Fork(tf.MachineOptions(extra...)...)
+	if err != nil {
+		return nil, err
 	}
-	return trace.NewMachine(tf, extra...)
+	s.forks.Add(1)
+	return m, nil
 }
 
 // replayFile runs the trace (directives honoured) on a worker slot and
@@ -631,14 +616,12 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) *pagegu
 // bytes pgtrace -ndjson -spans produces offline. start is the handler's
 // arrival time, used only for the /debug/spans host-side record.
 //
-// With the content-hash cache enabled, identical requests are served from
-// the memoized body without simulating; concurrent identical misses simulate
-// once (single-flight). With it disabled every request is a leader: it
-// takes the same render and write path and skips only the key, begin and
-// complete steps. Every 200 response — simulated or cached — merges the
-// replay's process metrics into the fleet aggregate, so the merged snapshot
-// stays a function of the served request multiset alone. On a 200 it returns
-// the canonical key (zero with the cache off) and true.
+// Identical requests are served from the content-hash cache without
+// simulating; concurrent identical misses simulate once (single-flight).
+// Every 200 response — simulated or cached — merges the replay's process
+// metrics into the fleet aggregate, so the merged snapshot stays a function
+// of the served request multiset alone. On a 200 it returns the canonical
+// key and true.
 func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.File, withSpans bool, start time.Time) (replayKey, bool) {
 	var extra []pageguard.Option
 	if withSpans {
@@ -648,16 +631,8 @@ func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.Fi
 	defer cancel()
 	execStart := time.Now()
 
-	var (
-		key    replayKey
-		ent    *replayEntry
-		call   *inflightReplay
-		leader = true
-	)
-	if s.cache != nil {
-		key = keyForReplay(tf, withSpans)
-		ent, call, leader = s.cache.begin(key)
-	}
+	key := keyForReplay(tf, withSpans)
+	ent, call, leader := s.cache.begin(key)
 	switch {
 	case ent != nil:
 		// Cache hit: serve without simulating.
@@ -734,7 +709,11 @@ const maxRenderScratch = 1 << 20
 // merging the process metrics and counting the completion. Runs on a worker
 // goroutine.
 func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpans bool) (*replayEntry, error) {
-	rep, err := trace.Replay(s.buildMachine(tf, extra...), tf.Events)
+	m, err := s.buildMachine(tf, extra...)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := trace.Replay(m, tf.Events)
 	if err != nil {
 		return nil, err
 	}
@@ -806,16 +785,13 @@ func (s *Server) runError(w http.ResponseWriter, ctx context.Context, err error,
 	}
 }
 
-// writeEntry serves a rendered replay body and records the /debug/spans
-// line. cacheState ("hit" or "miss") stamps the X-Pg-Cache header when the
-// cache is enabled; with it disabled the response carries no such header.
+// writeEntry serves a rendered replay body, stamped X-Pg-Cache: cacheState
+// ("hit" or "miss"), and records the /debug/spans line.
 func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, ent *replayEntry, cacheState string, start, execStart time.Time) {
 	execMicros := time.Since(execStart).Microseconds()
 	s.buckets.record(w.Header().Get("X-Pg-Trace-Id"), ent.reports)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if s.cache != nil {
-		w.Header().Set("X-Pg-Cache", cacheState)
-	}
+	w.Header().Set("X-Pg-Cache", cacheState)
 	if _, err := w.Write(ent.body); err != nil {
 		return // client went away mid-body; nothing more to do
 	}

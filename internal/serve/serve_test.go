@@ -77,22 +77,37 @@ func TestReplayEndpointMatchesOffline(t *testing.T) {
 	}
 }
 
+// simulatedAll asserts that s simulated every one of distinct bodies: its
+// cache missed once per body, so concurrent requests replayed rather than
+// only being answered from the cache.
+func simulatedAll(t *testing.T, s *Server, distinct int) {
+	t.Helper()
+	if m := s.HostSnapshot().Counters["pg_cache_misses_total"]; m != uint64(distinct) {
+		t.Fatalf("pg_cache_misses_total = %d, want %d (one simulation per distinct body)", m, distinct)
+	}
+}
+
 // TestServeDeterminismAcrossParallelism is the concurrency-parity gate: the
-// same trace replayed through a 1-worker server and an 8-worker server (the
-// latter under concurrent clients) produces byte-identical NDJSON bodies on
-// every request and byte-identical merged replay-metrics snapshots. It is
-// the serving mirror of the harness's -j1-vs-j8 parity tests, and must stay
-// clean under -race.
+// same distinct trace variants replayed through a 1-worker server and an
+// 8-worker server (the latter under concurrent clients) produce
+// byte-identical NDJSON bodies on every request and byte-identical merged
+// replay-metrics snapshots. Every variant is simulated, not served from the
+// cache. It is the serving mirror of the harness's -j1-vs-j8 parity tests,
+// and must stay clean under -race.
 func TestServeDeterminismAcrossParallelism(t *testing.T) {
 	tr := faultedTrace(t)
 	const requests = 12
+	variants, err := TraceVariants(tr, requests)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	runAt := func(workers, clients int) (bodies [][]byte, replayJSON []byte, metricsJSON []byte) {
 		s := New(Config{Workers: workers, QueueDepth: 64})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		rep, err := RunLoad(LoadOptions{
-			URL: ts.URL, Trace: tr, Requests: requests, Concurrency: clients,
+			URL: ts.URL, Traces: variants, Requests: requests, Concurrency: clients,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v (%v)", workers, err, rep)
@@ -100,12 +115,15 @@ func TestServeDeterminismAcrossParallelism(t *testing.T) {
 		if rep.Requests != requests || rep.Mismatches != 0 {
 			t.Fatalf("workers=%d: %v", workers, rep)
 		}
-		// One more replay outside the load run, keeping the body for the
-		// cross-parallelism comparison (requests+1 total per server).
+		simulatedAll(t, s, requests)
+		// One more replay outside the load run, of the base trace, keeping
+		// the body for the cross-parallelism comparison (requests+1 distinct
+		// bodies per server).
 		resp, body := postReplay(t, ts.URL, tr)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %s", resp.Status)
 		}
+		simulatedAll(t, s, requests+1)
 		var buf bytes.Buffer
 		if err := s.ReplaySnapshot().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -137,21 +155,26 @@ func TestServeDeterminismAcrossParallelism(t *testing.T) {
 }
 
 // TestLoadSustainsSixtyFourConcurrent is the acceptance bar: 64 concurrent
-// clients each complete a replay with byte-identical results under the
-// default worker pool (sheds are retried by the load generator, so every
-// request eventually lands).
+// clients each complete a replay of a distinct variant with byte-identical
+// results under the default worker pool (sheds are retried by the load
+// generator, so every request eventually lands), and every variant is
+// simulated.
 func TestLoadSustainsSixtyFourConcurrent(t *testing.T) {
-	tr := faultedTrace(t)
+	variants, err := TraceVariants(faultedTrace(t), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	rep, err := RunLoad(LoadOptions{URL: ts.URL, Trace: tr, Requests: 64, Concurrency: 64})
+	rep, err := RunLoad(LoadOptions{URL: ts.URL, Traces: variants, Requests: 64, Concurrency: 64})
 	if err != nil {
 		t.Fatalf("load run failed: %v (%v)", err, rep)
 	}
 	if rep.Requests != 64 || rep.Mismatches != 0 {
 		t.Fatalf("load report = %v", rep)
 	}
+	simulatedAll(t, s, 64)
 }
 
 // TestQueueFullShedsWith429: when every worker slot and every queue slot is
@@ -212,7 +235,11 @@ func TestDrainWaitsForAbandonedReplays(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, _ := postReplay(t, ts.URL, slowTrace(4000))
+	// Three lines key in microseconds, so the budget runs out in the replay
+	// and not before it starts: mapping a 256 MiB object's 65,536 pages
+	// takes about 0.1 s (0.9 s under -race). A long trace would spend the
+	// budget in the parse and cache key, and never start its replay.
+	resp, _ := postReplay(t, ts.URL, []byte("a 1 268435456\nw 1 0\nf 1\n"))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		// On a very fast machine the replay may beat the budget; that is
 		// not a drain scenario, so skip rather than flake.
@@ -222,6 +249,9 @@ func TestDrainWaitsForAbandonedReplays(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+	if f := s.forks.Load(); f != 1 {
+		t.Fatalf("%d replays started, want 1: the budget ran out before the replay began", f)
 	}
 	// The abandoned replay completed in the background: its process
 	// snapshot was merged.
@@ -297,6 +327,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"pgserved_replays_total 1",
+		"pgserved_snapshot_forks_total 1",
+		"pg_cache_misses_total 1",
 		"pgserved_requests_total{endpoint=\"replay\"} 1",
 		"pgserved_queue_depth",
 		"pgserved_request_micros_count 1",

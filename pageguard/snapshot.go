@@ -61,18 +61,19 @@ func structural(cfg machineConfig) kernel.Config {
 //
 // extra options may adjust per-request knobs (WithFaultSchedule,
 // WithVABudget, WithPolicySpec, WithReusePolicy, WithGCSchedule,
-// WithOverflowGuards, WithSampling, WithSpanTracing); an option that would change the
-// machine's structure away from the snapshot's returns an error, so callers
-// can fall back to a fresh machine.
+// WithOverflowGuards, WithSampling, WithSpanTracing); an option that would
+// change the machine's structure away from the snapshot's returns an error.
+// A per-request knob the process cannot be set up with (a malformed spec, a
+// VA budget below the fixed stack+globals pages) is not a Fork error: the
+// returned machine is unforked, and its first NewProcess reports exactly the
+// error a fresh machine's would.
 func (s *Snapshot) Fork(extra ...Option) (*Machine, error) {
 	cfg := s.base
 	for _, o := range extra {
 		o(&cfg)
 	}
 	if cfg.schedErr != nil {
-		// Surface the malformed-spec error from NewProcess exactly like a
-		// fresh machine would; no fork work is needed.
-		return &Machine{cfg: cfg, sys: kernel.NewSystem(cfg.kernel)}, nil
+		return unforked(cfg), nil
 	}
 	if structural(cfg) != structural(s.base) {
 		return nil, fmt.Errorf("pageguard: fork options change the machine structure (snapshot %+v, fork %+v)",
@@ -81,7 +82,14 @@ func (s *Snapshot) Fork(extra ...Option) (*Machine, error) {
 	sys := s.sys.Fork()
 	proc, err := s.proc.Fork(sys, cfg.kernel)
 	if err != nil {
-		return nil, err
+		return unforked(cfg), nil
 	}
 	return &Machine{cfg: cfg, sys: sys, prepared: proc}, nil
+}
+
+// unforked is a fresh machine with no prepared process, for a fork whose
+// process cannot be set up: NewProcess then takes the fresh path and fails
+// with its error, before any simulated work.
+func unforked(cfg machineConfig) *Machine {
+	return &Machine{cfg: cfg, sys: kernel.NewSystem(cfg.kernel)}
 }

@@ -94,7 +94,7 @@ func TestSnapshotForkParity(t *testing.T) {
 }
 
 // TestSnapshotForkStructuralMismatch: options that change the machine
-// structure must be rejected so callers fall back to a fresh machine.
+// structure must be rejected, never served by a machine of another shape.
 func TestSnapshotForkStructuralMismatch(t *testing.T) {
 	snap, err := NewSnapshot()
 	if err != nil {
@@ -109,13 +109,18 @@ func TestSnapshotForkStructuralMismatch(t *testing.T) {
 }
 
 // TestSnapshotForkBudgetTooSmall: a VA budget below the fixed stack+globals
-// reservation must fail exactly like kernel.NewProcess does.
+// reservation is not a Fork error; the forked machine's NewProcess fails
+// exactly like kernel.NewProcess does.
 func TestSnapshotForkBudgetTooSmall(t *testing.T) {
 	snap, err := NewSnapshot()
 	if err != nil {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
-	_, forkErr := snap.Fork(WithVABudget(100))
+	m, err := snap.Fork(WithVABudget(100))
+	if err != nil {
+		t.Fatalf("Fork with a tiny budget: %v, want the error deferred to NewProcess", err)
+	}
+	_, forkErr := m.NewProcess()
 	freshErr := func() error {
 		_, err := NewMachine(WithVABudget(100)).NewProcess()
 		return err

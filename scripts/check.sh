@@ -9,8 +9,9 @@
 #   the attribution-exact metrics export, the pgserved smoke (HTTP replay
 #   parity, the ?spans=1 stream matching pgtrace -ndjson -spans with
 #   leaf-span cycles reconciling to kernel-charged cycles, the adversarial
-#   corpus replayed bit-for-bit, graceful drain), the router smoke (two
-#   snapshot+cache backends, routed bytes diffed against pgtrace -ndjson,
+#   corpus replayed bit-for-bit, graceful drain, the removed fresh-machine
+#   path refused), the router smoke (two backends, routed bytes diffed
+#   against pgtrace -ndjson, a 32-variant mix simulated on both backends,
 #   merged crash buckets checked as the per-bucket sum of the backends), and
 #   the elision soundness gate and points-to subset fuzz under -race.
 #
@@ -73,6 +74,15 @@ echo "== pgserved smoke (HTTP replay parity + graceful drain) =="
 # asserted inside the load generator), diff one fetched body against
 # pgtrace -ndjson, then SIGTERM and require a clean drain.
 servelog=$tmp/servelog
+
+# Serving has one configuration: the removed fresh-machine path is refused
+# with a usage error.
+rc=0
+"$pgserved" -snapshots=false 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "pgserved -snapshots=false exited $rc, want 2" >&2
+    exit 1
+fi
 
 "$pgserved" -addr 127.0.0.1:0 >"$servelog" &
 servepid=$!
@@ -146,10 +156,11 @@ fi
 echo "pgserved smoke: 64 replays byte-identical to offline, clean SIGTERM drain"
 
 echo "== pgserved router smoke (2 backends, consistent hashing, clean drain) =="
-# Two snapshot+cache backends behind a -route front: load through the router
-# (byte-identity per response asserted inside the generator, including a
-# Zipf-distributed variant mix), diff one routed body against pgtrace
-# -ndjson, then SIGTERM all three and require clean drains.
+# Two backends behind a -route front: load through the router (byte-identity
+# per response asserted inside the generator), diff one routed body against
+# pgtrace -ndjson, send a round-robin mix of 32 variants and require both
+# backends to have simulated some of it (the router shards), then SIGTERM all
+# three and require clean drains.
 b1log=$tmp/b1log
 b2log=$tmp/b2log
 routerlog=$tmp/routerlog
@@ -185,8 +196,21 @@ if ! diff -q "$servebody" "$offline" >/dev/null; then
     diff "$servebody" "$offline" >&2 || true
     exit 1
 fi
+misses() {
+    curl -sf "http://$1/metrics" | sed -n 's/^pg_cache_misses_total //p'
+}
+b1before=$(misses "$b1addr")
+b2before=$(misses "$b2addr")
+# 32 keys, not 8: the backends' ports, and so the ring placement, change per
+# run, and 8 keys all land on one backend about once in 128 runs.
 "$pgserved" -load -url "http://$raddr" -trace trace/testdata/faulted.trace \
-    -n 64 -c 8 -distinct 8 -load-dist zipf
+    -n 64 -c 8 -distinct 32
+b1mix=$(( $(misses "$b1addr") - b1before ))
+b2mix=$(( $(misses "$b2addr") - b2before ))
+if [ "$b1mix" -lt 1 ] || [ "$b2mix" -lt 1 ] || [ $((b1mix + b2mix)) -ne 32 ]; then
+    echo "router did not shard the 32-variant mix: backend misses $b1mix + $b2mix, want both >= 1, sum 32" >&2
+    exit 1
+fi
 
 # Fleet crash buckets: replay a planted-UAF corpus trace through the router,
 # then require the router's merged GET /buckets to be exactly the per-bucket
@@ -239,7 +263,7 @@ for log in "$routerlog" "$b1log" "$b2log"; do
         exit 1
     fi
 done
-echo "router smoke: routed bytes identical to offline, zipf mix verified, 3 clean drains"
+echo "router smoke: routed bytes identical to offline, 32 variants sharded $b1mix/$b2mix, 3 clean drains"
 
 echo "== soundness gate (-race) =="
 # PROVEN-SAFE uses never trap, elision-miss stays 0, POSSIBLE findings carry

@@ -31,25 +31,45 @@ func parityTrace(n int) string {
 // through the given machine.
 func replayBytes(t *testing.T, m *pageguard.Machine, f *File, spans bool) []byte {
 	t.Helper()
+	b, err := replayResult(m, f, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// replayResult is replayBytes for a replay that may fail: the rendered
+// bytes, or the replay's error.
+func replayResult(m *pageguard.Machine, f *File, spans bool) ([]byte, error) {
 	rep, err := Replay(m, f.Events)
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := WriteNDJSON(&buf, rep); err != nil {
-		t.Fatalf("WriteNDJSON: %v", err)
+		return nil, fmt.Errorf("WriteNDJSON: %w", err)
 	}
 	if spans {
 		if err := WriteSpansNDJSON(&buf, rep); err != nil {
-			t.Fatalf("WriteSpansNDJSON: %v", err)
+			return nil, fmt.Errorf("WriteSpansNDJSON: %w", err)
 		}
 	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // TestSnapshotReplayParity: replaying any directive-carrying trace on a
 // Snapshot fork must produce the same bytes — NDJSON body, TrapReports with
-// their flight-recorder context, spans — as a fresh machine.
+// their flight-recorder context, spans — as a fresh machine. A trace whose
+// process cannot be set up (a VA budget below the fixed stack+globals pages)
+// must fail with the fresh machine's error text.
 func TestSnapshotReplayParity(t *testing.T) {
 	snap, err := pageguard.NewSnapshot()
 	if err != nil {
@@ -67,6 +87,7 @@ func TestSnapshotReplayParity(t *testing.T) {
 		{"vabudget", "!vabudget 6000\n", false},
 		{"spans", "", true},
 		{"everything", "!faults seed=3;mprotect:prob=0.02\n!policy interval=32\n!vabudget 8000\n!guards\n", true},
+		{"vabudget-error", "!vabudget 100\n", false},
 	}
 	body := parityTrace(120)
 	for _, tc := range headers {
@@ -81,17 +102,23 @@ func TestSnapshotReplayParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := replayBytes(t, NewMachine(ff, extra...), ff, tc.spans)
+			want, wantErr := replayResult(NewMachine(ff, extra...), ff, tc.spans)
 
 			ff2, err := ParseFile(strings.NewReader(src))
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := snap.Fork(ff2.MachineOptions(extra...)...)
-			if err != nil {
-				t.Fatalf("Fork: %v", err)
+			m, gotErr := snap.Fork(ff2.MachineOptions(extra...)...)
+			var got []byte
+			if gotErr == nil {
+				got, gotErr = replayResult(m, ff2, tc.spans)
 			}
-			got := replayBytes(t, m, ff2, tc.spans)
+			if errText(gotErr) != errText(wantErr) {
+				t.Fatalf("forked replay error %q, fresh machine error %q", errText(gotErr), errText(wantErr))
+			}
+			if (wantErr != nil) != strings.HasSuffix(tc.name, "-error") {
+				t.Fatalf("fresh machine error = %v; only the -error rows fail", wantErr)
+			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("forked replay diverged from fresh machine\nfresh:  %d bytes\nforked: %d bytes\nfirst diff at %d",
 					len(want), len(got), firstDiff(want, got))

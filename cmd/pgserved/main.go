@@ -27,7 +27,9 @@
 //	GET  /buckets              crash-bucket database: every served detection
 //	                           deduplicated by (alloc site, free site) with
 //	                           counts, first/last trace ids, and one
-//	                           representative forensic report per bucket; in
+//	                           representative forensic report per bucket, at
+//	                           most 1024 buckets (detections past the cap
+//	                           count in pgserved_buckets_dropped_total); in
 //	                           -route mode the router fans the GET out to all
 //	                           backends and returns the merged fleet view
 //	GET  /healthz              liveness JSON: status, drain state, queue depth
@@ -72,6 +74,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -151,7 +154,7 @@ func runServe(addr string, cfg serve.Config, drain time.Duration) error {
 	if err != nil {
 		return err
 	}
-	return serveOn(ln, serve.New(cfg), drain)
+	return serveOn(ln, serve.New(cfg), drain, os.Stdout)
 }
 
 func runRoute(addr, backends string, healthInterval, drain time.Duration) error {
@@ -172,7 +175,7 @@ func runRoute(addr, backends string, healthInterval, drain time.Duration) error 
 	if err != nil {
 		return err
 	}
-	return serveOn(ln, rt, drain)
+	return serveOn(ln, rt, drain, os.Stdout)
 }
 
 // drainable is what serveOn needs from either role: the replay server and
@@ -183,17 +186,23 @@ type drainable interface {
 	Drain(context.Context) error
 }
 
-// serveOn serves until SIGTERM/SIGINT, then drains in-flight replays.
-func serveOn(ln net.Listener, s drainable, drain time.Duration) error {
+// serveOn serves until SIGTERM/SIGINT, then drains in-flight replays. Its
+// status lines, the startup handshake first, go to out.
+func serveOn(ln net.Listener, s drainable, drain time.Duration, out io.Writer) error {
+	// The handler goes in before the handshake line: a supervisor may signal
+	// as soon as it sees the line or a /healthz answer, and a SIGTERM that
+	// arrived before Notify would kill the process undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sig)
+
 	httpSrv := &http.Server{Handler: s.Handler()}
 	// The resolved address line is the startup handshake scripts wait for.
-	fmt.Printf("pgserved: listening on %s\n", ln.Addr())
+	fmt.Fprintf(out, "pgserved: listening on %s\n", ln.Addr())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errCh:
 		return err
@@ -201,7 +210,7 @@ func serveOn(ln net.Listener, s drainable, drain time.Duration) error {
 		// Flip /healthz to draining before Shutdown so load balancers see
 		// the state change while the listener is still answering.
 		s.SetDraining(true)
-		fmt.Printf("pgserved: %s, draining in-flight replays\n", got)
+		fmt.Fprintf(out, "pgserved: %s, draining in-flight replays\n", got)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
@@ -211,7 +220,7 @@ func serveOn(ln net.Listener, s drainable, drain time.Duration) error {
 	if err := s.Drain(ctx); err != nil {
 		return fmt.Errorf("drain background replays: %w", err)
 	}
-	fmt.Println("pgserved: drained cleanly")
+	fmt.Fprintln(out, "pgserved: drained cleanly")
 	return nil
 }
 

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -35,7 +37,7 @@ func TestServeLoadAndGracefulDrain(t *testing.T) {
 	}
 	url := "http://" + ln.Addr().String()
 	done := make(chan error, 1)
-	go func() { done <- serveOn(ln, serve.New(serve.Config{}), 30*time.Second) }()
+	go func() { done <- serveOn(ln, serve.New(serve.Config{}), 30*time.Second, io.Discard) }()
 
 	if err := runLoad(loadArgs{url: url, traceFile: tracePath, n: 64, c: 8}); err != nil {
 		t.Fatalf("load run: %v", err)
@@ -98,5 +100,51 @@ func TestRemovedServingPathsRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("-snapshots=%v -cache=%d: error %v, want one naming %q", tc.snapshots, tc.cache, err, tc.want)
 		}
+	}
+}
+
+// sigtermOnHandshake passes every write through to w, and SIGTERMs its own
+// process as the startup handshake line is written: the earliest moment a
+// supervisor that waits for the line could signal.
+type sigtermOnHandshake struct{ w io.Writer }
+
+func (s sigtermOnHandshake) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	if bytes.Contains(p, []byte("listening on")) {
+		if kerr := syscall.Kill(os.Getpid(), syscall.SIGTERM); kerr != nil {
+			return n, kerr
+		}
+	}
+	return n, err
+}
+
+// earlySIGTERMChild marks the re-executed test binary that plays pgserved
+// in TestSIGTERMAtHandshakeDrains.
+const earlySIGTERMChild = "PGSERVED_TEST_EARLY_SIGTERM_CHILD"
+
+// TestSIGTERMAtHandshakeDrains: a SIGTERM that arrives the moment the
+// "listening on" line is written is caught and drained, not taken with the
+// default action that kills the process. The test re-executes its own
+// binary as the server, because the default action would kill the test
+// process itself; the child must exit 0 having printed "drained cleanly".
+func TestSIGTERMAtHandshakeDrains(t *testing.T) {
+	if os.Getenv(earlySIGTERMChild) == "1" {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := serveOn(ln, serve.New(serve.Config{}), 10*time.Second, sigtermOnHandshake{os.Stdout}); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSIGTERMAtHandshakeDrains$", "-test.count=1", "-test.timeout=60s")
+	cmd.Env = append(os.Environ(), earlySIGTERMChild+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child serving pgserved: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("pgserved: drained cleanly")) {
+		t.Fatalf("child exited 0 without draining:\n%s", out)
 	}
 }

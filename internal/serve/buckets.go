@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/pageguard"
 )
@@ -12,11 +13,14 @@ import (
 // The fleet crash-bucket database. A sampled always-on deployment surfaces
 // dangling-pointer detections as TrapReports scattered across thousands of
 // replay requests; what an oncall actually triages is the deduplicated
-// (alloc site, free site) signature — the bug, not its occurrences. Every
-// 200 replay response (simulated, cached, or corpus-served) folds its
-// detections' TrapReports into the server's bucketDB; GET /buckets serves
-// the database as deterministic JSON, and the router merges the databases of
-// all its backends into the fleet view.
+// (alloc site, free site) signature — the bug, not its occurrences. A miss
+// registers its detections' reports on the worker, before its flight
+// completes: a signature seen for the first time gets its bucket and its
+// representative there. Every 200 replay response (leader, single-flight
+// waiter, raw or canonical cache hit, corpus-served) then counts its
+// detections by key alone, so no cached entry keeps a report. GET /buckets
+// serves the database as deterministic JSON, and the router merges the
+// databases of all its backends into the fleet view.
 
 // CrashBucket is one deduplicated crash signature.
 type CrashBucket struct {
@@ -24,14 +28,14 @@ type CrashBucket struct {
 	// identified by where the object was allocated and where it was freed.
 	AllocSite string `json:"alloc_site"`
 	FreeSite  string `json:"free_site"`
-	// Count is the number of TrapReports folded into this bucket.
+	// Count is the number of served detections counted into this bucket.
 	Count uint64 `json:"count"`
 	// FirstTraceID and LastTraceID are the X-Pg-Trace-Id values of the
 	// earliest and latest requests that hit the bucket, for log correlation.
 	FirstTraceID string `json:"first_trace_id"`
 	LastTraceID  string `json:"last_trace_id"`
-	// Representative is the first TrapReport folded in — one full forensic
-	// record per bucket is enough to debug the signature.
+	// Representative is the first TrapReport registered for the signature —
+	// one full forensic record per bucket is enough to debug it.
 	Representative *pageguard.TrapReport `json:"representative,omitempty"`
 }
 
@@ -40,40 +44,66 @@ type bucketKey struct {
 	allocSite, freeSite string
 }
 
-// bucketDB aggregates TrapReports into crash buckets. Safe for concurrent
+// maxBuckets bounds the crash-bucket database. Its signatures are trace line
+// pairs, so distinct traces could otherwise grow it, and the representatives
+// it keeps, without limit. A full database admits no new signature and
+// evicts none, so /buckets stays a function of the request order.
+const maxBuckets = 1024
+
+// bucketDB aggregates detections into crash buckets. Safe for concurrent
 // use.
 type bucketDB struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// buckets holds every registered signature. A bucket no served request
+	// has counted yet has Count 0 and is left out of snapshot.
 	buckets map[bucketKey]*CrashBucket
+	// dropped counts served detections whose signature the full database
+	// did not admit.
+	dropped atomic.Uint64
 }
 
 func newBucketDB() *bucketDB {
 	return &bucketDB{buckets: make(map[bucketKey]*CrashBucket)}
 }
 
-// record folds one request's TrapReports into the database. traceID is the
-// request's correlation id.
-func (db *bucketDB) record(traceID string, reports []*pageguard.TrapReport) {
+// register returns one key per report, in order. A report whose signature
+// has no bucket yet creates one, with Count 0 and the report as its
+// representative, unless the database already holds maxBuckets buckets.
+func (db *bucketDB) register(reports []*pageguard.TrapReport) []bucketKey {
 	if len(reports) == 0 {
+		return nil
+	}
+	keys := make([]bucketKey, 0, len(reports))
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, rep := range reports {
+		k := bucketKey{allocSite: rep.AllocSite, freeSite: rep.FreeSite}
+		if _, ok := db.buckets[k]; !ok && len(db.buckets) < maxBuckets {
+			cp := *rep
+			db.buckets[k] = &CrashBucket{AllocSite: k.allocSite, FreeSite: k.freeSite, Representative: &cp}
+		}
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// count folds one served request's detections into their buckets. traceID
+// is the request's correlation id. A key with no bucket was not admitted and
+// counts as dropped.
+func (db *bucketDB) count(traceID string, keys []bucketKey) {
+	if len(keys) == 0 {
 		return
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for _, rep := range reports {
-		if rep == nil {
-			continue
-		}
-		k := bucketKey{allocSite: rep.AllocSite, freeSite: rep.FreeSite}
+	for _, k := range keys {
 		b := db.buckets[k]
 		if b == nil {
-			cp := *rep
-			b = &CrashBucket{
-				AllocSite:      rep.AllocSite,
-				FreeSite:       rep.FreeSite,
-				FirstTraceID:   traceID,
-				Representative: &cp,
-			}
-			db.buckets[k] = b
+			db.dropped.Add(1)
+			continue
+		}
+		if b.Count == 0 {
+			b.FirstTraceID = traceID
 		}
 		b.Count++
 		b.LastTraceID = traceID
@@ -87,7 +117,9 @@ func (db *bucketDB) snapshot() []CrashBucket {
 	defer db.mu.Unlock()
 	out := make([]CrashBucket, 0, len(db.buckets))
 	for _, b := range db.buckets {
-		out = append(out, *b)
+		if b.Count > 0 {
+			out = append(out, *b)
+		}
 	}
 	sortBuckets(out)
 	return out

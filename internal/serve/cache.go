@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/pageguard"
 	"repro/trace"
 )
 
@@ -77,15 +76,18 @@ func flag(b bool) byte {
 // limit. Past it the oldest alias is dropped and its next request parses.
 const maxAliases = 4
 
-// replayEntry is one memoized replay result: the full response body plus the
-// per-process metrics snapshot that must merge into the fleet aggregate on
-// every serve (hit or miss), the detections' TrapReports for the crash-bucket
-// database (cached serves still represent served requests and must count),
-// and the span/cycle summary for /debug/spans.
+// replayEntry is one memoized replay result: only what serving it again
+// needs. That is the full response body, the per-process metrics snapshot
+// that merges into the fleet aggregate on every serve (hit or miss), one
+// crash-bucket key per detection (cached serves still represent served
+// requests and must count; the miss that rendered the entry registered the
+// representatives), and the span/cycle summary for /debug/spans. It keeps no
+// TrapReport: each carries its own copy of the flight ring, about as large
+// as the body that renders it.
 type replayEntry struct {
 	body    []byte
 	metrics obs.Snapshot
-	reports []*pageguard.TrapReport
+	keys    []bucketKey
 	spans   int
 	leaf    uint64
 	charged uint64

@@ -128,7 +128,7 @@ type Server struct {
 	// cache memoizes replay responses by content hash (Config.CacheEntries).
 	cache *replayCache
 	// buckets is the crash-bucket database: every served replay's
-	// TrapReports deduplicated by (alloc site, free site), GET /buckets.
+	// detections deduplicated by (alloc site, free site), GET /buckets.
 	buckets *bucketDB
 
 	// draining flips when the operator starts a graceful shutdown;
@@ -210,6 +210,9 @@ func New(cfg Config) *Server {
 		"replay machines forked from the pre-warmed snapshot",
 		s.forks.Load)
 	s.cache = newReplayCache(cfg.CacheEntries, s.reg)
+	s.reg.CounterFunc("pgserved_buckets_dropped_total",
+		"served detections not counted in /buckets because the crash-bucket database was full",
+		s.buckets.dropped.Load)
 
 	s.mux.HandleFunc("POST /replay", s.handleReplay)
 	s.mux.HandleFunc("POST /workload/{name}", s.handleWorkload)
@@ -356,10 +359,16 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 // in its own goroutine on its own machine; if the budget expires first
 // the goroutine is abandoned (it cannot be interrupted mid-simulation but
 // holds only its own memory plus one worker slot until it finishes) and the
-// handler reports 503. A panic in fn is recovered on the worker goroutine
-// and returned as a *panicError, so it frees the worker slot instead of
-// killing the server.
+// handler reports 503. A request whose budget has already run out never
+// takes a slot. A panic in fn is recovered on the worker goroutine and
+// returned as a *panicError, so it frees the worker slot instead of killing
+// the server.
 func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, error) {
+	// select picks at random among ready cases: without this check an
+	// expired request that finds a free slot would sometimes start fn.
+	if err := expired(ctx); err != nil {
+		return nil, err
+	}
 	select {
 	case s.workers <- struct{}{}:
 	case <-ctx.Done():
@@ -389,6 +398,19 @@ func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, 
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// expired returns ctx's error, or context.DeadlineExceeded once ctx's
+// deadline has passed: ctx.Err() alone stays nil until the context's timer
+// has fired, which on a busy host can lag the deadline.
+func expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // panicError is a panic recovered on a worker goroutine.
@@ -518,6 +540,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	// The budget runs from admission: reading and parsing the body are
+	// charged to it.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -548,7 +574,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if o.sampling != "" {
 		tf.SamplingSpec = o.sampling
 	}
-	if key, ok := s.replayFile(w, r, tf, o.spans, start); ok {
+	if key, ok := s.replayFile(ctx, w, r, tf, o.spans, start); ok {
 		s.cache.alias(rk, key)
 	}
 }
@@ -610,8 +636,9 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) (*pageg
 }
 
 // replayFile runs the trace (directives honoured) on a worker slot and
-// streams the canonical NDJSON result. With withSpans (?spans=1) the machine
-// is built with span tracing and the body carries the span stream (plus the
+// streams the canonical NDJSON result. ctx carries the request budget, which
+// started at admission. With withSpans (?spans=1) the machine is built with
+// span tracing and the body carries the span stream (plus the
 // leaf-vs-charged reconciliation trailer) after the replay lines — the same
 // bytes pgtrace -ndjson -spans produces offline. start is the handler's
 // arrival time, used only for the /debug/spans host-side record.
@@ -620,17 +647,21 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) (*pageg
 // simulating; concurrent identical misses simulate once (single-flight).
 // Every 200 response — simulated or cached — merges the replay's process
 // metrics into the fleet aggregate, so the merged snapshot stays a function
-// of the served request multiset alone. On a 200 it returns the canonical
-// key and true.
-func (s *Server) replayFile(w http.ResponseWriter, r *http.Request, tf *trace.File, withSpans bool, start time.Time) (replayKey, bool) {
+// of the served request multiset alone. A request whose budget ran out
+// before it got here is answered 503 without touching the cache: it opens
+// no flight and counts no miss. On a 200 it returns the canonical key and
+// true.
+func (s *Server) replayFile(ctx context.Context, w http.ResponseWriter, r *http.Request, tf *trace.File, withSpans bool, start time.Time) (replayKey, bool) {
 	var extra []pageguard.Option
 	if withSpans {
 		extra = append(extra, pageguard.WithSpanTracing())
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
 	execStart := time.Now()
 
+	if err := expired(ctx); err != nil {
+		s.runError(w, ctx, err, "replay")
+		return replayKey{}, false
+	}
 	key := keyForReplay(tf, withSpans)
 	ent, call, leader := s.cache.begin(key)
 	switch {
@@ -706,8 +737,11 @@ var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
 const maxRenderScratch = 1 << 20
 
 // renderReplay simulates one trace and renders its full response body,
-// merging the process metrics and counting the completion. Runs on a worker
-// goroutine.
+// merging the process metrics and counting the completion. It registers the
+// detections' reports with the crash-bucket database, so a bucket this miss
+// creates takes its representative from it, and the entry keeps only their
+// keys. Runs on a worker goroutine, before the flight completes: no waiter
+// can be served ahead of the registration.
 func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpans bool) (*replayEntry, error) {
 	m, err := s.buildMachine(tf, extra...)
 	if err != nil {
@@ -726,7 +760,7 @@ func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpan
 	return &replayEntry{
 		body:    body,
 		metrics: rep.Metrics,
-		reports: detectionReports(rep),
+		keys:    s.buckets.register(detectionReports(rep)),
 		spans:   len(rep.Spans),
 		leaf:    pageguard.LeafSpanCycleSum(rep.Spans),
 		charged: rep.ChargedCycles,
@@ -789,7 +823,7 @@ func (s *Server) runError(w http.ResponseWriter, ctx context.Context, err error,
 // ("hit" or "miss"), and records the /debug/spans line.
 func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, ent *replayEntry, cacheState string, start, execStart time.Time) {
 	execMicros := time.Since(execStart).Microseconds()
-	s.buckets.record(w.Header().Get("X-Pg-Trace-Id"), ent.reports)
+	s.buckets.count(w.Header().Get("X-Pg-Trace-Id"), ent.keys)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Pg-Cache", cacheState)
 	if _, err := w.Write(ent.body); err != nil {
@@ -924,6 +958,8 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+	defer cancel()
 	// Parse the canonical bytes rather than using the generator's events
 	// directly: detection line numbers must match a /replay POST of the
 	// committed file byte-for-byte.
@@ -947,7 +983,7 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	if o.sampling != "" {
 		tf.SamplingSpec = o.sampling
 	}
-	s.replayFile(w, r, tf, o.spans, start)
+	s.replayFile(ctx, w, r, tf, o.spans, start)
 }
 
 // corpusEntry is one line of the GET /corpus listing.

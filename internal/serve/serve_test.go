@@ -227,6 +227,37 @@ func TestRequestBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestExpiredBudgetStartsNoReplay: the budget runs from admission, so with
+// a one-nanosecond budget it has run out by the time a request's body is
+// read and parsed. Every request is answered 503 timeout before it reaches
+// the cache or a worker slot: no replay starts and no miss is counted, even
+// though a slot is free each time.
+func TestExpiredBudgetStartsNoReplay(t *testing.T) {
+	s := New(Config{Timeout: time.Nanosecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 200; i++ {
+		resp, body := postReplay(t, ts.URL, danglingTrace(i))
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("request %d: status %s: %s", i, resp.Status, body)
+		}
+		if eb := decodeError(t, resp, body); eb.Code != ErrCodeTimeout {
+			t.Fatalf("request %d: code %q, want %q", i, eb.Code, ErrCodeTimeout)
+		}
+	}
+	host := s.HostSnapshot()
+	if got := host.Counters["pgserved_replays_total"]; got != 0 {
+		t.Errorf("pgserved_replays_total = %d, want 0", got)
+	}
+	if got := host.Counters["pg_cache_misses_total"]; got != 0 {
+		t.Errorf("pg_cache_misses_total = %d, want 0", got)
+	}
+	if got := host.Counters["pgserved_timeouts_total"]; got != 200 {
+		t.Errorf("pgserved_timeouts_total = %d, want 200", got)
+	}
+}
+
 // TestDrainWaitsForAbandonedReplays: a replay whose handler timed out keeps
 // running in the background; Drain must wait it out, and its metrics still
 // land in the merged snapshot (no replay work is lost on shutdown).

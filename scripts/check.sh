@@ -10,7 +10,9 @@
 #   parity, the ?spans=1 stream matching pgtrace -ndjson -spans with
 #   leaf-span cycles reconciling to kernel-charged cycles, the adversarial
 #   corpus replayed bit-for-bit, graceful drain, the removed fresh-machine
-#   path refused), the router smoke (two backends, routed bytes diffed
+#   path refused), the early-SIGTERM smoke (20 boots, each signalled the
+#   moment its handshake line appears, each draining cleanly), the router
+#   smoke (two backends, routed bytes diffed
 #   against pgtrace -ndjson, a 32-variant mix simulated on both backends,
 #   merged crash buckets checked as the per-bucket sum of the backends), and
 #   the elision soundness gate and points-to subset fuzz under -race.
@@ -42,10 +44,11 @@ go test ./...
 echo "== chaos soak (fixed-seed fault schedules) =="
 tmp=$(mktemp -d -t pgcheck.XXXXXX)
 servepid=""
+earlypid=""
 b1pid=""
 b2pid=""
 routerpid=""
-trap 'kill $servepid $b1pid $b2pid $routerpid 2>/dev/null || true; rm -rf "$tmp"' EXIT
+trap 'kill $servepid $earlypid $b1pid $b2pid $routerpid 2>/dev/null || true; rm -rf "$tmp"' EXIT
 pgbench=$tmp/pgbench
 pgserved=$tmp/pgserved
 pgtracebin=$tmp/pgtrace
@@ -154,6 +157,38 @@ if ! grep -q "drained cleanly" "$servelog"; then
     exit 1
 fi
 echo "pgserved smoke: 64 replays byte-identical to offline, clean SIGTERM drain"
+
+echo "== pgserved early-SIGTERM smoke (20 boots) =="
+# A supervisor may SIGTERM pgserved as soon as its handshake line appears.
+# The signal handler must already be in place then: read each boot's first
+# line from a FIFO, signal at once, and require exit 0 and a clean drain.
+fifo=$tmp/handshake
+mkfifo "$fifo"
+for i in $(seq 1 20); do
+    "$pgserved" -addr 127.0.0.1:0 >"$fifo" &
+    earlypid=$!
+    exec 3<"$fifo"
+    IFS= read -r line <&3 || line=""
+    kill -TERM "$earlypid" 2>/dev/null || true
+    rest=$(cat <&3)
+    exec 3<&-
+    rc=0
+    wait "$earlypid" || rc=$?
+    earlypid=""
+    case "$line" in
+    "pgserved: listening on "*) ;;
+    *)
+        echo "early SIGTERM boot $i: no handshake line, got: $line" >&2
+        exit 1
+        ;;
+    esac
+    if [ "$rc" -ne 0 ] || ! printf '%s\n' "$rest" | grep -q "drained cleanly"; then
+        echo "early SIGTERM boot $i: exit $rc, want 0 and a clean drain:" >&2
+        printf '%s\n%s\n' "$line" "$rest" >&2
+        exit 1
+    fi
+done
+echo "early SIGTERM: 20 boots signalled at the handshake, 20 clean drains"
 
 echo "== pgserved router smoke (2 backends, consistent hashing, clean drain) =="
 # Two backends behind a -route front: load through the router (byte-identity

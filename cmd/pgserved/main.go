@@ -8,7 +8,6 @@
 // Usage:
 //
 //	pgserved -addr :8080                        # serve
-//	pgserved -route -backends URL,URL ...       # route across backends
 //	pgserved -load -url URL -trace t.txt -n 64  # check parity under load
 //
 // Serving endpoints:
@@ -24,14 +23,12 @@
 //	GET  /metrics              Prometheus text: pgserved_* host series plus
 //	                           the merged pg_* series of finished replays
 //	GET  /metrics/replay.json  merged replay metrics only (deterministic)
-//	GET  /buckets              crash-bucket database: every served detection
-//	                           deduplicated by (alloc site, free site) with
-//	                           counts, first/last trace ids, and one
-//	                           representative forensic report per bucket, at
-//	                           most 1024 buckets (detections past the cap
-//	                           count in pgserved_buckets_dropped_total); in
-//	                           -route mode the router fans the GET out to all
-//	                           backends and returns the merged fleet view
+//	GET  /buckets              this process's crash-bucket database: every
+//	                           served detection deduplicated by (alloc site,
+//	                           free site) with counts, first/last trace ids,
+//	                           and one representative forensic report per
+//	                           bucket, at most 1024 buckets (detections past
+//	                           the cap count in pgserved_buckets_dropped_total)
 //	GET  /healthz              liveness JSON: status, drain state, queue depth
 //	GET  /debug/spans          last-N request records (trace id, wall/exec
 //	                           timings, span count, cycle reconciliation)
@@ -54,12 +51,6 @@
 // tests. The cache cannot be disabled, and -snapshots accepts only true
 // (the value perfbench passes); -snapshots=false and -cache 0 exit 2.
 //
-// The -route mode runs pgserved as a sharded router: requests are consistent-
-// hashed by trace content across -backends, so each backend's replay cache
-// sees a stable shard of the key space. Backends are health-checked every
-// -health-interval; draining or unreachable backends leave the ring and their
-// keys fail over to the next backend on the ring.
-//
 // The -load mode is pgload, the bundled parity check: it fires -n replays of
 // the trace from -c concurrent clients, retries sheds, and asserts every
 // response is byte-identical to the offline replay (what pgtrace -ndjson
@@ -79,7 +70,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -95,10 +85,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
 	snapshots := flag.Bool("snapshots", true, "fork each replay machine from the pre-warmed snapshot (the only serving path; false is refused)")
 	cache := flag.Int("cache", 1024, "content-hash replay cache entries (at least 1)")
-
-	route := flag.Bool("route", false, "run as a sharded router over -backends instead of serving replays directly")
-	backends := flag.String("backends", "", "comma-separated backend base URLs (route mode)")
-	healthInterval := flag.Duration("health-interval", time.Second, "backend health-check period (route mode)")
 
 	load := flag.Bool("load", false, "run as the pgload load generator instead of serving")
 	url := flag.String("url", "", "server base URL (load mode)")
@@ -121,8 +107,6 @@ func main() {
 			url: *url, traceFile: *traceFile, n: *n, c: *c, out: *out, spans: *spans,
 			distinct: *distinct,
 		})
-	case *route:
-		err = runRoute(*addr, *backends, *healthInterval, *drain)
 	default:
 		err = runServe(*addr, serve.Config{
 			Workers: *workers, QueueDepth: *queue,
@@ -157,38 +141,9 @@ func runServe(addr string, cfg serve.Config, drain time.Duration) error {
 	return serveOn(ln, serve.New(cfg), drain, os.Stdout)
 }
 
-func runRoute(addr, backends string, healthInterval, drain time.Duration) error {
-	var urls []string
-	for _, b := range strings.Split(backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			urls = append(urls, b)
-		}
-	}
-	rt, err := serve.NewRouter(serve.RouterConfig{
-		Backends:       urls,
-		HealthInterval: healthInterval,
-	})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return serveOn(ln, rt, drain, os.Stdout)
-}
-
-// drainable is what serveOn needs from either role: the replay server and
-// the router both expose a handler, a drain flag, and a drain wait.
-type drainable interface {
-	Handler() http.Handler
-	SetDraining(bool)
-	Drain(context.Context) error
-}
-
 // serveOn serves until SIGTERM/SIGINT, then drains in-flight replays. Its
 // status lines, the startup handshake first, go to out.
-func serveOn(ln net.Listener, s drainable, drain time.Duration, out io.Writer) error {
+func serveOn(ln net.Listener, s *serve.Server, drain time.Duration, out io.Writer) error {
 	// The handler goes in before the handshake line: a supervisor may signal
 	// as soon as it sees the line or a /healthz answer, and a SIGTERM that
 	// arrived before Notify would kill the process undrained.

@@ -10,7 +10,7 @@ import (
 	"repro/pageguard"
 )
 
-// The fleet crash-bucket database. A sampled always-on deployment surfaces
+// The crash-bucket database. A sampled always-on deployment surfaces
 // dangling-pointer detections as TrapReports scattered across thousands of
 // replay requests; what an oncall actually triages is the deduplicated
 // (alloc site, free site) signature — the bug, not its occurrences. A miss
@@ -19,8 +19,8 @@ import (
 // representative there. Every 200 replay response (leader, single-flight
 // waiter, raw or canonical cache hit, corpus-served) then counts its
 // detections by key alone, so no cached entry keeps a report. GET /buckets
-// serves the database as deterministic JSON, and the router merges the
-// databases of all its backends into the fleet view.
+// serves the database as deterministic JSON. Each process keeps its own;
+// fleet coverage comes from aggregating per-process databases offline.
 
 // CrashBucket is one deduplicated crash signature.
 type CrashBucket struct {
@@ -121,20 +121,16 @@ func (db *bucketDB) snapshot() []CrashBucket {
 			out = append(out, *b)
 		}
 	}
-	sortBuckets(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].AllocSite != out[j].AllocSite {
+			return out[i].AllocSite < out[j].AllocSite
+		}
+		return out[i].FreeSite < out[j].FreeSite
+	})
 	return out
 }
 
-func sortBuckets(bs []CrashBucket) {
-	sort.Slice(bs, func(i, j int) bool {
-		if bs[i].AllocSite != bs[j].AllocSite {
-			return bs[i].AllocSite < bs[j].AllocSite
-		}
-		return bs[i].FreeSite < bs[j].FreeSite
-	})
-}
-
-// bucketsBody is the GET /buckets JSON schema, shared by backend and router.
+// bucketsBody is the GET /buckets JSON schema.
 type bucketsBody struct {
 	Type    string        `json:"type"` // "buckets"
 	Buckets []CrashBucket `json:"buckets"`
@@ -157,32 +153,3 @@ func writeBuckets(w http.ResponseWriter, bs []CrashBucket) {
 // Buckets returns a copy of the server's crash-bucket database (tests and
 // embedding callers).
 func (s *Server) Buckets() []CrashBucket { return s.buckets.snapshot() }
-
-// mergeBuckets folds the bucket lists of several backends (in a fixed
-// backend order) into one fleet view: counts sum; the first backend to have
-// seen a bucket contributes its first-seen id and representative; the last
-// contributes its last-seen id. With backends visited in configuration
-// order, the merge is deterministic for a given set of backend databases.
-func mergeBuckets(lists [][]CrashBucket) []CrashBucket {
-	merged := make(map[bucketKey]*CrashBucket)
-	for _, list := range lists {
-		for i := range list {
-			b := &list[i]
-			k := bucketKey{allocSite: b.AllocSite, freeSite: b.FreeSite}
-			m := merged[k]
-			if m == nil {
-				cp := *b
-				merged[k] = &cp
-				continue
-			}
-			m.Count += b.Count
-			m.LastTraceID = b.LastTraceID
-		}
-	}
-	out := make([]CrashBucket, 0, len(merged))
-	for _, b := range merged {
-		out = append(out, *b)
-	}
-	sortBuckets(out)
-	return out
-}

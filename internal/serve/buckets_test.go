@@ -142,45 +142,6 @@ func TestBucketsSampledCorpusForensics(t *testing.T) {
 	}
 }
 
-// TestRouterBucketsMerge: the router's GET /buckets fans out to every
-// backend and merges the databases — shared signatures sum their counts,
-// disjoint ones all appear.
-func TestRouterBucketsMerge(t *testing.T) {
-	_, front, _, backends := routerFixture(t, 2)
-
-	// Seed each backend directly (bypassing the ring) so the test controls
-	// exactly which database holds what: the shared signature lands on both
-	// backends; the disjoint one only on backend 1.
-	shared := []byte(uafTrace)
-	disjoint := []byte("a 1 64\na 2 128\nf 2\nr 2 0\nf 1\n")
-	for _, ts := range backends {
-		if resp, body := postReplay(t, ts.URL, shared); resp.StatusCode != 200 {
-			t.Fatalf("seed shared: %s: %s", resp.Status, body)
-		}
-	}
-	if resp, body := postReplay(t, backends[1].URL, disjoint); resp.StatusCode != 200 {
-		t.Fatalf("seed disjoint: %s: %s", resp.Status, body)
-	}
-
-	merged := getBuckets(t, front.URL)
-	if len(merged) != 2 {
-		t.Fatalf("merged buckets = %d, want 2: %+v", len(merged), merged)
-	}
-	// Deterministic order: sorted by (alloc site, free site).
-	if merged[0].AllocSite != "trace:1" || merged[0].FreeSite != "trace:2" {
-		t.Fatalf("merged[0] = (%q, %q)", merged[0].AllocSite, merged[0].FreeSite)
-	}
-	if merged[0].Count != 2 {
-		t.Errorf("shared signature count = %d, want 2 (one per backend)", merged[0].Count)
-	}
-	if merged[1].AllocSite != "trace:2" || merged[1].FreeSite != "trace:3" || merged[1].Count != 1 {
-		t.Errorf("disjoint bucket = %+v", merged[1])
-	}
-	if merged[0].Representative == nil || merged[1].Representative == nil {
-		t.Error("merged buckets lost their representative reports")
-	}
-}
-
 // postWithID POSTs body to /replay with a client-chosen X-Pg-Trace-Id.
 func postWithID(t *testing.T, url, id string, body []byte) (*http.Response, []byte) {
 	t.Helper()

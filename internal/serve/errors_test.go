@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/cliff"
@@ -41,7 +42,7 @@ func decodeError(t *testing.T, resp *http.Response, body []byte) ErrorBody {
 // shedding ladder and asserts the machine-readable error body: code, status
 // echo, and (for 429) the retry hint.
 func TestSheddingResponsesCarryStructuredErrors(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: 256, RetryAfter: 2 * time.Second})
+	s := New(Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: 256})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -137,8 +138,8 @@ func TestSheddingResponsesCarryStructuredErrors(t *testing.T) {
 	if eb.Code != ErrCodeQueueFull {
 		t.Fatalf("queue full code = %q", eb.Code)
 	}
-	if eb.RetryAfter != 2 || resp.Header.Get("Retry-After") != "2" {
-		t.Fatalf("retry hint: body=%d header=%q, want 2", eb.RetryAfter, resp.Header.Get("Retry-After"))
+	if eb.RetryAfter != 1 || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("retry hint: body=%d header=%q, want 1", eb.RetryAfter, resp.Header.Get("Retry-After"))
 	}
 
 	// 503 timeout.
@@ -158,6 +159,35 @@ func TestSheddingResponsesCarryStructuredErrors(t *testing.T) {
 	}
 	if eb := decodeError(t, resp2, body2); eb.Code != ErrCodeTimeout {
 		t.Fatalf("timeout code = %q", eb.Code)
+	}
+}
+
+// TestBodyReadErrors: only a body over the limit is a 413. A body that
+// fails mid-stream (a client abort, a truncated chunked upload) is a 400
+// bad-trace.
+func TestBodyReadErrors(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		status int
+		code   string
+	}{
+		{"truncated", io.MultiReader(strings.NewReader("a 1 64\nw 1"), iotest.ErrReader(io.ErrUnexpectedEOF)),
+			http.StatusBadRequest, ErrCodeBadTrace},
+		{"over limit", bytes.NewReader(bytes.Repeat([]byte("# padding\n"), 1<<17)),
+			http.StatusRequestEntityTooLarge, ErrCodeBodyTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/replay", tc.body))
+		resp := rec.Result()
+		body := rec.Body.Bytes()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %s, want %d: %s", tc.name, resp.Status, tc.status, body)
+		}
+		if eb := decodeError(t, resp, body); eb.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.name, eb.Code, tc.code)
+		}
 	}
 }
 

@@ -39,9 +39,9 @@ type LoadOptions struct {
 	// MaxRetries bounds per-request retries after 429 and 503 responses
 	// (default 50); each retry honours the server's Retry-After hint when
 	// one is sent, capped at a second, and falls back to a jittered backoff,
-	// seeded by the client's index, when the hint is absent or unparsable (503s from a saturated
-	// server or a router with an empty ring carry no hint — retrying them
-	// in lockstep would just re-synchronize the thundering herd).
+	// seeded by the client's index, when the hint is absent or unparsable
+	// (a 503 timeout carries no hint — retrying in lockstep would just
+	// re-synchronize the thundering herd).
 	MaxRetries int
 	// Spans requests the span stream (?spans=1) and checks parity against
 	// an offline span-traced replay — the body then carries the replay
@@ -179,9 +179,9 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 				return nil
 			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 				// Both shedding rungs are transient: 429 queue-full (with a
-				// Retry-After hint) and 503 overload/empty-ring (usually
-				// without one). Retry either, with the client's seeded
-				// jittered backoff desynchronizing hintless retries.
+				// Retry-After hint) and 503 timeout (without one). Retry
+				// either, with the client's seeded jittered backoff
+				// desynchronizing hintless retries.
 				mu.Lock()
 				rep.Shed++
 				mu.Unlock()
@@ -228,7 +228,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 // short, variant-specific alloc/write/free tail with fresh object IDs. Each
 // variant has a different canonical rendering (and so a different cache key)
 // while exercising the same directives as the base — the shape a load mix
-// needs to reach every cache entry, and every backend behind a router.
+// needs to reach every cache entry.
 func TraceVariants(base []byte, k int) ([][]byte, error) {
 	tf, err := trace.ParseFile(bytes.NewReader(base))
 	if err != nil {

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/trace"
 )
 
 // TestRetryDelayFallback pins the retry-backoff contract: a parsable
@@ -69,7 +73,7 @@ func TestLoadRetriesHintlessShedding(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch calls.Add(1) {
 		case 1:
-			// 503 with no Retry-After at all (overloaded router).
+			// 503 with no Retry-After at all (a timed-out request).
 			w.WriteHeader(http.StatusServiceUnavailable)
 		case 2:
 			// 429 with an unparsable hint (mangled by a proxy).
@@ -112,5 +116,88 @@ func TestLoadRetriesHintlessShedding(t *testing.T) {
 		URL: always.URL, Trace: traceText, Requests: 1, Concurrency: 1, MaxRetries: 2,
 	}); err == nil {
 		t.Fatal("permanent 503 did not surface a retry-exhaustion error")
+	}
+}
+
+// TestLoadRetriesSheds drives the bundled load generator at a saturated
+// 1-slot server: sheds must occur and every request must still complete
+// byte-identical — the end-to-end proof that 429 retries work against a
+// real shedding server.
+func TestLoadRetriesSheds(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Deterministically saturate the server first — hold both admission
+	// slots (1 executing + 1 queued) with slow replays and wait until a
+	// probe observes the 429 — so the load run is guaranteed to shed even
+	// on a starved CPU where its own clients never overlap.
+	// Two distinct variants, so the second queues behind the first instead
+	// of joining its cache flight.
+	slow, err := TraceVariants(slowTrace(20000), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		hold.Add(1)
+		go func(body []byte) {
+			defer hold.Done()
+			postReplay(t, ts.URL, body)
+		}(slow[i])
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	// Probe only once both slow replays hold the admission slots: a probe
+	// that got in first would take a slot itself and shed a slow replay.
+	for len(s.queue) < cap(s.queue) {
+		if time.Now().After(deadline) {
+			t.Fatal("the slow replays never filled the server's admission slots")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		resp, _ := postReplay(t, ts.URL, slowTrace(4))
+		if resp.StatusCode == http.StatusTooManyRequests {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never saturated before the load run")
+		}
+	}
+
+	rep, err := RunLoad(LoadOptions{
+		URL: ts.URL, Trace: slowTrace(400), Requests: 24, Concurrency: 8,
+	})
+	hold.Wait()
+	if err != nil {
+		t.Fatalf("load run: %v (%v)", err, rep)
+	}
+	if rep.Requests != 24 || rep.Mismatches != 0 {
+		t.Fatalf("load report: %v", rep)
+	}
+	if rep.Shed == 0 {
+		t.Error("a 1-slot server under 8 clients shed nothing — the retry path was not exercised")
+	}
+}
+
+// TestTraceVariantsDistinct: every derived variant parses and has a distinct
+// canonical rendering (distinct cache key).
+func TestTraceVariantsDistinct(t *testing.T) {
+	variants, err := TraceVariants(slowTrace(10), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for i, v := range variants {
+		tf, err := trace.ParseFile(bytes.NewReader(v))
+		if err != nil {
+			t.Fatalf("variant %d does not parse: %v", i, err)
+		}
+		var b bytes.Buffer
+		tf.Format(&b)
+		if prev, dup := seen[b.String()]; dup {
+			t.Errorf("variants %d and %d share a canonical rendering", prev, i)
+		}
+		seen[b.String()] = i
 	}
 }

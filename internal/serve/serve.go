@@ -58,8 +58,6 @@ type Config struct {
 	// Timeout is the per-request budget, from admission to the replay
 	// result being ready (0 = 30s).
 	Timeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (0 = 1s).
-	RetryAfter time.Duration
 	// CacheEntries bounds the content-hash replay cache (0 = 1024).
 	// Identical requests (canonical trace + semantics knobs) are served
 	// from the cache without simulating, with single-flight dedup of
@@ -79,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
@@ -340,6 +335,9 @@ func (s *Server) observeLatency(start time.Time) {
 	s.mu.Unlock()
 }
 
+// retryAfterSeconds is the Retry-After hint sent with every 429.
+const retryAfterSeconds = 1
+
 // admit runs the first two rungs of the shedding ladder. It returns a
 // release function (nil when the request was rejected and responded to).
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
@@ -347,9 +345,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	case s.queue <- struct{}{}:
 	default:
 		s.count(s.shed)
-		retry := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
 		writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull,
-			"replay queue full", retry)
+			"replay queue full", retryAfterSeconds)
 		return nil, false
 	}
 	return func() { <-s.queue }, true

@@ -245,10 +245,13 @@ type Remapper struct {
 	pending   []*Object
 }
 
+// objectNodes is the node pool every Remapper's page index uses.
+var objectNodes vm.NodePool[*Object]
+
 // New returns a Remapper on proc with the given reuse policy (PolicyNever
 // reproduces the paper's base scheme).
 func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
-	return &Remapper{
+	r := &Remapper{
 		proc:        proc,
 		byPool:      make(map[*pool.Pool][]*Object),
 		freedInPool: make(map[*pool.Pool][]*Object),
@@ -257,7 +260,14 @@ func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
 		retry:       DefaultRetryConfig(),
 		policy:      policy,
 	}
+	r.objects.UsePool(&objectNodes)
+	return r
 }
+
+// Release hands the page index's radix nodes back to the shared node pool.
+// The Remapper is unusable afterwards. Object records stay valid: reports
+// that name them may outlive it.
+func (r *Remapper) Release() { r.objects.Release() }
 
 // Proc returns the owning process.
 func (r *Remapper) Proc() *kernel.Process { return r.proc }

@@ -107,9 +107,11 @@ func (r *Remapper) HealthCheck() error {
 // healthCheck is the bare invariant audit.
 func (r *Remapper) healthCheck() error {
 	// (1) The page index only holds live and freed objects, and every
-	// object's pages agree on their owner.
+	// object's pages agree on their owner. (2) below counts each object's
+	// pages once, at its first page, so a page index whose first page
+	// names another object shows up as a counter mismatch.
 	var err error
-	seen := make(map[*Object]bool)
+	var live, freed uint64
 	r.objects.ForEach(func(vpn vm.VPN, obj *Object) {
 		base := vm.PageOf(obj.ShadowRun.Addr)
 		switch {
@@ -120,22 +122,17 @@ func (r *Remapper) healthCheck() error {
 		case vpn < base || uint64(vpn-base) >= obj.ShadowRun.Pages:
 			err = fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
 				uint64(vpn)<<vm.PageShift, obj.ShadowRun.Addr, obj.ShadowRun.Pages)
+		case vpn != base:
+		case obj.State == StateLive:
+			live += obj.ShadowRun.Pages
 		default:
-			seen[obj] = true
+			freed += obj.ShadowRun.Pages
 		}
 	})
 	if err != nil {
 		return err
 	}
 	// (2) Page counters match the indexed objects exactly.
-	var live, freed uint64
-	for obj := range seen {
-		if obj.State == StateLive {
-			live += obj.ShadowRun.Pages
-		} else {
-			freed += obj.ShadowRun.Pages
-		}
-	}
 	if live != r.stats.ShadowPagesLive {
 		return fmt.Errorf("core: health: live shadow pages %d, counter says %d", live, r.stats.ShadowPagesLive)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Flight-event kinds. Strings, not an enum, so snapshots embedded in
@@ -56,13 +57,31 @@ type FlightRecorder struct {
 	seq  uint64 // total events ever recorded
 }
 
+// flightRecorders holds released recorders for NewFlightRecorder to reuse.
+var flightRecorders sync.Pool
+
 // NewFlightRecorder returns a recorder keeping the last cap events
-// (DefaultFlightCap if cap <= 0).
+// (DefaultFlightCap if cap <= 0). It reuses a released recorder of that
+// capacity when one is pooled, cleared first.
 func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
+	if f, ok := flightRecorders.Get().(*FlightRecorder); ok && cap(f.ring) == capacity {
+		clear(f.ring[:capacity])
+		f.ring, f.seq = f.ring[:0], 0
+		return f
+	}
 	return &FlightRecorder{ring: make([]FlightEvent, 0, capacity)}
+}
+
+// Release hands the recorder to the pool NewFlightRecorder takes from. The
+// recorder must not be used afterwards; snapshots already taken are copies
+// and stay valid. A nil recorder is a no-op.
+func (f *FlightRecorder) Release() {
+	if f != nil {
+		flightRecorders.Put(f)
+	}
 }
 
 // Record appends ev, evicting the oldest entry once the ring is full. The

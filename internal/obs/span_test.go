@@ -117,6 +117,32 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderReleaseReuse checks that a recorder taken after others
+// were released starts empty, whichever one the pool hands back, and that a
+// snapshot taken before a release is unchanged by later recording.
+func TestFlightRecorderReleaseReuse(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		f := NewFlightRecorder(4)
+		for i := 1; i <= 6; i++ {
+			f.Record(FlightEvent{Cycles: uint64(i), Kind: FlightAlloc, Site: "s"})
+		}
+		snap := f.Snapshot()
+		f.Release()
+		g := NewFlightRecorder(4)
+		if g.Recorded() != 0 || g.Dropped() != 0 || g.Snapshot() != nil {
+			t.Fatalf("round %d: reused recorder not empty: recorded=%d", round, g.Recorded())
+		}
+		g.Record(FlightEvent{Kind: FlightFree})
+		if got := g.Snapshot(); len(got) != 1 || got[0].Seq != 1 || got[0].Site != "" {
+			t.Fatalf("round %d: first event on a reused recorder = %+v", round, got)
+		}
+		if snap[0].Seq != 3 || snap[0].Kind != FlightAlloc {
+			t.Fatalf("round %d: snapshot changed after release: %+v", round, snap[0])
+		}
+		g.Release()
+	}
+}
+
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(FlightEvent{Kind: FlightFree})

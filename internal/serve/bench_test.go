@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/trace"
@@ -50,6 +52,56 @@ func BenchmarkCacheKey(b *testing.B) {
 			benchRawKey = rawKeyFor(body, overrides{})
 		}
 	})
+}
+
+// BenchmarkServeHit measures what pgserved does with a repeat of a trace it
+// has already answered, as every replay-zipf request after warm-up is: read
+// the body, hash it to the raw key, find the cached entry and write it out.
+// The first request, outside the timed loop, simulates and caches the trace.
+func BenchmarkServeHit(b *testing.B) {
+	body := cacheBenchBody(b)
+	h := New(Config{}).Handler()
+	serve := func() *hitWriter {
+		w := &hitWriter{header: make(http.Header)}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/replay", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("replay status %d", w.status)
+		}
+		return w
+	}
+	if got := serve().header.Get("X-Pg-Cache"); got != "miss" {
+		b.Fatalf("first request X-Pg-Cache %q, want miss", got)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := serve(); w.header.Get("X-Pg-Cache") != "hit" {
+			b.Fatalf("repeat X-Pg-Cache %q, want hit", w.header.Get("X-Pg-Cache"))
+		}
+	}
+}
+
+// hitWriter is a ResponseWriter that keeps the headers and status and
+// discards the body, as a socket write would leave nothing behind.
+type hitWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *hitWriter) Header() http.Header { return w.header }
+
+func (w *hitWriter) Write(p []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return len(p), nil
+}
+
+func (w *hitWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
 }
 
 // benchKey and benchRawKey keep BenchmarkCacheKey's results live.

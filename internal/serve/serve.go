@@ -542,7 +542,12 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// The body is read into a pooled buffer that goes back to the pool when
+	// the handler returns: the raw key hashes it and the parse copies out of
+	// it, so nothing that outlives the handler points into it.
+	p := bodyScratch.Get().(*[]byte)
+	body, err := readBody((*p)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	defer putScratch(&bodyScratch, p, body)
 	if err != nil {
 		s.count(s.errs)
 		writeBodyError(w, err, s.cfg.MaxBodyBytes)
@@ -729,22 +734,57 @@ func (s *Server) lead(ctx context.Context, key replayKey, call *inflightReplay, 
 // out of it: no pooled buffer is ever cached or served.
 var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxRenderScratch bounds the buffers renderScratch keeps. A buffer that
-// grew past it for one unusually large body is left to the collector.
-const maxRenderScratch = 1 << 20
+// bodyScratch holds request-body buffers between replay requests, so a
+// repeat read fills a buffer already grown to a trace's size instead of
+// growing a new one by doubling.
+var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxScratch bounds the buffers renderScratch and bodyScratch keep. A
+// buffer that grew past it for one unusually large body is left to the
+// collector.
+const maxScratch = 1 << 20
+
+// putScratch returns b, the grown buffer p held, to pool unless it grew past
+// maxScratch.
+func putScratch(pool *sync.Pool, p *[]byte, b []byte) {
+	if cap(b) <= maxScratch {
+		*p = b[:0]
+		pool.Put(p)
+	}
+}
+
+// readBody appends everything r yields to b, as io.ReadAll does into a
+// fresh slice.
+func readBody(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
 
 // renderReplay simulates one trace and renders its full response body,
 // merging the process metrics and counting the completion. It registers the
 // detections' reports with the crash-bucket database, so a bucket this miss
 // creates takes its representative from it, and the entry keeps only their
 // keys. Runs on a worker goroutine, before the flight completes: no waiter
-// can be served ahead of the registration.
+// can be served ahead of the registration. The fork's memory goes back to
+// the pools as soon as the replay returns; the report holds none of it.
 func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpans bool) (*replayEntry, error) {
 	m, err := s.buildMachine(tf, extra...)
 	if err != nil {
 		return nil, err
 	}
 	rep, err := trace.Replay(m, tf.Events)
+	m.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -778,10 +818,7 @@ func renderBody(rep *trace.Report, withSpans bool) ([]byte, error) {
 	if err == nil {
 		body = bytes.Clone(b)
 	}
-	if cap(b) <= maxRenderScratch {
-		*p = b[:0]
-		renderScratch.Put(p)
-	}
+	putScratch(&renderScratch, p, b)
 	return body, err
 }
 

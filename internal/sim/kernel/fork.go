@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim/mmu"
-	"repro/internal/sim/phys"
 )
 
 // Freeze marks the machine as an immutable snapshot parent: its physical
@@ -60,7 +59,7 @@ func (p *Process) Fork(sys *System, cfg Config) (*Process, error) {
 		space:       space,
 		mmu:         mmu.New(space, sys.mem, meter, cfg.MMU),
 		meter:       meter,
-		frameRefs:   make(map[phys.FrameID]int, len(p.frameRefs)),
+		frameRefs:   make([]int32, len(p.frameRefs)),
 		inject:      cfg.Faults.NewInjector(sys.procSeq),
 		prof:        obs.NewSiteProfile(),
 		flight:      obs.NewFlightRecorder(obs.DefaultFlightCap),
@@ -75,9 +74,7 @@ func (p *Process) Fork(sys *System, cfg Config) (*Process, error) {
 		globalLimit: p.globalLimit,
 		globalNext:  p.globalNext,
 	}
-	for f, n := range p.frameRefs {
-		q.frameRefs[f] = n
-	}
+	copy(q.frameRefs, p.frameRefs)
 	for i, h := range p.sysHist {
 		if h != nil {
 			q.sysHist[i] = h.Clone()
@@ -85,4 +82,13 @@ func (p *Process) Fork(sys *System, cfg Config) (*Process, error) {
 	}
 	sys.procSeq++
 	return q, nil
+}
+
+// Release hands the page-table nodes this process owns and its flight
+// recorder back to their shared pools. The process is unusable afterwards;
+// release its System's physical memory after it.
+func (p *Process) Release() {
+	p.space.Release()
+	p.flight.Release()
+	p.flight = nil
 }

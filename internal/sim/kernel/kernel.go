@@ -80,10 +80,11 @@ type Process struct {
 	mmu   *mmu.MMU
 	meter *cost.Meter
 
-	// frameRefs counts, per frame, how many of this process's virtual
-	// pages map it. Aliasing (Insight 1) makes this >1; a frame is
-	// returned to the machine only when its last mapping goes away.
-	frameRefs map[phys.FrameID]int
+	// frameRefs counts, per frame (indexed by FrameID), how many of this
+	// process's virtual pages map it. Aliasing (Insight 1) makes this >1; a
+	// frame is returned to the machine only when its last mapping goes
+	// away. Frame ids are dense from zero, so a slice beats a map here.
+	frameRefs []int32
 
 	// inject is the per-process fault injector (nil = no injection).
 	inject *Injector
@@ -133,14 +134,13 @@ func NewProcess(sys *System, cfg Config) (*Process, error) {
 	meter := cost.NewMeter(cfg.Model)
 	m := mmu.New(space, sys.mem, meter, cfg.MMU)
 	p := &Process{
-		sys:       sys,
-		space:     space,
-		mmu:       m,
-		meter:     meter,
-		frameRefs: make(map[phys.FrameID]int),
-		inject:    cfg.Faults.NewInjector(sys.procSeq),
-		prof:      obs.NewSiteProfile(),
-		flight:    obs.NewFlightRecorder(obs.DefaultFlightCap),
+		sys:    sys,
+		space:  space,
+		mmu:    m,
+		meter:  meter,
+		inject: cfg.Faults.NewInjector(sys.procSeq),
+		prof:   obs.NewSiteProfile(),
+		flight: obs.NewFlightRecorder(obs.DefaultFlightCap),
 	}
 	sys.procSeq++
 
@@ -203,6 +203,9 @@ func (p *Process) AllocGlobal(size uint64) (vm.Addr, error) {
 // never leaks a frame.
 func (p *Process) mapPage(v vm.VPN, f phys.FrameID, prot vm.Prot) {
 	p.space.Map(v, f, prot)
+	if n := int(f) + 1; n > len(p.frameRefs) {
+		p.frameRefs = append(p.frameRefs, make([]int32, n-len(p.frameRefs))...)
+	}
 	p.frameRefs[f]++
 }
 
@@ -277,14 +280,13 @@ func (p *Process) dropMapping(v vm.VPN) error {
 	if err := p.space.Unmap(v); err != nil {
 		return err
 	}
-	p.frameRefs[frame]--
-	if p.frameRefs[frame] <= 0 {
-		delete(p.frameRefs, frame)
-		if err := p.sys.mem.FreeFrame(frame); err != nil {
-			return err
+	if int(frame) < len(p.frameRefs) {
+		if p.frameRefs[frame]--; p.frameRefs[frame] > 0 {
+			return nil
 		}
+		p.frameRefs[frame] = 0
 	}
-	return nil
+	return p.sys.mem.FreeFrame(frame)
 }
 
 // Munmap unmaps n pages starting at the page-aligned addr, freeing frames

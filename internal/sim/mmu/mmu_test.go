@@ -337,7 +337,7 @@ func TestTranslationCacheInvalidatedByUnmapRemap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(mem.Frame(f2)[:], []byte{0x22, 0x22, 0, 0, 0, 0, 0, 0})
+	copy(mem.FrameForWrite(f2)[:], []byte{0x22, 0x22, 0, 0, 0, 0, 0, 0})
 	space.Map(vpn, f2, vm.ProtRW)
 	m.FlushPage(vpn)
 	if v, err := m.ReadWord(a, 8); err != nil || v != 0x2222 {

@@ -12,6 +12,7 @@ package phys
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // PageSize is the simulated page size in bytes. The paper's calculations
@@ -29,8 +30,33 @@ var ErrOutOfMemory = errors.New("phys: out of physical memory")
 // FrameID identifies one physical page frame.
 type FrameID uint64
 
-// Memory is a pool of page frames with lazily allocated backing storage.
-// It is not safe for concurrent use.
+// zeroPage backs every frame that has not been written since it was
+// allocated: Frame returns it until FrameForWrite gives the frame an array of
+// its own (demand-zero, as an OS maps untouched anonymous memory to one zero
+// page). Nothing may write it.
+var zeroPage [PageSize]byte
+
+// framePool recycles the backing arrays that FreeFrame and Release give up,
+// across every Memory in the program. An array is zeroed when it is taken,
+// not when it is returned.
+var framePool sync.Pool
+
+// takeFrame returns a backing array, zeroed when zero is set; an array about
+// to be overwritten whole skips the clear.
+func takeFrame(zero bool) *[PageSize]byte {
+	f, ok := framePool.Get().(*[PageSize]byte)
+	if !ok {
+		return new([PageSize]byte)
+	}
+	if zero {
+		*f = [PageSize]byte{}
+	}
+	return f
+}
+
+// Memory is a pool of page frames with demand-zero backing storage: a frame
+// gets a backing array only when it is first written. It is not safe for
+// concurrent use.
 //
 // A Memory can be frozen (Freeze) and then forked (Fork) any number of times,
 // including concurrently: each fork shares the frozen parent's frame arrays
@@ -39,6 +65,8 @@ type FrameID uint64
 // first time a fork touches it — the same aliasing trick the paper plays with
 // virtual pages, applied one level up to whole machines.
 type Memory struct {
+	// frames holds each frame's backing array; nil means the frame has not
+	// been written since it was allocated and reads as zeroPage.
 	frames    []*[PageSize]byte
 	isFree    []bool
 	free      []FrameID
@@ -48,10 +76,10 @@ type Memory struct {
 	// frozen marks a snapshot parent: all mutation panics. Forks are never
 	// frozen.
 	frozen bool
-	// shared[id], when true, means frames[id] belongs to the frozen parent
-	// this Memory was forked from and must be copied before any write. nil
-	// for a Memory that was never forked, so the hot path costs one len()
-	// check.
+	// shared[id], when true, means frames[id] (never nil then) belongs to
+	// the frozen parent this Memory was forked from and must be copied
+	// before any write. nil for a Memory that was never forked, so the hot
+	// path costs one len() check.
 	shared []bool
 }
 
@@ -62,23 +90,15 @@ func NewMemory(maxFrames uint64) *Memory {
 }
 
 // AllocFrame returns a zeroed frame, or ErrOutOfMemory if the budget is
-// exhausted.
+// exhausted. The frame has no backing array until it is first written.
 func (m *Memory) AllocFrame() (FrameID, error) {
 	if m.frozen {
-		panic("phys: AllocFrame on a frozen snapshot")
+		panic("phys: AllocFrame on a frozen or released Memory")
 	}
 	if n := len(m.free); n > 0 {
 		id := m.free[n-1]
 		m.free = m.free[:n-1]
 		m.isFree[id] = false
-		if int(id) < len(m.shared) && m.shared[id] {
-			// The backing array still belongs to the frozen snapshot;
-			// replace it rather than zeroing the shared storage in place.
-			m.frames[id] = new([PageSize]byte)
-			m.shared[id] = false
-		} else {
-			*m.frames[id] = [PageSize]byte{}
-		}
 		m.noteAlloc()
 		return id, nil
 	}
@@ -86,10 +106,16 @@ func (m *Memory) AllocFrame() (FrameID, error) {
 		return 0, ErrOutOfMemory
 	}
 	id := FrameID(len(m.frames))
-	m.frames = append(m.frames, new([PageSize]byte))
+	m.frames = append(m.frames, nil)
 	m.isFree = append(m.isFree, false)
 	m.noteAlloc()
 	return id, nil
+}
+
+// owns reports whether frames[id] is a backing array this Memory may write
+// and give up: present and not shared with a frozen parent.
+func (m *Memory) owns(id FrameID) bool {
+	return m.frames[id] != nil && (int(id) >= len(m.shared) || !m.shared[id])
 }
 
 func (m *Memory) noteAlloc() {
@@ -104,7 +130,7 @@ func (m *Memory) noteAlloc() {
 // tests can catch it.
 func (m *Memory) FreeFrame(id FrameID) error {
 	if m.frozen {
-		panic("phys: FreeFrame on a frozen snapshot")
+		panic("phys: FreeFrame on a frozen or released Memory")
 	}
 	if uint64(id) >= uint64(len(m.frames)) {
 		return fmt.Errorf("phys: free of invalid frame %d", id)
@@ -112,34 +138,69 @@ func (m *Memory) FreeFrame(id FrameID) error {
 	if m.isFree[id] {
 		return fmt.Errorf("phys: double free of frame %d", id)
 	}
+	if m.owns(id) {
+		framePool.Put(m.frames[id])
+	}
+	m.frames[id] = nil
+	if int(id) < len(m.shared) {
+		m.shared[id] = false
+	}
 	m.isFree[id] = true
 	m.free = append(m.free, id)
 	m.inUse--
 	return nil
 }
 
-// Frame returns the backing array of a frame for direct byte access.
-// The caller must hold a valid FrameID from AllocFrame. After a Fork the
-// array may be shared with the snapshot parent: callers that write must use
-// FrameForWrite instead.
+// Frame returns the contents of a frame for reading. The caller must hold a
+// valid FrameID from AllocFrame. The array is read-only: a frame never
+// written reads as the zero page every such frame shares, and after a Fork
+// the array may be shared with the snapshot parent. Callers that write must
+// use FrameForWrite.
 func (m *Memory) Frame(id FrameID) *[PageSize]byte {
-	return m.frames[id]
+	if f := m.frames[id]; f != nil {
+		return f
+	}
+	return &zeroPage
 }
 
-// FrameForWrite returns the backing array of a frame for mutation, unsharing
-// it first if it still belongs to the frozen snapshot this Memory was forked
-// from.
+// FrameForWrite returns the backing array of a frame for mutation. A frame
+// never written gets a zeroed array of its own; one still shared with the
+// frozen snapshot this Memory was forked from is copied first.
 func (m *Memory) FrameForWrite(id FrameID) *[PageSize]byte {
 	if m.frozen {
-		panic("phys: write to a frozen snapshot frame")
+		panic("phys: write to a frozen or released Memory")
 	}
-	if int(id) < len(m.shared) && m.shared[id] {
-		cp := new([PageSize]byte)
-		*cp = *m.frames[id]
-		m.frames[id] = cp
+	f := m.frames[id]
+	switch {
+	case f == nil:
+		f = takeFrame(true)
+	case int(id) < len(m.shared) && m.shared[id]:
+		cp := takeFrame(false)
+		*cp = *f
+		f = cp
 		m.shared[id] = false
+	default:
+		return f
 	}
-	return m.frames[id]
+	m.frames[id] = f
+	return f
+}
+
+// Release hands every backing array this Memory owns to the frame pool,
+// leaving arrays shared with a frozen parent to the parent, and leaves the
+// Memory unusable: a later read of a frame or any mutation panics. A fork's
+// owner calls it once the fork's last reader is done. A frozen snapshot is
+// never released.
+func (m *Memory) Release() {
+	if m.frozen {
+		panic("phys: Release of a frozen or released Memory")
+	}
+	for id := range m.frames {
+		if m.owns(FrameID(id)) {
+			framePool.Put(m.frames[id])
+		}
+	}
+	*m = Memory{frozen: true}
 }
 
 // Freeze marks the Memory as an immutable snapshot parent. All further
@@ -152,8 +213,8 @@ func (m *Memory) Freeze() { m.frozen = true }
 func (m *Memory) Frozen() bool { return m.frozen }
 
 // Fork returns a mutable copy-on-write clone of a frozen Memory. The clone
-// shares every frame's backing array with the parent until FrameForWrite (or
-// a free-list AllocFrame reuse) unshares it. Fork is safe to call from many
+// shares every frame's backing array with the parent until FrameForWrite
+// unshares it or FreeFrame drops it. Fork is safe to call from many
 // goroutines at once because it only reads the frozen parent.
 func (m *Memory) Fork() *Memory {
 	if !m.frozen {
@@ -171,8 +232,8 @@ func (m *Memory) Fork() *Memory {
 	copy(n.frames, m.frames)
 	copy(n.isFree, m.isFree)
 	copy(n.free, m.free)
-	for i := range n.shared {
-		n.shared[i] = true
+	for i, f := range m.frames {
+		n.shared[i] = f != nil
 	}
 	return n
 }

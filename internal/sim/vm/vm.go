@@ -14,6 +14,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/sim/phys"
 )
@@ -138,15 +139,24 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("fault: %s of %#x (%s)", f.Access, f.Addr, f.Reason)
 }
 
-// pte is one page-table entry. present distinguishes a live entry from an
-// absent one: ProtNone is a valid protection for a *mapped* page (that is how
-// freed shadow pages are poisoned), and frame 0 is a valid frame, so without
-// it a mapped entry could equal the zero value the radix reads as absent.
-type pte struct {
-	frame   phys.FrameID
-	prot    Prot
-	present bool
+// pte is one page-table entry packed into a word: frame<<8 | prot<<1 |
+// present. present distinguishes a live entry from an absent one: ProtNone is
+// a valid protection for a *mapped* page (that is how freed shadow pages are
+// poisoned), and frame 0 is a valid frame, so without it a mapped entry could
+// equal the zero value the radix reads as absent. Packing halves a
+// page-table leaf to 32 KB.
+type pte uint64
+
+const ptePresent pte = 1
+
+// makePTE packs a present entry. Prot has two defined bits, so seven bits
+// hold any Prot the package defines.
+func makePTE(frame phys.FrameID, prot Prot) pte {
+	return pte(frame)<<8 | pte(prot&0x7f)<<1 | ptePresent
 }
+
+func (e pte) frame() phys.FrameID { return phys.FrameID(e >> 8) }
+func (e pte) prot() Prot          { return Prot(e>>1) & 0x7f }
 
 // Radix geometry. A VPN has UserAddrBits-PageShift = 35 significant bits,
 // split across three levels (11 + 12 + 12) exactly like a hardware page-table
@@ -185,6 +195,9 @@ type spaceToken struct{ _ byte }
 // so do not copy one in use. Not safe for concurrent use.
 type PageMap[T comparable] struct {
 	root [radixTopSize]*radixMid[T]
+	// pool, when set by UsePool, supplies new nodes and takes them back
+	// on Release.
+	pool *NodePool[T]
 }
 
 type radixMid[T comparable] struct {
@@ -196,6 +209,67 @@ type radixLeaf[T comparable] struct {
 	owner *spaceToken
 	slots [radixLeafSize]T
 }
+
+// NodePool recycles the radix nodes of released PageMaps of one element
+// type, so a short-lived map (one replay's page table or object index) takes
+// its 32 KB nodes from the last one instead of allocating them. A node is
+// cleared when it is taken, not when it is returned. The zero NodePool is
+// ready to use and safe for concurrent use.
+type NodePool[T comparable] struct {
+	mids, leaves sync.Pool
+}
+
+// pteNodes is the node pool every Space's page table uses.
+var pteNodes NodePool[pte]
+
+// newMid returns a mid node owned by owner holding src's children, or none
+// when src is nil, taken from m's pool when it has one.
+func (m *PageMap[T]) newMid(owner *spaceToken, src *radixMid[T]) *radixMid[T] {
+	var n *radixMid[T]
+	reused := false
+	if m.pool != nil {
+		n, reused = m.pool.mids.Get().(*radixMid[T])
+	}
+	switch {
+	case src != nil:
+		if !reused {
+			n = new(radixMid[T])
+		}
+		n.leaves = src.leaves
+	case reused:
+		clear(n.leaves[:])
+	default:
+		n = new(radixMid[T])
+	}
+	n.owner = owner
+	return n
+}
+
+// newLeaf is newMid for leaves.
+func (m *PageMap[T]) newLeaf(owner *spaceToken, src *radixLeaf[T]) *radixLeaf[T] {
+	var n *radixLeaf[T]
+	reused := false
+	if m.pool != nil {
+		n, reused = m.pool.leaves.Get().(*radixLeaf[T])
+	}
+	switch {
+	case src != nil:
+		if !reused {
+			n = new(radixLeaf[T])
+		}
+		n.slots = src.slots
+	case reused:
+		clear(n.slots[:])
+	default:
+		n = new(radixLeaf[T])
+	}
+	n.owner = owner
+	return n
+}
+
+// UsePool makes m take new nodes from p and give them back to it on
+// Release. Call it before the first Set.
+func (m *PageMap[T]) UsePool(p *NodePool[T]) { m.pool = p }
 
 // get returns a pointer to the present slot for vpn, or nil when the slot is
 // absent (or its path is not populated). The slot must not be written: it
@@ -231,25 +305,43 @@ func (m *PageMap[T]) ensure(vpn VPN, owner *spaceToken) *T {
 	}
 	mid := m.root[top]
 	if mid == nil || mid.owner != owner {
-		cp := &radixMid[T]{owner: owner}
-		if mid != nil {
-			cp.leaves = mid.leaves
-		}
-		mid = cp
-		m.root[top] = cp
+		mid = m.newMid(owner, mid)
+		m.root[top] = mid
 	}
 	li := (vpn >> radixLeafBits) & radixMidMask
 	leaf := mid.leaves[li]
 	if leaf == nil || leaf.owner != owner {
-		cp := &radixLeaf[T]{owner: owner}
-		if leaf != nil {
-			cp.slots = leaf.slots
-		}
-		leaf = cp
-		mid.leaves[li] = cp
+		leaf = m.newLeaf(owner, leaf)
+		mid.leaves[li] = leaf
 	}
 	return &leaf.slots[vpn&radixLeafMask]
 }
+
+// release empties m, handing the nodes owner owns to m's pool (if any).
+// Nodes owned by anyone else belong to a frozen snapshot parent and stay
+// with it. An owned leaf always hangs under an owned mid: ensure copies the
+// mid before the leaf.
+func (m *PageMap[T]) release(owner *spaceToken) {
+	for ti, mid := range m.root {
+		if mid == nil {
+			continue
+		}
+		m.root[ti] = nil
+		if mid.owner != owner || m.pool == nil {
+			continue
+		}
+		for _, leaf := range mid.leaves {
+			if leaf != nil && leaf.owner == owner {
+				m.pool.leaves.Put(leaf)
+			}
+		}
+		m.pool.mids.Put(mid)
+	}
+}
+
+// Release empties m and hands its nodes to the pool UsePool set. The nodes
+// must not be reached any more through a copy of m.
+func (m *PageMap[T]) Release() { m.release(nil) }
 
 // ForEach calls fn for every entry in ascending VPN order.
 func (m *PageMap[T]) ForEach(fn func(VPN, T)) {
@@ -332,10 +424,12 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{
+	s := &Space{
 		self: new(spaceToken),
 		next: 16, // leave the first 64 KB unmapped (NULL guard)
 	}
+	s.pt.UsePool(&pteNodes)
+	return s
 }
 
 // Epoch returns the page-table mutation counter. Any cached translation made
@@ -388,13 +482,13 @@ func (s *Space) Map(vpn VPN, frame phys.FrameID, prot Prot) {
 	}
 	s.epoch++
 	e := s.pt.ensure(vpn, s.self)
-	if !e.present {
+	if *e&ptePresent == 0 {
 		s.mapped++
 		if s.mapped > s.peakMapped {
 			s.peakMapped = s.mapped
 		}
 	}
-	*e = pte{frame: frame, prot: prot, present: true}
+	*e = makePTE(frame, prot)
 }
 
 // Unmap removes the mapping for vpn. Unmapping an unmapped page is an error
@@ -408,7 +502,7 @@ func (s *Space) Unmap(vpn VPN) error {
 	if e == nil {
 		return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
 	}
-	*e = pte{}
+	*e = 0
 	s.mapped--
 	return nil
 }
@@ -423,7 +517,7 @@ func (s *Space) Protect(vpn VPN, prot Prot) error {
 	if e == nil {
 		return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
 	}
-	e.prot = prot
+	*e = makePTE(e.frame(), prot)
 	return nil
 }
 
@@ -433,7 +527,7 @@ func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
 	if e == nil {
 		return 0, 0, false
 	}
-	return e.frame, e.prot, true
+	return e.frame(), e.prot(), true
 }
 
 // Translate checks an access of the given kind to addr and returns the frame
@@ -447,15 +541,15 @@ func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
 	if kind == AccessWrite {
 		need = ProtWrite
 	}
-	if e.prot&need == 0 {
+	if e.prot()&need == 0 {
 		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
 	}
-	return e.frame, nil
+	return e.frame(), nil
 }
 
 // ForEach calls fn for every live page-table entry, in ascending VPN order.
 func (s *Space) ForEach(fn func(VPN, phys.FrameID, Prot)) {
-	s.pt.ForEach(func(vpn VPN, e pte) { fn(vpn, e.frame, e.prot) })
+	s.pt.ForEach(func(vpn VPN, e pte) { fn(vpn, e.frame(), e.prot()) })
 }
 
 // MappedPages returns the number of live page-table entries.
@@ -510,4 +604,17 @@ func (s *Space) Fork() *Space {
 		everMapped: s.everMapped,
 		budget:     s.budget,
 	}
+}
+
+// Release hands the radix nodes this Space owns to the page-table node
+// pool, leaving nodes shared with a frozen parent to the parent, and leaves
+// the Space unusable: a later lookup finds nothing mapped and a later
+// mutation panics. A fork's owner calls it once the fork's last reader is
+// done. A frozen snapshot is never released.
+func (s *Space) Release() {
+	if s.frozen {
+		panic("vm: Release of a frozen snapshot")
+	}
+	s.pt.release(s.self)
+	s.frozen = true
 }

@@ -362,13 +362,20 @@ func xorshift() func() uint64 {
 	}
 }
 
+// modelPTE is one entry of TestRadixMatchesLegacyMap's model, kept unpacked
+// so the model shares no code with the packed pte.
+type modelPTE struct {
+	frame phys.FrameID
+	prot  Prot
+}
+
 // TestRadixMatchesLegacyMap drives the radix page table and a test-local
-// map[VPN]pte model of the original map-backed page table through the same
+// map[VPN]modelPTE model of the original map-backed page table through the same
 // pseudo-random mix of Map/Protect/Unmap/Translate traffic and requires
 // identical observable state throughout.
 func TestRadixMatchesLegacyMap(t *testing.T) {
 	radix := NewSpace()
-	model := make(map[VPN]pte)
+	model := make(map[VPN]modelPTE)
 	next := xorshift()
 	const pages = 300
 	base, err := radix.ReservePages(pages)
@@ -384,7 +391,7 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 			frame := phys.FrameID(next() % 64)
 			prot := prots[next()%uint64(len(prots))]
 			radix.Map(vpn, frame, prot)
-			model[vpn] = pte{frame: frame, prot: prot, present: true}
+			model[vpn] = modelPTE{frame: frame, prot: prot}
 		case 1:
 			prot := prots[next()%uint64(len(prots))]
 			if err := radix.Protect(vpn, prot); (err == nil) != mapped {
@@ -456,6 +463,57 @@ func checkAscendingKeys[V any](t *testing.T, got []VPN, model map[VPN]V) {
 		}
 		if i > 0 && got[i-1] >= v {
 			t.Fatalf("visit order not ascending: %#x then %#x", got[i-1], v)
+		}
+	}
+}
+
+// TestPooledNodesComeBackEmpty fills a forked page table and a page map
+// across leaf and mid-level boundaries, releases both, and checks that the
+// page table and page map built next from the same pools hold nothing of
+// theirs. Releasing the fork must leave its frozen parent's nodes alone.
+func TestPooledNodesComeBackEmpty(t *testing.T) {
+	spots := []VPN{16, radixLeafSize - 2, radixLeafSize*radixMidSize - 2}
+	var pages []VPN
+	for _, v := range spots {
+		pages = append(pages, v, v+1, v+2, v+3)
+	}
+	var objects NodePool[*int]
+	obj := new(int)
+	for round := 0; round < 8; round++ {
+		parent := NewSpace()
+		parent.Map(17, 1, ProtRead)
+		parent.Freeze()
+		fork := parent.Fork()
+		for _, v := range pages {
+			fork.Map(v, phys.FrameID(v), ProtRW)
+		}
+		fork.Release()
+		if f, p, ok := parent.Lookup(17); !ok || f != 1 || p != ProtRead {
+			t.Fatalf("round %d: parent entry after the fork's release = (%v, %v, %v), want (1, r-, true)", round, f, p, ok)
+		}
+
+		var pm PageMap[*int]
+		pm.UsePool(&objects)
+		for _, v := range pages {
+			pm.Set(v, obj)
+		}
+		pm.Release()
+
+		s := NewSpace()
+		s.Map(pages[1], 9, ProtRW)
+		next := PageMap[*int]{}
+		next.UsePool(&objects)
+		next.Set(pages[1], obj)
+		for _, v := range pages[2:] {
+			if _, _, ok := s.Lookup(v); ok {
+				t.Fatalf("round %d: a pooled page-table node still maps %#x", round, v)
+			}
+			if next.Get(v) != nil {
+				t.Fatalf("round %d: a pooled page-map node still holds %#x", round, v)
+			}
+		}
+		if _, _, ok := s.Lookup(pages[0]); ok || next.Get(pages[0]) != nil {
+			t.Fatalf("round %d: a pooled node still holds %#x", round, pages[0])
 		}
 	}
 }

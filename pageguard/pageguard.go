@@ -240,6 +240,8 @@ type Machine struct {
 	// Snapshot) consumed by the next NewProcess call in place of a fresh
 	// kernel.NewProcess. See snapshot.go.
 	prepared *kernel.Process
+	// procs are the processes NewProcess made, for Release.
+	procs []*Process
 }
 
 // NewMachine boots a machine.
@@ -297,11 +299,34 @@ func (m *Machine) NewProcess() (*Process, error) {
 	if m.cfg.sampling != nil {
 		remap.EnableSampling(*m.cfg.sampling)
 	}
-	return &Process{
+	p := &Process{
 		proc:  proc,
 		heap:  heap.New(proc),
 		remap: remap,
-	}, nil
+	}
+	m.procs = append(m.procs, p)
+	return p, nil
+}
+
+// Release hands the machine's own simulated memory back to pools shared by
+// every machine in the program: the physical frames it wrote, the radix
+// nodes of its page tables and object indexes, and its processes' flight
+// recorders. Frames and nodes a Snapshot fork still shares with its snapshot
+// stay with the snapshot. The machine
+// and its processes must not be used afterwards, but results already taken
+// from them (reports, stats, metric snapshots) stay valid. Call it once, on
+// the goroutine that last used the machine; a machine never released is
+// simply left to the garbage collector.
+func (m *Machine) Release() {
+	for _, p := range m.procs {
+		p.remap.Release()
+		p.proc.Release()
+	}
+	if m.prepared != nil {
+		m.prepared.Release()
+	}
+	m.sys.PhysMemory().Release()
+	m.procs, m.prepared = nil, nil
 }
 
 // Malloc allocates size bytes under shadow-page protection. site labels the

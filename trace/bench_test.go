@@ -42,8 +42,9 @@ func benchTrace(objects int, dangling func(id int) bool) string {
 }
 
 // BenchmarkReplay measures the replay layer as pgserved runs it on a cache
-// miss: fork the pre-warmed snapshot, then replay the parsed events on the
-// fork. Parsing and rendering are outside the timed loop.
+// miss: fork the pre-warmed snapshot, replay the parsed events on the fork,
+// then release the fork's memory to the pools. Parsing and rendering are
+// outside the timed loop.
 func BenchmarkReplay(b *testing.B) {
 	f, err := ParseFile(strings.NewReader(pageBenchTrace(160)))
 	if err != nil {
@@ -61,6 +62,7 @@ func BenchmarkReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		rep, err := Replay(m, f.Events)
+		m.Release()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/sim/phys"
 	"repro/pageguard"
 )
 
@@ -141,21 +142,24 @@ func firstDiff(a, b []byte) int {
 }
 
 // TestSnapshotReplayParityConcurrent: concurrent forks replaying different
-// traces must each match their fresh-machine bytes (run under -race).
+// traces must each match their fresh-machine bytes (run under -race). Each
+// worker releases its fork after the replay and forks again for the next
+// round, on another worker's trace, so every round after the first runs on
+// frames, radix nodes and flight rings another fork gave back.
 func TestSnapshotReplayParityConcurrent(t *testing.T) {
 	snap, err := pageguard.NewSnapshot()
 	if err != nil {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
-	const workers = 8
-	srcs := make([]string, workers)
+	const workers, rounds = 8, 4
+	files := make([]*File, workers)
 	want := make([][]byte, workers)
-	for i := range srcs {
-		srcs[i] = parityTrace(60 + 15*i)
-		ff, err := ParseFile(strings.NewReader(srcs[i]))
+	for i := range files {
+		ff, err := ParseFile(strings.NewReader(parityTrace(60 + 15*i)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		files[i] = ff
 		want[i] = replayBytes(t, NewMachine(ff), ff, false)
 	}
 	var wg sync.WaitGroup
@@ -163,20 +167,58 @@ func TestSnapshotReplayParityConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ff, err := ParseFile(strings.NewReader(srcs[i]))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			m, err := snap.Fork(ff.MachineOptions()...)
-			if err != nil {
-				t.Errorf("Fork: %v", err)
-				return
-			}
-			if got := replayBytes(t, m, ff, false); !bytes.Equal(got, want[i]) {
-				t.Errorf("worker %d: forked replay diverged from fresh machine", i)
+			for r := 0; r < rounds; r++ {
+				ff := files[(i+r)%workers]
+				m, err := snap.Fork(ff.MachineOptions()...)
+				if err != nil {
+					t.Errorf("Fork: %v", err)
+					return
+				}
+				got, err := replayResult(m, ff, false)
+				m.Release()
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", i, r, err)
+					return
+				}
+				if !bytes.Equal(got, want[(i+r)%workers]) {
+					t.Errorf("worker %d round %d: forked replay diverged from fresh machine", i, r)
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestZeroPageStaysZero replays a trace that writes to its objects on a
+// released fork and on a released fresh machine, then checks that the zero
+// page every unwritten frame reads is still all zeros: a write that reached
+// it would show up in every frame of every machine.
+func TestZeroPageStaysZero(t *testing.T) {
+	ff, err := ParseFile(strings.NewReader(parityTrace(120)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := pageguard.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := snap.Fork(ff.MachineOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*pageguard.Machine{fork, NewMachine(ff)} {
+		_, err := Replay(m, ff.Events)
+		m.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem := phys.NewMemory(0)
+	id, err := mem.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *mem.Frame(id) != ([phys.PageSize]byte{}) {
+		t.Fatal("the shared zero page is not all zeros after a replay")
+	}
 }

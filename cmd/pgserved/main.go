@@ -17,8 +17,13 @@
 //	                           ?faults=SPEC overrides the trace's schedule,
 //	                           ?sampling=rate=N[,seed=S][,quarantine=Q][,cool=C]
 //	                           replays under the sampled detection tier
+//	POST /corpus/{name}        replay a committed adversarial corpus trace,
+//	                           the body of a /replay POST of its bytes;
+//	                           ?sampling= and ?spans=1 apply, ?faults= and
+//	                           ?guards=1 are refused (400)
+//	GET  /corpus               list the corpus traces (name, description)
 //	POST /workload/{name}      compile and run a bundled workload
-//	                           (?mode=native|pa|detect|detect-nopa)
+//	                           (?mode=native|pa|detect|detect-nopa|static)
 //	GET  /workloads            list bundled workload names
 //	GET  /metrics              Prometheus text: pgserved_* host series plus
 //	                           the merged pg_* series of finished replays
@@ -39,14 +44,18 @@
 //
 // Admission control: at most -workers replays execute concurrently and at
 // most -queue wait; past that, requests are shed with 429 and a Retry-After
-// hint rather than queueing unboundedly. Each request has a -timeout budget.
+// hint rather than queueing unboundedly. Each request has a -timeout budget;
+// a replay that outlives it is abandoned and holds its worker slot until it
+// finishes, counted meanwhile in the pgserved_abandoned_replays gauge.
 // On SIGTERM/SIGINT the server stops accepting connections and drains
 // in-flight replays before exiting.
 //
 // Serving has one configuration: the server pre-warms one machine snapshot
 // at boot and copy-on-write forks it per request, and memoizes full response
-// bodies in a bounded content-hash LRU keyed by the canonical trace rendering
-// (-cache N entries, at least 1). Responses and merged metrics are
+// bodies in a bounded LRU keyed by the SHA-256 of the request's bytes and
+// its response-changing query parameters (-cache N entries, at least 1): a
+// repeat is served without parsing, and a trace that differs only in blanks
+// or comments is simulated once itself. Responses and merged metrics are
 // byte-identical to a fresh machine's offline replay, enforced by parity
 // tests. The cache cannot be disabled, and -snapshots accepts only true
 // (the value perfbench passes); -snapshots=false and -cache 0 exit 2.

@@ -17,8 +17,8 @@ import (
 // registers its detections' reports on the worker, before its flight
 // completes: a signature seen for the first time gets its bucket and its
 // representative there. Every 200 replay response (leader, single-flight
-// waiter, raw or canonical cache hit, corpus-served) then counts its
-// detections by key alone, so no cached entry keeps a report. GET /buckets
+// waiter, cache hit, corpus-served) then counts its detections by key
+// alone, so no cached entry keeps a report. GET /buckets
 // serves the database as deterministic JSON. Each process keeps its own;
 // fleet coverage comes from aggregating per-process databases offline.
 

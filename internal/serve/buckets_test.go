@@ -178,7 +178,7 @@ func TestBucketsWaiterServedBeforeLeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := keyForReplay(tf, false)
+	key := rawKeyFor(tr, overrides{})
 	_, call, leader := s.cache.begin(key)
 	if !leader {
 		t.Fatal("first begin did not lead")

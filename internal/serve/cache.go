@@ -8,46 +8,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/trace"
 )
 
-// replayKey is the content hash that identifies one replay result: the
-// SHA-256 of the spans flag, every event's source line, and the canonical
-// trace rendering (File.Format — every semantics-affecting directive
-// included: faults, policy, VA budget, guards, after query-parameter
-// overrides were applied). Two requests with the same key are guaranteed the
-// same response bytes by the replayer's determinism, which is what makes
-// memoizing them sound. The lines are part of the key because the body names
-// them (a detection's sites are "trace:<line>") while Format drops them: a
-// comment that moves the events down a line changes the response.
-type replayKey [sha256.Size]byte
-
-func keyForReplay(tf *trace.File, spans bool) replayKey {
-	h := sha256.New()
-	// The flag and the length-prefixed line list come first, so the
-	// canonical text that follows cannot be mistaken for either.
-	var buf [512]byte
-	b := append(buf[:0], flag(spans))
-	b = binary.AppendUvarint(b, uint64(len(tf.Events)))
-	for _, ev := range tf.Events {
-		if len(b) > len(buf)-binary.MaxVarintLen64 {
-			h.Write(b)
-			b = buf[:0]
-		}
-		b = binary.AppendUvarint(b, uint64(ev.Line))
-	}
-	h.Write(b)
-	tf.Format(h)
-	var k replayKey
-	h.Sum(k[:0])
-	return k
-}
-
-// rawKey identifies one request as it arrived: the SHA-256 of the body
-// bytes and every response-changing query parameter, each length-prefixed.
-// trace.ParseFile is deterministic and the overrides are applied to its
-// result, so one rawKey always yields one replayKey; the raw index relies on
-// that to serve a repeat without parsing.
+// rawKey is the cache key: it identifies one request as it arrived, the
+// SHA-256 of the body bytes and every response-changing query parameter,
+// each length-prefixed. A response is a deterministic function of exactly
+// these (the parse is deterministic and the overrides are applied to its
+// result), so two requests with one key are owed the same bytes; that is
+// what makes memoizing them sound. A trace that differs from a cached one
+// only in blanks or comments is other bytes, and simulates once itself.
 type rawKey [sha256.Size]byte
 
 func rawKeyFor(body []byte, o overrides) rawKey {
@@ -69,12 +38,6 @@ func flag(b bool) byte {
 	}
 	return 0
 }
-
-// maxAliases bounds the raw keys one cache entry answers to. Comment or
-// whitespace variants of one trace share a canonical entry; without the
-// bound a client sending endless variants would grow the raw index without
-// limit. Past it the oldest alias is dropped and its next request parses.
-const maxAliases = 4
 
 // replayEntry is one memoized replay result: only what serving it again
 // needs. That is the full response body, the per-process metrics snapshot
@@ -107,31 +70,23 @@ type inflightReplay struct {
 }
 
 // replayCache is a bounded LRU of memoized replay results with single-flight
-// dedup of concurrent identical requests, fronted by an index of raw request
-// hashes. Safe for concurrent use.
+// dedup of concurrent identical requests. Safe for concurrent use.
 type replayCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[replayKey]*list.Element
-	// raw maps a request's rawKey to the entry its canonical key names. It
-	// holds hashes only, at most maxAliases per live entry, and an entry's
-	// aliases leave with it on eviction.
-	raw      map[rawKey]*list.Element
+	mu       sync.Mutex
+	max      int
+	entries  map[rawKey]*list.Element
 	lru      *list.List // front = most recently used
-	inflight map[replayKey]*inflightReplay
+	inflight map[rawKey]*inflightReplay
 
 	hits      atomic.Uint64
-	rawHits   atomic.Uint64 // the hits answered from raw, a subset of hits
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
 // lruItem is the LRU list payload.
 type lruItem struct {
-	key replayKey
+	key rawKey
 	ent *replayEntry
-	// aliases are the raw keys in raw that point here, oldest first.
-	aliases []rawKey
 }
 
 // newReplayCache builds a cache bounded to max entries and registers its
@@ -139,10 +94,9 @@ type lruItem struct {
 func newReplayCache(max int, reg *obs.Registry) *replayCache {
 	c := &replayCache{
 		max:      max,
-		entries:  make(map[replayKey]*list.Element),
-		raw:      make(map[rawKey]*list.Element),
+		entries:  make(map[rawKey]*list.Element),
 		lru:      list.New(),
-		inflight: make(map[replayKey]*inflightReplay),
+		inflight: make(map[rawKey]*inflightReplay),
 	}
 	reg.CounterFunc("pg_cache_hits_total",
 		"replay requests served from the content-hash cache (including single-flight waiters)",
@@ -163,42 +117,19 @@ func newReplayCache(max int, reg *obs.Registry) *replayCache {
 	return c
 }
 
-// lookupRaw returns the entry a request's raw key is aliased to, counting a
-// hit, or nil when the key has no alias and the request must parse.
-func (c *replayCache) lookupRaw(rk rawKey) *replayEntry {
+// lookup returns the entry cached under key, counting a hit, or nil. It
+// opens no flight, so a request can look up before it parses and a trace
+// that fails to parse leaves the cache as it found it.
+func (c *replayCache) lookup(key rawKey) *replayEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.raw[rk]
+	el, ok := c.entries[key]
 	if !ok {
 		return nil
 	}
 	c.lru.MoveToFront(el)
 	c.hits.Add(1)
-	c.rawHits.Add(1)
 	return el.Value.(*lruItem).ent
-}
-
-// alias points rk at the live entry for key, so the next request with the
-// same raw bytes skips the parse. It does nothing when key has no entry
-// (the replay failed, or the entry was already evicted) or rk is already
-// aliased; past maxAliases the entry's oldest alias is dropped.
-func (c *replayCache) alias(rk rawKey, key replayKey) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return
-	}
-	if _, ok := c.raw[rk]; ok {
-		return
-	}
-	it := el.Value.(*lruItem)
-	if len(it.aliases) == maxAliases {
-		delete(c.raw, it.aliases[0])
-		it.aliases = append(it.aliases[:0], it.aliases[1:]...)
-	}
-	it.aliases = append(it.aliases, rk)
-	c.raw[rk] = el
 }
 
 // begin resolves a key against the cache. Exactly one of the returns is
@@ -209,7 +140,7 @@ func (c *replayCache) alias(rk rawKey, key replayKey) {
 //     on call.done then read call.ent/call.err.
 //   - call != nil, leader true: the caller must simulate and finish with
 //     complete(key, ent, err).
-func (c *replayCache) begin(key replayKey) (ent *replayEntry, call *inflightReplay, leader bool) {
+func (c *replayCache) begin(key rawKey) (ent *replayEntry, call *inflightReplay, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -240,7 +171,7 @@ func (c *replayCache) begin(key replayKey) (ent *replayEntry, call *inflightRepl
 // poisoned successor flight nor any cache entry behind, and the eviction
 // loop runs only when an entry is actually inserted, so
 // pg_cache_evictions_total counts real LRU evictions exactly once each.
-func (c *replayCache) complete(key replayKey, f *inflightReplay, ent *replayEntry, err error) {
+func (c *replayCache) complete(key rawKey, f *inflightReplay, ent *replayEntry, err error) {
 	c.mu.Lock()
 	if c.inflight[key] == f {
 		delete(c.inflight, key)
@@ -251,9 +182,6 @@ func (c *replayCache) complete(key replayKey, f *inflightReplay, ent *replayEntr
 			for c.lru.Len() > c.max {
 				last := c.lru.Remove(c.lru.Back()).(*lruItem)
 				delete(c.entries, last.key)
-				for _, rk := range last.aliases {
-					delete(c.raw, rk)
-				}
 				c.evictions.Add(1)
 			}
 		}

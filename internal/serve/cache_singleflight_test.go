@@ -3,22 +3,13 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/trace"
 )
 
-func testKey(t *testing.T, src string) replayKey {
-	t.Helper()
-	tf, err := trace.ParseFile(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return keyForReplay(tf, false)
-}
+func testKey(src string) rawKey { return rawKeyFor([]byte(src), overrides{}) }
 
 // TestCacheFailedMissLeavesNoResidue is the regression test for the
 // single-flight error path: a miss whose loader fails must propagate the
@@ -27,7 +18,7 @@ func testKey(t *testing.T, src string) replayKey {
 // the next request for the key simulates afresh.
 func TestCacheFailedMissLeavesNoResidue(t *testing.T) {
 	c := newReplayCache(4, obs.NewRegistry())
-	key := testKey(t, "a 1 64\nf 1\n")
+	key := testKey("a 1 64\nf 1\n")
 
 	ent, leaderFlight, leader := c.begin(key)
 	if ent != nil || !leader {
@@ -88,7 +79,7 @@ func TestCacheFailedMissLeavesNoResidue(t *testing.T) {
 // the successor's waiters with a stale outcome).
 func TestCacheLateCompletionDoesNotClobberSuccessor(t *testing.T) {
 	c := newReplayCache(4, obs.NewRegistry())
-	key := testKey(t, "a 1 64\nf 1\n")
+	key := testKey("a 1 64\nf 1\n")
 
 	_, f1, _ := c.begin(key)
 	// Handler timeout: release f1's waiters with an error.
@@ -137,8 +128,8 @@ func TestCacheLateCompletionDoesNotClobberSuccessor(t *testing.T) {
 // double-store or double-count.
 func TestCacheEvictionsCountExactlyOnce(t *testing.T) {
 	c := newReplayCache(1, obs.NewRegistry())
-	k1 := testKey(t, "a 1 64\nf 1\n")
-	k2 := testKey(t, "a 2 64\nf 2\n")
+	k1 := testKey("a 1 64\nf 1\n")
+	k2 := testKey("a 2 64\nf 2\n")
 
 	_, f1, _ := c.begin(k1)
 	c.complete(k1, f1, &replayEntry{body: []byte("1")}, nil)

@@ -39,8 +39,8 @@ func postQuery(t *testing.T, url, q string, body []byte) (*http.Response, []byte
 }
 
 // blankVariant is tr with blanks around every line and a comment after the
-// last event: other bytes, the same canonical trace, every event on the
-// line it had.
+// last event: other bytes, and so another cache key, for the same events on
+// the same lines and so the same response.
 func blankVariant(tr []byte, comment string) []byte {
 	v := bytes.ReplaceAll(tr, []byte("\n"), []byte(" \t\n\v"))
 	return append(v, "# "+comment+"\n"...)
@@ -48,12 +48,11 @@ func blankVariant(tr []byte, comment string) []byte {
 
 // TestCacheHitByteIdentity: repeat requests are served from the cache
 // (X-Pg-Cache flips miss -> hit) with bodies byte-identical to the offline
-// replay, and the hit/miss counters account for every request. A repeat of
-// the same bytes is answered from the raw-body index; a body that differs
-// only in blanks and comments reaches the same canonical entry, and its own
-// repeat is then a raw hit. Each response-changing query parameter on the
-// same bytes, and a comment that moves the events to other lines, misses
-// and serves its own body.
+// replay, and the hit/miss counters account for every request. The cache
+// key is the request's bytes: a body that differs only in blanks and
+// comments misses once, serves the same body, and its own repeat hits. Each
+// response-changing query parameter on the same bytes, and a comment that
+// moves the events to other lines, misses and serves its own body.
 func TestCacheHitByteIdentity(t *testing.T) {
 	tr := faultedTrace(t)
 	want, err := offlineNDJSON(tr, false)
@@ -65,15 +64,13 @@ func TestCacheHitByteIdentity(t *testing.T) {
 	for i, step := range []struct {
 		body  []byte
 		state string
-		raw   bool
 	}{
-		{tr, "miss", false},
-		{tr, "hit", true},
-		{tr, "hit", true},
-		{variant, "hit", false},
-		{variant, "hit", true},
+		{tr, "miss"},
+		{tr, "hit"},
+		{tr, "hit"},
+		{variant, "miss"},
+		{variant, "hit"},
 	} {
-		rawBefore := s.cache.rawHits.Load()
 		resp, body := postReplay(t, ts.URL, step.body)
 		if resp.StatusCode != 200 {
 			t.Fatalf("request %d: status %s: %s", i, resp.Status, body)
@@ -81,15 +78,12 @@ func TestCacheHitByteIdentity(t *testing.T) {
 		if got := resp.Header.Get("X-Pg-Cache"); got != step.state {
 			t.Errorf("request %d: X-Pg-Cache = %q, want %q", i, got, step.state)
 		}
-		if raw := s.cache.rawHits.Load() > rawBefore; raw != step.raw {
-			t.Errorf("request %d: raw-index hit = %v, want %v", i, raw, step.raw)
-		}
 		if !bytes.Equal(body, want) {
 			t.Errorf("request %d (%s) diverged from the offline replay", i, step.state)
 		}
 	}
-	if h, m, r := s.cache.hits.Load(), s.cache.misses.Load(), s.cache.rawHits.Load(); h != 4 || m != 1 || r != 3 {
-		t.Errorf("hits=%d misses=%d raw hits=%d, want 4/1/3", h, m, r)
+	if h, m := s.cache.hits.Load(), s.cache.misses.Load(); h != 3 || m != 2 {
+		t.Errorf("hits=%d misses=%d, want 3/2", h, m)
 	}
 
 	// The same bytes under each parameter. The leading comment line makes
@@ -146,78 +140,12 @@ func mustOffline(t *testing.T, tr []byte) []byte {
 	return b
 }
 
-// TestCacheRawAliasBound: the raw index stores at most maxAliases raw keys
-// per entry, whatever the number of distinct bodies that share it, keeping
-// the most recent ones.
-func TestCacheRawAliasBound(t *testing.T) {
-	tr := slowTrace(4)
-	want := mustOffline(t, tr)
-	s, ts := cachedServer(t, 64)
-	variants := make([][]byte, 100)
-	for i := range variants {
-		variants[i] = blankVariant(tr, fmt.Sprintf("variant %d", i))
-		if resp, body := postReplay(t, ts.URL, variants[i]); resp.StatusCode != 200 || !bytes.Equal(body, want) {
-			t.Fatalf("variant %d: status %s, body diverged=%v", i, resp.Status, !bytes.Equal(body, want))
-		}
-	}
-	s.cache.mu.Lock()
-	raw, entries := len(s.cache.raw), len(s.cache.entries)
-	s.cache.mu.Unlock()
-	if entries != 1 || raw > maxAliases {
-		t.Fatalf("%d entries, %d raw aliases; want 1 entry and at most %d aliases", entries, raw, maxAliases)
-	}
-	// Newest first: a repeat answered by the index changes no alias, while
-	// one that parses aliases itself and drops the entry's oldest alias.
-	for i := len(variants) - 1; i >= 0; i-- {
-		v := variants[i]
-		before := s.cache.rawHits.Load()
-		resp, body := postReplay(t, ts.URL, v)
-		if resp.Header.Get("X-Pg-Cache") != "hit" || !bytes.Equal(body, want) {
-			t.Fatalf("variant %d repeat: X-Pg-Cache %q, body diverged=%v", i, resp.Header.Get("X-Pg-Cache"), !bytes.Equal(body, want))
-		}
-		if wantRaw := i >= len(variants)-maxAliases; (s.cache.rawHits.Load() > before) != wantRaw {
-			t.Errorf("variant %d repeat: raw hit = %v, want %v", i, !wantRaw, wantRaw)
-		}
-	}
-}
-
-// TestCacheEvictionDropsRawAliases: an evicted entry takes its raw aliases
-// with it, and a repeat of the evicted trace's bytes parses, misses and
-// serves a correct body.
-func TestCacheEvictionDropsRawAliases(t *testing.T) {
-	s, ts := cachedServer(t, 1)
-	a, b := slowTrace(1), slowTrace(2)
-	for _, tr := range [][]byte{a, a, b} {
-		if resp, body := postReplay(t, ts.URL, tr); resp.StatusCode != 200 {
-			t.Fatalf("status %s: %s", resp.Status, body)
-		}
-	}
-	s.cache.mu.Lock()
-	_, aliasA := s.cache.raw[rawKeyFor(a, overrides{})]
-	_, aliasB := s.cache.raw[rawKeyFor(b, overrides{})]
-	raw := len(s.cache.raw)
-	s.cache.mu.Unlock()
-	if aliasA || !aliasB || raw != 1 {
-		t.Fatalf("after evicting a: alias a=%v, alias b=%v, %d aliases; want false, true, 1", aliasA, aliasB, raw)
-	}
-	before := s.cache.rawHits.Load()
-	resp, body := postReplay(t, ts.URL, a)
-	if got := resp.Header.Get("X-Pg-Cache"); got != "miss" {
-		t.Errorf("evicted trace served X-Pg-Cache %q, want miss", got)
-	}
-	if s.cache.rawHits.Load() != before {
-		t.Error("evicted trace was answered from the raw index")
-	}
-	if !bytes.Equal(body, mustOffline(t, a)) {
-		t.Error("evicted trace's repeat diverged from the offline replay")
-	}
-}
-
 // TestCacheSingleFlight: concurrent identical requests simulate once — the
 // leader replays, every waiter is served the same entry, and the miss counter
-// records exactly one simulation. A second concurrent round mixes repeats,
-// answered from the raw index, with blank variants that parse and alias
-// themselves at the same time.
+// records exactly one simulation. A second concurrent round mixes repeats of
+// the cached bytes with two blank variants, each sent by two clients at
+// once: every variant is other bytes, so it simulates once and its twin is
+// served from that one simulation.
 func TestCacheSingleFlight(t *testing.T) {
 	tr := slowTrace(800)
 	want, err := offlineNDJSON(tr, false)
@@ -257,18 +185,14 @@ func TestCacheSingleFlight(t *testing.T) {
 		t.Errorf("hits = %d, want %d", h, clients-1)
 	}
 
-	// Three variants plus tr's own alias stay within maxAliases, so every
-	// repeat of tr is a raw hit whatever the interleaving. (A late client of
-	// the first round may already have been one.)
-	rawBefore := s.cache.rawHits.Load()
 	round(func(i int) []byte {
-		if i%2 == 1 && i < 6 {
-			return blankVariant(tr, fmt.Sprint(i))
+		if i >= clients/2 {
+			return blankVariant(tr, fmt.Sprint(i%2))
 		}
 		return tr
 	})
-	if m, h, r := s.cache.misses.Load(), s.cache.hits.Load(), s.cache.rawHits.Load()-rawBefore; m != 1 || h != 2*clients-1 || r != clients-3 {
-		t.Errorf("misses=%d hits=%d second-round raw hits=%d, want 1/%d/%d", m, h, r, 2*clients-1, clients-3)
+	if m, h := s.cache.misses.Load(), s.cache.hits.Load(); m != 3 || h != 2*clients-3 {
+		t.Errorf("misses=%d hits=%d, want 3/%d", m, h, 2*clients-3)
 	}
 }
 
@@ -341,9 +265,9 @@ func TestCacheSpansKeyedSeparately(t *testing.T) {
 
 // TestCacheMetricsDeterminism: the merged replay-metrics snapshot and the
 // crash-bucket database are functions of the served request multiset alone.
-// Most of these requests are answered from the cache, raw-index hits
-// included, yet /metrics/replay.json and /buckets are byte-identical to the
-// ones computed offline: each request's fresh-machine replay metrics summed,
+// Most of these requests are answered from the cache, and a blank variant
+// misses once and then hits, yet /metrics/replay.json and /buckets are
+// byte-identical to the ones computed offline: each request's fresh-machine replay metrics summed,
 // and its TrapReports recorded under the trace id the server assigns it.
 func TestCacheMetricsDeterminism(t *testing.T) {
 	tr := faultedTrace(t)
@@ -384,8 +308,8 @@ func TestCacheMetricsDeterminism(t *testing.T) {
 		}
 		return readAll(t, resp)
 	}
-	if r := s.cache.rawHits.Load(); r != 5 {
-		t.Errorf("raw hits = %d, want 5", r)
+	if h, m := s.cache.hits.Load(), s.cache.misses.Load(); h != 5 || m != 3 {
+		t.Errorf("hits=%d misses=%d, want 5/3", h, m)
 	}
 	if got := get("/metrics/replay.json"); !bytes.Equal(got, metricsWant.Bytes()) {
 		t.Errorf("merged replay metrics diverge from the offline sum:\n%s\nvs\n%s", got, metricsWant.Bytes())

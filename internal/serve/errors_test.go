@@ -194,7 +194,8 @@ func TestBodyReadErrors(t *testing.T) {
 // TestCorpusEndpointsMatchDirectReplay lists the corpus over HTTP, replays
 // each entry via POST /corpus/{name}, and asserts the body is byte-identical
 // to POSTing the committed trace bytes at /replay — the served corpus is the
-// same corpus.
+// same corpus. Both go down one replay path under one cache key, so the
+// /replay POST is a hit on the entry /corpus/{name} made.
 func TestCorpusEndpointsMatchDirectReplay(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -235,6 +236,9 @@ func TestCorpusEndpointsMatchDirectReplay(t *testing.T) {
 		viaReplay.Body.Close()
 		if viaReplay.StatusCode != http.StatusOK {
 			t.Fatalf("corpus %s via /replay: status %s: %s", c.Name, viaReplay.Status, replayBody)
+		}
+		if got := viaReplay.Header.Get("X-Pg-Cache"); got != "hit" {
+			t.Errorf("corpus %s via /replay after /corpus/{name}: X-Pg-Cache %q, want hit", c.Name, got)
 		}
 		if !bytes.Equal(nameBody, replayBody) {
 			t.Fatalf("corpus %s: /corpus/{name} and /replay bodies diverge", c.Name)

@@ -43,7 +43,7 @@ func TestRunIsolatedContainsPanic(t *testing.T) {
 // until its own timeout, and the key stays retryable.
 func TestPanickingLeaderReleasesWaiters(t *testing.T) {
 	s := New(Config{Workers: 1, CacheEntries: 4})
-	key := testKey(t, "a 1 64\nf 1\n")
+	key := testKey("a 1 64\nf 1\n")
 	_, call, leader := s.cache.begin(key)
 	if !leader {
 		t.Fatal("first begin did not lead")

@@ -226,9 +226,9 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 
 // TraceVariants derives k distinct traces from one base trace by appending a
 // short, variant-specific alloc/write/free tail with fresh object IDs. Each
-// variant has a different canonical rendering (and so a different cache key)
-// while exercising the same directives as the base — the shape a load mix
-// needs to reach every cache entry.
+// variant has different events, and so different bytes and a different
+// cache key, while exercising the same directives as the base — the shape a
+// load mix needs to reach every cache entry.
 func TraceVariants(base []byte, k int) ([][]byte, error) {
 	tf, err := trace.ParseFile(bytes.NewReader(base))
 	if err != nil {

@@ -181,7 +181,8 @@ func TestLoadRetriesSheds(t *testing.T) {
 }
 
 // TestTraceVariantsDistinct: every derived variant parses and has a distinct
-// canonical rendering (distinct cache key).
+// canonical rendering: different events, not only different bytes, so each
+// is its own cache entry and its own simulation.
 func TestTraceVariantsDistinct(t *testing.T) {
 	variants, err := TraceVariants(slowTrace(10), 16)
 	if err != nil {

@@ -9,8 +9,9 @@
 // whatever the concurrency: the NDJSON body of a replay depends only on the
 // trace, never on the worker count or interleaving. The server's shared
 // state is limited to admission control (a bounded worker pool plus a
-// bounded queue), a content-hash cache of finished bodies, and metrics
-// aggregation (per-process snapshots merged commutatively).
+// bounded queue), a cache of finished bodies keyed by a hash of the request
+// bytes, and metrics aggregation (per-process snapshots merged
+// commutatively).
 //
 // The load-shedding ladder, outermost first:
 //
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,9 +61,9 @@ type Config struct {
 	// result being ready (0 = 30s).
 	Timeout time.Duration
 	// CacheEntries bounds the content-hash replay cache (0 = 1024).
-	// Identical requests (canonical trace + semantics knobs) are served
-	// from the cache without simulating, with single-flight dedup of
-	// concurrent misses.
+	// Identical requests (the same body bytes under the same query
+	// overrides) are served from the cache without parsing or simulating,
+	// with single-flight dedup of concurrent misses.
 	CacheEntries int
 }
 
@@ -97,9 +99,11 @@ type Server struct {
 	workers chan struct{}
 	queue   chan struct{}
 
-	// background counts replay goroutines whose handler timed out and
-	// abandoned them; Drain waits these out on shutdown.
+	// background counts worker goroutines; Drain waits out the ones whose
+	// handler timed out and abandoned them. abandoned is how many of those
+	// are still running (pgserved_abandoned_replays).
 	background sync.WaitGroup
+	abandoned  atomic.Int64
 
 	mu     sync.Mutex
 	reg    *obs.Registry // host-side series: latency, queue, shed (wall clock)
@@ -199,6 +203,9 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("pgserved_workers",
 		"size of the bounded worker pool",
 		func() float64 { return float64(cfg.Workers) })
+	s.reg.GaugeFunc("pgserved_abandoned_replays",
+		"runs still holding a worker slot after their request timed out",
+		func() float64 { return float64(s.abandoned.Load()) })
 	obs.RegisterBuildInfo(s.reg, time.Now())
 
 	s.reg.CounterFunc("pgserved_snapshot_forks_total",
@@ -353,13 +360,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // runIsolated executes fn on a worker slot under the request budget. fn runs
-// in its own goroutine on its own machine; if the budget expires first
-// the goroutine is abandoned (it cannot be interrupted mid-simulation but
-// holds only its own memory plus one worker slot until it finishes) and the
-// handler reports 503. A request whose budget has already run out never
-// takes a slot. A panic in fn is recovered on the worker goroutine and
-// returned as a *panicError, so it frees the worker slot instead of killing
-// the server.
+// in its own goroutine on its own machine; if the budget expires first the
+// goroutine is abandoned (it cannot be interrupted mid-simulation but holds
+// only its own memory plus one worker slot until it finishes, counted
+// meanwhile in pgserved_abandoned_replays) and the handler reports 503. A
+// request whose budget has already run out never takes a slot. A panic in
+// fn is recovered on the worker goroutine and returned as a *panicError, so
+// it frees the worker slot instead of killing the server.
 func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, error) {
 	// select picks at random among ready cases: without this check an
 	// expired request that finds a free slot would sometimes start fn.
@@ -376,10 +383,20 @@ func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, 
 		err error
 	}
 	ch := make(chan outcome, 1)
+	// The worker when it exits and the handler when it gives up each try to
+	// claim the run; a worker that loses was abandoned and uncounts itself.
+	// The handler counts before it claims, so the gauge never reads below
+	// zero.
+	var claimed atomic.Bool
 	s.background.Add(1)
 	go func() {
 		defer s.background.Done()
-		defer func() { <-s.workers }()
+		defer func() {
+			<-s.workers
+			if !claimed.CompareAndSwap(false, true) {
+				s.abandoned.Add(-1)
+			}
+		}()
 		var out outcome
 		defer func() {
 			if p := recover(); p != nil {
@@ -393,6 +410,10 @@ func (s *Server) runIsolated(ctx context.Context, fn func() (any, error)) (any, 
 	case out := <-ch:
 		return out.v, out.err
 	case <-ctx.Done():
+		s.abandoned.Add(1)
+		if !claimed.CompareAndSwap(false, true) {
+			s.abandoned.Add(-1)
+		}
 		return nil, ctx.Err()
 	}
 }
@@ -543,8 +564,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// The body is read into a pooled buffer that goes back to the pool when
-	// the handler returns: the raw key hashes it and the parse copies out of
-	// it, so nothing that outlives the handler points into it.
+	// the handler returns: the cache key hashes it and the parse copies out
+	// of it, so nothing that outlives the handler points into it.
 	p := bodyScratch.Get().(*[]byte)
 	body, err := readBody((*p)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	defer putScratch(&bodyScratch, p, body)
@@ -553,39 +574,14 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err, s.cfg.MaxBodyBytes)
 		return
 	}
-	// A repeat of bytes already answered is served from the raw index: no
-	// parse, no canonical key.
-	rk := rawKeyFor(body, o)
-	if ent := s.cache.lookupRaw(rk); ent != nil {
-		s.serveHit(w, r, ent, start, time.Now())
-		return
-	}
-	tf, err := trace.ParseFile(bytes.NewReader(body))
-	if err != nil {
-		s.count(s.errs)
-		writeError(w, http.StatusBadRequest, ErrCodeBadTrace, "bad trace: "+err.Error(), 0)
-		return
-	}
-	// Query parameters override the trace's own directives.
-	if o.faults != "" {
-		tf.FaultSpec = o.faults
-	}
-	if o.guards {
-		tf.Guards = true
-	}
-	if o.sampling != "" {
-		tf.SamplingSpec = o.sampling
-	}
-	if key, ok := s.replayFile(ctx, w, r, tf, o.spans, start); ok {
-		s.cache.alias(rk, key)
-	}
+	s.replay(ctx, w, r, body, o, start)
 }
 
 // overrides are a replay request's query parameters that change its
 // response: ?faults= and ?sampling= override the trace's '!faults' and
 // '!sampling' directives ("" = no override), ?guards=1 turns on '!guards',
 // and ?spans=1 appends the span stream to the body. They are read in one
-// place so that the raw cache key covers every parameter a request applies.
+// place so that the cache key covers every parameter a request applies.
 type overrides struct {
 	faults, sampling string
 	guards, spans    bool
@@ -594,9 +590,17 @@ type overrides struct {
 // queryOverrides reads the request's overrides and parses each with the
 // parser of the directive it overrides. A malformed spec is answered here,
 // before admission, with 400 bad-trace naming the parameter — the answer
-// the spec gets as a trace directive — and the second result is false.
+// the spec gets as a trace directive — and the second result is false. So
+// is a query that does not parse: url.URL.Query would drop the pair, and a
+// fault schedule sent with an unescaped ';' would silently not apply.
 func (s *Server) queryOverrides(w http.ResponseWriter, r *http.Request) (overrides, bool) {
-	q := r.URL.Query()
+	q, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		s.count(s.errs)
+		writeError(w, http.StatusBadRequest, ErrCodeBadTrace,
+			fmt.Sprintf("bad trace: malformed query ?%s: %v", r.URL.RawQuery, err), 0)
+		return overrides{}, false
+	}
 	o := overrides{
 		faults:   q.Get("faults"),
 		sampling: q.Get("sampling"),
@@ -637,65 +641,83 @@ func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) (*pageg
 	return m, nil
 }
 
-// replayFile runs the trace (directives honoured) on a worker slot and
-// streams the canonical NDJSON result. ctx carries the request budget, which
-// started at admission. With withSpans (?spans=1) the machine is built with
-// span tracing and the body carries the span stream (plus the
-// leaf-vs-charged reconciliation trailer) after the replay lines — the same
-// bytes pgtrace -ndjson -spans produces offline. start is the handler's
-// arrival time, used only for the /debug/spans host-side record.
+// replay answers one admitted replay request for the trace bytes body under
+// the overrides o, and is the one path /replay and /corpus/{name} share. ctx
+// carries the request budget, which started at admission. start is the
+// handler's arrival time, used only for the /debug/spans host-side record.
 //
-// Identical requests are served from the content-hash cache without
-// simulating; concurrent identical misses simulate once (single-flight).
-// Every 200 response — simulated or cached — merges the replay's process
-// metrics into the fleet aggregate, so the merged snapshot stays a function
-// of the served request multiset alone. A request whose budget ran out
-// before it got here is answered 503 without touching the cache: it opens
-// no flight and counts no miss. On a 200 it returns the canonical key and
-// true.
-func (s *Server) replayFile(ctx context.Context, w http.ResponseWriter, r *http.Request, tf *trace.File, withSpans bool, start time.Time) (replayKey, bool) {
+// The cache key is the hash of body and o, so a repeat of bytes already
+// answered is served without parsing. A miss parses; a trace that fails to
+// parse is answered 400 bad-trace, and a miss whose budget has run out by
+// then 503, before either opens a flight or counts a miss. Concurrent
+// identical misses simulate once (single-flight). With ?spans=1 the machine is built with span tracing and
+// the body carries the span stream (plus the leaf-vs-charged reconciliation
+// trailer) after the replay lines — the same bytes pgtrace -ndjson -spans
+// produces offline. Every 200 response — simulated or cached — merges the
+// replay's process metrics into the fleet aggregate, so the merged snapshot
+// stays a function of the served request multiset alone.
+func (s *Server) replay(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte, o overrides, start time.Time) {
+	key := rawKeyFor(body, o)
+	if ent := s.cache.lookup(key); ent != nil {
+		s.serveHit(w, r, ent, start, time.Now())
+		return
+	}
+	tf, err := trace.ParseFile(bytes.NewReader(body))
+	if err != nil {
+		s.count(s.errs)
+		writeError(w, http.StatusBadRequest, ErrCodeBadTrace, "bad trace: "+err.Error(), 0)
+		return
+	}
+	// Query parameters override the trace's own directives.
+	if o.faults != "" {
+		tf.FaultSpec = o.faults
+	}
+	if o.guards {
+		tf.Guards = true
+	}
+	if o.sampling != "" {
+		tf.SamplingSpec = o.sampling
+	}
 	var extra []pageguard.Option
-	if withSpans {
+	if o.spans {
 		extra = append(extra, pageguard.WithSpanTracing())
 	}
 	execStart := time.Now()
 
 	if err := expired(ctx); err != nil {
 		s.runError(w, ctx, err, "replay")
-		return replayKey{}, false
+		return
 	}
-	key := keyForReplay(tf, withSpans)
 	ent, call, leader := s.cache.begin(key)
 	switch {
 	case ent != nil:
-		// Cache hit: serve without simulating.
+		// Cache hit: another request stored the entry since the lookup.
 	case leader:
 		// First request for this key: simulate on a worker slot.
 		e, err := s.lead(ctx, key, call, func() (*replayEntry, error) {
-			return s.renderReplay(tf, extra, withSpans)
+			return s.renderReplay(tf, extra, o.spans)
 		})
 		if err != nil {
 			s.runError(w, ctx, err, "replay")
-			return key, false
+			return
 		}
 		s.writeEntry(w, r, e, "miss", start, execStart)
-		return key, true
+		return
 	default:
 		// Another request is simulating this exact key: wait for it.
 		select {
 		case <-call.done:
 		case <-ctx.Done():
 			s.runError(w, ctx, ctx.Err(), "replay")
-			return key, false
+			return
 		}
 		if call.err != nil {
 			s.runError(w, ctx, call.err, "replay")
-			return key, false
+			return
 		}
 		ent = call.ent
 	}
 	s.serveHit(w, r, ent, start, execStart)
-	return key, true
 }
 
 // serveHit serves a cached entry: its process metrics merge into the fleet
@@ -716,7 +738,7 @@ func (s *Server) serveHit(w http.ResponseWriter, r *http.Request, ent *replayEnt
 // never block on a flight nobody will finish. complete is settle-once and
 // flight-scoped, so when an abandoned worker later finishes, its entry still
 // caches without touching any successor flight.
-func (s *Server) lead(ctx context.Context, key replayKey, call *inflightReplay, render func() (*replayEntry, error)) (*replayEntry, error) {
+func (s *Server) lead(ctx context.Context, key rawKey, call *inflightReplay, render func() (*replayEntry, error)) (*replayEntry, error) {
 	v, err := s.runIsolated(ctx, func() (any, error) {
 		e, rerr := render()
 		s.cache.complete(key, call, e, rerr)
@@ -968,9 +990,12 @@ func errString(err error) string {
 }
 
 // handleCorpus replays one adversarial corpus trace by name, directives
-// honoured, streaming the same canonical NDJSON a POST of the committed
-// trace bytes to /replay would produce — the corpus gate uses exactly that
-// equivalence.
+// honoured: the committed trace bytes go down the /replay path, so the body
+// and the cache entry are those of a POST of the same bytes to /replay — the
+// corpus gate uses exactly that equivalence. ?sampling= and ?spans= apply as
+// they do there. The corpus keeps its committed fault schedule and guard
+// setting, so ?faults= and ?guards=1 are refused with 400 bad-trace, before
+// admission, rather than silently ignored.
 func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.count(s.requests["replay"])
@@ -987,6 +1012,19 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var fixed string
+	switch {
+	case o.faults != "":
+		fixed = "faults"
+	case o.guards:
+		fixed = "guards"
+	}
+	if fixed != "" {
+		s.count(s.errs)
+		writeError(w, http.StatusBadRequest, ErrCodeBadTrace,
+			fmt.Sprintf("bad trace: ?%s= override: a corpus trace keeps its committed directives", fixed), 0)
+		return
+	}
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -994,30 +1032,13 @@ func (s *Server) handleCorpus(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	// Parse the canonical bytes rather than using the generator's events
-	// directly: detection line numbers must match a /replay POST of the
-	// committed file byte-for-byte.
 	raw, err := cliff.CorpusBytes(c)
 	if err != nil {
 		s.count(s.errs)
 		writeError(w, http.StatusUnprocessableEntity, ErrCodeReplayFailed, err.Error(), 0)
 		return
 	}
-	tf, err := trace.ParseFile(bytes.NewReader(raw))
-	if err != nil {
-		s.count(s.errs)
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeReplayFailed, err.Error(), 0)
-		return
-	}
-	// ?sampling=rate=N[,...] replays the corpus trace under the sampled
-	// detection tier — the crash-bucket smoke drives exactly this. The
-	// corpus keeps its committed fault schedule and guard setting: ?faults=
-	// is checked like every override but not applied, and ?guards= is not
-	// applied.
-	if o.sampling != "" {
-		tf.SamplingSpec = o.sampling
-	}
-	s.replayFile(ctx, w, r, tf, o.spans, start)
+	s.replay(ctx, w, r, raw, o, start)
 }
 
 // corpusEntry is one line of the GET /corpus listing.

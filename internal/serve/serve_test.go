@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -285,10 +286,51 @@ func TestDrainWaitsForAbandonedReplays(t *testing.T) {
 		t.Fatalf("%d replays started, want 1: the budget ran out before the replay began", f)
 	}
 	// The abandoned replay completed in the background: its process
-	// snapshot was merged.
+	// snapshot was merged, and it no longer counts as abandoned.
 	snap := s.ReplaySnapshot()
 	if len(snap.Counters) == 0 {
 		t.Fatal("abandoned replay's metrics never merged")
+	}
+	if got := s.HostSnapshot().Gauges["pgserved_abandoned_replays"]; got != 0 {
+		t.Fatalf("pgserved_abandoned_replays = %v after Drain, want 0", got)
+	}
+}
+
+// TestAbandonedReplaysGauge: a run that outlives its request's budget is
+// abandoned and counted in pgserved_abandoned_replays while it holds its
+// worker slot; when it finishes the gauge returns to 0. The budget ends the
+// moment the run has started, so the run is abandoned however slow the
+// host is.
+func TestAbandonedReplaysGauge(t *testing.T) {
+	s := New(Config{})
+	abandoned := func() float64 { return s.HostSnapshot().Gauges["pgserved_abandoned_replays"] }
+	started, finish := make(chan struct{}), make(chan struct{})
+	ctx, expire := context.WithCancel(context.Background())
+	defer expire()
+	go func() {
+		<-started
+		expire()
+	}()
+	// A replay that runs until the test lets it finish: far past the budget.
+	_, err := s.runIsolated(ctx, func() (any, error) {
+		close(started)
+		<-finish
+		return nil, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("runIsolated = %v, want the expired budget's error", err)
+	}
+	if got := abandoned(); got != 1 {
+		t.Fatalf("pgserved_abandoned_replays = %v with the run abandoned, want 1", got)
+	}
+	close(finish)
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer dcancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if got := abandoned(); got != 0 {
+		t.Fatalf("pgserved_abandoned_replays = %v after Drain, want 0", got)
 	}
 }
 
@@ -446,7 +488,8 @@ func TestBadTraceRejected(t *testing.T) {
 
 	// A bad ?faults= or ?sampling= override is a 400 naming the parameter,
 	// answered before admission: with every admission slot taken it is
-	// still a 400, not a 429.
+	// still a 400, not a 429. So is a well-formed ?faults= or ?guards=1 on
+	// a corpus trace, which keeps its committed directives.
 	for i := 0; i < cap(s.queue); i++ {
 		s.queue <- struct{}{}
 	}
@@ -460,6 +503,12 @@ func TestBadTraceRejected(t *testing.T) {
 		{"/replay?faults=bogus", "?faults="},
 		{"/replay?sampling=rate=abc", "?sampling="},
 		{corpus + "?sampling=rate=abc", "?sampling="},
+		{corpus + "?faults=seed=7%3Bmprotect:after=0,times=2", "?faults="},
+		{corpus + "?guards=1", "?guards="},
+		// An unescaped ';' does not parse as a query: the schedule would
+		// be dropped, so the request is refused instead.
+		{corpus + "?faults=seed=7;mprotect:after=0,times=2", "?faults="},
+		{"/replay?faults=seed=7;mprotect:after=0,times=2", "?faults="},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "text/plain", strings.NewReader("a 1 64\nf 1\n"))
 		if err != nil {

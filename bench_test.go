@@ -216,7 +216,7 @@ func runWithModel(w workload.Workload, detect bool, cfg kernel.Config) (uint64, 
 	sys := kernel.NewSystem(cfg)
 	mk := func(p *kernel.Process) interp.Runtime {
 		if detect {
-			return runtimes.NewShadow(p, core.NeverReuse())
+			return runtimes.NewShadow(p, core.Config{})
 		}
 		return runtimes.NewNative(p)
 	}
@@ -311,7 +311,7 @@ func runBatched(w workload.Workload, cfg kernel.Config, batch int) (uint64, erro
 	}
 	sys := kernel.NewSystem(cfg)
 	mk := func(p *kernel.Process) interp.Runtime {
-		rt := runtimes.NewShadow(p, core.NeverReuse())
+		rt := runtimes.NewShadow(p, core.Config{})
 		rt.Remapper().EnableBatchedProtect(batch)
 		return rt
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pgrun [-mode detect|native|pa|detect-nopa] file.c
+//	pgrun [-mode detect|native|pa|detect-nopa|static] file.c
 //	pgrun -workload running-example            # run a bundled workload
 //
 // On a detected dangling pointer use, pgrun prints the full report (alloc
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "detect", "run mode: detect, native, pa, detect-nopa")
+	mode := flag.String("mode", "detect", "run mode: detect, native, pa, detect-nopa, static (detection with static elision)")
 	wl := flag.String("workload", "", "run a bundled workload by name instead of a file")
 	stats := flag.Bool("stats", false, "print cycle/syscall/page statistics after the run")
 	flag.Parse()
@@ -35,18 +35,9 @@ func main() {
 }
 
 func run(modeName, wl string, stats bool, args []string) (int, error) {
-	var m pageguard.Mode
-	switch modeName {
-	case "detect":
-		m = pageguard.ModeDetect
-	case "native":
-		m = pageguard.ModeNative
-	case "pa":
-		m = pageguard.ModePA
-	case "detect-nopa":
-		m = pageguard.ModeDetectNoPA
-	default:
-		return 0, fmt.Errorf("unknown mode %q", modeName)
+	m, err := pageguard.ParseMode(modeName)
+	if err != nil {
+		return 0, err
 	}
 
 	var src string

@@ -33,7 +33,7 @@ func TestRunSourceFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"detect", "native", "pa", "detect-nopa"} {
+	for _, mode := range []string{"detect", "native", "pa", "detect-nopa", "static"} {
 		code, err := run(mode, "", false, []string{path})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)

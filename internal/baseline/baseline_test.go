@@ -10,6 +10,7 @@ import (
 	"repro/internal/baseline/capability"
 	"repro/internal/baseline/efence"
 	"repro/internal/baseline/valgrind"
+	"repro/internal/core"
 	"repro/internal/minic/driver"
 	"repro/internal/minic/interp"
 	"repro/internal/runtimes"
@@ -119,7 +120,7 @@ func TestEFencePhysicalBlowup(t *testing.T) {
 		t.Fatalf("efence run failed: %v", ef.Err)
 	}
 	shadow := run(t, cleanChurn, cost.Default(), func(p *kernel.Process) interp.Runtime {
-		return runtimes.NewShadow(p, coreNever())
+		return runtimes.NewShadow(p, core.Config{})
 	})
 	if shadow.Err != nil {
 		t.Fatalf("shadow run failed: %v", shadow.Err)
@@ -173,7 +174,7 @@ void main() {
 
 	sys2 := kernel.NewSystem(cfg)
 	res2, err := driver.Run(prog, sys2, cfg, func(p *kernel.Process) interp.Runtime {
-		return runtimes.NewShadow(p, coreNever())
+		return runtimes.NewShadow(p, core.Config{})
 	}, interp.Config{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -217,7 +218,7 @@ func TestValgrindMissesDelayedUAF(t *testing.T) {
 
 	// The shadow scheme catches the same bug no matter the delay.
 	shadow := run(t, delayedUAF, cost.Default(), func(p *kernel.Process) interp.Runtime {
-		return runtimes.NewShadow(p, coreNever())
+		return runtimes.NewShadow(p, core.Config{})
 	})
 	if shadow.Err == nil {
 		t.Fatal("shadow scheme must catch the delayed UAF")

@@ -151,6 +151,3 @@ func (r *Runtime) Explain(fault *vm.Fault, site string) error {
 func (r *Runtime) CheckAccess(addr vm.Addr, size int, write bool, site string) (vm.Addr, error) {
 	return addr, nil
 }
-
-// LiveObjects returns the number of live allocations (stats hook).
-func (r *Runtime) LiveObjects() int { return len(r.live) }

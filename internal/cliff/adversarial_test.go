@@ -182,7 +182,7 @@ func TestAllocStormNeedsRecycling(t *testing.T) {
 
 // TestCliffWorkloadsGenerateDeterministically asserts the cliff generators
 // are stable and respect the probe-window rule (all probes of forgotten ids
-// within the first DefaultGCInterval allocations).
+// within the first core.DefaultInterval allocations).
 func TestCliffWorkloadsGenerateDeterministically(t *testing.T) {
 	for _, w := range CliffWorkloads() {
 		a, b := w.Generate(), w.Generate()

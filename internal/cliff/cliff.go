@@ -12,7 +12,7 @@
 //     conservative collector is allowed to recycle the pages — the cliff is
 //     survivable by recycling, not by luck.
 //  2. Stale probes of forgotten ids (the uses a collector can legitimately
-//     lose) happen only inside the first DefaultGCInterval allocations.
+//     lose) happen only inside the first core.DefaultInterval allocations.
 //     A gc=256 schedule therefore misses nothing (no cycle can have run),
 //     while aggressive schedules (gc=64) deterministically miss the probes
 //     that crossed a cycle — the measured detection/cost tradeoff.

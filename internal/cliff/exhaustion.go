@@ -57,9 +57,9 @@ func exhaustionRungs(watermark uint64) []ExhaustionRung {
 		// growth pulls cycles in before the budget is hit.
 		{Name: "gc@1024+wm", Policy: fmt.Sprintf("gc=1024,watermark=%d", watermark), Budget: true, WantMisses: -1},
 		// §3.4 third mitigation: the same aggressive interval as gc@64,
-		// gated by ManualTuning until enough freed pages have accumulated —
-		// which postpones every cycle past the probe window and closes the
-		// missed-detection window that gc@64 opens.
+		// gated by the manual-tuning knobs until enough freed pages have
+		// accumulated — which postpones every cycle past the probe window
+		// and closes the missed-detection window that gc@64 opens.
 		{Name: "gc@64+tuned", Policy: "gc=64,minfreed=256,cooldown=256", Budget: true, WantMisses: -1},
 	}
 }
@@ -130,7 +130,7 @@ type ExhaustionStudy struct {
 //     can silence a planted error but never un-plant it);
 //   - the ledger settles 0 misses at the default interval, and > 0 under
 //     gc@64 — the missed-detection window is real, measurable, and closed
-//     by ManualTuning.
+//     by the manual-tuning knobs.
 func GenExhaustionStudy(names []string) (*ExhaustionStudy, error) {
 	var ws []TraceWorkload
 	if names == nil {

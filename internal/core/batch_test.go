@@ -7,14 +7,14 @@ import (
 
 func newBatchedFixture(t *testing.T, batch int) *fixture {
 	t.Helper()
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	f.rm.EnableBatchedProtect(batch)
 	return f
 }
 
 func TestBatchedFreeReducesSyscalls(t *testing.T) {
 	measure := func(batch int) uint64 {
-		f := newFixture(t, NeverReuse())
+		f := newFixture(t, Config{})
 		f.rm.EnableBatchedProtect(batch)
 		// Warm-up.
 		a := f.alloc(t, 16)

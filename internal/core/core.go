@@ -154,7 +154,7 @@ type Stats struct {
 	// the §3.4 reuse policies' exact cost, counted by the ground-truth
 	// ledger (NoteStaleUse).
 	MissedDetections uint64
-	// GCScheduled counts conservative-GC cycles run by the scheduler
+	// GCScheduled counts conservative-GC cycles run by the policy clock
 	// (subset of GCRuns).
 	GCScheduled uint64
 	// GCScannedWords counts words visited by conservative-GC scans.
@@ -222,17 +222,16 @@ type Remapper struct {
 	allocSeq uint64
 	stats    Stats
 
-	// sched, when non-nil, owns GC triggering (gcsched.go); the policy's
-	// own interval clock is disabled so cycles never double-fire.
-	sched *GCSchedule
 	// gcLog records every collector cycle's accounting.
 	gcLog []GCCycle
-	// lastCycleAlloc / lastCycleReserved are the scheduler's clocks: the
-	// allocSeq and fresh-VA readings at the last scheduled cycle.
+	// lastCycleAlloc / lastCycleReserved are the policy clock (policy.go):
+	// the allocSeq and fresh-VA readings when it last fired. fired reports
+	// whether a firing has passed the tuning gates yet.
 	lastCycleAlloc    uint64
 	lastCycleReserved uint64
-	// schedErr is the first HealthCheck violation found after a scheduled
-	// cycle (nil = all cycles audited clean).
+	fired             bool
+	// schedErr is the first HealthCheck violation found after a cycle the
+	// clock ran (nil = all cycles audited clean).
 	schedErr error
 	// ledger is the ground-truth missed-detection meter (ledger.go).
 	ledger MissLedger
@@ -248,9 +247,21 @@ type Remapper struct {
 // objectNodes is the node pool every Remapper's page index uses.
 var objectNodes vm.NodePool[*Object]
 
-// New returns a Remapper on proc with the given reuse policy (PolicyNever
-// reproduces the paper's base scheme).
-func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
+// Config is a detector's whole configuration, fixed for its lifetime. The
+// zero Config is the paper's base scheme.
+type Config struct {
+	// Policy is the §3.4 shadow-page reuse policy.
+	Policy ReusePolicy
+	// Guards reserves an overflow guard page after every shadow block
+	// (guard.go).
+	Guards bool
+	// Sampling, when non-nil, installs the sampled detection tier
+	// (sampling.go).
+	Sampling *SamplingSpec
+}
+
+// New returns a Remapper on proc configured by cfg.
+func New(proc *kernel.Process, cfg Config) *Remapper {
 	r := &Remapper{
 		proc:        proc,
 		byPool:      make(map[*pool.Pool][]*Object),
@@ -258,7 +269,17 @@ func New(proc *kernel.Process, policy ReusePolicy) *Remapper {
 		canon:       make(map[vm.Addr]canonKind),
 		canonByPool: make(map[*pool.Pool][]vm.Addr),
 		retry:       DefaultRetryConfig(),
-		policy:      policy,
+		policy:      cfg.Policy,
+		guardPages:  cfg.Guards,
+	}
+	if r.policy.Interval == 0 {
+		r.policy.Interval = DefaultInterval
+	}
+	if r.policy.clocked() {
+		r.lastCycleReserved = proc.Space().ReservedPages()
+	}
+	if cfg.Sampling != nil {
+		r.sampling = &sampler{spec: *cfg.Sampling, sites: make(map[string]*siteState)}
 	}
 	r.objects.UsePool(&objectNodes)
 	return r
@@ -358,7 +379,9 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 	defer r.proc.SetSite(r.proc.SetSite(site))
 	tr := r.proc.Tracer()
 	defer tr.End(tr.Begin("alloc", site))
-	r.maybeIntervalReclaim()
+	if r.policy.clocked() {
+		r.tick()
+	}
 
 	var canon vm.Addr
 	if err := r.retryTransient(func() error {
@@ -513,7 +536,9 @@ func (r *Remapper) Free(al Allocator, f vm.Addr, site string) error {
 	defer r.proc.SetSite(r.proc.SetSite(site))
 	tr := r.proc.Tracer()
 	defer tr.End(tr.Begin("free", site))
-	r.maybeIntervalReclaim()
+	if r.policy.clocked() {
+		r.tick()
+	}
 
 	// A canonical-address allocation has no shadow pages or remap header:
 	// forward the free untouched.
@@ -740,10 +765,10 @@ func (r *Remapper) OnPoolDestroy(p *pool.Pool) {
 	}
 	delete(r.canonByPool, p)
 
-	// Pool destruction is the §3.3 mass-recycling event: a scheduled
-	// collector configured for it runs a cycle now, while the other pools'
-	// freed runs are still candidates.
-	if r.sched != nil && r.sched.OnPoolDestroy {
-		r.runScheduledCycle(GCTriggerPoolDestroy)
+	// Pool destruction is the §3.3 mass-recycling event: a clock
+	// configured for it fires now, while the other pools' freed runs are
+	// still candidates.
+	if r.policy.clocked() && r.policy.OnPoolDestroy {
+		r.fire(GCTriggerPoolDestroy)
 	}
 }

@@ -17,11 +17,11 @@ type fixture struct {
 	rm   *Remapper
 }
 
-func newFixture(t *testing.T, policy ReusePolicy) *fixture {
+func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
-	cfg := kernel.DefaultConfig()
-	sys := kernel.NewSystem(cfg)
-	proc, err := kernel.NewProcess(sys, cfg)
+	kcfg := kernel.DefaultConfig()
+	sys := kernel.NewSystem(kcfg)
+	proc, err := kernel.NewProcess(sys, kcfg)
 	if err != nil {
 		t.Fatalf("NewProcess: %v", err)
 	}
@@ -29,7 +29,7 @@ func newFixture(t *testing.T, policy ReusePolicy) *fixture {
 		proc: proc,
 		heap: heap.New(proc),
 		rt:   pool.NewRuntime(proc),
-		rm:   New(proc, policy),
+		rm:   New(proc, cfg),
 	}
 }
 
@@ -70,7 +70,7 @@ func (f *fixture) write(a vm.Addr, v uint64) error {
 }
 
 func TestAllocatedMemoryUsable(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 64)
 	for i := uint64(0); i < 64; i += 8 {
 		if err := f.write(a+i, i*3); err != nil {
@@ -89,7 +89,7 @@ func TestAllocatedMemoryUsable(t *testing.T) {
 }
 
 func TestUseAfterFreeDetected(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 32)
 	f.free(t, a)
 
@@ -110,7 +110,7 @@ func TestUseAfterFreeDetected(t *testing.T) {
 }
 
 func TestDanglingWriteDetected(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 32)
 	f.free(t, a)
 	err := f.write(a+16, 99)
@@ -124,7 +124,7 @@ func TestDanglingWriteDetected(t *testing.T) {
 }
 
 func TestDoubleFreeDetected(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 32)
 	f.free(t, a)
 	err := f.rm.Free(HeapAllocator{f.heap}, a, "test.c:9")
@@ -144,7 +144,7 @@ func TestDetectionSurvivesCanonicalReuse(t *testing.T) {
 	// The scenario heuristic tools miss (§5.1): the freed memory is
 	// reused by a new allocation, yet the stale pointer still traps, and
 	// the new object is unaffected.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 48)
 	f.free(t, a)
 	b := f.alloc(t, 48) // underlying allocator reuses the canonical chunk
@@ -165,7 +165,7 @@ func TestDetectionSurvivesCanonicalReuse(t *testing.T) {
 func TestPhysicalMemoryNeutrality(t *testing.T) {
 	// Insight 1's claim: physical consumption matches the original
 	// program (one canonical heap), no matter how many shadow pages exist.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	warm := func() {
 		a := f.alloc(t, 40)
 		f.free(t, a)
@@ -185,7 +185,7 @@ func TestPhysicalMemoryNeutrality(t *testing.T) {
 func TestVirtualGrowthWithoutPools(t *testing.T) {
 	// The §3.2 limitation Insight 2 fixes: every allocation consumes a
 	// fresh virtual page that is never reused.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	before := f.proc.Space().ReservedPages()
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -202,7 +202,7 @@ func TestObjectsSharePhysicalPagePreservingLocality(t *testing.T) {
 	// Two small allocations land on the same canonical page (spatial
 	// locality in a physically indexed cache) but on distinct shadow
 	// pages.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 16)
 	b := f.alloc(t, 16)
 
@@ -226,7 +226,7 @@ func TestObjectsSharePhysicalPagePreservingLocality(t *testing.T) {
 }
 
 func TestMultiPageObject(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	size := uint64(3*vm.PageSize + 100)
 	a := f.alloc(t, size)
 	if err := f.write(a+size-8, 1); err != nil {
@@ -246,7 +246,7 @@ func TestSameOffsetWithinPage(t *testing.T) {
 	// §3.2: the caller sees the object "on a different page but at the
 	// same location within the page" — required for the underlying
 	// allocator's addressing to stay consistent.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	for _, size := range []uint64{16, 24, 100, 1000} {
 		a := f.alloc(t, size)
 		obj := f.rm.ObjectAt(a)
@@ -257,7 +257,7 @@ func TestSameOffsetWithinPage(t *testing.T) {
 }
 
 func TestWildPointerIsNotDangling(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	err := f.read(0x40) // NULL-guard page
 	var de *DanglingError
 	if errors.As(err, &de) {
@@ -270,7 +270,7 @@ func TestWildPointerIsNotDangling(t *testing.T) {
 }
 
 func TestFreeOfNonHeapPointer(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	g, err := f.proc.AllocGlobal(16)
 	if err != nil {
 		t.Fatalf("AllocGlobal: %v", err)
@@ -281,7 +281,7 @@ func TestFreeOfNonHeapPointer(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 32)
 	b := f.alloc(t, 32)
 	f.free(t, a)
@@ -303,7 +303,7 @@ func TestSyscallPerAllocAndFree(t *testing.T) {
 	// The paper's cost structure: exactly one extra syscall per
 	// allocation (mremap) and one per deallocation (mprotect), beyond
 	// whatever the allocator itself does.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	// Warm up so the underlying heap has its arena.
 	a := f.alloc(t, 32)
 	f.free(t, a)

@@ -38,9 +38,6 @@ func DefaultRetryConfig() RetryConfig {
 	return RetryConfig{MaxRetries: 3, BackoffCycles: 256}
 }
 
-// SetRetryConfig overrides the retry ladder (tests and studies).
-func (r *Remapper) SetRetryConfig(rc RetryConfig) { r.retry = rc }
-
 // retryTransient runs op, retrying up to MaxRetries times while it keeps
 // failing with a transient injected syscall error. Each retry charges
 // exponentially growing backoff cycles. Non-syscall errors, persistent

@@ -11,16 +11,16 @@ import (
 )
 
 // newFaultFixture builds a fixture whose kernel injects faults per spec.
-func newFaultFixture(t *testing.T, policy ReusePolicy, spec string) *fixture {
+func newFaultFixture(t *testing.T, cfg Config, spec string) *fixture {
 	t.Helper()
 	sched, err := kernel.ParseSchedule(spec)
 	if err != nil {
 		t.Fatalf("ParseSchedule(%q): %v", spec, err)
 	}
-	cfg := kernel.DefaultConfig()
-	cfg.Faults = &sched
-	sys := kernel.NewSystem(cfg)
-	proc, err := kernel.NewProcess(sys, cfg)
+	kcfg := kernel.DefaultConfig()
+	kcfg.Faults = &sched
+	sys := kernel.NewSystem(kcfg)
+	proc, err := kernel.NewProcess(sys, kcfg)
 	if err != nil {
 		t.Fatalf("NewProcess: %v", err)
 	}
@@ -28,7 +28,7 @@ func newFaultFixture(t *testing.T, policy ReusePolicy, spec string) *fixture {
 		proc: proc,
 		heap: heap.New(proc),
 		rt:   pool.NewRuntime(proc),
-		rm:   New(proc, policy),
+		rm:   New(proc, cfg),
 	}
 }
 
@@ -43,7 +43,7 @@ func health(t *testing.T, f *fixture) {
 // TestTransientRetrySucceeds: a bounded burst of transient mremap failures
 // is absorbed by the retry ladder — full protection, no degradation.
 func TestTransientRetrySucceeds(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), "seed=1;mremap:times=2")
+	f := newFaultFixture(t, Config{}, "seed=1;mremap:times=2")
 	a := f.alloc(t, 64)
 	st := f.rm.Stats()
 	if st.TransientRetries != 2 {
@@ -64,7 +64,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 // TestRetryChargesBackoff: the retry ladder is not free — it shows up on the
 // cycle meter.
 func TestRetryChargesBackoff(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), "seed=1;mremap:times=2")
+	f := newFaultFixture(t, Config{}, "seed=1;mremap:times=2")
 	before := f.proc.Meter().Cycles()
 	f.alloc(t, 64)
 	charged := f.proc.Meter().Cycles() - before
@@ -79,7 +79,7 @@ func TestRetryChargesBackoff(t *testing.T) {
 // budget, the allocation falls back to the unprotected canonical address
 // instead of failing the request.
 func TestPersistentAllocDegrades(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), "seed=1;mremap:every=1")
+	f := newFaultFixture(t, Config{}, "seed=1;mremap:every=1")
 	a, err := f.rm.Alloc(HeapAllocator{f.heap}, nil, 64, "test.c:1")
 	if err != nil {
 		t.Fatalf("Alloc under persistent mremap failure: %v", err)
@@ -117,7 +117,7 @@ func TestPersistentAllocDegrades(t *testing.T) {
 // TestUnprotectedFreeDegrades: a persistent mprotect failure at free time
 // narrows detection (the object goes unprotected) but never fails the free.
 func TestUnprotectedFreeDegrades(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), "seed=1;mprotect:every=1")
+	f := newFaultFixture(t, Config{}, "seed=1;mprotect:every=1")
 	a := f.alloc(t, 64)
 	f.free(t, a)
 	st := f.rm.Stats()
@@ -143,7 +143,7 @@ func TestUnprotectedFreeDegrades(t *testing.T) {
 // them again. Their pages are still mapped RW; recycling them would hand
 // out accessible pages and drive ShadowPagesFreed below zero.
 func TestGCSkipsUnprotectedFrees(t *testing.T) {
-	f := newFaultFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}, "seed=1;mprotect:every=1")
+	f := newFaultFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}}, "seed=1;mprotect:every=1")
 	a, b := f.alloc(t, 64), f.alloc(t, 64)
 	objs := []*Object{f.rm.ObjectAt(a), f.rm.ObjectAt(b)}
 	f.free(t, a)
@@ -171,7 +171,7 @@ func TestGCSkipsUnprotectedFrees(t *testing.T) {
 // TestBatchedFlushDegrades: a persistent failure of the batched multi-run
 // mprotect degrades the whole batch to unprotected frees.
 func TestBatchedFlushDegrades(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), "seed=1;mprotect-runs:every=1")
+	f := newFaultFixture(t, Config{}, "seed=1;mprotect-runs:every=1")
 	f.rm.EnableBatchedProtect(4)
 	var addrs []uint64 // vm.Addr is an alias of uint64
 	for i := 0; i < 4; i++ {
@@ -197,7 +197,7 @@ func TestBatchedFlushDegrades(t *testing.T) {
 // forgotten at pool destroy, so recycled addresses cannot alias stale
 // degraded records.
 func TestDegradedPoolAllocRetiredOnDestroy(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), "seed=1;mremap:every=1")
+	f := newFaultFixture(t, Config{}, "seed=1;mremap:every=1")
 	p := f.rt.Init("PP", 16)
 	a, err := f.rm.Alloc(p, p, 16, "test.c:1")
 	if err != nil {
@@ -220,7 +220,7 @@ func TestDegradedPoolAllocRetiredOnDestroy(t *testing.T) {
 // TestHealthCheckCatchesCorruption: the audit actually fires on broken
 // invariants (guards against a health check that always passes).
 func TestHealthCheckCatchesCorruption(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 64)
 	if err := f.rm.HealthCheck(); err != nil {
 		t.Fatalf("healthy remapper reported: %v", err)
@@ -241,8 +241,8 @@ func TestHealthCheckCatchesCorruption(t *testing.T) {
 // TestFaultFreeScheduleIsInert: a schedule with rules that never fire leaves
 // behaviour and counters identical to no schedule at all.
 func TestFaultFreeScheduleIsInert(t *testing.T) {
-	plain := newFixture(t, NeverReuse())
-	faulted := newFaultFixture(t, NeverReuse(), "seed=99;mremap:after=1000000,times=1")
+	plain := newFixture(t, Config{})
+	faulted := newFaultFixture(t, Config{}, "seed=99;mremap:after=1000000,times=1")
 	for _, f := range []*fixture{plain, faulted} {
 		a := f.alloc(t, 64)
 		f.free(t, a)

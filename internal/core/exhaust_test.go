@@ -64,7 +64,7 @@ const exhaustSpec = "seed=0;mremap:vabudget=360"
 // VA exhaustion — allocation churn far past the budget keeps succeeding by
 // recycling freed shadow pages, with zero degradation and detection intact.
 func TestOnExhaustionRecyclesUnderVABudget(t *testing.T) {
-	f := newFaultFixture(t, ReusePolicy{Kind: PolicyOnExhaustion}, exhaustSpec)
+	f := newFaultFixture(t, Config{Policy: ReusePolicy{Kind: PolicyOnExhaustion}}, exhaustSpec)
 	if err := churn(f, 30, 8); err != nil {
 		t.Fatalf("churn under VA budget: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestOnExhaustionRecyclesUnderVABudget(t *testing.T) {
 // TestIntervalRecyclesUnderVABudget: the interval policy likewise absorbs the
 // budget (reclaiming every 16 allocations) without ever degrading.
 func TestIntervalRecyclesUnderVABudget(t *testing.T) {
-	f := newFaultFixture(t, ReusePolicy{Kind: PolicyInterval, Interval: 16}, exhaustSpec)
+	f := newFaultFixture(t, Config{Policy: ReusePolicy{Kind: PolicyInterval, Interval: 16}}, exhaustSpec)
 	if err := churn(f, 30, 8); err != nil {
 		t.Fatalf("churn under VA budget: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestIntervalRecyclesUnderVABudget(t *testing.T) {
 // once the budget bites, allocations degrade to canonical addresses — the
 // availability-over-coverage trade, never a failure.
 func TestNeverPolicyDegradesUnderVABudget(t *testing.T) {
-	f := newFaultFixture(t, NeverReuse(), exhaustSpec)
+	f := newFaultFixture(t, Config{}, exhaustSpec)
 	if err := churn(f, 30, 8); err != nil {
 		t.Fatalf("churn under VA budget with PolicyNever: %v", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"repro/internal/obs"
@@ -17,9 +18,75 @@ func pageOfRun(obj *Object, i uint64) vm.VPN {
 // gcWordCost is the per-word scan cost charged by the collector.
 const gcWordCost = 2
 
+// GCTrigger records why a collector cycle ran.
+type GCTrigger uint8
+
+// Triggers.
+const (
+	// GCTriggerManual is an explicit CollectGarbage call.
+	GCTriggerManual GCTrigger = iota + 1
+	// GCTriggerInterval fired because Interval allocations elapsed since
+	// the policy clock last fired.
+	GCTriggerInterval
+	// GCTriggerWatermark fired because fresh VA reservations grew by
+	// WatermarkPages since the policy clock last fired.
+	GCTriggerWatermark
+	// GCTriggerPoolDestroy fired from OnPoolDestroy.
+	GCTriggerPoolDestroy
+)
+
+// String implements fmt.Stringer.
+func (t GCTrigger) String() string {
+	switch t {
+	case GCTriggerManual:
+		return "manual"
+	case GCTriggerInterval:
+		return "interval"
+	case GCTriggerWatermark:
+		return "watermark"
+	case GCTriggerPoolDestroy:
+		return "pooldestroy"
+	default:
+		return fmt.Sprintf("trigger(%d)", uint8(t))
+	}
+}
+
+// GCCycle is one collector cycle's accounting record.
+type GCCycle struct {
+	// Seq is the cycle's ordinal (1-based, equals Stats.GCRuns after it).
+	Seq uint64
+	// Trigger is why the cycle ran.
+	Trigger GCTrigger
+	// AllocSeq is the allocation counter when the cycle started.
+	AllocSeq uint64
+	// ScannedWords is the number of root/heap words visited.
+	ScannedWords uint64
+	// Cycles is the scan cost charged through the kernel (ScannedWords x
+	// the per-word price); summing the log equals GCChargedCycles.
+	Cycles uint64
+	// PagesRecycled and ObjectsRecycled count what the cycle reclaimed.
+	PagesRecycled   uint64
+	ObjectsRecycled uint64
+	// ReservedPages is the fresh-VA watermark when the cycle finished.
+	ReservedPages uint64
+}
+
+// GCCycleLog returns a copy of every collector cycle's accounting record,
+// clocked and manual alike, in execution order.
+func (r *Remapper) GCCycleLog() []GCCycle {
+	out := make([]GCCycle, len(r.gcLog))
+	copy(out, r.gcLog)
+	return out
+}
+
+// SchedulerHealthErr returns the first HealthCheck violation observed after
+// a cycle the policy clock ran, or nil. A clock that corrupts bookkeeping
+// must not fail silently between explicit audits.
+func (r *Remapper) SchedulerHealthErr() error { return r.schedErr }
+
 // CollectGarbage runs the §3.4 conservative collector: it scans the live
-// heap (every live object in every live pool, plus the policy's extra root
-// ranges) for word values that look like pointers into freed objects' shadow
+// heap (every live object in every live pool, plus the stack and globals)
+// for word values that look like pointers into freed objects' shadow
 // pages. Freed shadow runs with no such incoming pointer are recycled; runs
 // that are still referenced are kept protected, so the pointers that
 // actually dangle keep trapping.
@@ -131,11 +198,6 @@ func (r *Remapper) collect(trigger GCTrigger) GCCycle {
 	scanRange(r.proc.StackBase(), r.proc.StackLimit())
 	gBase, gNext := r.proc.GlobalsRange()
 	scanRange(gBase, gNext)
-	if r.policy.Roots != nil {
-		for _, root := range r.policy.Roots() {
-			scanRange(root[0], root[1])
-		}
-	}
 
 	// One batched charge for the whole scan, under a per-trigger site
 	// label, through the kernel's single charge point.

@@ -14,7 +14,7 @@ import (
 // inside the range and therefore dropped the tail, recycling a
 // still-referenced run — a missed-detection bug.
 func TestGCScansTailWordOfOddSizedObjects(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}})
 
 	// holder's size is deliberately not a multiple of 8: bytes 8..12 form
 	// the partial tail word.
@@ -51,7 +51,7 @@ func TestGCScansTailWordOfOddSizedObjects(t *testing.T) {
 // fix: a pointer sitting just below an object's start (in memory the object
 // does not own) must not act as a root for that object's scan.
 func TestGCScanDoesNotReadBelowRangeStart(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}})
 
 	victim := f.alloc(t, 16)
 	f.free(t, victim)
@@ -71,7 +71,7 @@ func TestGCScanDoesNotReadBelowRangeStart(t *testing.T) {
 // any future diagnostics), so its order must be deterministic — sorted by
 // ShadowAddr, matching the livePools/freedPoolsSorted treatment.
 func TestLiveNoPoolObjectsSorted(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	for i := 0; i < 32; i++ {
 		f.alloc(t, 16)
 	}

@@ -41,9 +41,6 @@ func (e *OverflowError) Error() string {
 		e.UseSite, e.Object.UserSize, e.Object.AllocSite, e.Object.AllocSeq, e.Offset)
 }
 
-// EnableOverflowGuards turns on guard pages for subsequent allocations.
-func (r *Remapper) EnableOverflowGuards() { r.guardPages = true }
-
 // reserveGuard reserves the page right after a freshly reserved shadow
 // block. The address-space bump allocator hands out consecutive pages, so
 // the reservation is adjacent by construction.

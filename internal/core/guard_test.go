@@ -9,9 +9,7 @@ import (
 
 func newGuardedFixture(t *testing.T) *fixture {
 	t.Helper()
-	f := newFixture(t, NeverReuse())
-	f.rm.EnableOverflowGuards()
-	return f
+	return newFixture(t, Config{Guards: true})
 }
 
 func TestOverflowPastPageDetected(t *testing.T) {
@@ -85,7 +83,7 @@ func TestGuardPagesNeverMapped(t *testing.T) {
 }
 
 func TestUnguardedModeHasNoGuardReports(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 100)
 	end := vm.PageBase(a) + vm.PageSize
 	err := f.write(end, 1)

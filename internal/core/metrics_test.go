@@ -12,7 +12,7 @@ import (
 // carries: kind, provenance, offsets, the shadow/canonical address pair, and
 // the dangle duration.
 func TestTrapReportAssembly(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 32)
 	f.free(t, a)
 	freedAt := f.proc.Meter().Cycles()
@@ -75,7 +75,7 @@ func TestTrapReportAssembly(t *testing.T) {
 // TestDoubleFreeReport checks the batched-mode bookkeeping double free
 // carries a double-free report too.
 func TestDoubleFreeReport(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	f.rm.EnableBatchedProtect(8)
 	a := f.alloc(t, 16)
 	f.free(t, a)
@@ -101,7 +101,7 @@ func TestDoubleFreeReport(t *testing.T) {
 // and trap all land on "test.c:1", and the profile still sums to the
 // kernel's total.
 func TestSiteAttribution(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	a := f.alloc(t, 32)
 	f.free(t, a)
 	if err := f.read(a); err == nil {
@@ -130,7 +130,7 @@ func TestSiteAttribution(t *testing.T) {
 
 // TestRemapperRegisterMetrics checks the counter wiring end to end.
 func TestRemapperRegisterMetrics(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	r := obs.NewRegistry()
 	f.rm.RegisterMetrics(r)
 

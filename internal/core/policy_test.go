@@ -9,7 +9,7 @@ import (
 )
 
 func TestIntervalPolicyRecyclesShadowPages(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyInterval, Interval: 64})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyInterval, Interval: 64}})
 	before := f.proc.Space().ReservedPages()
 	for i := 0; i < 1000; i++ {
 		a := f.alloc(t, 16)
@@ -26,7 +26,7 @@ func TestIntervalPolicyRecyclesShadowPages(t *testing.T) {
 }
 
 func TestIntervalPolicyLosesOldGuaranteeButKeepsDetectionForFresh(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyInterval, Interval: 8})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyInterval, Interval: 8}})
 	stale := f.alloc(t, 16)
 	f.free(t, stale)
 	// Push past the interval so the stale object's pages are recycled.
@@ -47,7 +47,7 @@ func TestGCPolicyKeepsReferencedDanglersTrapping(t *testing.T) {
 	// The conservative collector must NOT recycle a freed object's shadow
 	// pages while some live object still holds a pointer to it — that
 	// pointer can still be dereferenced and must keep trapping.
-	f := newFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}})
 
 	holder := f.alloc(t, 16) // live object holding the dangling pointer
 	victim := f.alloc(t, 16)
@@ -73,38 +73,8 @@ func TestGCPolicyKeepsReferencedDanglersTrapping(t *testing.T) {
 	}
 }
 
-func TestGCRootsCallback(t *testing.T) {
-	// A pointer held in a root range (simulated global) protects the
-	// freed object from reclamation.
-	var rootAddr vm.Addr
-	f := newFixture(t, ReusePolicy{
-		Kind:     PolicyGC,
-		Interval: 1 << 30,
-		Roots: func() [][2]uint64 {
-			return [][2]uint64{{rootAddr, rootAddr + 8}}
-		},
-	})
-	g, err := f.proc.AllocGlobal(8)
-	if err != nil {
-		t.Fatalf("AllocGlobal: %v", err)
-	}
-	rootAddr = g
-
-	victim := f.alloc(t, 16)
-	if err := f.proc.MMU().WriteWord(g, 8, victim); err != nil {
-		t.Fatalf("store to global: %v", err)
-	}
-	f.free(t, victim)
-	f.rm.CollectGarbage()
-
-	var de *DanglingError
-	if err := f.read(victim); !errors.As(err, &de) {
-		t.Fatalf("global-referenced dangler no longer traps after GC: %v", err)
-	}
-}
-
 func TestGCRecyclesIntoAllocPath(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}})
 	for i := 0; i < 100; i++ {
 		a := f.alloc(t, 16)
 		f.free(t, a)
@@ -160,8 +130,8 @@ func TestExhaustionCalculation(t *testing.T) {
 func TestGCScansStackAndGlobalsImplicitly(t *testing.T) {
 	// A dangling pointer held only in the stack region (where compiled
 	// programs keep their locals) must protect the freed object from
-	// reclamation even without an explicit Roots callback.
-	f := newFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30})
+	// reclamation: the collector scans the stack and globals as roots.
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}})
 	victim := f.alloc(t, 16)
 	// Store the stale pointer into the simulated stack.
 	slot := f.proc.StackBase() + 128
@@ -186,7 +156,7 @@ func TestGCScansStackAndGlobalsImplicitly(t *testing.T) {
 }
 
 func TestGCScansGlobalsImplicitly(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyGC, Interval: 1 << 30})
+	f := newFixture(t, Config{Policy: ReusePolicy{Kind: PolicyGC, Interval: 1 << 30}})
 	g, err := f.proc.AllocGlobal(8)
 	if err != nil {
 		t.Fatalf("AllocGlobal: %v", err)
@@ -203,28 +173,65 @@ func TestGCScansGlobalsImplicitly(t *testing.T) {
 	}
 }
 
-// FuzzParsePolicySpec checks that the rendering of any spec ParsePolicySpec
-// accepts is canonical: it parses back, and renders to itself. The spec
-// arrives in untrusted trace headers (!policy).
+// TestPolicyClockFiresOncePerInterval: the clock fires when Interval
+// allocations have elapsed since it last fired, not at every Alloc or Free
+// entry that sees a multiple of the interval.
+func TestPolicyClockFiresOncePerInterval(t *testing.T) {
+	for _, kind := range []PolicyKind{PolicyInterval, PolicyGC} {
+		f := newFixture(t, Config{Policy: ReusePolicy{Kind: kind, Interval: 4}})
+		var addrs []vm.Addr
+		for i := 0; i < 4; i++ {
+			addrs = append(addrs, f.alloc(t, 16))
+		}
+		for _, a := range addrs[:3] {
+			f.free(t, a)
+		}
+		st := f.rm.Stats()
+		switch kind {
+		case PolicyGC:
+			if st.GCRuns != 1 || st.GCScheduled != 1 {
+				t.Errorf("gc: GCRuns = %d, GCScheduled = %d after 4 allocs and 3 frees, want 1 and 1", st.GCRuns, st.GCScheduled)
+			}
+		case PolicyInterval:
+			// The one firing, at the first free's entry, found nothing
+			// freed yet: the two later frees stay protected.
+			if st.RecycledPages != 0 || st.ShadowPagesFreed != 3 {
+				t.Errorf("interval: %d freed pages, %d recycled, want 3 and 0", st.ShadowPagesFreed, st.RecycledPages)
+			}
+			if got := f.rm.reclaimFreed(); got != 3 {
+				t.Errorf("interval: %d pages left to reclaim, want 3", got)
+			}
+		}
+	}
+}
+
+// FuzzParsePolicySpec checks that a spec ParsePolicySpec accepts and its
+// value round-trip exactly: the value's rendering parses back to the same
+// value, and renders to itself. The spec arrives in untrusted trace headers
+// (!policy).
 func FuzzParsePolicySpec(f *testing.F) {
 	for _, spec := range []string{
 		"never", "on-exhaustion", "interval=32", "gc", "gc=4",
 		"gc=16,watermark=32", "gc=8,minfreed=4,cooldown=8", "gc,pooldestroy",
 		"gc=0", "interval=0", "gc,watermark", "gc=2,bogus",
+		"interval", "interval=8,watermark=3,pooldestroy,minfreed=1,cooldown=2",
 	} {
 		f.Add(spec)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, s, err := ParsePolicySpec(spec)
+		p, err := ParsePolicySpec(spec)
 		if err != nil {
 			return
 		}
-		canon := PolicySpecString(p, s)
-		p2, s2, err := ParsePolicySpec(canon)
+		canon := PolicySpecString(p)
+		p2, err := ParsePolicySpec(canon)
 		if err != nil {
 			t.Fatalf("%q renders as %q, which does not parse: %v", spec, canon, err)
 		}
-		if again := PolicySpecString(p2, s2); again != canon {
+		if p2 != p {
+			t.Fatalf("%q parses to %+v, renders as %q, which parses to %+v", spec, p, canon, p2)
+		}
+		if again := PolicySpecString(p2); again != canon {
 			t.Fatalf("%q renders as %q, which renders as %q", spec, canon, again)
 		}
 	})

@@ -11,7 +11,7 @@ import (
 // allocation, repeated create/use/destroy cycles (the paper's f() example)
 // reuse virtual pages instead of growing the address space.
 func TestPoolShadowPagesReused(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 
 	cycle := func() {
 		p := f.rt.Init("PP", 32)
@@ -50,7 +50,7 @@ func TestPoolShadowPagesReused(t *testing.T) {
 func TestPoolDanglingDetectedBeforeDestroy(t *testing.T) {
 	// The running example: p->next->val is accessed after
 	// free_all_but_head but before pooldestroy — must trap.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	p := f.rt.Init("PP", 32)
 	head, err := f.rm.Alloc(p, p, 32, "list")
 	if err != nil {
@@ -84,7 +84,7 @@ func TestPoolDanglingDetectedBeforeDestroy(t *testing.T) {
 }
 
 func TestOnPoolDestroyRetiresRecords(t *testing.T) {
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	p := f.rt.Init("PP", 32)
 	a, err := f.rm.Alloc(p, p, 32, "x")
 	if err != nil {
@@ -112,7 +112,7 @@ func TestOnPoolDestroyRetiresRecords(t *testing.T) {
 func TestPoolDestroyPhysicalNeutrality(t *testing.T) {
 	// Pool create/destroy cycles must not leak frames: destroyed pools'
 	// pages sit on the shared free list and are refreshed on reuse.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	cycle := func() {
 		p := f.rt.Init("PP", 64)
 		for i := 0; i < 30; i++ {
@@ -139,7 +139,7 @@ func TestPoolDestroyPhysicalNeutrality(t *testing.T) {
 
 func TestMixedPoolsIndependent(t *testing.T) {
 	// Objects in different pools get independent protection.
-	f := newFixture(t, NeverReuse())
+	f := newFixture(t, Config{})
 	p1 := f.rt.Init("P1", 32)
 	p2 := f.rt.Init("P2", 32)
 	a, err := f.rm.Alloc(p1, p1, 32, "a")

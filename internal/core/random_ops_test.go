@@ -22,7 +22,7 @@ func TestRandomizedLifecycleInvariants(t *testing.T) {
 		seed := seed
 		t.Run(string(rune('A'+seed)), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			f := newFixture(t, NeverReuse())
+			f := newFixture(t, Config{})
 
 			type tracked struct {
 				ptr   vm.Addr

@@ -124,15 +124,6 @@ type sampler struct {
 	quarantine []*Object
 }
 
-// EnableSampling installs the sampled detection tier. Call before the first
-// allocation (pageguard wires it at process creation).
-func (r *Remapper) EnableSampling(spec SamplingSpec) {
-	r.sampling = &sampler{spec: spec, sites: make(map[string]*siteState)}
-}
-
-// SamplingEnabled reports whether the sampled tier is installed.
-func (r *Remapper) SamplingEnabled() bool { return r.sampling != nil }
-
 // QuarantineLen returns the number of objects currently quarantined.
 func (r *Remapper) QuarantineLen() int {
 	if r.sampling == nil {

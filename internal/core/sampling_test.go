@@ -122,9 +122,8 @@ func sampleSiteLabel(i int) string {
 }
 
 func TestSamplingRateOneMatchesFullGuarding(t *testing.T) {
-	full := newFixture(t, NeverReuse())
-	sampled := newFixture(t, NeverReuse())
-	sampled.rm.EnableSampling(SamplingSpec{Rate: 1})
+	full := newFixture(t, Config{})
+	sampled := newFixture(t, Config{Sampling: &SamplingSpec{Rate: 1}})
 
 	run := func(f *fixture) (Stats, uint64) {
 		var addrs []uint64
@@ -150,8 +149,7 @@ func TestSamplingRateOneMatchesFullGuarding(t *testing.T) {
 }
 
 func TestUnsampledAllocationPath(t *testing.T) {
-	f := newFixture(t, NeverReuse())
-	f.rm.EnableSampling(SamplingSpec{Rate: 0}) // guard nothing
+	f := newFixture(t, Config{Sampling: &SamplingSpec{Rate: 0}}) // guard nothing
 
 	a, err := f.rm.Alloc(HeapAllocator{f.heap}, nil, 64, "u.c:1")
 	if err != nil {
@@ -188,8 +186,7 @@ func TestUnsampledAllocationPath(t *testing.T) {
 }
 
 func TestSamplingAdaptiveCoolAndHeat(t *testing.T) {
-	f := newFixture(t, NeverReuse())
-	f.rm.EnableSampling(SamplingSpec{Rate: 1, Cool: 2})
+	f := newFixture(t, Config{Sampling: &SamplingSpec{Rate: 1, Cool: 2}})
 	site := "hot.c:1"
 
 	// Alloc/free pairs at one site. The second trap-free sampled free cools
@@ -242,8 +239,10 @@ func TestSamplingAdaptiveCoolAndHeat(t *testing.T) {
 }
 
 func TestSamplingQuarantineBoundsAndReclaimExemption(t *testing.T) {
-	f := newFixture(t, ReusePolicy{Kind: PolicyInterval, Interval: 1 << 30})
-	f.rm.EnableSampling(SamplingSpec{Rate: 1, Quarantine: 2})
+	f := newFixture(t, Config{
+		Policy:   ReusePolicy{Kind: PolicyInterval, Interval: 1 << 30},
+		Sampling: &SamplingSpec{Rate: 1, Quarantine: 2},
+	})
 
 	var addrs []uint64
 	var objs []*Object

@@ -145,7 +145,7 @@ func RunContainment(name string, mode ContainmentMode, opts Options) (*Containme
 		if err != nil {
 			return nil, err
 		}
-		sharedRT = runtimes.NewShadow(sharedProc, core.NeverReuse())
+		sharedRT = runtimes.NewShadow(sharedProc, core.Config{})
 	}
 
 	for i := 0; i < conns; i++ {
@@ -153,7 +153,7 @@ func RunContainment(name string, mode ContainmentMode, opts Options) (*Containme
 		switch mode {
 		case ForkPerConnection:
 			res, err = driver.Run(progFor(i), sys, cfg, func(p *kernel.Process) interp.Runtime {
-				return runtimes.NewShadow(p, core.NeverReuse())
+				return runtimes.NewShadow(p, core.Config{})
 			}, icfg)
 		case InProcess:
 			res, err = driver.RunOn(progFor(i), sharedProc, sharedRT, icfg)
@@ -205,7 +205,7 @@ func RunContainment(name string, mode ContainmentMode, opts Options) (*Containme
 // output.
 func connOutput(prog *ir.Program, sys *kernel.System, cfg kernel.Config, icfg interp.Config) (string, error) {
 	res, err := driver.Run(prog, sys, cfg, func(p *kernel.Process) interp.Runtime {
-		return runtimes.NewShadow(p, core.NeverReuse())
+		return runtimes.NewShadow(p, core.Config{})
 	}, icfg)
 	if err != nil {
 		return "", err

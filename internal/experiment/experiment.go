@@ -127,9 +127,10 @@ func (c Config) runtimeFor(proc *kernel.Process) interp.Runtime {
 	case PADummy:
 		return runtimes.NewPADummy(proc)
 	case Ours, OursNoPA, OursStatic:
-		return runtimes.NewShadow(proc, core.NeverReuse())
+		return runtimes.NewShadow(proc, core.Config{})
 	case OursSampled:
-		return runtimes.NewShadowSampled(proc, core.NeverReuse(), SampledTierSpec())
+		spec := SampledTierSpec()
+		return runtimes.NewShadow(proc, core.Config{Sampling: &spec})
 	case Valgrind:
 		return valgrind.New(proc)
 	case EFence:
@@ -390,24 +391,6 @@ func StaticMetricsSnapshot(w workload.Workload) (obs.Snapshot, error) {
 	reg := obs.NewRegistry()
 	rep.RegisterMetrics(reg)
 	return reg.Snapshot(), nil
-}
-
-// Sweep measures one workload under several configurations, fanning the
-// cells out per opts.Parallelism.
-func Sweep(w workload.Workload, cfgs []Config, opts Options) (map[Config]Measurement, error) {
-	cells := make([]Cell, len(cfgs))
-	for i, c := range cfgs {
-		cells[i] = Cell{Workload: w, Config: c}
-	}
-	ms, err := RunCells(cells, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[Config]Measurement, len(cfgs))
-	for i, c := range cfgs {
-		out[c] = ms[i]
-	}
-	return out, nil
 }
 
 // Ratio returns a/b as a float ratio of cycles.

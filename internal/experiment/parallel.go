@@ -84,8 +84,8 @@ func RunCells(cells []Cell, opts Options) ([]Measurement, error) {
 }
 
 // runGrid measures every workload x configuration cell of a table and
-// returns, per workload, the config-indexed measurements — the parallel
-// equivalent of calling Sweep per workload.
+// returns, per workload, the config-indexed measurements, fanning the cells
+// out per opts.Parallelism.
 func runGrid(ws []workload.Workload, cfgs []Config, opts Options) ([]map[Config]Measurement, error) {
 	cells := make([]Cell, 0, len(ws)*len(cfgs))
 	for _, w := range ws {

@@ -77,7 +77,7 @@ func runGuardedStatic(t *testing.T, src string) (error, core.Stats) {
 	}
 	var shadow *runtimes.Shadow
 	mkRT := func(p *kernel.Process) interp.Runtime {
-		shadow = runtimes.NewShadow(p, core.NeverReuse())
+		shadow = runtimes.NewShadow(p, core.Config{})
 		return shadow
 	}
 	cfg := kernel.DefaultConfig()

@@ -44,21 +44,9 @@ const (
 	maxSize = math.MaxUint64 - (align - 1) - headerSize - (vm.PageSize - 1)
 )
 
-// defaultArenaPages is the mmap growth unit (64 KB), a typical sbrk/mmap
-// threshold for 2006-era allocators.
-const defaultArenaPages = 16
-
-// Option configures a Heap.
-type Option func(*Heap)
-
-// WithArenaPages sets the arena growth unit in pages.
-func WithArenaPages(n uint64) Option {
-	return func(h *Heap) {
-		if n > 0 {
-			h.arenaPages = n
-		}
-	}
-}
+// arenaPages is the mmap growth unit (64 KB), a typical sbrk/mmap threshold
+// for 2006-era allocators.
+const arenaPages = 16
 
 // Stats summarizes allocator activity.
 type Stats struct {
@@ -84,8 +72,6 @@ type Heap struct {
 	wildAddr vm.Addr
 	wildLeft uint64
 
-	arenaPages uint64
-
 	// live tracks allocated payload addresses and sizes, the integrity
 	// check real allocators approximate with canaries. It lets Free
 	// reject invalid and (allocator-level) double frees determinately.
@@ -100,16 +86,11 @@ type chunkRef struct {
 }
 
 // New returns a Heap allocating from proc.
-func New(proc *kernel.Process, opts ...Option) *Heap {
-	h := &Heap{
-		proc:       proc,
-		arenaPages: defaultArenaPages,
-		live:       make(map[vm.Addr]uint64),
+func New(proc *kernel.Process) *Heap {
+	return &Heap{
+		proc: proc,
+		live: make(map[vm.Addr]uint64),
 	}
-	for _, o := range opts {
-		o(h)
-	}
-	return h
 }
 
 // roundSize rounds a request up to an allocatable payload size.
@@ -196,7 +177,7 @@ func (h *Heap) carve(payload uint64) (vm.Addr, uint64, error) {
 			}
 			h.pushFree(addr, leftover)
 		}
-		pages := h.arenaPages
+		pages := uint64(arenaPages)
 		if minPages := (need + vm.PageSize - 1) / vm.PageSize; minPages > pages {
 			pages = minPages
 		}
@@ -282,9 +263,3 @@ func (h *Heap) Free(payloadAddr vm.Addr) error {
 
 // Stats returns a copy of the allocator counters.
 func (h *Heap) Stats() Stats { return h.stats }
-
-// Live reports whether addr is a live allocation (test hook).
-func (h *Heap) Live(addr vm.Addr) bool {
-	_, ok := h.live[addr]
-	return ok
-}

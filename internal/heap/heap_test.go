@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim/vm"
 )
 
-func newHeap(t *testing.T, opts ...Option) (*Heap, *kernel.Process) {
+func newHeap(t *testing.T) (*Heap, *kernel.Process) {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	sys := kernel.NewSystem(cfg)
@@ -17,7 +17,7 @@ func newHeap(t *testing.T, opts ...Option) (*Heap, *kernel.Process) {
 	if err != nil {
 		t.Fatalf("NewProcess: %v", err)
 	}
-	return New(p, opts...), p
+	return New(p), p
 }
 
 func TestMallocWriteRead(t *testing.T) {

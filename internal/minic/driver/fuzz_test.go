@@ -260,13 +260,13 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				t.Fatalf("pa: %v\nprogram:\n%s", err, src)
 			}
 			shadow, err := runFuzzConfig(src, true, func(p *kernel.Process) interp.Runtime {
-				return runtimes.NewShadow(p, core.NeverReuse())
+				return runtimes.NewShadow(p, core.Config{})
 			})
 			if err != nil {
 				t.Fatalf("shadow: %v\nprogram:\n%s", err, src)
 			}
 			shadowNoPA, err := runFuzzConfig(src, false, func(p *kernel.Process) interp.Runtime {
-				return runtimes.NewShadow(p, core.NeverReuse())
+				return runtimes.NewShadow(p, core.Config{})
 			})
 			if err != nil {
 				t.Fatalf("shadow-nopa: %v\nprogram:\n%s", err, src)
@@ -295,7 +295,7 @@ func runFuzzStatic(src string) (string, core.Stats, error) {
 	}
 	var shadow *runtimes.Shadow
 	mkRT := func(p *kernel.Process) interp.Runtime {
-		shadow = runtimes.NewShadow(p, core.NeverReuse())
+		shadow = runtimes.NewShadow(p, core.Config{})
 		return shadow
 	}
 	cfg := kernel.DefaultConfig()
@@ -446,7 +446,7 @@ func TestDifferentialUseAfterFreeAlwaysCaught(t *testing.T) {
 			}
 
 			_, err := runFuzzConfig(src, true, func(p *kernel.Process) interp.Runtime {
-				return runtimes.NewShadow(p, core.NeverReuse())
+				return runtimes.NewShadow(p, core.Config{})
 			})
 			if err == nil {
 				t.Fatalf("detector missed the injected UAF\nprogram:\n%s", src)
@@ -501,7 +501,7 @@ func runFuzzChaos(src, spec string) (string, core.Stats, int, error) {
 	sys := kernel.NewSystem(cfg)
 	var shadow *runtimes.Shadow
 	res, err := Run(prog, sys, cfg, func(p *kernel.Process) interp.Runtime {
-		shadow = runtimes.NewShadow(p, core.NeverReuse())
+		shadow = runtimes.NewShadow(p, core.Config{})
 		return shadow
 	}, interp.Config{StepLimit: 1 << 24})
 	if err != nil {

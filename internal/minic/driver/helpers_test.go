@@ -13,7 +13,7 @@ import (
 func newNativeRT(p *kernel.Process) interp.Runtime { return runtimes.NewNative(p) }
 
 func newShadowRT(p *kernel.Process) interp.Runtime {
-	return runtimes.NewShadow(p, core.NeverReuse())
+	return runtimes.NewShadow(p, core.Config{})
 }
 
 func mustCompile(t *testing.T, src string, withPools bool) *ir.Program {

@@ -607,30 +607,6 @@ func (g *Graph) RegKeys() []struct {
 	return out
 }
 
-// SlotKeys enumerates every (function, offset) frame slot, sorted.
-func (g *Graph) SlotKeys() []struct {
-	Fn  string
-	Off uint64
-} {
-	out := make([]struct {
-		Fn  string
-		Off uint64
-	}, 0, len(g.slots))
-	for k := range g.slots {
-		out = append(out, struct {
-			Fn  string
-			Off uint64
-		}{k.fn, k.off})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fn != out[j].Fn {
-			return out[i].Fn < out[j].Fn
-		}
-		return out[i].Off < out[j].Off
-	})
-	return out
-}
-
 // GlobalNames enumerates the global variables the analysis saw, sorted.
 func (g *Graph) GlobalNames() []string {
 	out := make([]string, 0, len(g.globals))

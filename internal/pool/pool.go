@@ -115,9 +115,6 @@ func (rt *Runtime) FreePages() uint64 { return rt.freePages }
 // ReusedPages returns how many pages poolalloc recycled from the free list.
 func (rt *Runtime) ReusedPages() uint64 { return rt.reusedPages }
 
-// MmappedPages returns how many fresh pages were obtained from the kernel.
-func (rt *Runtime) MmappedPages() uint64 { return rt.mmappedPages }
-
 // LivePools returns the currently live pools (GC roots for the §3.4
 // collector).
 func (rt *Runtime) LivePools() []*Pool {
@@ -489,9 +486,6 @@ func (p *Pool) DetachRun(r PageRun) bool {
 	delete(p.attachedIdx, r.Addr)
 	return true
 }
-
-// Slabs returns the pool's canonical page runs (GC and stats hook).
-func (p *Pool) Slabs() []PageRun { return p.slabs }
 
 // Pages returns the total canonical+attached pages owned by the pool.
 func (p *Pool) Pages() uint64 {

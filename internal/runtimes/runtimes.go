@@ -163,25 +163,17 @@ var (
 	_ interp.ElisionRuntime = (*Shadow)(nil)
 )
 
-// NewShadow returns the full detection runtime with the given reuse policy.
-func NewShadow(proc *kernel.Process, policy core.ReusePolicy) *Shadow {
+// NewShadow returns the full detection runtime configured by cfg: its reuse
+// policy, overflow guards, and sampled tier (GWP-ASan mode, where only a
+// seeded, deterministic 1-in-N subset of allocation sites pays the mremap
+// alias and the free-time mprotect).
+func NewShadow(proc *kernel.Process, cfg core.Config) *Shadow {
 	return &Shadow{
 		heap:    heap.New(proc),
 		pools:   pool.NewRuntime(proc),
-		remap:   core.New(proc, policy),
+		remap:   core.New(proc, cfg),
 		handles: make(map[uint64]*pool.Pool),
 	}
-}
-
-// NewShadowSampled returns the sampled always-on tier (GWP-ASan mode): the
-// full detection runtime with only a seeded, deterministic 1-in-N subset of
-// allocation sites guarded. Unsampled sites pay no mremap alias and no
-// free-time mprotect — the production configuration that trades detection
-// probability for near-zero overhead.
-func NewShadowSampled(proc *kernel.Process, policy core.ReusePolicy, spec core.SamplingSpec) *Shadow {
-	s := NewShadow(proc, policy)
-	s.remap.EnableSampling(spec)
-	return s
 }
 
 // Remapper exposes the detection engine for stats and GC control.

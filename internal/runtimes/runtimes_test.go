@@ -105,7 +105,7 @@ func TestPADummyChargesSyscalls(t *testing.T) {
 
 func TestShadowDetectsThroughPoolPath(t *testing.T) {
 	proc := newProc(t)
-	rt := NewShadow(proc, core.NeverReuse())
+	rt := NewShadow(proc, core.Config{})
 	h, err := rt.PoolInit(ir.PoolDecl{Name: "p", ElemSize: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestShadowDetectsThroughPoolPath(t *testing.T) {
 
 func TestShadowPoolDestroyRetiresRecords(t *testing.T) {
 	proc := newProc(t)
-	rt := NewShadow(proc, core.NeverReuse())
+	rt := NewShadow(proc, core.Config{})
 	h, err := rt.PoolInit(ir.PoolDecl{Name: "p"})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestShadowPoolDestroyRetiresRecords(t *testing.T) {
 
 func TestShadowInterpositionMode(t *testing.T) {
 	proc := newProc(t)
-	rt := NewShadow(proc, core.NeverReuse())
+	rt := NewShadow(proc, core.Config{})
 	a, err := rt.Malloc(24, "m")
 	if err != nil {
 		t.Fatal(err)

@@ -923,21 +923,14 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownWorkload, err.Error(), 0)
 		return
 	}
-	mode := pageguard.ModeDetect
-	switch q := r.URL.Query().Get("mode"); q {
-	case "", "detect":
-	case "native":
-		mode = pageguard.ModeNative
-	case "pa":
-		mode = pageguard.ModePA
-	case "detect-nopa":
-		mode = pageguard.ModeDetectNoPA
-	case "static":
-		mode = pageguard.ModeDetectStatic
-	default:
+	q := r.URL.Query().Get("mode")
+	if q == "" {
+		q = "detect"
+	}
+	mode, err := pageguard.ParseMode(q)
+	if err != nil {
 		s.count(s.errs)
-		writeError(w, http.StatusBadRequest, ErrCodeUnknownMode,
-			fmt.Sprintf("unknown mode %q (native, pa, detect, detect-nopa, static)", q), 0)
+		writeError(w, http.StatusBadRequest, ErrCodeUnknownMode, err.Error(), 0)
 		return
 	}
 

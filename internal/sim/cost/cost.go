@@ -128,12 +128,6 @@ func (m Model) instrCostNumerator() uint64 {
 	return m.Instr * m.CodeGenFactorPct * m.InterpFactorPct
 }
 
-// InstrCost returns the cost of n instructions under the code-generation and
-// interpretation factors, rounded down.
-func (m Model) InstrCost(n uint64) uint64 {
-	return n * m.instrCostNumerator() / 10000
-}
-
 // MemCost returns the base cost of one memory access (before TLB and cache
 // penalties) under the interpretation factor.
 func (m Model) MemCost() uint64 {

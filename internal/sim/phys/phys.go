@@ -209,9 +209,6 @@ func (m *Memory) Release() {
 // goroutines.
 func (m *Memory) Freeze() { m.frozen = true }
 
-// Frozen reports whether Freeze has been called.
-func (m *Memory) Frozen() bool { return m.frozen }
-
 // Fork returns a mutable copy-on-write clone of a frozen Memory. The clone
 // shares every frame's backing array with the parent until FrameForWrite
 // unshares it or FreeFrame drops it. Fork is safe to call from many

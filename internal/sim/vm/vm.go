@@ -581,9 +581,6 @@ func (s *Space) BudgetPages() uint64 { return s.budget }
 // called before the Space is shared across goroutines.
 func (s *Space) Freeze() { s.frozen = true }
 
-// Frozen reports whether Freeze has been called.
-func (s *Space) Frozen() bool { return s.frozen }
-
 // Fork returns a mutable copy-on-write clone of a frozen Space. The clone
 // shares every radix node with the parent; a node is path-copied the first
 // time the clone mutates a page inside it, so an N-fork fleet pays for page

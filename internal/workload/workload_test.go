@@ -84,7 +84,7 @@ func TestWorkloadsOutputInvariantUnderDetection(t *testing.T) {
 				t.Fatalf("native: %v", native.Err)
 			}
 			shadow := runOnce(t, w.Source, true, func(p *kernel.Process) interp.Runtime {
-				return runtimes.NewShadow(p, core.NeverReuse())
+				return runtimes.NewShadow(p, core.Config{})
 			})
 			if shadow.Err != nil {
 				t.Fatalf("shadow: %v", shadow.Err)
@@ -111,7 +111,7 @@ func TestRunningExampleIsBuggy(t *testing.T) {
 		t.Fatalf("native should run to completion (silent corruption): %v", native.Err)
 	}
 	shadow := runOnce(t, w.Source, true, func(p *kernel.Process) interp.Runtime {
-		return runtimes.NewShadow(p, core.NeverReuse())
+		return runtimes.NewShadow(p, core.Config{})
 	})
 	var de *core.DanglingError
 	if !errors.As(shadow.Err, &de) {

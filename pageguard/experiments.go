@@ -1,36 +1,6 @@
 package pageguard
 
-import (
-	"repro/internal/experiment"
-	"repro/internal/workload"
-)
-
-// The experiment wrappers re-export the paper-reproduction harness so that
-// downstream users (and cmd/pgbench) can regenerate every table and figure.
-
-// Table1 is the paper's Table 1 (runtime overheads: utilities and servers).
-type Table1 = experiment.Table1
-
-// Table2 is the paper's Table 2 (Valgrind comparison).
-type Table2 = experiment.Table2
-
-// Table3 is the paper's Table 3 (Olden benchmarks).
-type Table3 = experiment.Table3
-
-// VAStudy is the paper's §4.3 address-space study plus the §3.4 bound.
-type VAStudy = experiment.VAStudy
-
-// GenTable1 regenerates Table 1.
-func GenTable1() (*Table1, error) { return experiment.GenTable1(experiment.Options{}) }
-
-// GenTable2 regenerates Table 2.
-func GenTable2() (*Table2, error) { return experiment.GenTable2(experiment.Options{}) }
-
-// GenTable3 regenerates Table 3.
-func GenTable3() (*Table3, error) { return experiment.GenTable3(experiment.Options{}) }
-
-// GenVAStudy regenerates the §4.3/§3.4 studies.
-func GenVAStudy() (*VAStudy, error) { return experiment.GenVAStudy(experiment.Options{}) }
+import "repro/internal/workload"
 
 // Workloads lists the evaluation programs (name and description), in the
 // paper's table order.

@@ -84,16 +84,12 @@ var FormatFlight = obs.FormatFlight
 // that must reconcile exactly with ChargedCycles for a traced process.
 var LeafSpanCycleSum = obs.LeafCycleSum
 
-// SpanTracingEnabled reports whether the process was created on a machine
-// with WithSpanTracing.
-func (p *Process) SpanTracingEnabled() bool { return p.proc.Tracer() != nil }
-
 // Spans returns the spans recorded so far (nil when tracing is disabled).
 func (p *Process) Spans() []Span { return p.proc.Tracer().Spans() }
 
 // BeginSpan opens a named grouping span (a request, a replay, one traced
 // operation); close it with EndSpan. A disabled tracer returns 0, which
-// EndSpan ignores — callers never need to test SpanTracingEnabled.
+// EndSpan ignores — callers never need to know whether tracing is on.
 func (p *Process) BeginSpan(name, site string) uint64 { return p.proc.Tracer().Begin(name, site) }
 
 // EndSpan closes a span opened by BeginSpan.

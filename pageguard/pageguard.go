@@ -57,17 +57,11 @@ type DoubleFreeError = core.DoubleFreeError
 // exist to survive.
 var ErrAddressSpaceExhausted = vm.ErrAddressSpaceExhausted
 
-// ReusePolicy selects a §3.4 strategy for recycling the shadow pages of
-// long-lived allocations.
+// ReusePolicy is the whole §3.4 configuration for recycling the shadow pages
+// of long-lived allocations: the strategy and, for the interval and GC
+// kinds, the one clock (interval, VA watermark, pool destroy, tuning gates)
+// that says when.
 type ReusePolicy = core.ReusePolicy
-
-// GCSchedule configures the §3.4 GC scheduler (see WithGCSchedule);
-// ManualTuning is its cycle-gating knob, and GCCycle one cycle's accounting
-// record.
-type GCSchedule = core.GCSchedule
-
-// ManualTuning gates scheduled GC cycles (the paper's third mitigation).
-type ManualTuning = core.ManualTuning
 
 // GCCycle is one collector cycle's accounting record.
 type GCCycle = core.GCCycle
@@ -102,13 +96,14 @@ const (
 type Option func(*machineConfig)
 
 type machineConfig struct {
-	kernel   kernel.Config
-	policy   core.ReusePolicy
-	gcSched  *core.GCSchedule
-	sampling *core.SamplingSpec
-	guards   bool
+	kernel kernel.Config
+	// detector is what every remapper on the machine runs with: reuse
+	// policy, overflow guards, sampling.
+	detector core.Config
 	spans    bool
-	schedErr error
+	// specErr is the first malformed option spec, reported by the next
+	// process a Machine makes.
+	specErr error
 }
 
 // WithMaxFrames bounds simulated physical memory in 4 KB frames (0 =
@@ -118,9 +113,9 @@ func WithMaxFrames(frames uint64) Option {
 }
 
 // WithReusePolicy selects the shadow-page reuse policy for processes created
-// on this machine.
+// on this machine. It is WithPolicySpec(core.PolicySpecString(p)).
 func WithReusePolicy(p ReusePolicy) Option {
-	return func(c *machineConfig) { c.policy = p }
+	return func(c *machineConfig) { c.detector.Policy = p }
 }
 
 // WithOverflowGuards reserves a never-mapped guard page after every
@@ -128,21 +123,12 @@ func WithReusePolicy(p ReusePolicy) Option {
 // object's last page are reported as *OverflowError (a PageHeap-style
 // debugging extension; costs address space, never physical memory).
 func WithOverflowGuards() Option {
-	return func(c *machineConfig) { c.guards = true }
+	return func(c *machineConfig) { c.detector.Guards = true }
 }
 
 // WithStackPages sets the per-process stack size in pages.
 func WithStackPages(pages uint64) Option {
 	return func(c *machineConfig) { c.kernel.StackPages = pages }
-}
-
-// WithGCSchedule installs the §3.4 GC scheduler on every process created on
-// the machine: policy-driven collector triggers (allocation interval, VA
-// watermark, pool destroy) with per-cycle accounting and post-cycle
-// invariant audits. Usually combined with WithReusePolicy(PolicyGC or
-// PolicyOnExhaustion) so exhaustion recovery stays armed.
-func WithGCSchedule(s GCSchedule) Option {
-	return func(c *machineConfig) { c.gcSched = &s }
 }
 
 // WithVABudget caps the fresh virtual address space each process may ever
@@ -153,20 +139,18 @@ func WithVABudget(pages uint64) Option {
 	return func(c *machineConfig) { c.kernel.VABudgetPages = pages }
 }
 
-// WithPolicySpec configures the reuse policy — and, for gc specs, the GC
-// scheduler — from a core.ParsePolicySpec string: "never", "on-exhaustion",
-// "interval=N", or "gc[=N][,watermark=P][,pooldestroy][,minfreed=F]
-// [,cooldown=C]". A malformed spec surfaces as an error from the next
-// NewProcess call.
+// WithPolicySpec configures the reuse policy from a core.ParsePolicySpec
+// string: "never", "on-exhaustion", or "interval|gc[=N][,watermark=P]
+// [,pooldestroy][,minfreed=F][,cooldown=C]". A malformed spec surfaces as an
+// error from the next NewProcess or Program.Run call.
 func WithPolicySpec(spec string) Option {
 	return func(c *machineConfig) {
-		policy, sched, err := core.ParsePolicySpec(spec)
+		policy, err := core.ParsePolicySpec(spec)
 		if err != nil {
-			c.schedErr = err
+			c.specErr = err
 			return
 		}
-		c.policy = policy
-		c.gcSched = sched
+		c.detector.Policy = policy
 	}
 }
 
@@ -184,15 +168,16 @@ var ParseSamplingSpec = core.ParseSamplingSpec
 // down when cool is set, and the last quarantine sampled freed objects are
 // exempt from shadow-page recycling. rate=1 guards every site and is
 // bit-identical to the unsampled detector; rate=0 guards nothing. A
-// malformed spec surfaces as an error from the next NewProcess call.
+// malformed spec surfaces as an error from the next NewProcess or
+// Program.Run call.
 func WithSampling(spec string) Option {
 	return func(c *machineConfig) {
 		s, err := core.ParseSamplingSpec(spec)
 		if err != nil {
-			c.schedErr = err
+			c.specErr = err
 			return
 		}
-		c.sampling = &s
+		c.detector.Sampling = &s
 	}
 }
 
@@ -215,7 +200,7 @@ type FaultEvent = kernel.FaultEvent
 // production-hardening test mode. Every process created on the machine draws
 // its own reproducible fault stream from the schedule seed. An empty spec
 // disables injection; a malformed spec surfaces as an error from the next
-// NewProcess call.
+// NewProcess or Program.Run call.
 func WithFaultSchedule(spec string) Option {
 	return func(c *machineConfig) {
 		if spec == "" {
@@ -224,7 +209,7 @@ func WithFaultSchedule(spec string) Option {
 		}
 		sched, err := kernel.ParseSchedule(spec)
 		if err != nil {
-			c.schedErr = err
+			c.specErr = err
 			return
 		}
 		c.kernel.Faults = &sched
@@ -246,7 +231,7 @@ type Machine struct {
 
 // NewMachine boots a machine.
 func NewMachine(opts ...Option) *Machine {
-	cfg := machineConfig{kernel: kernel.DefaultConfig(), policy: core.NeverReuse()}
+	cfg := machineConfig{kernel: kernel.DefaultConfig()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -255,9 +240,6 @@ func NewMachine(opts ...Option) *Machine {
 
 // PhysFramesInUse returns the machine's live physical frame count.
 func (m *Machine) PhysFramesInUse() uint64 { return m.sys.PhysMemory().InUse() }
-
-// PhysFramesPeak returns the machine's peak physical frame count.
-func (m *Machine) PhysFramesPeak() uint64 { return m.sys.PhysMemory().PeakInUse() }
 
 // Ptr is a protected pointer handed out by Process.Malloc: the shadow-page
 // address of the object.
@@ -271,41 +253,59 @@ type Process struct {
 	remap *core.Remapper
 }
 
-// NewProcess creates a protected process on the machine.
+// NewProcess creates a protected process on the machine: direct mode, which
+// is ModeDetectNoPA without a compiler.
 func (m *Machine) NewProcess() (*Process, error) {
-	if m.cfg.schedErr != nil {
-		return nil, m.cfg.schedErr
-	}
-	var proc *kernel.Process
-	if m.prepared != nil {
-		proc, m.prepared = m.prepared, nil
-	} else {
-		var err error
-		proc, err = kernel.NewProcess(m.sys, m.cfg.kernel)
-		if err != nil {
-			return nil, err
-		}
-	}
-	remap := core.New(proc, m.cfg.policy)
-	if m.cfg.spans {
-		proc.SetTracer(obs.NewTracer(proc.Meter().Cycles))
-	}
-	if m.cfg.guards {
-		remap.EnableOverflowGuards()
-	}
-	if m.cfg.gcSched != nil {
-		remap.EnableGCSchedule(*m.cfg.gcSched)
-	}
-	if m.cfg.sampling != nil {
-		remap.EnableSampling(*m.cfg.sampling)
+	proc, cfg, err := m.process(ModeDetectNoPA)
+	if err != nil {
+		return nil, err
 	}
 	p := &Process{
 		proc:  proc,
 		heap:  heap.New(proc),
-		remap: remap,
+		remap: core.New(proc, cfg),
 	}
 	m.procs = append(m.procs, p)
 	return p, nil
+}
+
+// process makes the machine's next process for a run under mode and returns
+// it with the detector configuration its remapper runs with. NewProcess and
+// Program.Run both build through it, so every option reaches every process:
+// a malformed option spec, or a detector option under a mode that runs no
+// detector, is an error before any simulated work, and span tracing is
+// installed on the process.
+func (m *Machine) process(mode Mode) (*kernel.Process, core.Config, error) {
+	cfg := m.cfg.detector
+	if m.cfg.specErr != nil {
+		return nil, cfg, m.cfg.specErr
+	}
+	if !mode.detects() {
+		opt := ""
+		switch {
+		case cfg.Policy != core.ReusePolicy{}:
+			opt = "WithReusePolicy/WithPolicySpec"
+		case cfg.Guards:
+			opt = "WithOverflowGuards"
+		case cfg.Sampling != nil:
+			opt = "WithSampling"
+		}
+		if opt != "" {
+			return nil, cfg, fmt.Errorf("pageguard: mode %s runs no detector, so it cannot serve %s", mode, opt)
+		}
+	}
+	proc := m.prepared
+	m.prepared = nil
+	if proc == nil {
+		var err error
+		if proc, err = kernel.NewProcess(m.sys, m.cfg.kernel); err != nil {
+			return nil, cfg, err
+		}
+	}
+	if m.cfg.spans {
+		proc.SetTracer(obs.NewTracer(proc.Meter().Cycles))
+	}
+	return proc, cfg, nil
 }
 
 // Release hands the machine's own simulated memory back to pools shared by

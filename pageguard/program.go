@@ -9,7 +9,6 @@ import (
 	"repro/internal/minic/ir"
 	"repro/internal/minic/safety"
 	"repro/internal/runtimes"
-	"repro/internal/sim/kernel"
 )
 
 // Mode selects a run configuration for compiled programs.
@@ -34,6 +33,21 @@ const (
 	// setup (the "ours+static" configuration).
 	ModeDetectStatic
 )
+
+// detects reports whether the mode runs the shadow-page detector.
+func (m Mode) detects() bool {
+	return m == ModeDetect || m == ModeDetectNoPA || m == ModeDetectStatic
+}
+
+// ParseMode is the inverse of Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeNative; m <= ModeDetectStatic; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (native, pa, detect, detect-nopa, static)", s)
+}
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
@@ -108,11 +122,21 @@ type Result struct {
 	Report *TrapReport
 	// Profile is the run's per-allocation-site cycle attribution.
 	Profile *SiteProfile
+	// Spans are the run's cycle-exact spans (nil without WithSpanTracing).
+	Spans []Span
 }
 
-// Run executes the program on the machine under the given mode, in a fresh
-// process.
+// Run executes the program on the machine under the given mode, in the
+// machine's next process. Every machine option reaches that process; a
+// detector option under a mode with no detector is an error naming it.
 func (pr *Program) Run(m *Machine, mode Mode) (*Result, error) {
+	if mode < ModeNative || mode > ModeDetectStatic {
+		return nil, fmt.Errorf("pageguard: unknown mode %v", mode)
+	}
+	proc, cfg, err := m.process(mode)
+	if err != nil {
+		return nil, err
+	}
 	prog := pr.plain
 	switch mode {
 	case ModePA, ModeDetect:
@@ -120,15 +144,13 @@ func (pr *Program) Run(m *Machine, mode Mode) (*Result, error) {
 	case ModeDetectStatic:
 		prog = pr.static
 	}
-	makeRT := func(p *kernel.Process) interp.Runtime {
-		switch mode {
-		case ModeDetect, ModeDetectNoPA, ModeDetectStatic:
-			return runtimes.NewShadow(p, m.cfg.policy)
-		default:
-			return runtimes.NewNative(p)
-		}
+	var rt interp.Runtime
+	if mode.detects() {
+		rt = runtimes.NewShadow(proc, cfg)
+	} else {
+		rt = runtimes.NewNative(proc)
 	}
-	res, err := driver.Run(prog, m.sys, m.cfg.kernel, makeRT, interp.Config{})
+	res, err := driver.RunOn(prog, proc, rt, interp.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -139,6 +161,7 @@ func (pr *Program) Run(m *Machine, mode Mode) (*Result, error) {
 		Syscalls:     res.Proc.Meter().Syscalls(),
 		VirtualPages: res.Proc.Space().ReservedPages(),
 		Profile:      res.Proc.Profile(),
+		Spans:        res.Proc.Tracer().Spans(),
 	}
 	if de, ok := res.Err.(*core.DanglingError); ok {
 		out.Report = de.Report

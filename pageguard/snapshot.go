@@ -27,13 +27,13 @@ type Snapshot struct {
 //
 // Options that reconfigure the machine's structure (MaxFrames, StackPages,
 // the MMU/cost model) are baked into the snapshot and must match at Fork
-// time; per-request knobs (fault schedule, VA budget, reuse policy, GC
-// schedule, overflow guards, span tracing) may be changed freely by Fork's
+// time; per-request knobs (fault schedule, VA budget, reuse policy,
+// overflow guards, sampling, span tracing) may be changed freely by Fork's
 // extra options.
 func NewSnapshot(opts ...Option) (*Snapshot, error) {
 	m := NewMachine(opts...)
-	if m.cfg.schedErr != nil {
-		return nil, m.cfg.schedErr
+	if m.cfg.specErr != nil {
+		return nil, m.cfg.specErr
 	}
 	proc, err := kernel.NewProcess(m.sys, m.cfg.kernel)
 	if err != nil {
@@ -60,9 +60,9 @@ func structural(cfg machineConfig) kernel.Config {
 // numbers, same deterministic fault streams, same trap reports.
 //
 // extra options may adjust per-request knobs (WithFaultSchedule,
-// WithVABudget, WithPolicySpec, WithReusePolicy, WithGCSchedule,
-// WithOverflowGuards, WithSampling, WithSpanTracing); an option that would
-// change the machine's structure away from the snapshot's returns an error.
+// WithVABudget, WithPolicySpec, WithReusePolicy, WithOverflowGuards,
+// WithSampling, WithSpanTracing); an option that would change the machine's
+// structure away from the snapshot's returns an error.
 // A per-request knob the process cannot be set up with (a malformed spec, a
 // VA budget below the fixed stack+globals pages) is not a Fork error: the
 // returned machine is unforked, and its first NewProcess reports exactly the
@@ -72,7 +72,7 @@ func (s *Snapshot) Fork(extra ...Option) (*Machine, error) {
 	for _, o := range extra {
 		o(&cfg)
 	}
-	if cfg.schedErr != nil {
+	if cfg.specErr != nil {
 		return unforked(cfg), nil
 	}
 	if structural(cfg) != structural(s.base) {

@@ -30,7 +30,7 @@
 //
 //	!faults <spec>    the producing run's fault-injection schedule
 //	                  (kernel.ParseSchedule format)
-//	!policy <spec>    the shadow-page reuse policy / GC schedule
+//	!policy <spec>    the shadow-page reuse policy and its clock
 //	                  (core.ParsePolicySpec format, e.g. "gc=256,pooldestroy")
 //	!vabudget <pages> a fresh-VA budget compressing the §3.4 exhaustion
 //	                  cliff into the replay
@@ -236,7 +236,7 @@ func ParseFile(r io.Reader) (*File, error) {
 			}
 			out.PolicySpec = strings.TrimSpace(spec)
 			out.PolicyLine = line
-			if _, _, err := core.ParsePolicySpec(out.PolicySpec); err != nil {
+			if _, err := core.ParsePolicySpec(out.PolicySpec); err != nil {
 				return nil, &ParseError{line, "bad policy spec: " + err.Error()}
 			}
 			continue

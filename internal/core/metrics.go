@@ -52,8 +52,9 @@ func (r *Remapper) buildReport(obj *Object, fault *vm.Fault, useSite string, off
 	}
 	// Ship the event history that led to the trap: the flight recorder
 	// holds the last-N allocs/frees/syscalls/faults/GC/degradations, so
-	// the report's reader can see what happened just before the use.
-	rep.Flight = r.proc.Flight().Snapshot()
+	// the report's reader can see what happened just before the use. The
+	// window shares its events with the process's earlier reports.
+	rep.Flight = r.proc.Flight().Window()
 	return rep
 }
 

@@ -66,11 +66,12 @@ type TrapReport struct {
 	// numbers in the replayed trace file); zero outside trace replays.
 	AllocLine int `json:"alloc_line,omitempty"`
 	FreeLine  int `json:"free_line,omitempty"`
-	// Flight is the process's flight-recorder snapshot at trap time — the
+	// Flight is the process's flight-recorder window at trap time — the
 	// last-N allocator/syscall/GC/degradation events leading up to the
-	// trap, oldest first. It appears in the JSON encoding only; the
-	// human-readable String() is unchanged (dumps are rendered separately
-	// with FormatFlight).
+	// trap, oldest first. It is read-only: the reports of one process share
+	// its storage (FlightRecorder.Window). It appears in the JSON encoding
+	// only; the human-readable String() is unchanged (dumps are rendered
+	// separately with FormatFlight).
 	Flight []FlightEvent `json:"flight,omitempty"`
 }
 

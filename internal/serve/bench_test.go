@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -65,6 +66,66 @@ func BenchmarkServeHit(b *testing.B) {
 			b.Fatalf("repeat X-Pg-Cache %q, want hit", w.header.Get("X-Pg-Cache"))
 		}
 	}
+}
+
+// BenchmarkServeMiss measures what pgserved does with a replay-detect
+// request it has not seen: read the body, hash it, miss, parse, fork,
+// replay, release, render ten trap reports and cache the body. Each
+// iteration sends a distinct detectTrace variant. Before a variant would
+// repeat, and so hit the cache, the server is rebuilt outside the timer.
+func BenchmarkServeMiss(b *testing.B) {
+	const variants = 32
+	bodies := make([][]byte, variants)
+	for i := range bodies {
+		bodies[i] = detectTrace(i)
+	}
+	var h http.Handler
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%variants == 0 {
+			b.StopTimer()
+			h = New(Config{}).Handler()
+			b.StartTimer()
+		}
+		w := &hitWriter{header: make(http.Header)}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/replay", bytes.NewReader(bodies[i%variants])))
+		if w.status != http.StatusOK || w.header.Get("X-Pg-Cache") != "miss" {
+			b.Fatalf("request %d: status %d, X-Pg-Cache %q, want 200 and miss", i, w.status, w.header.Get("X-Pg-Cache"))
+		}
+	}
+}
+
+// detectTrace is a detection-dense request shaped like perfbench's
+// replay-detect: 160 objects of 12 to 28 pages, each allocated, written,
+// read and freed, every sixteenth read once more after its free, so ten
+// detections whose reports carry full flight windows. Object ids start at
+// v*1000, so variants never share a canonical rendering, while the stale
+// reads sit on the same lines in every variant.
+func detectTrace(v int) []byte {
+	rng := rand.New(rand.NewSource(int64(v) + 1))
+	var b []byte
+	event := func(kind byte, id int, arg ...int) {
+		b = append(b, kind, ' ')
+		b = strconv.AppendInt(b, int64(id), 10)
+		for _, a := range arg {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(a), 10)
+		}
+		b = append(b, '\n')
+	}
+	for i := 0; i < 160; i++ {
+		id := v*1000 + i + 1
+		size := 49152 + rng.Intn(7)*16384
+		event('a', id, size)
+		event('w', id, rng.Intn(size/8)*8)
+		event('r', id, rng.Intn(64)*8)
+		event('f', id)
+		if i%16 == 15 {
+			event('r', id, rng.Intn(64)*8)
+		}
+	}
+	return b
 }
 
 // hitWriter is a ResponseWriter that keeps the headers and status and

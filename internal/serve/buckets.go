@@ -67,8 +67,11 @@ func newBucketDB() *bucketDB {
 }
 
 // register returns one key per report, in order. A report whose signature
-// has no bucket yet creates one, with Count 0 and the report as its
-// representative, unless the database already holds maxBuckets buckets.
+// has no bucket yet creates one, with Count 0 and a copy of the report as
+// its representative, unless the database already holds maxBuckets
+// buckets. The copy owns an exact-size copy of its flight window: the
+// report's own window is a view into a log it shares with the replay's
+// other reports, which a bucket would otherwise keep alive.
 func (db *bucketDB) register(reports []*pageguard.TrapReport) []bucketKey {
 	if len(reports) == 0 {
 		return nil
@@ -80,6 +83,10 @@ func (db *bucketDB) register(reports []*pageguard.TrapReport) []bucketKey {
 		k := bucketKey{allocSite: rep.AllocSite, freeSite: rep.FreeSite}
 		if _, ok := db.buckets[k]; !ok && len(db.buckets) < maxBuckets {
 			cp := *rep
+			if len(rep.Flight) > 0 {
+				cp.Flight = make([]pageguard.FlightEvent, len(rep.Flight))
+				copy(cp.Flight, rep.Flight)
+			}
 			db.buckets[k] = &CrashBucket{AllocSite: k.allocSite, FreeSite: k.freeSite, Representative: &cp}
 		}
 		keys = append(keys, k)

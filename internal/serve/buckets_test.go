@@ -271,6 +271,71 @@ func capTrace(k, objs int) []byte {
 	return b.Bytes()
 }
 
+// TestBucketRepresentativesOwnTheirFlight: a representative's flight is
+// an exact-size copy of its report's window, so a bucket keeps only its own
+// events, not the log the replay's reports share.
+func TestBucketRepresentativesOwnTheirFlight(t *testing.T) {
+	tf, err := trace.ParseFile(bytes.NewReader(capTrace(0, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := trace.Replay(trace.NewMachine(tf), tf.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := detectionReports(rep)
+	if len(reports) != 8 {
+		t.Fatalf("%d reports, want 8", len(reports))
+	}
+	// The replay's windows overlap, and some share storage. That is what
+	// the copy is for.
+	shared := false
+	for i := 1; i < len(reports); i++ {
+		shared = shared || sharedEvent(reports[i-1].Flight, reports[i].Flight)
+	}
+	if !shared {
+		t.Fatal("no two of the replay's flight windows share storage; the test needs a replay where they do")
+	}
+
+	db := newBucketDB()
+	db.register(reports)
+	if len(db.buckets) != len(reports) {
+		t.Fatalf("%d buckets, want %d", len(db.buckets), len(reports))
+	}
+	for _, r := range reports {
+		got := db.buckets[bucketKey{r.AllocSite, r.FreeSite}].Representative.Flight
+		if len(got) != len(r.Flight) || cap(got) != len(got) {
+			t.Fatalf("representative of (%s, %s): flight len %d cap %d, want len %d and cap == len",
+				r.AllocSite, r.FreeSite, len(got), cap(got), len(r.Flight))
+		}
+		for i := range got {
+			if got[i] != r.Flight[i] {
+				t.Fatalf("representative of (%s, %s): flight[%d] = %+v, want %+v", r.AllocSite, r.FreeSite, i, got[i], r.Flight[i])
+			}
+		}
+		for _, other := range reports {
+			if sharedEvent(got, other.Flight) {
+				t.Fatalf("representative of (%s, %s) shares flight storage with the report of (%s, %s)",
+					r.AllocSite, r.FreeSite, other.AllocSite, other.FreeSite)
+			}
+		}
+	}
+}
+
+// sharedEvent reports whether a and b hold an event of the same Seq at the
+// same address. Windows keep their events in Seq order, one per Seq, so
+// two windows over one array do exactly where they overlap.
+func sharedEvent(a, b []pageguard.FlightEvent) bool {
+	for i := range a {
+		for j := range b {
+			if a[i].Seq == b[j].Seq && &a[i] == &b[j] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestBucketsCap: maxBuckets+5 distinct signatures fill the database with
 // the first maxBuckets in request order, and the five that arrive after it
 // is full each count once into pgserved_buckets_dropped_total. A repeat of

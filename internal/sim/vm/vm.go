@@ -194,10 +194,16 @@ type spaceToken struct{ _ byte }
 // zero PageMap is empty and ready to use; a copy shares the original's nodes,
 // so do not copy one in use. Not safe for concurrent use.
 type PageMap[T comparable] struct {
-	root [radixTopSize]*radixMid[T]
+	// root is nil until the first Set: an empty map costs no directory.
+	root *radixRoot[T]
 	// pool, when set by UsePool, supplies new nodes and takes them back
 	// on Release.
 	pool *NodePool[T]
+}
+
+type radixRoot[T comparable] struct {
+	owner *spaceToken
+	mids  [radixTopSize]*radixMid[T]
 }
 
 type radixMid[T comparable] struct {
@@ -212,15 +218,38 @@ type radixLeaf[T comparable] struct {
 
 // NodePool recycles the radix nodes of released PageMaps of one element
 // type, so a short-lived map (one replay's page table or object index) takes
-// its 32 KB nodes from the last one instead of allocating them. A node is
-// cleared when it is taken, not when it is returned. The zero NodePool is
-// ready to use and safe for concurrent use.
+// its 16 KB root and 32 KB nodes from the last one instead of allocating
+// them. A node is cleared when it is taken, not when it is returned. The
+// zero NodePool is ready to use and safe for concurrent use.
 type NodePool[T comparable] struct {
-	mids, leaves sync.Pool
+	roots, mids, leaves sync.Pool
 }
 
 // pteNodes is the node pool every Space's page table uses.
 var pteNodes NodePool[pte]
+
+// newRoot returns a root owned by owner holding src's children, or none
+// when src is nil, taken from m's pool when it has one.
+func (m *PageMap[T]) newRoot(owner *spaceToken, src *radixRoot[T]) *radixRoot[T] {
+	var n *radixRoot[T]
+	reused := false
+	if m.pool != nil {
+		n, reused = m.pool.roots.Get().(*radixRoot[T])
+	}
+	switch {
+	case src != nil:
+		if !reused {
+			n = new(radixRoot[T])
+		}
+		n.mids = src.mids
+	case reused:
+		clear(n.mids[:])
+	default:
+		n = new(radixRoot[T])
+	}
+	n.owner = owner
+	return n
+}
 
 // newMid returns a mid node owned by owner holding src's children, or none
 // when src is nil, taken from m's pool when it has one.
@@ -279,7 +308,10 @@ func (m *PageMap[T]) get(vpn VPN) *T {
 	if top >= radixTopSize {
 		return nil // beyond the 47-bit user space: never present
 	}
-	mid := m.root[top]
+	if m.root == nil {
+		return nil
+	}
+	mid := m.root.mids[top]
 	if mid == nil {
 		return nil
 	}
@@ -303,10 +335,13 @@ func (m *PageMap[T]) ensure(vpn VPN, owner *spaceToken) *T {
 	if top >= radixTopSize {
 		panic(fmt.Sprintf("vm: page %#x beyond the %d-bit user space", uint64(vpn)<<PageShift, UserAddrBits))
 	}
-	mid := m.root[top]
+	if m.root == nil || m.root.owner != owner {
+		m.root = m.newRoot(owner, m.root)
+	}
+	mid := m.root.mids[top]
 	if mid == nil || mid.owner != owner {
 		mid = m.newMid(owner, mid)
-		m.root[top] = mid
+		m.root.mids[top] = mid
 	}
 	li := (vpn >> radixLeafBits) & radixMidMask
 	leaf := mid.leaves[li]
@@ -319,15 +354,16 @@ func (m *PageMap[T]) ensure(vpn VPN, owner *spaceToken) *T {
 
 // release empties m, handing the nodes owner owns to m's pool (if any).
 // Nodes owned by anyone else belong to a frozen snapshot parent and stay
-// with it. An owned leaf always hangs under an owned mid: ensure copies the
-// mid before the leaf.
+// with it. An owned node always hangs under an owned parent: ensure copies
+// the root before the mid and the mid before the leaf.
 func (m *PageMap[T]) release(owner *spaceToken) {
-	for ti, mid := range m.root {
-		if mid == nil {
-			continue
-		}
-		m.root[ti] = nil
-		if mid.owner != owner || m.pool == nil {
+	root := m.root
+	m.root = nil
+	if root == nil || root.owner != owner || m.pool == nil {
+		return
+	}
+	for _, mid := range root.mids {
+		if mid == nil || mid.owner != owner {
 			continue
 		}
 		for _, leaf := range mid.leaves {
@@ -337,6 +373,7 @@ func (m *PageMap[T]) release(owner *spaceToken) {
 		}
 		m.pool.mids.Put(mid)
 	}
+	m.pool.roots.Put(root)
 }
 
 // Release empties m and hands its nodes to the pool UsePool set. The nodes
@@ -345,8 +382,11 @@ func (m *PageMap[T]) Release() { m.release(nil) }
 
 // ForEach calls fn for every entry in ascending VPN order.
 func (m *PageMap[T]) ForEach(fn func(VPN, T)) {
+	if m.root == nil {
+		return
+	}
 	var zero T
-	for ti, mid := range m.root {
+	for ti, mid := range m.root.mids {
 		if mid == nil {
 			continue
 		}

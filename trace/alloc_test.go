@@ -18,7 +18,8 @@ import (
 // without it.
 
 // TestParseFileAllocs pins BenchmarkParseFile's input: the parse allocates
-// the event slice and its scanner, never per line.
+// its File and the event slice, never per line; the reader is the third
+// allocation. The scanner's buffer is pooled.
 func TestParseFileAllocs(t *testing.T) {
 	src := pageBenchTrace(640)
 	got := testing.AllocsPerRun(20, func() {
@@ -26,16 +27,33 @@ func TestParseFileAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 4 {
-		t.Fatalf("ParseFile: %v allocs, ceiling 4", got)
+	if got > 3 {
+		t.Fatalf("ParseFile: %v allocs, ceiling 3", got)
 	}
 }
 
 // TestReplayAllocs pins BenchmarkReplay's input: a forked replay of a
 // replay-unique-shaped trace, released to the pools as pgserved releases it.
 func TestReplayAllocs(t *testing.T) {
-	const ceiling = 1244 // 1,220 measured with go1.24, plus 2%
-	f, err := ParseFile(strings.NewReader(pageBenchTrace(160)))
+	const ceiling = 1243 // 1,219 measured with go1.24, plus 2%
+	if got := forkedReplayAllocs(t, pageBenchTrace(160)); got > ceiling {
+		t.Fatalf("forked replay: %v allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestReplayDetectAllocs pins BenchmarkReplayDetect's input: the same over
+// a replay-detect-shaped trace, whose ten trap reports share one flight log.
+func TestReplayDetectAllocs(t *testing.T) {
+	const ceiling = 1298 // 1,273 measured with go1.24, plus 2%
+	if got := forkedReplayAllocs(t, detectBenchTrace()); got > ceiling {
+		t.Fatalf("forked replay-detect: %v allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// forkedReplayAllocs counts the allocations of forking the pre-warmed
+// snapshot, replaying src on the fork and releasing it.
+func forkedReplayAllocs(t *testing.T, src string) float64 {
+	f, err := ParseFile(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +61,7 @@ func TestReplayAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(10, func() {
+	return testing.AllocsPerRun(10, func() {
 		m, err := snap.Fork(f.MachineOptions()...)
 		if err != nil {
 			t.Fatal(err)
@@ -54,9 +72,6 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > ceiling {
-		t.Fatalf("forked replay: %v allocs, ceiling %d", got, ceiling)
-	}
 }
 
 // TestWriteNDJSONAllocs pins BenchmarkWriteNDJSON's input: the render of a

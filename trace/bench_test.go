@@ -46,7 +46,13 @@ func benchTrace(objects int, dangling func(id int) bool) string {
 // then release the fork's memory to the pools. Parsing and rendering are
 // outside the timed loop.
 func BenchmarkReplay(b *testing.B) {
-	f, err := ParseFile(strings.NewReader(pageBenchTrace(160)))
+	benchForkedReplay(b, pageBenchTrace(160), 2)
+}
+
+// benchForkedReplay times fork, replay and release of src, which must
+// detect want dangling uses.
+func benchForkedReplay(b *testing.B, src string, want int) {
+	f, err := ParseFile(strings.NewReader(src))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,10 +72,16 @@ func BenchmarkReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.Detections) != 2 {
-			b.Fatalf("replay detected %d dangling uses, want 2", len(rep.Detections))
+		if len(rep.Detections) != want {
+			b.Fatalf("replay detected %d dangling uses, want %d", len(rep.Detections), want)
 		}
 	}
+}
+
+// BenchmarkReplayDetect is BenchmarkReplay over a replay-detect-shaped
+// trace: ten detections, each with a trap report and its flight window.
+func BenchmarkReplayDetect(b *testing.B) {
+	benchForkedReplay(b, detectBenchTrace(), 10)
 }
 
 // BenchmarkParseFile measures the parse pgserved runs on every cache miss,

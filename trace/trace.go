@@ -56,6 +56,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -175,19 +176,28 @@ func Parse(r io.Reader) ([]Event, error) {
 // has seen an event.
 const maxPresizedEvents = 4096
 
+// maxLineBytes bounds one trace line; a longer one fails the parse with
+// bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
+
 // ParseFile reads a complete trace, including its optional directives.
 // Each directive may appear at most once.
 func ParseFile(r io.Reader) (*File, error) {
 	out := &File{}
-	if l, ok := r.(interface{ Len() int }); ok {
+	scr := parseScratches.Get().(*parseScratch)
+	defer parseScratches.Put(scr)
+	if n, ok := countLines(r, &scr.lines); ok {
 		// An in-memory body (bytes.Reader, strings.Reader) sizes the event
-		// slice up front, at about eight bytes per event line, instead of
-		// growing it through a dozen copies. The cap keeps a large body
-		// that holds few events from costing a large slice.
-		out.Events = make([]Event, 0, min(l.Len()/8, maxPresizedEvents))
+		// slice up front, one event per line, instead of growing it
+		// through a dozen copies. The cap keeps a large body that holds
+		// few events, such as one of blank lines, from costing a large
+		// slice.
+		out.Events = make([]Event, 0, min(n, maxPresizedEvents))
 	}
+	// The scanner reads through the pooled buffer, and allocates a larger
+	// one only for a line that does not fit in it.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc.Buffer(scr.buf[:], maxLineBytes)
 	line := 0
 	// placed checks a directive line: it must precede every event, and it
 	// must not repeat the directive of line first (0 when none), whose
@@ -278,6 +288,68 @@ func ParseFile(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// parseScratch is what a parse needs only while it runs: the scanner's
+// buffer and the line counter. ParseFile pools it, so a parse allocates
+// its File and events and nothing else.
+type parseScratch struct {
+	lines lineCounter
+	buf   [4096]byte
+}
+
+var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
+
+// countLines counts the lines of an in-memory reader into c without
+// consuming it: a bytes.Reader or strings.Reader hands its unread bytes to
+// WriteTo without copying them, and seeks back after. Any other reader is
+// left alone and reports false.
+func countLines(r io.Reader, c *lineCounter) (int, bool) {
+	type inMemory interface {
+		Len() int
+		io.WriterTo
+		io.Seeker
+	}
+	m, ok := r.(inMemory)
+	if !ok || m.Len() == 0 {
+		return 0, false
+	}
+	*c = lineCounter{}
+	n, err := m.WriteTo(c)
+	if err != nil {
+		return 0, false
+	}
+	if _, err := m.Seek(-n, io.SeekCurrent); err != nil {
+		return 0, false
+	}
+	if !c.ended {
+		c.lines++ // a last line with no newline
+	}
+	return c.lines, true
+}
+
+var newline = []byte{'\n'}
+
+// lineCounter is the io.Writer countLines hands a body to.
+type lineCounter struct {
+	lines int
+	ended bool // the last byte written was a newline
+}
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	if len(p) > 0 {
+		c.lines += bytes.Count(p, newline)
+		c.ended = p[len(p)-1] == '\n'
+	}
+	return len(p), nil
+}
+
+func (c *lineCounter) WriteString(s string) (int, error) {
+	if len(s) > 0 {
+		c.lines += strings.Count(s, "\n")
+		c.ended = s[len(s)-1] == '\n'
+	}
+	return len(s), nil
 }
 
 // parseEvent decodes one event line already split into fields (at least

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -208,6 +210,68 @@ func TestParseFilePresizeBounded(t *testing.T) {
 	}
 	if len(f.Events) != 0 || cap(f.Events) > maxPresizedEvents {
 		t.Fatalf("events len %d cap %d, want 0 and at most %d", len(f.Events), cap(f.Events), maxPresizedEvents)
+	}
+}
+
+// TestParseFilePresizeBoundedByLines: a 1 MiB in-memory body of blank or
+// comment lines has a line per byte or two, but holds no event, so it
+// presizes at most maxPresizedEvents events, not one per line.
+func TestParseFilePresizeBoundedByLines(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"blank":   bytes.Repeat([]byte("\n"), 1<<20),
+		"crlf":    bytes.Repeat([]byte("\r\n"), 1<<19),
+		"comment": bytes.Repeat([]byte("#\n"), 1<<19),
+	} {
+		f, err := ParseFile(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(f.Events) != 0 || cap(f.Events) > maxPresizedEvents {
+			t.Fatalf("%s: events len %d cap %d, want 0 and at most %d", name, len(f.Events), cap(f.Events), maxPresizedEvents)
+		}
+	}
+}
+
+// TestParseFileLineLimit: a line of maxLineBytes bytes with its newline
+// parses; one byte more fails with bufio.ErrTooLong, from an in-memory
+// reader and from a stream alike.
+func TestParseFileLineLimit(t *testing.T) {
+	fits := "#" + strings.Repeat(" ", maxLineBytes-2) + "\na 1 8\n"
+	long := "#" + strings.Repeat(" ", maxLineBytes-1) + "\na 1 8\n"
+	readers := map[string]func(string) io.Reader{
+		"strings.Reader": func(s string) io.Reader { return strings.NewReader(s) },
+		"bytes.Reader":   func(s string) io.Reader { return bytes.NewReader([]byte(s)) },
+		"stream":         func(s string) io.Reader { return io.MultiReader(strings.NewReader(s)) },
+	}
+	for name, mk := range readers {
+		f, err := ParseFile(mk(fits))
+		if err != nil || len(f.Events) != 1 {
+			t.Fatalf("%s: line of %d bytes: %v, want one event", name, maxLineBytes, err)
+		}
+		if _, err := ParseFile(mk(long)); !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("%s: line of %d bytes: error %v, want %v", name, maxLineBytes+1, err, bufio.ErrTooLong)
+		}
+	}
+}
+
+// TestParseFileCountsWithoutConsuming: the line count that sizes the
+// events starts at an in-memory reader's read position and leaves the
+// reader there for the parse.
+func TestParseFileCountsWithoutConsuming(t *testing.T) {
+	src := "a 1 8\nw 1 0\nf 1"
+	br := bytes.NewReader([]byte("ignored\n" + src))
+	if _, err := br.Seek(int64(len("ignored\n")), io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ParseFile(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Events) != 3 || cap(f.Events) != 3 {
+		t.Fatalf("events len %d cap %d, want 3 and 3", len(f.Events), cap(f.Events))
+	}
+	if f.Events[0].Line != 1 {
+		t.Fatalf("first event on line %d, want 1", f.Events[0].Line)
 	}
 }
 

@@ -45,8 +45,8 @@ func flag(b bool) byte {
 // crash-bucket key per detection (cached serves still represent served
 // requests and must count; the miss that rendered the entry registered the
 // representatives), and the span/cycle summary for /debug/spans. It keeps no
-// TrapReport: each carries its own copy of the flight ring, about as large
-// as the body that renders it.
+// TrapReport: the body is all a hit needs, and the reports would keep their
+// replay's flight log alive.
 type replayEntry struct {
 	body    []byte
 	metrics obs.Snapshot

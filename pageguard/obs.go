@@ -64,8 +64,8 @@ func (p *Process) ChargedCycles() uint64 { return p.proc.KernelChargedCycles() }
 type Span = obs.Span
 
 // FlightEvent is one entry in the always-on flight recorder: the last-N
-// allocator, syscall, fault, GC, and degradation events, snapshotted into
-// every TrapReport and HealthCheck failure.
+// allocator, syscall, fault, GC, and degradation events, shared into every
+// TrapReport's flight window and copied into every HealthCheck failure.
 type FlightEvent = obs.FlightEvent
 
 // HealthError is a HealthCheck violation carrying the flight-recorder
@@ -95,6 +95,6 @@ func (p *Process) BeginSpan(name, site string) uint64 { return p.proc.Tracer().B
 // EndSpan closes a span opened by BeginSpan.
 func (p *Process) EndSpan(id uint64) { p.proc.Tracer().End(id) }
 
-// FlightEvents returns the flight recorder's current snapshot, oldest
-// first.
+// FlightEvents returns a copy of the flight recorder's retained events,
+// oldest first.
 func (p *Process) FlightEvents() []FlightEvent { return p.proc.Flight().Snapshot() }

@@ -57,10 +57,10 @@ type FlightEvent struct {
 // Windows share storage. Consecutive detections see overlapping windows,
 // so the recorder keeps one append-only log of the events its windows
 // have covered, and each window is a view into that log. A window that
-// overlaps the log's tail appends only the events the log does not hold
-// yet. A window that does not fits in the log's spare capacity, or starts
-// a new log segment. The log is never overwritten or pooled: the ring is
-// what Release recycles.
+// overlaps or adjoins the log's tail appends only the events the log does
+// not hold yet. A window that does not, or that the segment has no room
+// for, starts a new log segment. The log is never overwritten or pooled:
+// the ring is what Release recycles.
 type FlightRecorder struct {
 	ring []FlightEvent
 	seq  uint64 // total events ever recorded

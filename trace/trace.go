@@ -316,10 +316,7 @@ func countLines(r io.Reader, c *lineCounter) (int, bool) {
 	}
 	*c = lineCounter{}
 	n, err := m.WriteTo(c)
-	if err != nil {
-		return 0, false
-	}
-	if _, err := m.Seek(-n, io.SeekCurrent); err != nil {
+	if _, serr := m.Seek(-n, io.SeekCurrent); serr != nil || err != nil {
 		return 0, false
 	}
 	if !c.ended {

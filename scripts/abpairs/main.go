@@ -5,11 +5,12 @@
 // "head"), the pair number and perfbench's result object, separated by
 // tabs. For every metric it prints both sides' medians and interquartile
 // ranges, the ratio of the medians (head over base), and how many pairs
-// the head side won, "better" being the direction BENCHMARK.json gives the
-// metric. A claim is noise unless the head wins a clear majority of pairs
-// and its median moves by more than the base's IQR (shift_exceeds_base_iqr).
+// the head side won, "better" being the direction that BENCHMARK.json, in
+// the working directory, gives the metric. A claim is noise unless the
+// head wins a clear majority of pairs and its median moves by more than
+// the base's IQR (shift_exceeds_base_iqr).
 //
-//	go run ./scripts/abpairs -benchmark BENCHMARK.json -base A -head B -workload W < runs.tsv
+//	go run ./scripts/abpairs -base A -head B -workload W < runs.tsv
 package main
 
 import (
@@ -83,12 +84,11 @@ type report struct {
 }
 
 func main() {
-	bench := flag.String("benchmark", "BENCHMARK.json", "benchmark declaration giving each metric's better direction")
 	base := flag.String("base", "", "base revision, recorded in the output")
 	head := flag.String("head", "", "head revision, recorded in the output")
 	workload := flag.String("workload", "", "workload, recorded in the output")
 	flag.Parse()
-	rep, err := summarise(os.Stdin, *bench)
+	rep, err := summarise(os.Stdin, "BENCHMARK.json")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abpairs:", err)
 		os.Exit(1)

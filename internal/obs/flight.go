@@ -76,6 +76,8 @@ type FlightRecorder struct {
 	// segment is the capacity a new log segment starts with, learned from
 	// the longest run of overlapping windows of the recorder's previous
 	// owner, so that replays of similar traces find one segment enough.
+	// Without it a replay copies the events it shares again into each
+	// larger segment (DESIGN §14 has the measurements).
 	segment int
 }
 

@@ -50,15 +50,15 @@
 // On SIGTERM/SIGINT the server stops accepting connections and drains
 // in-flight replays before exiting.
 //
-// Serving has one configuration: the server pre-warms one machine snapshot
-// at boot and copy-on-write forks it per request, and memoizes full response
-// bodies in a bounded LRU keyed by the SHA-256 of the request's bytes and
-// its response-changing query parameters (-cache N entries, at least 1): a
-// repeat is served without parsing, and a trace that differs only in blanks
-// or comments is simulated once itself. Responses and merged metrics are
-// byte-identical to a fresh machine's offline replay, enforced by parity
-// tests. The cache cannot be disabled, and -snapshots accepts only true
-// (the value perfbench passes); -snapshots=false and -cache 0 exit 2.
+// Serving has one configuration: every replay miss boots a fresh machine
+// whose memory comes from, and goes back to, pools every machine shares,
+// and the server memoizes full response bodies in a bounded LRU keyed by
+// the SHA-256 of the request's bytes and its response-changing query
+// parameters (-cache N entries, at least 1): a repeat is served without
+// parsing, and a trace that differs only in blanks or comments is simulated
+// once itself. Responses and merged metrics are byte-identical to a fresh
+// machine's offline replay, enforced by parity tests. The cache cannot be disabled: -cache 0 exits 2. -snapshots is
+// ignored; it still parses only because perfbench passes -snapshots=true.
 //
 // The -load mode is pgload, the bundled parity check: it fires -n replays of
 // the trace from -c concurrent clients, retries sheds, and asserts every
@@ -92,7 +92,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-request replay budget (0 = 30s)")
 	maxBody := flag.Int64("max-body", 0, "request body limit in bytes (0 = 1 MiB)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget")
-	snapshots := flag.Bool("snapshots", true, "fork each replay machine from the pre-warmed snapshot (the only serving path; false is refused)")
+	flag.Bool("snapshots", true, "ignored: every replay boots a fresh machine (kept because perfbench passes it)")
 	cache := flag.Int("cache", 1024, "content-hash replay cache entries (at least 1)")
 
 	load := flag.Bool("load", false, "run as the pgload load generator instead of serving")
@@ -105,7 +105,7 @@ func main() {
 	distinct := flag.Int("distinct", 1, "number of distinct trace variants derived from -trace; request i sends variant i mod K (load mode)")
 	flag.Parse()
 
-	if err := checkServingFlags(*snapshots, *cache); err != nil {
+	if err := checkServingFlags(*cache); err != nil {
 		fmt.Fprintln(os.Stderr, "pgserved:", err)
 		os.Exit(2)
 	}
@@ -129,13 +129,9 @@ func main() {
 	}
 }
 
-// checkServingFlags refuses the serving configurations that no longer
-// exist: the fresh-machine path (-snapshots=false) and the cache-off path
-// (-cache below 1).
-func checkServingFlags(snapshots bool, cache int) error {
-	if !snapshots {
-		return errors.New("-snapshots=false: the fresh-machine serving path was removed; every replay forks the pre-warmed snapshot")
-	}
+// checkServingFlags refuses the cache-off serving path (-cache below 1),
+// which no longer exists.
+func checkServingFlags(cache int) error {
 	if cache < 1 {
 		return fmt.Errorf("-cache %d: the replay cache can no longer be disabled; give at least 1 entry", cache)
 	}

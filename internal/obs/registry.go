@@ -69,17 +69,6 @@ func NewHistogram(bounds []uint64) *Histogram {
 	}
 }
 
-// Clone returns an independent copy of the histogram. Used by machine
-// snapshot forking so a fork's observations never touch the frozen parent.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		bounds: append([]uint64(nil), h.bounds...),
-		counts: append([]uint64(nil), h.counts...),
-		sum:    h.sum,
-		count:  h.count,
-	}
-}
-
 // Observe records one observation.
 func (h *Histogram) Observe(v uint64) {
 	h.sum += v

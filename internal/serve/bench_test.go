@@ -69,8 +69,8 @@ func BenchmarkServeHit(b *testing.B) {
 }
 
 // BenchmarkServeMiss measures what pgserved does with a replay-detect
-// request it has not seen: read the body, hash it, miss, parse, fork,
-// replay, release, render ten trap reports and cache the body. Each
+// request it has not seen: read the body, hash it, miss, parse, boot a
+// fresh machine, replay, release, render ten trap reports and cache the body. Each
 // iteration sends a distinct detectTrace variant. Before a variant would
 // repeat, and so hit the cache, the server is rebuilt outside the timer.
 func BenchmarkServeMiss(b *testing.B) {

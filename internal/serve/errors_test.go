@@ -264,9 +264,8 @@ func TestCorpusEndpointsMatchDirectReplay(t *testing.T) {
 
 // TestVABudgetErrorMatchesOffline: a trace whose VA budget cannot cover the
 // fixed stack+globals pages is a 422 whose detail carries the error text
-// pgtrace's fresh-machine replay reports. The forked machine defers the
-// budget error to the replay, so the server builds no second machine; no
-// fallback series exists.
+// pgtrace's fresh-machine replay reports. The request counts as one cache
+// miss, and neither the old fallback series nor the fork counter exists.
 func TestVABudgetErrorMatchesOffline(t *testing.T) {
 	tr := []byte("!vabudget 100\na 1 64\nf 1\n")
 	_, offlineErr := offlineNDJSON(tr, false)
@@ -288,7 +287,10 @@ func TestVABudgetErrorMatchesOffline(t *testing.T) {
 	if _, ok := host.Counters["pgserved_snapshot_fallbacks_total"]; ok {
 		t.Error("pgserved_snapshot_fallbacks_total is still exported")
 	}
-	if got := host.Counters["pgserved_snapshot_forks_total"]; got != 1 {
-		t.Errorf("pgserved_snapshot_forks_total = %d, want 1", got)
+	if _, ok := host.Counters["pgserved_snapshot_forks_total"]; ok {
+		t.Error("pgserved_snapshot_forks_total is still exported")
+	}
+	if got := host.Counters["pg_cache_misses_total"]; got != 1 {
+		t.Errorf("pg_cache_misses_total = %d, want 1", got)
 	}
 }

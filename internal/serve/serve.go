@@ -4,10 +4,11 @@
 // process — the fleet-facing deployment GWP-ASan-style systems use, built on
 // the paper's §1.1 "intercept all calls to malloc and free" adoption path.
 //
-// Every request gets its own pageguard.Machine, forked copy-on-write from one
-// pre-warmed snapshot, so replays are hermetic and byte-for-bit deterministic
-// whatever the concurrency: the NDJSON body of a replay depends only on the
-// trace, never on the worker count or interleaving. The server's shared
+// Every replay miss boots its own fresh pageguard.Machine and releases its
+// memory to shared pools afterwards, so replays are hermetic and
+// byte-for-bit deterministic whatever the concurrency: the NDJSON body of a
+// replay depends only on the trace, never on the worker count or
+// interleaving. The server's shared
 // state is limited to admission control (a bounded worker pool plus a
 // bounded queue), a cache of finished bodies keyed by a hash of the request
 // bytes, and metrics aggregation (per-process snapshots merged
@@ -120,10 +121,6 @@ type Server struct {
 	shed     *obs.Counter
 	timeouts *obs.Counter
 
-	// snap is the pre-warmed frozen machine image every replay machine is
-	// forked from; forks counts the forks.
-	snap  *pageguard.Snapshot
-	forks atomic.Uint64
 	// cache memoizes replay responses by content hash (Config.CacheEntries).
 	cache *replayCache
 	// buckets is the crash-bucket database: every served replay's
@@ -160,16 +157,9 @@ type debugEntry struct {
 	ChargedCycles uint64 `json:"charged_cycles"`
 }
 
-// New builds a server. It panics if the default-shape snapshot cannot be
-// booted, which with no options cannot happen.
+// New builds a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// A default-shape snapshot serves every request: trace directives and
-	// query overrides are all fork-compatible per-request knobs.
-	snap, err := pageguard.NewSnapshot()
-	if err != nil {
-		panic(fmt.Sprintf("serve: boot the replay snapshot: %v", err))
-	}
 	s := &Server{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
@@ -177,7 +167,6 @@ func New(cfg Config) *Server {
 		queue:      make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		reg:        obs.NewRegistry(),
 		staticSeen: make(map[string]bool),
-		snap:       snap,
 		buckets:    newBucketDB(),
 	}
 	// Latency buckets in microseconds: 100us .. 10s.
@@ -208,9 +197,6 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.abandoned.Load()) })
 	obs.RegisterBuildInfo(s.reg, time.Now())
 
-	s.reg.CounterFunc("pgserved_snapshot_forks_total",
-		"replay machines forked from the pre-warmed snapshot",
-		s.forks.Load)
 	s.cache = newReplayCache(cfg.CacheEntries, s.reg)
 	s.reg.CounterFunc("pgserved_buckets_dropped_total",
 		"served detections not counted in /buckets because the crash-bucket database was full",
@@ -626,21 +612,6 @@ func (s *Server) queryOverrides(w http.ResponseWriter, r *http.Request) (overrid
 	return o, true
 }
 
-// buildMachine forks the machine for one replay from the pre-warmed
-// snapshot. Trace directives and query overrides are per-request knobs, so
-// the structural-mismatch error cannot happen today; it guards options a
-// later trace directive might add. A knob the process cannot be set up with
-// (a VA budget below the fixed pages) fails in the replay, with the fresh
-// machine's error.
-func (s *Server) buildMachine(tf *trace.File, extra ...pageguard.Option) (*pageguard.Machine, error) {
-	m, err := s.snap.Fork(tf.MachineOptions(extra...)...)
-	if err != nil {
-		return nil, err
-	}
-	s.forks.Add(1)
-	return m, nil
-}
-
 // replay answers one admitted replay request for the trace bytes body under
 // the overrides o, and is the one path /replay and /corpus/{name} share. ctx
 // carries the request budget, which started at admission. start is the
@@ -798,13 +769,11 @@ func readBody(b []byte, r io.Reader) ([]byte, error) {
 // detections' reports with the crash-bucket database, so a bucket this miss
 // creates takes its representative from it, and the entry keeps only their
 // keys. Runs on a worker goroutine, before the flight completes: no waiter
-// can be served ahead of the registration. The fork's memory goes back to
-// the pools as soon as the replay returns; the report holds none of it.
+// can be served ahead of the registration. Each miss boots a fresh machine,
+// whose memory goes back to the pools as soon as the replay returns; the
+// report holds none of it.
 func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpans bool) (*replayEntry, error) {
-	m, err := s.buildMachine(tf, extra...)
-	if err != nil {
-		return nil, err
-	}
+	m := trace.NewMachine(tf, extra...)
 	rep, err := trace.Replay(m, tf.Events)
 	m.Release()
 	if err != nil {

@@ -174,14 +174,6 @@ func NewMeter(model Model) *Meter {
 // Model returns the price list this meter charges.
 func (mt *Meter) Model() Model { return mt.model }
 
-// Clone returns an independent copy of the meter, counters included. Used by
-// machine-snapshot forking, where each fork continues charging from the
-// snapshot's accumulated state.
-func (mt *Meter) Clone() *Meter {
-	cp := *mt
-	return &cp
-}
-
 // Cycles returns the total cycles charged so far.
 func (mt *Meter) Cycles() uint64 { return mt.cycles }
 

@@ -438,6 +438,15 @@ func (p *Process) Exit() error {
 	return nil
 }
 
+// Release hands the page-table nodes this process owns and its flight
+// recorder back to their shared pools. The process is unusable afterwards;
+// release its System's physical memory after it.
+func (p *Process) Release() {
+	p.space.Release()
+	p.flight.Release()
+	p.flight = nil
+}
+
 // DummySyscall charges the cost of one no-op syscall. The paper's
 // "PA + dummy syscalls" configuration isolates syscall overhead from TLB
 // overhead by issuing a dummy mremap per allocation and a dummy mprotect per

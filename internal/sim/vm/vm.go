@@ -10,6 +10,9 @@
 //     therefore the physical memory) stays in use (Insight 1).
 //   - A 47-bit user address space, matching the paper's §3.4 exhaustion
 //     calculation (2^47 bytes / (2^12 bytes/µs) ≈ 9.5 hours).
+//
+// Page tables are radix trees whose nodes come from pools a released Space
+// refills, so a short-lived address space allocates few nodes of its own.
 package vm
 
 import (
@@ -177,22 +180,15 @@ const (
 	radixMidMask  = radixMidSize - 1
 )
 
-// spaceToken identifies the owner of a radix node. A node reached through a
-// tree whose token differs from the node's owner is shared with a frozen
-// snapshot parent and must be path-copied before mutation (persistent-tree
-// copy-on-write, the same aliasing idea the shadow pages use, applied to the
-// page table itself). Trees that are never forked use the nil token.
-type spaceToken struct{ _ byte }
-
 // PageMap maps virtual page numbers to values of T. It is the package's one
 // page-indexed structure: a three-level radix tree (see the geometry
 // constants above) whose zero T means absent, so Set with the zero value
 // deletes. A lookup is three array indexings instead of a map hash, which is
 // what keeps the simulated load/store fast path free of hashing. Space keeps
-// its page-table entries in one (with copy-on-write node ownership for
-// forks); the layers above the MMU key their per-page records by it. The
-// zero PageMap is empty and ready to use; a copy shares the original's nodes,
-// so do not copy one in use. Not safe for concurrent use.
+// its page-table entries in one; the layers above the MMU key their per-page
+// records by it. The zero PageMap is empty and ready to use; a copy shares
+// the original's nodes, so do not copy one in use. Not safe for concurrent
+// use.
 type PageMap[T comparable] struct {
 	// root is nil until the first Set: an empty map costs no directory.
 	root *radixRoot[T]
@@ -202,17 +198,14 @@ type PageMap[T comparable] struct {
 }
 
 type radixRoot[T comparable] struct {
-	owner *spaceToken
-	mids  [radixTopSize]*radixMid[T]
+	mids [radixTopSize]*radixMid[T]
 }
 
 type radixMid[T comparable] struct {
-	owner  *spaceToken
 	leaves [radixMidSize]*radixLeaf[T]
 }
 
 type radixLeaf[T comparable] struct {
-	owner *spaceToken
 	slots [radixLeafSize]T
 }
 
@@ -228,72 +221,37 @@ type NodePool[T comparable] struct {
 // pteNodes is the node pool every Space's page table uses.
 var pteNodes NodePool[pte]
 
-// newRoot returns a root owned by owner holding src's children, or none
-// when src is nil, taken from m's pool when it has one.
-func (m *PageMap[T]) newRoot(owner *spaceToken, src *radixRoot[T]) *radixRoot[T] {
-	var n *radixRoot[T]
-	reused := false
+// newRoot returns an empty root, taken from m's pool when it holds one.
+func (m *PageMap[T]) newRoot() *radixRoot[T] {
 	if m.pool != nil {
-		n, reused = m.pool.roots.Get().(*radixRoot[T])
-	}
-	switch {
-	case src != nil:
-		if !reused {
-			n = new(radixRoot[T])
+		if n, ok := m.pool.roots.Get().(*radixRoot[T]); ok {
+			clear(n.mids[:])
+			return n
 		}
-		n.mids = src.mids
-	case reused:
-		clear(n.mids[:])
-	default:
-		n = new(radixRoot[T])
 	}
-	n.owner = owner
-	return n
+	return new(radixRoot[T])
 }
 
-// newMid returns a mid node owned by owner holding src's children, or none
-// when src is nil, taken from m's pool when it has one.
-func (m *PageMap[T]) newMid(owner *spaceToken, src *radixMid[T]) *radixMid[T] {
-	var n *radixMid[T]
-	reused := false
+// newMid is newRoot for mid nodes.
+func (m *PageMap[T]) newMid() *radixMid[T] {
 	if m.pool != nil {
-		n, reused = m.pool.mids.Get().(*radixMid[T])
-	}
-	switch {
-	case src != nil:
-		if !reused {
-			n = new(radixMid[T])
+		if n, ok := m.pool.mids.Get().(*radixMid[T]); ok {
+			clear(n.leaves[:])
+			return n
 		}
-		n.leaves = src.leaves
-	case reused:
-		clear(n.leaves[:])
-	default:
-		n = new(radixMid[T])
 	}
-	n.owner = owner
-	return n
+	return new(radixMid[T])
 }
 
-// newLeaf is newMid for leaves.
-func (m *PageMap[T]) newLeaf(owner *spaceToken, src *radixLeaf[T]) *radixLeaf[T] {
-	var n *radixLeaf[T]
-	reused := false
+// newLeaf is newRoot for leaves.
+func (m *PageMap[T]) newLeaf() *radixLeaf[T] {
 	if m.pool != nil {
-		n, reused = m.pool.leaves.Get().(*radixLeaf[T])
-	}
-	switch {
-	case src != nil:
-		if !reused {
-			n = new(radixLeaf[T])
+		if n, ok := m.pool.leaves.Get().(*radixLeaf[T]); ok {
+			clear(n.slots[:])
+			return n
 		}
-		n.slots = src.slots
-	case reused:
-		clear(n.slots[:])
-	default:
-		n = new(radixLeaf[T])
 	}
-	n.owner = owner
-	return n
+	return new(radixLeaf[T])
 }
 
 // UsePool makes m take new nodes from p and give them back to it on
@@ -301,8 +259,7 @@ func (m *PageMap[T]) newLeaf(owner *spaceToken, src *radixLeaf[T]) *radixLeaf[T]
 func (m *PageMap[T]) UsePool(p *NodePool[T]) { m.pool = p }
 
 // get returns a pointer to the present slot for vpn, or nil when the slot is
-// absent (or its path is not populated). The slot must not be written: it
-// may be shared with a snapshot parent.
+// absent (or its path is not populated).
 func (m *PageMap[T]) get(vpn VPN) *T {
 	top := vpn >> (radixMidBits + radixLeafBits)
 	if top >= radixTopSize {
@@ -328,46 +285,44 @@ func (m *PageMap[T]) get(vpn VPN) *T {
 }
 
 // ensure returns a writable pointer to the (possibly absent) slot for vpn,
-// allocating nodes along the path as needed and path-copying any node not
-// owned by owner. vpn must lie inside the 47-bit user space.
-func (m *PageMap[T]) ensure(vpn VPN, owner *spaceToken) *T {
+// allocating nodes along the path as needed. vpn must lie inside the 47-bit
+// user space.
+func (m *PageMap[T]) ensure(vpn VPN) *T {
 	top := vpn >> (radixMidBits + radixLeafBits)
 	if top >= radixTopSize {
 		panic(fmt.Sprintf("vm: page %#x beyond the %d-bit user space", uint64(vpn)<<PageShift, UserAddrBits))
 	}
-	if m.root == nil || m.root.owner != owner {
-		m.root = m.newRoot(owner, m.root)
+	if m.root == nil {
+		m.root = m.newRoot()
 	}
 	mid := m.root.mids[top]
-	if mid == nil || mid.owner != owner {
-		mid = m.newMid(owner, mid)
+	if mid == nil {
+		mid = m.newMid()
 		m.root.mids[top] = mid
 	}
 	li := (vpn >> radixLeafBits) & radixMidMask
 	leaf := mid.leaves[li]
-	if leaf == nil || leaf.owner != owner {
-		leaf = m.newLeaf(owner, leaf)
+	if leaf == nil {
+		leaf = m.newLeaf()
 		mid.leaves[li] = leaf
 	}
 	return &leaf.slots[vpn&radixLeafMask]
 }
 
-// release empties m, handing the nodes owner owns to m's pool (if any).
-// Nodes owned by anyone else belong to a frozen snapshot parent and stay
-// with it. An owned node always hangs under an owned parent: ensure copies
-// the root before the mid and the mid before the leaf.
-func (m *PageMap[T]) release(owner *spaceToken) {
+// Release empties m and hands its nodes to the pool UsePool set, if any. The
+// nodes must not be reached any more through a copy of m.
+func (m *PageMap[T]) Release() {
 	root := m.root
 	m.root = nil
-	if root == nil || root.owner != owner || m.pool == nil {
+	if root == nil || m.pool == nil {
 		return
 	}
 	for _, mid := range root.mids {
-		if mid == nil || mid.owner != owner {
+		if mid == nil {
 			continue
 		}
 		for _, leaf := range mid.leaves {
-			if leaf != nil && leaf.owner == owner {
+			if leaf != nil {
 				m.pool.leaves.Put(leaf)
 			}
 		}
@@ -375,10 +330,6 @@ func (m *PageMap[T]) release(owner *spaceToken) {
 	}
 	m.pool.roots.Put(root)
 }
-
-// Release empties m and hands its nodes to the pool UsePool set. The nodes
-// must not be reached any more through a copy of m.
-func (m *PageMap[T]) Release() { m.release(nil) }
 
 // ForEach calls fn for every entry in ascending VPN order.
 func (m *PageMap[T]) ForEach(fn func(VPN, T)) {
@@ -420,23 +371,20 @@ func (m *PageMap[T]) Set(vpn VPN, v T) {
 	if v == zero && m.get(vpn) == nil {
 		return // deleting an absent entry allocates no nodes
 	}
-	*m.ensure(vpn, nil) = v
+	*m.ensure(vpn) = v
 }
 
 // Space is one process's virtual address space. It owns no physical memory;
 // frames are allocated and freed by the kernel layer, which also decides
 // frame lifetimes under aliasing. Not safe for concurrent use.
 //
-// The page table is a PageMap of pte slots. A forked Space shares its
-// parent's radix nodes and path-copies each one on first write.
+// The page table is a PageMap of pte slots, built from the node pool every
+// Space shares.
 type Space struct {
 	pt PageMap[pte]
-	// self is this Space's node-ownership token: radix nodes whose owner
-	// field equals self may be mutated in place; any other node is shared
-	// with a snapshot parent and is copied on first write.
-	self *spaceToken
-	// frozen marks a snapshot parent: all mutation panics, Fork is legal.
-	frozen bool
+	// released marks a Space whose nodes went back to the pool: all
+	// mutation panics.
+	released bool
 	// mapped is the live page-table entry count.
 	mapped uint64
 	// epoch increments on every Map/Protect/Unmap so the MMU's one-entry
@@ -465,7 +413,6 @@ type Space struct {
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
 	s := &Space{
-		self: new(spaceToken),
 		next: 16, // leave the first 64 KB unmapped (NULL guard)
 	}
 	s.pt.UsePool(&pteNodes)
@@ -476,15 +423,6 @@ func NewSpace() *Space {
 // at an earlier epoch may be stale.
 func (s *Space) Epoch() uint64 { return s.epoch }
 
-// mutablePTE returns a writable pointer to the live entry for vpn, or nil
-// when the page is unmapped, path-copying shared radix nodes on the way.
-func (s *Space) mutablePTE(vpn VPN) *pte {
-	if s.pt.get(vpn) == nil {
-		return nil
-	}
-	return s.pt.ensure(vpn, s.self)
-}
-
 // ErrAddressSpaceExhausted is reported when ReservePages passes the 47-bit
 // limit — the failure mode the paper's Insight 2 exists to avoid.
 var ErrAddressSpaceExhausted = fmt.Errorf("vm: virtual address space exhausted (2^%d bytes)", UserAddrBits)
@@ -492,8 +430,8 @@ var ErrAddressSpaceExhausted = fmt.Errorf("vm: virtual address space exhausted (
 // ReservePages hands out n fresh, never-before-used consecutive virtual
 // pages and returns the first VPN. The pages are not mapped yet.
 func (s *Space) ReservePages(n uint64) (VPN, error) {
-	if s.frozen {
-		panic("vm: ReservePages on a frozen snapshot")
+	if s.released {
+		panic("vm: ReservePages on a released Space")
 	}
 	if n == 0 {
 		return 0, fmt.Errorf("vm: reserve of zero pages")
@@ -517,11 +455,11 @@ func (s *Space) ReservePages(n uint64) (VPN, error) {
 // any existing entry. vpn must lie inside the 47-bit user space (ReservePages
 // never hands out anything else).
 func (s *Space) Map(vpn VPN, frame phys.FrameID, prot Prot) {
-	if s.frozen {
-		panic("vm: Map on a frozen snapshot")
+	if s.released {
+		panic("vm: Map on a released Space")
 	}
 	s.epoch++
-	e := s.pt.ensure(vpn, s.self)
+	e := s.pt.ensure(vpn)
 	if *e&ptePresent == 0 {
 		s.mapped++
 		if s.mapped > s.peakMapped {
@@ -534,11 +472,11 @@ func (s *Space) Map(vpn VPN, frame phys.FrameID, prot Prot) {
 // Unmap removes the mapping for vpn. Unmapping an unmapped page is an error
 // (the kernel layer never does it).
 func (s *Space) Unmap(vpn VPN) error {
-	if s.frozen {
-		panic("vm: Unmap on a frozen snapshot")
+	if s.released {
+		panic("vm: Unmap on a released Space")
 	}
 	s.epoch++
-	e := s.mutablePTE(vpn)
+	e := s.pt.get(vpn)
 	if e == nil {
 		return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
 	}
@@ -549,11 +487,11 @@ func (s *Space) Unmap(vpn VPN) error {
 
 // Protect sets the protection bits of vpn.
 func (s *Space) Protect(vpn VPN, prot Prot) error {
-	if s.frozen {
-		panic("vm: Protect on a frozen snapshot")
+	if s.released {
+		panic("vm: Protect on a released Space")
 	}
 	s.epoch++
-	e := s.mutablePTE(vpn)
+	e := s.pt.get(vpn)
 	if e == nil {
 		return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
 	}
@@ -616,42 +554,11 @@ func (s *Space) SetBudget(pages uint64) { s.budget = pages }
 // the architectural limit applies.
 func (s *Space) BudgetPages() uint64 { return s.budget }
 
-// Freeze marks the Space as an immutable snapshot parent. All further
-// mutation panics; Fork becomes legal. Freeze is idempotent and must be
-// called before the Space is shared across goroutines.
-func (s *Space) Freeze() { s.frozen = true }
-
-// Fork returns a mutable copy-on-write clone of a frozen Space. The clone
-// shares every radix node with the parent; a node is path-copied the first
-// time the clone mutates a page inside it, so an N-fork fleet pays for page
-// tables proportional to what it changes, not to what it inherited. Fork is
-// safe to call from many goroutines at once because it only reads the frozen
-// parent.
-func (s *Space) Fork() *Space {
-	if !s.frozen {
-		panic("vm: Fork of an unfrozen Space")
-	}
-	return &Space{
-		pt:         s.pt, // shallow: nodes stay owned by the parent's token
-		self:       new(spaceToken),
-		mapped:     s.mapped,
-		epoch:      s.epoch,
-		next:       s.next,
-		peakMapped: s.peakMapped,
-		everMapped: s.everMapped,
-		budget:     s.budget,
-	}
-}
-
-// Release hands the radix nodes this Space owns to the page-table node
-// pool, leaving nodes shared with a frozen parent to the parent, and leaves
-// the Space unusable: a later lookup finds nothing mapped and a later
-// mutation panics. A fork's owner calls it once the fork's last reader is
-// done. A frozen snapshot is never released.
+// Release hands the Space's radix nodes to the page-table node pool and
+// leaves the Space unusable: a later lookup finds nothing mapped and a later
+// mutation panics. The machine's owner calls it once the machine's last
+// reader is done.
 func (s *Space) Release() {
-	if s.frozen {
-		panic("vm: Release of a frozen snapshot")
-	}
-	s.pt.release(s.self)
-	s.frozen = true
+	s.pt.Release()
+	s.released = true
 }

@@ -221,10 +221,6 @@ func WithFaultSchedule(spec string) Option {
 type Machine struct {
 	cfg machineConfig
 	sys *kernel.System
-	// prepared, when non-nil, is a pre-warmed kernel process (forked from a
-	// Snapshot) consumed by the next NewProcess call in place of a fresh
-	// kernel.NewProcess. See snapshot.go.
-	prepared *kernel.Process
 	// procs are the processes NewProcess made, for Release.
 	procs []*Process
 }
@@ -294,13 +290,9 @@ func (m *Machine) process(mode Mode) (*kernel.Process, core.Config, error) {
 			return nil, cfg, fmt.Errorf("pageguard: mode %s runs no detector, so it cannot serve %s", mode, opt)
 		}
 	}
-	proc := m.prepared
-	m.prepared = nil
-	if proc == nil {
-		var err error
-		if proc, err = kernel.NewProcess(m.sys, m.cfg.kernel); err != nil {
-			return nil, cfg, err
-		}
+	proc, err := kernel.NewProcess(m.sys, m.cfg.kernel)
+	if err != nil {
+		return nil, cfg, err
 	}
 	if m.cfg.spans {
 		proc.SetTracer(obs.NewTracer(proc.Meter().Cycles))
@@ -311,22 +303,19 @@ func (m *Machine) process(mode Mode) (*kernel.Process, core.Config, error) {
 // Release hands the machine's own simulated memory back to pools shared by
 // every machine in the program: the physical frames it wrote, the radix
 // nodes of its page tables and object indexes, and its processes' flight
-// recorders. Frames and nodes a Snapshot fork still shares with its snapshot
-// stay with the snapshot. The machine
-// and its processes must not be used afterwards, but results already taken
-// from them (reports, stats, metric snapshots) stay valid. Call it once, on
-// the goroutine that last used the machine; a machine never released is
-// simply left to the garbage collector.
+// recorders. The next machine built takes its memory from those pools
+// instead of allocating it. The machine and its processes must not be used
+// afterwards, but results already taken from them (reports, stats, metric
+// snapshots) stay valid. Call it once, on the goroutine that last used the
+// machine; a machine never released is simply left to the garbage
+// collector.
 func (m *Machine) Release() {
 	for _, p := range m.procs {
 		p.remap.Release()
 		p.proc.Release()
 	}
-	if m.prepared != nil {
-		m.prepared.Release()
-	}
 	m.sys.PhysMemory().Release()
-	m.procs, m.prepared = nil, nil
+	m.procs = nil
 }
 
 // Malloc allocates size bytes under shadow-page protection. site labels the

@@ -51,8 +51,12 @@ func driveProcess(t *testing.T, p *Process, n int) string {
 	return out + p.Stats().String()
 }
 
-// TestSnapshotForkParity: a forked machine must produce exactly the numbers
-// a fresh machine produces, across the per-request option matrix.
+// The Snapshot shim builds fresh machines; these tests hold it to the
+// contract the benchmark's in-process model relies on until the shim goes.
+
+// TestSnapshotForkParity: a machine from Snapshot.Fork must produce exactly
+// the numbers a fresh machine produces, across the per-request option
+// matrix.
 func TestSnapshotForkParity(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -93,24 +97,9 @@ func TestSnapshotForkParity(t *testing.T) {
 	}
 }
 
-// TestSnapshotForkStructuralMismatch: options that change the machine
-// structure must be rejected, never served by a machine of another shape.
-func TestSnapshotForkStructuralMismatch(t *testing.T) {
-	snap, err := NewSnapshot()
-	if err != nil {
-		t.Fatalf("NewSnapshot: %v", err)
-	}
-	if _, err := snap.Fork(WithStackPages(512)); err == nil {
-		t.Fatal("Fork with different StackPages succeeded, want structural error")
-	}
-	if _, err := snap.Fork(WithMaxFrames(100)); err == nil {
-		t.Fatal("Fork with different MaxFrames succeeded, want structural error")
-	}
-}
-
 // TestSnapshotForkBudgetTooSmall: a VA budget below the fixed stack+globals
 // reservation is not a Fork error; the forked machine's NewProcess fails
-// exactly like kernel.NewProcess does.
+// exactly like a fresh machine's does.
 func TestSnapshotForkBudgetTooSmall(t *testing.T) {
 	snap, err := NewSnapshot()
 	if err != nil {
@@ -121,10 +110,7 @@ func TestSnapshotForkBudgetTooSmall(t *testing.T) {
 		t.Fatalf("Fork with a tiny budget: %v, want the error deferred to NewProcess", err)
 	}
 	_, forkErr := m.NewProcess()
-	freshErr := func() error {
-		_, err := NewMachine(WithVABudget(100)).NewProcess()
-		return err
-	}()
+	_, freshErr := NewMachine(WithVABudget(100)).NewProcess()
 	if forkErr == nil || freshErr == nil {
 		t.Fatalf("tiny budget accepted: fork=%v fresh=%v", forkErr, freshErr)
 	}
@@ -133,30 +119,36 @@ func TestSnapshotForkBudgetTooSmall(t *testing.T) {
 	}
 }
 
-// TestSnapshotForkConcurrentIsolation: many concurrent forks of one snapshot
-// must mutate independently (run under -race) and each must match the fresh
-// machine byte for byte.
+// TestSnapshotForkConcurrentIsolation: concurrent Forks, each adding its own
+// fault schedule to the snapshot's options, must each match the fresh
+// machine built from the same options (run under -race). The snapshot's
+// options arrive in a slice with spare capacity, so a Fork that appended
+// into it would race with the others and serve another worker's schedule.
 func TestSnapshotForkConcurrentIsolation(t *testing.T) {
-	snap, err := NewSnapshot()
+	base := make([]Option, 0, 8)
+	base = append(base, WithOverflowGuards(), WithPolicySpec("interval=8"))
+	snap, err := NewSnapshot(base...)
 	if err != nil {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
-	// Per-goroutine expected digests from fresh machines, computed serially.
 	const workers = 8
+	schedule := func(i int) Option {
+		return WithFaultSchedule(fmt.Sprintf("seed=%d;mremap:prob=0.05;mprotect:prob=0.05", i+1))
+	}
 	want := make([]string, workers)
 	for i := range want {
-		fresh, err := NewMachine().NewProcess()
+		fresh, err := NewMachine(WithOverflowGuards(), WithPolicySpec("interval=8"), schedule(i)).NewProcess()
 		if err != nil {
 			t.Fatalf("fresh NewProcess: %v", err)
 		}
-		want[i] = driveProcess(t, fresh, 120+10*i)
+		want[i] = driveProcess(t, fresh, 120)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := snap.Fork()
+			m, err := snap.Fork(schedule(i))
 			if err != nil {
 				t.Errorf("Fork: %v", err)
 				return
@@ -166,7 +158,7 @@ func TestSnapshotForkConcurrentIsolation(t *testing.T) {
 				t.Errorf("NewProcess: %v", err)
 				return
 			}
-			if got := driveProcess(t, p, 120+10*i); got != want[i] {
+			if got := driveProcess(t, p, 120); got != want[i] {
 				t.Errorf("worker %d diverged:\nfresh:  %s\nforked: %s", i, want[i], got)
 			}
 		}(i)

@@ -74,14 +74,6 @@ echo "== pgserved smoke (HTTP replay parity + graceful drain) =="
 # pgtrace -ndjson, then SIGTERM and require a clean drain.
 servelog=$tmp/servelog
 
-# Serving has one configuration: the removed fresh-machine path is refused
-# with a usage error.
-rc=0
-"$pgserved" -snapshots=false 2>/dev/null || rc=$?
-if [ "$rc" -ne 2 ]; then
-    echo "pgserved -snapshots=false exited $rc, want 2" >&2
-    exit 1
-fi
 # The router role was deleted: its flag is now undefined, a usage error.
 rc=0
 "$pgserved" -route 2>/dev/null || rc=$?

@@ -6,8 +6,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"repro/pageguard"
 )
 
 // Allocation ceilings over the benchmarks' own inputs. Host timing is too
@@ -32,40 +30,34 @@ func TestParseFileAllocs(t *testing.T) {
 	}
 }
 
-// TestReplayAllocs pins BenchmarkReplay's input: a forked replay of a
-// replay-unique-shaped trace, released to the pools as pgserved releases it.
+// TestReplayAllocs pins BenchmarkReplay's input: a replay of a
+// replay-unique-shaped trace on a fresh machine, released to the pools as
+// pgserved releases it.
 func TestReplayAllocs(t *testing.T) {
-	const ceiling = 1243 // 1,219 measured with go1.24, plus 2%
-	if got := forkedReplayAllocs(t, pageBenchTrace(160)); got > ceiling {
-		t.Fatalf("forked replay: %v allocs, ceiling %d", got, ceiling)
+	const ceiling = 1243 // 1,239 measured with go1.24
+	if got := releasedReplayAllocs(t, pageBenchTrace(160)); got > ceiling {
+		t.Fatalf("released replay: %v allocs, ceiling %d", got, ceiling)
 	}
 }
 
 // TestReplayDetectAllocs pins BenchmarkReplayDetect's input: the same over
 // a replay-detect-shaped trace, whose ten trap reports share one flight log.
 func TestReplayDetectAllocs(t *testing.T) {
-	const ceiling = 1298 // 1,273 measured with go1.24, plus 2%
-	if got := forkedReplayAllocs(t, detectBenchTrace()); got > ceiling {
-		t.Fatalf("forked replay-detect: %v allocs, ceiling %d", got, ceiling)
+	const ceiling = 1298 // 1,290 measured with go1.24
+	if got := releasedReplayAllocs(t, detectBenchTrace()); got > ceiling {
+		t.Fatalf("released replay-detect: %v allocs, ceiling %d", got, ceiling)
 	}
 }
 
-// forkedReplayAllocs counts the allocations of forking the pre-warmed
-// snapshot, replaying src on the fork and releasing it.
-func forkedReplayAllocs(t *testing.T, src string) float64 {
+// releasedReplayAllocs counts the allocations of booting a fresh machine,
+// replaying src on it and releasing it.
+func releasedReplayAllocs(t *testing.T, src string) float64 {
 	f, err := ParseFile(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := pageguard.NewSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	return testing.AllocsPerRun(10, func() {
-		m, err := snap.Fork(f.MachineOptions()...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := NewMachine(f)
 		_, err = Replay(m, f.Events)
 		m.Release()
 		if err != nil {

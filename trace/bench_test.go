@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"repro/pageguard"
 )
 
 // pageBenchTrace renders a trace shaped like perfbench's replay requests:
@@ -42,31 +40,23 @@ func benchTrace(objects int, dangling func(id int) bool) string {
 }
 
 // BenchmarkReplay measures the replay layer as pgserved runs it on a cache
-// miss: fork the pre-warmed snapshot, replay the parsed events on the fork,
-// then release the fork's memory to the pools. Parsing and rendering are
-// outside the timed loop.
+// miss: boot a fresh machine, replay the parsed events on it, then release
+// its memory to the pools. Parsing and rendering are outside the timed loop.
 func BenchmarkReplay(b *testing.B) {
-	benchForkedReplay(b, pageBenchTrace(160), 2)
+	benchReleasedReplay(b, pageBenchTrace(160), 2)
 }
 
-// benchForkedReplay times fork, replay and release of src, which must
-// detect want dangling uses.
-func benchForkedReplay(b *testing.B, src string, want int) {
+// benchReleasedReplay times boot, replay and release of a machine for src,
+// which must detect want dangling uses.
+func benchReleasedReplay(b *testing.B, src string, want int) {
 	f, err := ParseFile(strings.NewReader(src))
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap, err := pageguard.NewSnapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := snap.Fork(f.MachineOptions()...)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := NewMachine(f)
 		rep, err := Replay(m, f.Events)
 		m.Release()
 		if err != nil {
@@ -81,7 +71,7 @@ func benchForkedReplay(b *testing.B, src string, want int) {
 // BenchmarkReplayDetect is BenchmarkReplay over a replay-detect-shaped
 // trace: ten detections, each with a trap report and its flight window.
 func BenchmarkReplayDetect(b *testing.B) {
-	benchForkedReplay(b, detectBenchTrace(), 10)
+	benchReleasedReplay(b, detectBenchTrace(), 10)
 }
 
 // BenchmarkParseFile measures the parse pgserved runs on every cache miss,

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/pageguard"
 )
 
 func TestSamplingDirectiveRoundtrip(t *testing.T) {
@@ -71,32 +69,6 @@ func TestSamplingRateOneParity(t *testing.T) {
 			t.Errorf("rate=1%s replay diverged from full guarding: first diff at byte %d of %d/%d",
 				seed, firstDiff(want, got), len(want), len(got))
 		}
-	}
-}
-
-// TestSamplingSnapshotForkParity: a sampling directive is a per-request knob,
-// so replaying it on a Snapshot fork must match a fresh machine bit-for-bit.
-func TestSamplingSnapshotForkParity(t *testing.T) {
-	snap, err := pageguard.NewSnapshot()
-	if err != nil {
-		t.Fatalf("NewSnapshot: %v", err)
-	}
-	src := "!sampling rate=4,seed=11,quarantine=16,cool=2\n" + parityTrace(120)
-	f, err := ParseFile(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := replayBytes(t, NewMachine(f), f, false)
-	f2, err := ParseFile(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := snap.Fork(f2.MachineOptions()...)
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	if got := replayBytes(t, m, f2, false); !bytes.Equal(got, want) {
-		t.Errorf("forked sampled replay diverged from fresh machine at byte %d", firstDiff(want, got))
 	}
 }
 

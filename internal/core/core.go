@@ -187,10 +187,10 @@ type Stats struct {
 type Remapper struct {
 	proc *kernel.Process
 
-	// objects indexes every shadow page to its object for fault
-	// explanation and reuse bookkeeping. Only index and unindex write it;
-	// lookup reads it.
-	objects vm.PageMap[*Object]
+	// objects maps each object's shadow run to the object, one entry per
+	// run, for fault explanation and reuse bookkeeping. Only index and
+	// unindex write it; lookup reads it.
+	objects vm.RangeMap[*Object]
 	// byPool tracks objects per pool so pool destroys can retire records.
 	byPool map[*pool.Pool][]*Object
 	// freedNoPool are freed direct-mode objects eligible for recycling.
@@ -244,8 +244,8 @@ type Remapper struct {
 	pending   []*Object
 }
 
-// objectNodes is the node pool every Remapper's page index uses.
-var objectNodes vm.NodePool[*Object]
+// objectNodes is the node pool every Remapper's object index uses.
+var objectNodes vm.RangePool[*Object]
 
 // Config is a detector's whole configuration, fixed for its lifetime. The
 // zero Config is the paper's base scheme.
@@ -285,7 +285,7 @@ func New(proc *kernel.Process, cfg Config) *Remapper {
 	return r
 }
 
-// Release hands the page index's radix nodes back to the shared node pool.
+// Release hands the object index's nodes back to the shared node pool.
 // The Remapper is unusable afterwards. Object records stay valid: reports
 // that name them may outlive it.
 func (r *Remapper) Release() { r.objects.Release() }
@@ -438,7 +438,9 @@ func (r *Remapper) Alloc(al Allocator, owner *pool.Pool, size uint64, site strin
 		AllocSeq:   r.allocSeq,
 		Guarded:    guarded,
 	}
-	r.index(obj)
+	if err := r.index(obj); err != nil {
+		return 0, fmt.Errorf("core: index shadow block: %w", err)
+	}
 	if owner != nil {
 		owner.AttachRun(run)
 		r.byPool[owner] = append(r.byPool[owner], obj)
@@ -707,21 +709,16 @@ func (r *Remapper) lookup(vpn vm.VPN) *Object {
 	return r.objects.Get(vpn)
 }
 
-// index maps every page of obj's shadow run to obj.
-func (r *Remapper) index(obj *Object) {
-	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		r.objects.Set(pageOfRun(obj, i), obj)
-	}
+// index maps obj's shadow run to obj.
+func (r *Remapper) index(obj *Object) error {
+	return r.objects.Set(vm.PageOf(obj.ShadowRun.Addr), obj.ShadowRun.Pages, obj)
 }
 
-// unindex drops obj's shadow pages from the index, leaving any page since
-// re-indexed to another object alone.
+// unindex drops obj's shadow run from the index, leaving any part of it
+// since re-indexed to another object alone. A run that was indexed is a
+// valid range, so the deletion cannot fail.
 func (r *Remapper) unindex(obj *Object) {
-	for i := uint64(0); i < obj.ShadowRun.Pages; i++ {
-		if vpn := pageOfRun(obj, i); r.lookup(vpn) == obj {
-			r.objects.Set(vpn, nil)
-		}
-	}
+	_ = r.objects.DeleteIf(vm.PageOf(obj.ShadowRun.Addr), obj.ShadowRun.Pages, func(o *Object) bool { return o == obj })
 }
 
 // retire is the one path out of tracking: it settles the page counter of

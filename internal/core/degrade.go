@@ -103,28 +103,31 @@ func (r *Remapper) HealthCheck() error {
 
 // healthCheck is the bare invariant audit.
 func (r *Remapper) healthCheck() error {
-	// (1) The page index only holds live and freed objects, and every
-	// object's pages agree on their owner. (2) below counts each object's
-	// pages once, at its first page, so a page index whose first page
-	// names another object shows up as a counter mismatch.
+	// (1) The index only holds live and freed objects, each entry inside
+	// its object's run. (2) below counts each object's pages once, at the
+	// entry that starts its run, so an index whose first page names
+	// another object shows up as a counter mismatch.
 	var err error
 	var live, freed uint64
-	r.objects.ForEach(func(vpn vm.VPN, obj *Object) {
+	r.objects.ForEach(func(start vm.VPN, n uint64, obj *Object, _ uint64) bool {
 		base := vm.PageOf(obj.ShadowRun.Addr)
 		switch {
-		case err != nil:
 		case obj.State != StateLive && obj.State != StateFreed:
 			err = fmt.Errorf("core: health: %s object (alloc %s) still indexed at page %#x",
-				obj.State, obj.AllocSite, uint64(vpn)<<vm.PageShift)
-		case vpn < base || uint64(vpn-base) >= obj.ShadowRun.Pages:
+				obj.State, obj.AllocSite, uint64(start)<<vm.PageShift)
+		case start < base || uint64(start-base) >= obj.ShadowRun.Pages:
 			err = fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
-				uint64(vpn)<<vm.PageShift, obj.ShadowRun.Addr, obj.ShadowRun.Pages)
-		case vpn != base:
+				uint64(start)<<vm.PageShift, obj.ShadowRun.Addr, obj.ShadowRun.Pages)
+		case n > obj.ShadowRun.Pages-uint64(start-base):
+			err = fmt.Errorf("core: health: page %#x indexed to object whose run is %#x/%d",
+				uint64(base)<<vm.PageShift+obj.ShadowRun.Pages*vm.PageSize, obj.ShadowRun.Addr, obj.ShadowRun.Pages)
+		case start != base:
 		case obj.State == StateLive:
 			live += obj.ShadowRun.Pages
 		default:
 			freed += obj.ShadowRun.Pages
 		}
+		return err == nil
 	})
 	if err != nil {
 		return err
@@ -139,12 +142,13 @@ func (r *Remapper) healthCheck() error {
 	// (3) Recycled free-list runs must be disjoint from indexed objects:
 	// handing one out would alias a tracked object's pages.
 	for _, run := range r.recycled {
-		for i := uint64(0); i < run.Pages; i++ {
-			vpn := vm.PageOf(run.Addr) + vm.VPN(i)
-			if obj := r.lookup(vpn); obj != nil {
-				return fmt.Errorf("core: health: recycled run page %#x still indexed to %s object",
-					uint64(vpn)<<vm.PageShift, obj.State)
-			}
+		r.objects.ForEachIn(vm.PageOf(run.Addr), run.Pages, func(start vm.VPN, _ uint64, obj *Object, _ uint64) bool {
+			err = fmt.Errorf("core: health: recycled run page %#x still indexed to %s object",
+				uint64(start)<<vm.PageShift, obj.State)
+			return false
+		})
+		if err != nil {
+			return err
 		}
 	}
 	// (4) No canonical-address record lies on a shadow page still indexed

@@ -10,11 +10,6 @@ import (
 	"repro/internal/sim/vm"
 )
 
-// pageOfRun returns the i-th shadow VPN of an object's run.
-func pageOfRun(obj *Object, i uint64) vm.VPN {
-	return vm.PageOf(obj.ShadowRun.Addr) + vm.VPN(i)
-}
-
 // gcWordCost is the per-word scan cost charged by the collector.
 const gcWordCost = 2
 
@@ -221,16 +216,17 @@ func (r *Remapper) collect(trigger GCTrigger) GCCycle {
 
 // liveNoPoolObjects returns live direct-mode objects (not owned by a pool),
 // sorted by ShadowAddr: the index walk is ascending by shadow page and an
-// object's pages are contiguous, so each object appears once, in address
+// object's entries are contiguous, so each object appears once, in address
 // order. A stable order keeps the root-scan order — and with it cycle
 // charging and any future diagnostics — bit-for-bit reproducible, matching
 // the freedPoolsSorted/livePools treatment above.
 func (r *Remapper) liveNoPoolObjects() []*Object {
 	var out []*Object
-	r.objects.ForEach(func(_ vm.VPN, obj *Object) {
+	r.objects.ForEach(func(_ vm.VPN, _ uint64, obj *Object, _ uint64) bool {
 		if obj.Pool == nil && obj.State == StateLive && (len(out) == 0 || out[len(out)-1] != obj) {
 			out = append(out, obj)
 		}
+		return true
 	})
 	return out
 }

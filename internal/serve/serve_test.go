@@ -268,10 +268,12 @@ func TestDrainWaitsForAbandonedReplays(t *testing.T) {
 	defer ts.Close()
 
 	// Three lines key in microseconds, so the budget runs out in the replay
-	// and not before it starts: mapping a 256 MiB object's 65,536 pages
-	// takes about 0.1 s (0.9 s under -race). A long trace would spend the
-	// budget in the parse and cache key, and never start its replay.
-	resp, _ := postReplay(t, ts.URL, []byte("a 1 268435456\nw 1 0\nf 1\n"))
+	// and not before it starts: mapping a 16 GiB object's 4,194,304 pages
+	// takes about 0.1 s, all of it allocating and counting their frames
+	// (page-table entries are built only for touched pages). A long trace
+	// would spend the budget in the parse and cache key, and never start
+	// its replay.
+	resp, _ := postReplay(t, ts.URL, []byte("a 1 17179869184\nw 1 0\nf 1\n"))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		// On a very fast machine the replay may beat the budget; that is
 		// not a drain scenario, so skip rather than flake.

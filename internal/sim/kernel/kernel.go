@@ -10,6 +10,8 @@ package kernel
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sim/cost"
@@ -85,6 +87,8 @@ type Process struct {
 	// frame is returned to the machine only when its last mapping goes
 	// away. Frame ids are dense from zero, so a slice beats a map here.
 	frameRefs []int32
+	// refsBox carries frameRefs to and from frameRefPool.
+	refsBox *[]int32
 
 	// inject is the per-process fault injector (nil = no injection).
 	inject *Injector
@@ -143,6 +147,9 @@ func NewProcess(sys *System, cfg Config) (*Process, error) {
 		flight: obs.NewFlightRecorder(obs.DefaultFlightCap),
 	}
 	sys.procSeq++
+	if box, ok := frameRefPool.Get().(*[]int32); ok {
+		p.refsBox, p.frameRefs = box, *box
+	}
 
 	// Program setup (loader work): not charged to the meter, as the paper
 	// measures steady-state execution.
@@ -198,15 +205,58 @@ func (p *Process) AllocGlobal(size uint64) (vm.Addr, error) {
 	return a, nil
 }
 
-// mapPage installs a mapping and maintains the frame refcount. Callers must
-// have dropped any previous mapping of v first (dropMapping), so replacement
-// never leaks a frame.
-func (p *Process) mapPage(v vm.VPN, f phys.FrameID, prot vm.Prot) {
-	p.space.Map(v, f, prot)
-	if n := int(f) + 1; n > len(p.frameRefs) {
+// ref counts one more mapping of each frame.
+func (p *Process) ref(frames []phys.FrameID) {
+	top := phys.FrameID(0)
+	for _, f := range frames {
+		top = max(top, f)
+	}
+	if n := int(top) + 1; len(frames) > 0 && n > len(p.frameRefs) {
 		p.frameRefs = append(p.frameRefs, make([]int32, n-len(p.frameRefs))...)
 	}
-	p.frameRefs[f]++
+	for _, f := range frames {
+		p.frameRefs[f]++
+	}
+}
+
+// unref counts one mapping of frame fewer and returns the frame to the
+// machine when that was its last.
+func (p *Process) unref(frame phys.FrameID) error {
+	if int(frame) < len(p.frameRefs) {
+		if p.frameRefs[frame]--; p.frameRefs[frame] > 0 {
+			return nil
+		}
+		p.frameRefs[frame] = 0
+	}
+	return p.sys.mem.FreeFrame(frame)
+}
+
+// unrefRange drops the frame references of every page mapped in the n pages
+// from vpn, in ascending page order: frames go back to the machine's free
+// list in that order, and which frame the next mapping gets decides where
+// its data lands in the physically indexed cache.
+func (p *Process) unrefRange(vpn vm.VPN, n uint64) error {
+	var err error
+	p.space.Runs(vpn, n, func(_ vm.VPN, frames []phys.FrameID, _ vm.Prot) bool {
+		for _, f := range frames {
+			if err = p.unref(f); err != nil {
+				return false
+			}
+		}
+		return true
+	})
+	return err
+}
+
+// pageRange checks a syscall's page-aligned range of n pages from addr and
+// returns its first page. It compares n with the pages left below the
+// user-space limit instead of computing the range's end, so no n wraps
+// past it.
+func pageRange(call string, addr vm.Addr, n uint64) (vm.VPN, error) {
+	if vm.Offset(addr) != 0 || vm.CheckRange(vm.PageOf(addr), n) != nil {
+		return 0, fmt.Errorf("kernel: bad %s %#x/%d pages", call, addr, n)
+	}
+	return vm.PageOf(addr), nil
 }
 
 // mapFresh reserves and maps n fresh pages RW, charging an mmap syscall if
@@ -216,12 +266,19 @@ func (p *Process) mapFresh(n uint64, charge bool) (vm.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < n; i++ {
-		f, err := p.sys.mem.AllocFrame()
-		if err != nil {
-			return 0, err
+	frames := make([]phys.FrameID, n)
+	// On failure, the pages framed before it stay mapped, as they would
+	// under a page-at-a-time kernel.
+	k, err := p.sys.mem.AllocFrames(frames)
+	frames = frames[:k]
+	if len(frames) > 0 {
+		if merr := p.space.Map(vpn, frames, vm.ProtRW); merr != nil {
+			return 0, merr
 		}
-		p.mapPage(vpn+vm.VPN(i), f, vm.ProtRW)
+		p.ref(frames)
+	}
+	if err != nil {
+		return 0, err
 	}
 	if charge {
 		p.chargeSyscall(SysMmap, n)
@@ -232,7 +289,10 @@ func (p *Process) mapFresh(n uint64, charge bool) (vm.Addr, error) {
 // Mmap allocates length bytes of fresh zeroed memory at a kernel-chosen
 // address (anonymous private mapping), rounded up to whole pages.
 func (p *Process) Mmap(length uint64) (vm.Addr, error) {
-	n := (length + vm.PageSize - 1) / vm.PageSize
+	n := length / vm.PageSize
+	if length%vm.PageSize != 0 {
+		n++ // rounded without adding to length, which could wrap
+	}
 	if n == 0 {
 		return 0, fmt.Errorf("kernel: mmap of zero length")
 	}
@@ -247,61 +307,81 @@ func (p *Process) Mmap(length uint64) (vm.Addr, error) {
 // how virtual pages taken from the shared free list are recycled as new pool
 // pages.
 func (p *Process) MmapFixed(addr vm.Addr, n uint64) error {
-	if vm.Offset(addr) != 0 || n == 0 {
-		return fmt.Errorf("kernel: bad fixed mapping %#x/%d pages", addr, n)
+	vpn, err := pageRange("fixed mapping", addr, n)
+	if err != nil {
+		return err
 	}
 	if err := p.checkInject(SysMmap, n, false, true); err != nil {
 		return err
 	}
-	vpn := vm.PageOf(addr)
-	for i := uint64(0); i < n; i++ {
-		v := vpn + vm.VPN(i)
-		if err := p.dropMapping(v); err != nil {
-			return err
+	// Page by page, the old frame is released before the new one is
+	// allocated, so a frame this call frees is the next one it hands out.
+	frames := make([]phys.FrameID, n)
+	var i, dropped uint64 // pages framed; pages whose old frame is released
+	alloc := func(to uint64) error {
+		for ; i < to; i++ {
+			f, err := p.sys.mem.AllocFrame()
+			if err != nil {
+				return err
+			}
+			frames[i] = f
 		}
-		f, err := p.sys.mem.AllocFrame()
-		if err != nil {
-			return err
+		return nil
+	}
+	p.space.Runs(vpn, n, func(start vm.VPN, old []phys.FrameID, _ vm.Prot) bool {
+		if err = alloc(uint64(start - vpn)); err != nil {
+			return false
 		}
-		p.mapPage(v, f, vm.ProtRW)
-		p.mmu.FlushPage(v)
+		for _, f := range old {
+			if err = p.unref(f); err != nil {
+				return false
+			}
+			dropped = i + 1
+			if err = alloc(i + 1); err != nil {
+				return false
+			}
+		}
+		return true
+	})
+	if err == nil {
+		err = alloc(n)
+	}
+	if i > 0 {
+		// On failure, the pages framed before it are mapped anyway, as
+		// they would be under a page-at-a-time kernel.
+		if merr := p.space.Map(vpn, frames[:i], vm.ProtRW); merr != nil {
+			return merr
+		}
+		p.ref(frames[:i])
+		p.mmu.FlushRange(vpn, i)
+	}
+	if err != nil {
+		if dropped > i {
+			// The failing page's old mapping is gone too.
+			if _, uerr := p.space.Unmap(vpn+vm.VPN(i), 1); uerr != nil {
+				return uerr
+			}
+		}
+		return err
 	}
 	p.chargeSyscall(SysMmap, n)
 	return nil
 }
 
-// dropMapping removes a mapping if present and releases its frame when this
-// was the last virtual page referencing it.
-func (p *Process) dropMapping(v vm.VPN) error {
-	frame, _, ok := p.space.Lookup(v)
-	if !ok {
-		return nil
-	}
-	if err := p.space.Unmap(v); err != nil {
-		return err
-	}
-	if int(frame) < len(p.frameRefs) {
-		if p.frameRefs[frame]--; p.frameRefs[frame] > 0 {
-			return nil
-		}
-		p.frameRefs[frame] = 0
-	}
-	return p.sys.mem.FreeFrame(frame)
-}
-
 // Munmap unmaps n pages starting at the page-aligned addr, freeing frames
 // whose last mapping is removed.
 func (p *Process) Munmap(addr vm.Addr, n uint64) error {
-	if vm.Offset(addr) != 0 || n == 0 {
-		return fmt.Errorf("kernel: bad munmap %#x/%d pages", addr, n)
+	vpn, err := pageRange("munmap", addr, n)
+	if err != nil {
+		return err
 	}
-	vpn := vm.PageOf(addr)
-	for i := uint64(0); i < n; i++ {
-		v := vpn + vm.VPN(i)
-		if err := p.dropMapping(v); err != nil {
-			return err
-		}
-		p.mmu.FlushPage(v)
+	err = p.unrefRange(vpn, n)
+	if _, uerr := p.space.Unmap(vpn, n); err == nil {
+		err = uerr
+	}
+	p.mmu.FlushRange(vpn, n)
+	if err != nil {
+		return err
 	}
 	p.chargeSyscall(SysMmap, n)
 	return nil
@@ -311,22 +391,29 @@ func (p *Process) Munmap(addr vm.Addr, n uint64) error {
 // This is the deallocation-side syscall of the paper's scheme: freed objects'
 // shadow pages become ProtNone so any later use traps.
 func (p *Process) Mprotect(addr vm.Addr, n uint64, prot vm.Prot) error {
-	if vm.Offset(addr) != 0 || n == 0 {
-		return fmt.Errorf("kernel: bad mprotect %#x/%d pages", addr, n)
+	vpn, err := pageRange("mprotect", addr, n)
+	if err != nil {
+		return err
 	}
 	if err := p.checkInject(SysMprotect, n, false, false); err != nil {
 		return err
 	}
-	vpn := vm.PageOf(addr)
-	for i := uint64(0); i < n; i++ {
-		v := vpn + vm.VPN(i)
-		if err := p.space.Protect(v, prot); err != nil {
-			return err
-		}
-		p.mmu.FlushPage(v)
+	if err := p.protect(vpn, n, prot); err != nil {
+		return err
 	}
 	p.chargeSyscall(SysMprotect, n)
 	return nil
+}
+
+// protect changes the protection of a checked range and shoots down the
+// pages it changed. At an unmapped page it stops with an error, after
+// changing the pages before it.
+func (p *Process) protect(vpn vm.VPN, n uint64, prot vm.Prot) error {
+	done, err := p.space.Protect(vpn, n, prot)
+	if done > 0 {
+		p.mmu.FlushRange(vpn, done)
+	}
+	return err
 }
 
 // MprotectRuns changes the protection of several page runs in one kernel
@@ -337,24 +424,20 @@ func (p *Process) Mprotect(addr vm.Addr, n uint64, prot vm.Prot) error {
 func (p *Process) MprotectRuns(runs [][2]uint64, prot vm.Prot) error {
 	var pages uint64
 	for _, r := range runs {
-		addr, n := r[0], r[1]
-		if vm.Offset(addr) != 0 || n == 0 {
-			return fmt.Errorf("kernel: bad mprotect run %#x/%d pages", addr, n)
+		if _, err := pageRange("mprotect run", r[0], r[1]); err != nil {
+			return err
 		}
-		pages += n
+		if r[1] > math.MaxUint64-pages {
+			return fmt.Errorf("kernel: mprotect runs total over 2^64 pages")
+		}
+		pages += r[1]
 	}
 	if err := p.checkInject(SysMprotectRuns, pages, false, false); err != nil {
 		return err
 	}
 	for _, r := range runs {
-		addr, n := r[0], r[1]
-		vpn := vm.PageOf(addr)
-		for i := uint64(0); i < n; i++ {
-			v := vpn + vm.VPN(i)
-			if err := p.space.Protect(v, prot); err != nil {
-				return err
-			}
-			p.mmu.FlushPage(v)
+		if err := p.protect(vm.PageOf(r[0]), r[1], prot); err != nil {
+			return err
 		}
 	}
 	p.chargeSyscall(SysMprotectRuns, pages)
@@ -366,51 +449,69 @@ func (p *Process) MprotectRuns(runs [][2]uint64, prot vm.Prot) error {
 // block of virtual memory aliased to the same physical frames as the pages
 // starting at old_address. The old mapping stays intact.
 func (p *Process) MremapAlias(oldAddr vm.Addr, n uint64) (vm.Addr, error) {
-	if vm.Offset(oldAddr) != 0 || n == 0 {
-		return 0, fmt.Errorf("kernel: bad mremap %#x/%d pages", oldAddr, n)
+	oldVPN, err := pageRange("mremap", oldAddr, n)
+	if err != nil {
+		return 0, err
 	}
 	if err := p.checkInject(SysMremap, n, true, false); err != nil {
 		return 0, err
 	}
-	oldVPN := vm.PageOf(oldAddr)
 	newVPN, err := p.space.ReservePages(n)
 	if err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < n; i++ {
-		frame, _, ok := p.space.Lookup(oldVPN + vm.VPN(i))
-		if !ok {
-			return 0, fmt.Errorf("kernel: mremap of unmapped page %#x", oldAddr+i*vm.PageSize)
-		}
-		p.mapPage(newVPN+vm.VPN(i), frame, vm.ProtRW)
+	// Fresh pages were never translated, so there is nothing to shoot down.
+	if err := p.alias(newVPN, oldVPN, n); err != nil {
+		return 0, fmt.Errorf("kernel: mremap of unmapped page %#x", oldAddr+p.space.Mapped(oldVPN, n)*vm.PageSize)
 	}
 	p.chargeSyscall(SysMremap, n)
 	return uint64(newVPN) << vm.PageShift, nil
+}
+
+// alias maps the n pages from dst RW onto the frames behind the n pages from
+// src and counts the new references. At an unmapped source page it stops
+// with an error, after mapping the pages before it.
+func (p *Process) alias(dst, src vm.VPN, n uint64) error {
+	done, err := p.space.Alias(dst, src, n, vm.ProtRW)
+	if done > 0 {
+		p.space.Runs(dst, done, func(_ vm.VPN, frames []phys.FrameID, _ vm.Prot) bool {
+			p.ref(frames)
+			return true
+		})
+	}
+	return err
 }
 
 // RemapFixedAlias points n already-reserved virtual pages starting at addr
 // at the frames backing the pages starting at srcAddr, with protection RW.
 // It is used when recycling shadow pages from the shared free list (the
 // aliasing equivalent of MmapFixed). Existing mappings at addr are replaced.
+// The two ranges must not overlap.
 func (p *Process) RemapFixedAlias(addr, srcAddr vm.Addr, n uint64) error {
-	if vm.Offset(addr) != 0 || vm.Offset(srcAddr) != 0 || n == 0 {
+	dst, derr := pageRange("fixed alias", addr, n)
+	src, serr := pageRange("fixed alias", srcAddr, n)
+	if derr != nil || serr != nil || uint64(dst-src) < n || uint64(src-dst) < n {
 		return fmt.Errorf("kernel: bad fixed alias %#x<-%#x/%d", addr, srcAddr, n)
 	}
 	if err := p.checkInject(SysMremap, n, false, false); err != nil {
 		return err
 	}
-	dst := vm.PageOf(addr)
-	src := vm.PageOf(srcAddr)
-	for i := uint64(0); i < n; i++ {
-		frame, _, ok := p.space.Lookup(src + vm.VPN(i))
-		if !ok {
-			return fmt.Errorf("kernel: alias of unmapped page %#x", srcAddr+i*vm.PageSize)
-		}
-		if err := p.dropMapping(dst + vm.VPN(i)); err != nil {
+	// Only the pages whose source is mapped are replaced: at the first
+	// unmapped source page the call stops, after the pages before it.
+	// Releasing the old frames first frees none the source maps, since
+	// the ranges are disjoint.
+	k := p.space.Mapped(src, n)
+	if k > 0 {
+		if err := p.unrefRange(dst, k); err != nil {
 			return err
 		}
-		p.mapPage(dst+vm.VPN(i), frame, vm.ProtRW)
-		p.mmu.FlushPage(dst + vm.VPN(i))
+		if err := p.alias(dst, src, k); err != nil {
+			return err
+		}
+		p.mmu.FlushRange(dst, k)
+	}
+	if k < n {
+		return fmt.Errorf("kernel: alias of unmapped page %#x", srcAddr+k*vm.PageSize)
 	}
 	p.chargeSyscall(SysMremap, n)
 	return nil
@@ -422,27 +523,35 @@ func (p *Process) RemapFixedAlias(addr, srcAddr vm.Addr, n uint64) error {
 // real OS) the per-process page table — "any wastage in address space in one
 // connection is not carried over to the other connections".
 func (p *Process) Exit() error {
-	// Teardown runs in ascending VPN order (ForEach's order): frame
-	// free-list order decides which physical frames the *next* process
-	// gets, and the data cache is physically indexed, so a nondeterministic
-	// order would make multi-process measurements nondeterministic.
-	var vpns []vm.VPN
-	p.space.ForEach(func(v vm.VPN, _ phys.FrameID, _ vm.Prot) {
-		vpns = append(vpns, v)
-	})
-	for _, v := range vpns {
-		if err := p.dropMapping(v); err != nil {
-			return err
-		}
+	// Frames go back in ascending page order (unrefRange's), so the next
+	// process's frames, and with them its cache behaviour, are
+	// deterministic.
+	all := uint64(vm.UserAddrLimit >> vm.PageShift)
+	if err := p.unrefRange(0, all); err != nil {
+		return err
 	}
-	return nil
+	_, err := p.space.Unmap(0, all)
+	return err
 }
 
-// Release hands the page-table nodes this process owns and its flight
+// frameRefPool recycles released processes' frame reference tables.
+var frameRefPool sync.Pool // *[]int32, empty
+
+// Release hands the page-table nodes, range-map nodes, TLB entries and cache
+// lines this process owns, its frame reference table and its flight
 // recorder back to their shared pools. The process is unusable afterwards;
 // release its System's physical memory after it.
 func (p *Process) Release() {
 	p.space.Release()
+	p.mmu.Release()
+	clear(p.frameRefs)
+	box := p.refsBox
+	if box == nil {
+		box = new([]int32)
+	}
+	*box = p.frameRefs[:0]
+	frameRefPool.Put(box)
+	p.frameRefs, p.refsBox = nil, nil
 	p.flight.Release()
 	p.flight = nil
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/sim/vm"
@@ -305,5 +306,105 @@ func TestWriteAcrossPageBoundary(t *testing.T) {
 	}
 	if err := p.MMU().WriteWord(at, 8, 1); err == nil {
 		t.Fatal("straddling write into protected page should fault")
+	}
+}
+
+// TestRangeSyscallsRefuseWrappingRanges calls each range syscall with a
+// range that crosses the 47-bit boundary, starts past it, or has a page count
+// near 2^64. Each call must return an error without panicking and leave the
+// process as it was: nothing mapped or reserved, no frame taken, no cycle
+// charged.
+func TestRangeSyscallsRefuseWrappingRanges(t *testing.T) {
+	const limit = vm.UserAddrLimit
+	lastPage := limit - vm.PageSize
+	huge := uint64(math.MaxUint64)
+	calls := []struct {
+		name string
+		call func(p *Process, mapped vm.Addr) error
+	}{
+		{"mmap 2^64-1 bytes", func(p *Process, _ vm.Addr) error { _, err := p.Mmap(huge); return err }},
+		{"mmap 2^47 bytes", func(p *Process, _ vm.Addr) error { _, err := p.Mmap(limit); return err }},
+		{"mmap-fixed across the boundary", func(p *Process, _ vm.Addr) error { return p.MmapFixed(lastPage, 2) }},
+		{"mmap-fixed past the boundary", func(p *Process, _ vm.Addr) error { return p.MmapFixed(limit, 1) }},
+		{"mmap-fixed 2^64-1 pages", func(p *Process, m vm.Addr) error { return p.MmapFixed(m, huge) }},
+		{"munmap across the boundary", func(p *Process, _ vm.Addr) error { return p.Munmap(lastPage, 2) }},
+		{"munmap 2^64-1 pages", func(p *Process, m vm.Addr) error { return p.Munmap(m, huge) }},
+		{"mprotect across the boundary", func(p *Process, _ vm.Addr) error { return p.Mprotect(lastPage, 2, vm.ProtNone) }},
+		{"mprotect 2^64-1 pages", func(p *Process, m vm.Addr) error { return p.Mprotect(m, huge, vm.ProtNone) }},
+		{"mprotect at the top address", func(p *Process, _ vm.Addr) error { return p.Mprotect(huge&^(vm.PageSize-1), 1, vm.ProtNone) }},
+		{"mprotect-runs 2^64-1 pages", func(p *Process, m vm.Addr) error {
+			return p.MprotectRuns([][2]uint64{{m, 1}, {m, huge}}, vm.ProtNone)
+		}},
+		{"mremap across the boundary", func(p *Process, _ vm.Addr) error { _, err := p.MremapAlias(lastPage, 2); return err }},
+		{"mremap 2^64-1 pages", func(p *Process, m vm.Addr) error { _, err := p.MremapAlias(m, huge); return err }},
+		{"mremap 2^35 pages", func(p *Process, m vm.Addr) error { _, err := p.MremapAlias(m, 1<<35); return err }},
+		{"fixed alias across the boundary", func(p *Process, m vm.Addr) error { return p.RemapFixedAlias(lastPage, m, 2) }},
+		{"fixed alias from across the boundary", func(p *Process, m vm.Addr) error { return p.RemapFixedAlias(m, lastPage, 2) }},
+		{"fixed alias 2^64-1 pages", func(p *Process, m vm.Addr) error { return p.RemapFixedAlias(m+vm.PageSize, m, huge) }},
+	}
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			p := newProc(t)
+			mapped, err := p.Mmap(2 * vm.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type state struct {
+				mapped, peak, reserved, frames, cycles, syscalls uint64
+				next                                             vm.VPN
+			}
+			snap := func() state {
+				s := p.Space()
+				return state{s.MappedPages(), s.PeakMappedPages(), s.ReservedPages(),
+					p.System().PhysMemory().InUse(), p.Meter().Cycles(), p.Meter().Syscalls(), s.NextFreshPage()}
+			}
+			before := snap()
+			if err := c.call(p, mapped); err == nil {
+				t.Fatal("the call succeeded")
+			}
+			if after := snap(); after != before {
+				t.Fatalf("the refused call changed the process: %+v -> %+v", before, after)
+			}
+		})
+	}
+}
+
+// BenchmarkAliasProtect times the page work of one shadow-page object's
+// life at the kernel: the mremap alias of a 12–36-page canonical block, a
+// first touch through the alias, and the mprotect that poisons it at free.
+// Every 160 objects, the size of a replay-unique trace, it starts over on a
+// fresh process, outside the timing.
+func BenchmarkAliasProtect(b *testing.B) {
+	cfg := DefaultConfig()
+	var p *Process
+	var canon vm.Addr
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%160 == 0 {
+			b.StopTimer()
+			if p != nil {
+				p.Release()
+				p.System().PhysMemory().Release()
+			}
+			var err error
+			if p, err = NewProcess(NewSystem(cfg), cfg); err != nil {
+				b.Fatal(err)
+			}
+			if canon, err = p.Mmap(36 * vm.PageSize); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		n := uint64(12 + i%25)
+		shadow, err := p.MremapAlias(canon, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.MMU().WriteWord(shadow+8, 8, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Mprotect(shadow, n, vm.ProtNone); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -19,6 +19,7 @@ package mmu
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/sim/cost"
 	"repro/internal/sim/phys"
@@ -86,7 +87,9 @@ type MMU struct {
 	// set i occupies lines[i*ways : (i+1)*ways]. setMask is nsets-1 when
 	// nsets is a power of two (the index is then a mask instead of a
 	// modulo); otherwise setMask is 0 and the modulo path is used.
-	lines      []cacheLine
+	lines []cacheLine
+	// box holds lines for the pool Release hands it to.
+	box        *[]cacheLine
 	ways       int
 	lineShift  uint
 	nsets      uint64
@@ -142,19 +145,53 @@ func New(space *vm.Space, mem *phys.Memory, meter *cost.Meter, cfg Config) *MMU 
 		tlb1:      tlb.New(cfg.TLB1),
 		tlb2:      tlb.New(cfg.TLB2),
 		meter:     meter,
-		lines:     make([]cacheLine, nsets*cc.Ways),
+		box:       takeLines(nsets * cc.Ways),
 		ways:      cc.Ways,
 		lineShift: shift,
 		nsets:     uint64(nsets),
 	}
-	for i := range m.lines {
-		m.lines[i].tag = invalidTag
-	}
+	m.lines = *m.box
 	m.lastLine = invalidTag
 	if n := uint64(nsets); n&(n-1) == 0 {
 		m.setMask = n - 1
 	}
 	return m
+}
+
+// linePools recycles released MMUs' cache-line arrays, one sync.Pool per
+// line count.
+var linePools sync.Map // int -> *sync.Pool
+
+// takeLines returns an array of n cache lines, all invalid with lru 0, taken
+// from the pool when it holds one.
+func takeLines(n int) *[]cacheLine {
+	p, ok := linePools.Load(n)
+	if !ok {
+		p, _ = linePools.LoadOrStore(n, new(sync.Pool))
+	}
+	box, ok := p.(*sync.Pool).Get().(*[]cacheLine)
+	if !ok {
+		box = new([]cacheLine)
+		*box = make([]cacheLine, n)
+	}
+	for i := range *box {
+		(*box)[i] = cacheLine{tag: invalidTag}
+	}
+	return box
+}
+
+// Release hands the data cache's lines and both TLBs' entries to the pools
+// the next MMU takes them from. The MMU must not be used afterwards; its
+// counters stay readable.
+func (m *MMU) Release() {
+	m.tlb1.Release()
+	m.tlb2.Release()
+	if m.box == nil {
+		return
+	}
+	p, _ := linePools.Load(len(*m.box))
+	p.(*sync.Pool).Put(m.box)
+	m.box, m.lines, m.lastLineEntry = nil, nil, nil
 }
 
 // Space returns the address space this MMU translates for.
@@ -166,14 +203,15 @@ func (m *MMU) TLB1() *tlb.TLB { return m.tlb1 }
 // TLB2 returns the second-level TLB (stats).
 func (m *MMU) TLB2() *tlb.TLB { return m.tlb2 }
 
-// FlushPage invalidates both TLB levels' entries for a page (shootdown) and
-// the last-translation cache when it holds that page. (The epoch check makes
-// the latter redundant for flushes that follow a page-table mutation, but a
-// shootdown must invalidate cached translations regardless of its cause.)
-func (m *MMU) FlushPage(v vm.VPN) {
-	m.tlb1.FlushPage(v)
-	m.tlb2.FlushPage(v)
-	if m.tcVPN == v {
+// FlushRange invalidates both TLB levels' entries for the n pages from v
+// (the shootdown of one range syscall) and the last-translation cache when
+// it holds one of them. (The epoch check makes the latter redundant for
+// flushes that follow a page-table mutation, but a shootdown must invalidate
+// cached translations regardless of its cause.)
+func (m *MMU) FlushRange(v vm.VPN, n uint64) {
+	m.tlb1.FlushRange(v, n)
+	m.tlb2.FlushRange(v, n)
+	if uint64(m.tcVPN-v) < n {
 		m.tcEpoch = 0
 	}
 }

@@ -19,6 +19,14 @@ func newMMU(t *testing.T) (*MMU, *vm.Space, *phys.Memory, *cost.Meter) {
 	return m, space, mem, meter
 }
 
+// mapPage maps one page of space onto frame.
+func mapPage(t testing.TB, space *vm.Space, vpn vm.VPN, frame phys.FrameID, prot vm.Prot) {
+	t.Helper()
+	if err := space.Map(vpn, []phys.FrameID{frame}, prot); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // mapPages maps n fresh RW pages and returns the base address.
 func mapPages(t *testing.T, space *vm.Space, mem *phys.Memory, n uint64) vm.Addr {
 	t.Helper()
@@ -31,7 +39,7 @@ func mapPages(t *testing.T, space *vm.Space, mem *phys.Memory, n uint64) vm.Addr
 		if err != nil {
 			t.Fatal(err)
 		}
-		space.Map(vpn+vm.VPN(i), f, vm.ProtRW)
+		mapPage(t, space, vpn+vm.VPN(i), f, vm.ProtRW)
 	}
 	return uint64(vpn) << vm.PageShift
 }
@@ -153,7 +161,7 @@ func TestPhysicallyIndexedCacheSharedAcrossAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space.Map(aliasVPN, frame, vm.ProtRW)
+	mapPage(t, space, aliasVPN, frame, vm.ProtRW)
 	alias := uint64(aliasVPN) << vm.PageShift
 
 	if _, err := m.ReadWord(a+64, 8); err != nil { // warm the line
@@ -171,7 +179,7 @@ func TestPhysicallyIndexedCacheSharedAcrossAliases(t *testing.T) {
 func TestFaultsPropagate(t *testing.T) {
 	m, space, mem, _ := newMMU(t)
 	a := mapPages(t, space, mem, 1)
-	if err := space.Protect(vm.PageOf(a), vm.ProtRead); err != nil {
+	if _, err := space.Protect(vm.PageOf(a), 1, vm.ProtRead); err != nil {
 		t.Fatal(err)
 	}
 	var fault *vm.Fault
@@ -189,7 +197,7 @@ func TestFaultsPropagate(t *testing.T) {
 func TestPeekPokeBypassChargesAndProtection(t *testing.T) {
 	m, space, mem, meter := newMMU(t)
 	a := mapPages(t, space, mem, 1)
-	if err := space.Protect(vm.PageOf(a), vm.ProtNone); err != nil {
+	if _, err := space.Protect(vm.PageOf(a), 1, vm.ProtNone); err != nil {
 		t.Fatal(err)
 	}
 	before := meter.Snapshot()
@@ -224,7 +232,7 @@ func TestFlushPageAffectsBothLevels(t *testing.T) {
 	if _, err := m.ReadWord(a, 8); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushPage(vm.PageOf(a))
+	m.FlushRange(vm.PageOf(a), 1)
 	l1m, l2m := m.TLB1().Misses(), m.TLB2().Misses()
 	if _, err := m.ReadWord(a, 8); err != nil {
 		t.Fatal(err)
@@ -277,10 +285,10 @@ func TestTranslationCacheInvalidatedByProtNone(t *testing.T) {
 	if err := m.WriteWord(a, 8, 0xdead); err != nil {
 		t.Fatal(err)
 	}
-	if err := space.Protect(vpn, vm.ProtNone); err != nil {
+	if _, err := space.Protect(vpn, 1, vm.ProtNone); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushPage(vpn) // the kernel's shootdown after mprotect
+	m.FlushRange(vpn, 1) // the kernel's shootdown after mprotect
 	var fault *vm.Fault
 	if _, err := m.ReadWord(a, 8); !errors.As(err, &fault) || fault.Reason != vm.FaultProtection {
 		t.Fatalf("read after PROT_NONE = %v, want protection fault", err)
@@ -291,10 +299,10 @@ func TestTranslationCacheInvalidatedByProtNone(t *testing.T) {
 
 	// Restore read access: the next read must see the new bits, again
 	// without a shootdown race through the stale cache entry.
-	if err := space.Protect(vpn, vm.ProtRead); err != nil {
+	if _, err := space.Protect(vpn, 1, vm.ProtRead); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushPage(vpn)
+	m.FlushRange(vpn, 1)
 	if v, err := m.ReadWord(a, 8); err != nil || v != 0xdead {
 		t.Fatalf("read after re-protect = %v, %v; want 0xdead", v, err)
 	}
@@ -314,10 +322,10 @@ func TestTranslationCacheSurvivesEpochOnOtherPage(t *testing.T) {
 	if err := m.WriteWord(a, 8, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := space.Protect(other, vm.ProtNone); err != nil {
+	if _, err := space.Protect(other, 1, vm.ProtNone); err != nil {
 		t.Fatal(err)
 	}
-	m.FlushPage(other)
+	m.FlushRange(other, 1)
 	if v, err := m.ReadWord(a, 8); err != nil || v != 42 {
 		t.Fatalf("read after unrelated mprotect = %v, %v; want 42", v, err)
 	}
@@ -338,8 +346,8 @@ func TestTranslationCacheInvalidatedByUnmapRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(mem.FrameForWrite(f2)[:], []byte{0x22, 0x22, 0, 0, 0, 0, 0, 0})
-	space.Map(vpn, f2, vm.ProtRW)
-	m.FlushPage(vpn)
+	mapPage(t, space, vpn, f2, vm.ProtRW)
+	m.FlushRange(vpn, 1)
 	if v, err := m.ReadWord(a, 8); err != nil || v != 0x2222 {
 		t.Fatalf("read after remap = %#x, %v; want 0x2222", v, err)
 	}
@@ -364,7 +372,7 @@ func BenchmarkAccess(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		space.Map(vpn+vm.VPN(i), f, vm.ProtRW)
+		mapPage(b, space, vpn+vm.VPN(i), f, vm.ProtRW)
 	}
 	base := uint64(vpn) << vm.PageShift
 	// Pre-touch so the timed loop measures steady state.

@@ -9,13 +9,15 @@
 // reproduce enscript running out of physical memory.
 //
 // Frames are demand-zero: a frame gets a backing array only when it is first
-// written. A released Memory hands its arrays to a pool the next Memory
-// takes them from, so a short-lived machine allocates little of its own.
+// written. A released Memory hands its arrays and its per-frame tables to
+// pools the next Memory takes them from, so a short-lived machine allocates
+// little of its own.
 package phys
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -55,16 +57,27 @@ func takeFrame() *[PageSize]byte {
 	return f
 }
 
+// frameTables is a Memory's per-frame state. Release hands it to
+// tablePool, cleared, and NewMemory takes it back, so a short-lived machine
+// does not grow its tables from nothing.
+type frameTables struct {
+	// frames holds each frame's backing array; nil means the frame has not
+	// been written since it was allocated and reads as zeroPage.
+	frames []*[PageSize]byte
+	isFree []bool
+	free   []FrameID
+}
+
+var tablePool sync.Pool // *frameTables, empty
+
 // Memory is a pool of page frames with demand-zero backing storage: a frame
 // gets a backing array only when it is first written, and Release hands the
 // arrays to a pool every later Memory draws from. It is not safe for
 // concurrent use.
 type Memory struct {
-	// frames holds each frame's backing array; nil means the frame has not
-	// been written since it was allocated and reads as zeroPage.
-	frames    []*[PageSize]byte
-	isFree    []bool
-	free      []FrameID
+	frameTables
+	// box carries the tables to and from tablePool.
+	box       *frameTables
 	inUse     uint64
 	peakInUse uint64
 	maxFrames uint64 // 0 means unlimited
@@ -76,7 +89,11 @@ type Memory struct {
 // NewMemory returns a Memory with at most maxFrames frames; maxFrames == 0
 // means unlimited.
 func NewMemory(maxFrames uint64) *Memory {
-	return &Memory{maxFrames: maxFrames}
+	m := &Memory{maxFrames: maxFrames}
+	if box, ok := tablePool.Get().(*frameTables); ok {
+		m.box, m.frameTables = box, *box
+	}
+	return m
 }
 
 // AllocFrame returns a zeroed frame, or ErrOutOfMemory if the budget is
@@ -100,6 +117,28 @@ func (m *Memory) AllocFrame() (FrameID, error) {
 	m.isFree = append(m.isFree, false)
 	m.noteAlloc()
 	return id, nil
+}
+
+// AllocFrames fills frames with newly allocated frames, exactly as
+// len(frames) calls of AllocFrame would, and returns how many it filled: all
+// of them, or fewer with ErrOutOfMemory once the budget is exhausted. The
+// tables grow once for the whole request, not by doubling frame by frame.
+func (m *Memory) AllocFrames(frames []FrameID) (int, error) {
+	if fresh := uint64(len(frames)) - min(uint64(len(frames)), uint64(len(m.free))); fresh > 0 {
+		if m.maxFrames != 0 {
+			fresh = min(fresh, m.maxFrames-min(m.maxFrames, uint64(len(m.frames))))
+		}
+		m.frames = slices.Grow(m.frames, int(fresh))
+		m.isFree = slices.Grow(m.isFree, int(fresh))
+	}
+	for i := range frames {
+		f, err := m.AllocFrame()
+		if err != nil {
+			return i, err
+		}
+		frames[i] = f
+	}
+	return len(frames), nil
 }
 
 func (m *Memory) noteAlloc() {
@@ -169,6 +208,14 @@ func (m *Memory) Release() {
 			framePool.Put(f)
 		}
 	}
+	clear(m.frames)
+	clear(m.isFree)
+	box := m.box
+	if box == nil {
+		box = new(frameTables)
+	}
+	*box = frameTables{frames: m.frames[:0], isFree: m.isFree[:0], free: m.free[:0]}
+	tablePool.Put(box)
 	*m = Memory{released: true}
 }
 

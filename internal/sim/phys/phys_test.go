@@ -181,3 +181,49 @@ func TestAllocFreeBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocFramesMatchesAllocFrame allocates batches with AllocFrames and
+// with AllocFrame one at a time, from memories whose free lists hold frames
+// and whose budgets run out mid-batch, and requires the same frames, counts
+// and errors.
+func TestAllocFramesMatchesAllocFrame(t *testing.T) {
+	for _, budget := range []uint64{0, 40, 53} {
+		batch, single := NewMemory(budget), NewMemory(budget)
+		for round, n := range []int{10, 7, 30, 12} {
+			got := make([]FrameID, n)
+			k, err := batch.AllocFrames(got)
+			want := make([]FrameID, 0, n)
+			var werr error
+			for len(want) < n {
+				f, e := single.AllocFrame()
+				if e != nil {
+					werr = e
+					break
+				}
+				want = append(want, f)
+			}
+			if k != len(want) || err != werr {
+				t.Fatalf("budget %d round %d: AllocFrames = %d, %v; one by one %d, %v", budget, round, k, err, len(want), werr)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("budget %d round %d: frame %d = %d, one by one %d", budget, round, i, got[i], want[i])
+				}
+			}
+			if batch.InUse() != single.InUse() || batch.PeakInUse() != single.PeakInUse() {
+				t.Fatalf("budget %d round %d: in use %d/%d, one by one %d/%d", budget, round,
+					batch.InUse(), batch.PeakInUse(), single.InUse(), single.PeakInUse())
+			}
+			// Free every third frame so the next batch draws on the
+			// free list first.
+			for i := 0; i < k; i += 3 {
+				if err := batch.FreeFrame(got[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := single.FreeFrame(want[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -8,7 +8,11 @@
 // table regardless and uses the TLB purely for cycle accounting.
 package tlb
 
-import "repro/internal/sim/vm"
+import (
+	"sync"
+
+	"repro/internal/sim/vm"
+)
 
 // Config describes TLB geometry.
 type Config struct {
@@ -45,6 +49,8 @@ type entry struct {
 // 64-bit modulo of the obvious representation are measurable.
 type TLB struct {
 	entries []entry
+	// box holds entries for the pool Release hands it to.
+	box     *[]entry
 	ways    int
 	nsets   uint64
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0
@@ -69,18 +75,49 @@ func New(cfg Config) *TLB {
 	}
 	nsets := cfg.Entries / cfg.Ways
 	t := &TLB{
-		entries: make([]entry, cfg.Entries),
-		ways:    cfg.Ways,
-		nsets:   uint64(nsets),
+		box:   takeEntries(cfg.Entries),
+		ways:  cfg.Ways,
+		nsets: uint64(nsets),
 	}
-	for i := range t.entries {
-		t.entries[i].vpn = invalidVPN
-	}
+	t.entries = *t.box
 	t.lastVPN = invalidVPN
 	if n := uint64(nsets); n&(n-1) == 0 {
 		t.setMask = n - 1
 	}
 	return t
+}
+
+// entryPools recycles released TLBs' entry arrays, one sync.Pool per entry
+// count.
+var entryPools sync.Map // int -> *sync.Pool
+
+// takeEntries returns an array of n entries, all invalid with lru 0, taken
+// from the pool when it holds one.
+func takeEntries(n int) *[]entry {
+	p, ok := entryPools.Load(n)
+	if !ok {
+		p, _ = entryPools.LoadOrStore(n, new(sync.Pool))
+	}
+	box, ok := p.(*sync.Pool).Get().(*[]entry)
+	if !ok {
+		box = new([]entry)
+		*box = make([]entry, n)
+	}
+	for i := range *box {
+		(*box)[i] = entry{vpn: invalidVPN}
+	}
+	return box
+}
+
+// Release hands the entry array to the pool the next TLB of its size takes
+// it from. The TLB must not be used afterwards; its counters stay readable.
+func (t *TLB) Release() {
+	if t.box == nil {
+		return
+	}
+	p, _ := entryPools.Load(len(*t.box))
+	p.(*sync.Pool).Put(t.box)
+	t.box, t.entries, t.lastEntry = nil, nil, nil
 }
 
 // set returns the entry slice of vpn's set.
@@ -141,6 +178,35 @@ func (t *TLB) FlushPage(vpn vm.VPN) {
 		}
 	}
 	t.lastVPN, t.lastEntry = invalidVPN, nil
+}
+
+// FlushRange invalidates any entry for the n pages from vpn: the shootdown
+// of one range syscall, equal to FlushPage on each page. Consecutive pages
+// fall in consecutive sets, so the sets to scan are one run of the entry
+// array (wrapping at its end); a range of at least as many pages as the TLB
+// has sets scans the array once. Like FlushPage it keeps every entry's lru.
+func (t *TLB) FlushRange(vpn vm.VPN, n uint64) {
+	lo, hi := 0, len(t.entries)
+	if n < t.nsets {
+		first := int(uint64(vpn) % t.nsets)
+		lo, hi = first*t.ways, (first+int(n))*t.ways
+	}
+	flushIn(t.entries[lo:min(hi, len(t.entries))], vpn, n)
+	if hi > len(t.entries) {
+		flushIn(t.entries[:hi-len(t.entries)], vpn, n)
+	}
+	t.lastVPN, t.lastEntry = invalidVPN, nil
+}
+
+// flushIn invalidates the entries of es that hold a page in the n pages from
+// vpn. e-vpn < n holds exactly for vpn <= e < vpn+n, without computing
+// vpn+n.
+func flushIn(es []entry, vpn vm.VPN, n uint64) {
+	for i := range es {
+		if uint64(es[i].vpn-vpn) < n {
+			es[i].vpn = invalidVPN
+		}
+	}
 }
 
 // FlushAll invalidates every entry (full context-switch flush).

@@ -104,3 +104,79 @@ func TestWorkingSetLargerThanTLBThrashes(t *testing.T) {
 		t.Fatalf("oversized working set should mostly miss, miss rate %v", large.MissRate())
 	}
 }
+
+// TestFlushRangeMatchesFlushPage drives pairs of identical TLBs into random
+// states, flushes one with FlushRange and the other with FlushPage on every
+// page of the range, and requires identical state afterwards, every entry's
+// lru and the MRU memo included, and identical hit and miss sequences after.
+// Ranges run from one page to more than the TLB has sets, so both of
+// FlushRange's paths are taken, and some reach past the end of the space.
+func TestFlushRangeMatchesFlushPage(t *testing.T) {
+	state := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		return state
+	}
+	for _, cfg := range []Config{{Entries: 64, Ways: 4}, {Entries: 512, Ways: 4}, {Entries: 24, Ways: 2}} {
+		for round := 0; round < 200; round++ {
+			a, b := New(cfg), New(cfg)
+			for i := 0; i < 400; i++ {
+				v := vm.VPN(next() % 300)
+				a.Access(v)
+				b.Access(v)
+			}
+			lo := vm.VPN(next() % 300)
+			n := 1 + next()%300
+			if round%10 == 0 {
+				lo, n = vm.VPN(^uint64(0)-5), 5 // a range at the very top
+			}
+			a.FlushRange(lo, n)
+			for i := uint64(0); i < n; i++ {
+				b.FlushPage(lo + vm.VPN(i))
+			}
+			for i := range a.entries {
+				if a.entries[i] != b.entries[i] {
+					t.Fatalf("%+v round %d: flush %#x/%d: entry %d = %+v, per-page %+v", cfg, round, lo, n, i, a.entries[i], b.entries[i])
+				}
+			}
+			if a.lastVPN != b.lastVPN || (a.lastEntry == nil) != (b.lastEntry == nil) {
+				t.Fatalf("%+v round %d: memo %#x, per-page %#x", cfg, round, a.lastVPN, b.lastVPN)
+			}
+			for i := 0; i < 100; i++ {
+				v := vm.VPN(next() % 300)
+				if a.Access(v) != b.Access(v) {
+					t.Fatalf("%+v round %d: access %d of %#x differs after the flush", cfg, round, i, v)
+				}
+			}
+			a.Release()
+			b.Release()
+		}
+	}
+}
+
+// TestPooledEntriesComeBackReset fills TLBs, releases them, and requires a
+// TLB built next from the pool to behave as a fresh one: every access of the
+// same sequence hits or misses alike.
+func TestPooledEntriesComeBackReset(t *testing.T) {
+	for round := 0; round < 4; round++ {
+		old := New(DefaultConfig())
+		for v := vm.VPN(0); v < 200; v++ {
+			old.Access(v)
+		}
+		old.Release()
+		reused := New(DefaultConfig())
+		fresh := &TLB{entries: make([]entry, 64), ways: 4, nsets: 16, setMask: 15, lastVPN: invalidVPN}
+		for i := range fresh.entries {
+			fresh.entries[i].vpn = invalidVPN
+		}
+		for i := 0; i < 300; i++ {
+			v := vm.VPN(i * 7 % 211)
+			if reused.Access(v) != fresh.Access(v) {
+				t.Fatalf("round %d: access %d of %#x: a reused TLB disagrees with a fresh one", round, i, v)
+			}
+		}
+		reused.Release()
+	}
+}

@@ -1,6 +1,13 @@
-// Package vm simulates a per-process virtual address space: a page table
-// mapping virtual page numbers to physical frames with per-page protection
-// bits, plus a bump allocator for fresh virtual page ranges.
+// Package vm simulates a per-process virtual address space: mappings from
+// virtual pages to physical frames with protection bits, plus a bump
+// allocator for fresh virtual page ranges.
+//
+// Mappings are kept as ranges, the way an operating system keeps VMAs: a
+// RangeMap of entries each holding a protection and a frame list, so a map,
+// alias, protection change or unmap over n pages is one range edit, and an
+// alias shares its source's frame list. A radix page table caches
+// translations: a page's entry is built the first time it is translated,
+// and a range edit drops the entries built in its range.
 //
 // Two properties the paper depends on are implemented exactly:
 //
@@ -11,8 +18,8 @@
 //   - A 47-bit user address space, matching the paper's §3.4 exhaustion
 //     calculation (2^47 bytes / (2^12 bytes/µs) ≈ 9.5 hours).
 //
-// Page tables are radix trees whose nodes come from pools a released Space
-// refills, so a short-lived address space allocates few nodes of its own.
+// Range-map and radix nodes come from pools a released Space refills, so a
+// short-lived address space allocates few nodes of its own.
 package vm
 
 import (
@@ -184,9 +191,8 @@ const (
 // page-indexed structure: a three-level radix tree (see the geometry
 // constants above) whose zero T means absent, so Set with the zero value
 // deletes. A lookup is three array indexings instead of a map hash, which is
-// what keeps the simulated load/store fast path free of hashing. Space keeps
-// its page-table entries in one; the layers above the MMU key their per-page
-// records by it. The zero PageMap is empty and ready to use; a copy shares
+// what keeps the simulated load/store fast path free of hashing. Space
+// caches its translations in one. The zero PageMap is empty and ready to use; a copy shares
 // the original's nodes, so do not copy one in use. Not safe for concurrent
 // use.
 type PageMap[T comparable] struct {
@@ -210,16 +216,13 @@ type radixLeaf[T comparable] struct {
 }
 
 // NodePool recycles the radix nodes of released PageMaps of one element
-// type, so a short-lived map (one replay's page table or object index) takes
+// type, so a short-lived map (one replay's page table) takes
 // its 16 KB root and 32 KB nodes from the last one instead of allocating
 // them. A node is cleared when it is taken, not when it is returned. The
 // zero NodePool is ready to use and safe for concurrent use.
 type NodePool[T comparable] struct {
 	roots, mids, leaves sync.Pool
 }
-
-// pteNodes is the node pool every Space's page table uses.
-var pteNodes NodePool[pte]
 
 // newRoot returns an empty root, taken from m's pool when it holds one.
 func (m *PageMap[T]) newRoot() *radixRoot[T] {
@@ -374,28 +377,60 @@ func (m *PageMap[T]) Set(vpn VPN, v T) {
 	*m.ensure(vpn) = v
 }
 
+// clearRange deletes every entry in the n pages from vpn, visiting only the
+// leaves that exist. The range must pass CheckRange.
+func (m *PageMap[T]) clearRange(vpn VPN, n uint64) {
+	if m.root == nil {
+		return
+	}
+	end := vpn + VPN(n)
+	for v := vpn; v < end; {
+		top := v >> (radixMidBits + radixLeafBits)
+		mid := m.root.mids[top]
+		if mid == nil {
+			v = (top + 1) << (radixMidBits + radixLeafBits)
+			continue
+		}
+		next := (v | radixLeafMask) + 1
+		if leaf := mid.leaves[(v>>radixLeafBits)&radixMidMask]; leaf != nil {
+			clear(leaf.slots[v&radixLeafMask : min(next, end)-(v&^radixLeafMask)])
+		}
+		v = next
+	}
+}
+
+// mapping is the value of one entry of a Space's range map: the frames of
+// the pages it was made with, one per page, and the protection of all of
+// them. Entries split from one mapping share its frame list.
+type mapping struct {
+	frames []phys.FrameID
+	prot   Prot
+}
+
 // Space is one process's virtual address space. It owns no physical memory;
 // frames are allocated and freed by the kernel layer, which also decides
 // frame lifetimes under aliasing. Not safe for concurrent use.
 //
-// The page table is a PageMap of pte slots, built from the node pool every
-// Space shares.
+// The mappings are ranges (maps), so a map, alias, protection change or
+// unmap over n pages is one range edit. The page table (pt) is only a
+// translation cache: a page's entry is built the first time Lookup or
+// Translate reaches it, and a range edit drops the entries already built in
+// its range. Its radix nodes come from the pool every Space shares.
 type Space struct {
-	pt PageMap[pte]
-	// released marks a Space whose nodes went back to the pool: all
+	maps RangeMap[mapping]
+	pt   PageMap[pte]
+	// released marks a Space whose nodes went back to the pools: all
 	// mutation panics.
 	released bool
-	// mapped is the live page-table entry count.
-	mapped uint64
-	// epoch increments on every Map/Protect/Unmap so the MMU's one-entry
+	// epoch increments on every range edit so the MMU's one-entry
 	// translation cache can validate itself without a table walk.
 	epoch uint64
 	// next is the bump pointer for fresh virtual page allocation. Starting
 	// above zero keeps address 0 (NULL) permanently unmapped.
 	next VPN
-	// peakMapped tracks the high-water mark of live page-table entries,
-	// one of the §3.4 costs (page-table entries tied up by non-reusable
-	// virtual pages).
+	// peakMapped tracks the high-water mark of mapped pages, one of the
+	// §3.4 costs (page-table entries tied up by non-reusable virtual
+	// pages).
 	peakMapped uint64
 	// everMapped counts distinct fresh VPNs handed out by ReservePages,
 	// i.e. total virtual address space consumed.
@@ -410,11 +445,19 @@ type Space struct {
 	budget uint64
 }
 
+// mapNodes and pteNodes are the pools every Space's range map and page
+// table use.
+var (
+	mapNodes RangePool[mapping]
+	pteNodes NodePool[pte]
+)
+
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
 	s := &Space{
 		next: 16, // leave the first 64 KB unmapped (NULL guard)
 	}
+	s.maps.UsePool(&mapNodes)
 	s.pt.UsePool(&pteNodes)
 	return s
 }
@@ -439,7 +482,7 @@ func (s *Space) ReservePages(n uint64) (VPN, error) {
 	// Both checks subtract from the limit instead of adding n to the
 	// counter, so no n wraps past them. next never exceeds the limit; a
 	// budget already below everMapped refuses every reservation.
-	if n > UserAddrLimit>>PageShift-uint64(s.next) {
+	if n > limitPages-uint64(s.next) {
 		return 0, ErrAddressSpaceExhausted
 	}
 	if s.budget != 0 && (s.everMapped > s.budget || n > s.budget-s.everMapped) {
@@ -451,89 +494,173 @@ func (s *Space) ReservePages(n uint64) (VPN, error) {
 	return v, nil
 }
 
-// Map installs a mapping from vpn to frame with protection prot, replacing
-// any existing entry. vpn must lie inside the 47-bit user space (ReservePages
-// never hands out anything else).
-func (s *Space) Map(vpn VPN, frame phys.FrameID, prot Prot) {
+// edit checks a range edit's range and invalidates what it changes: the
+// translations already built in it and any the MMU cached.
+func (s *Space) edit(op string, vpn VPN, n uint64) error {
 	if s.released {
-		panic("vm: Map on a released Space")
+		panic("vm: " + op + " on a released Space")
+	}
+	if err := CheckRange(vpn, n); err != nil {
+		return fmt.Errorf("vm: %s: %w", op, err)
 	}
 	s.epoch++
-	e := s.pt.ensure(vpn)
-	if *e&ptePresent == 0 {
-		s.mapped++
-		if s.mapped > s.peakMapped {
-			s.peakMapped = s.mapped
+	s.pt.clearRange(vpn, n)
+	return nil
+}
+
+// noteMapped raises the high-water mark to the current mapped count.
+func (s *Space) noteMapped() {
+	s.peakMapped = max(s.peakMapped, s.maps.Pages())
+}
+
+// Map maps len(frames) pages from vpn, page i onto frames[i], with
+// protection prot, replacing any existing mappings. The Space keeps frames;
+// the caller must not change it afterwards.
+func (s *Space) Map(vpn VPN, frames []phys.FrameID, prot Prot) error {
+	if err := s.edit("map", vpn, uint64(len(frames))); err != nil {
+		return err
+	}
+	if err := s.maps.Set(vpn, uint64(len(frames)), mapping{frames: frames, prot: prot}); err != nil {
+		return err
+	}
+	s.noteMapped()
+	return nil
+}
+
+// Alias maps the n pages from dst onto the frames behind the n pages from
+// src, with protection prot, replacing any existing mappings at dst: the
+// mremap(old_size = 0) aliasing of the paper's §3.2. The new entries share
+// the source's frame lists. The ranges must not overlap. At the first
+// unmapped source page it stops with an error, after mapping the pages
+// before it, and returns how many it mapped.
+func (s *Space) Alias(dst, src VPN, n uint64, prot Prot) (uint64, error) {
+	if err := CheckRange(src, n); err != nil {
+		return 0, fmt.Errorf("vm: alias source: %w", err)
+	}
+	if uint64(dst-src) < n || uint64(src-dst) < n {
+		return 0, fmt.Errorf("vm: alias of %#x onto overlapping %#x (%d pages)", uint64(src)<<PageShift, uint64(dst)<<PageShift, n)
+	}
+	if err := s.edit("alias", dst, n); err != nil {
+		return 0, err
+	}
+	done := uint64(0)
+	for done < n {
+		sp, ok := s.maps.Find(src + VPN(done))
+		if !ok {
+			break
+		}
+		k := min(sp.Rest, n-done)
+		if err := s.maps.Set(dst+VPN(done), k, mapping{frames: sp.Val.frames[sp.Off : sp.Off+k], prot: prot}); err != nil {
+			return done, err
+		}
+		s.noteMapped()
+		done += k
+	}
+	if done < n {
+		return done, fmt.Errorf("vm: alias of unmapped page %#x", uint64(src+VPN(done))<<PageShift)
+	}
+	return n, nil
+}
+
+// Unmap removes every mapping in the n pages from vpn and returns how many
+// pages were mapped; pages already unmapped are skipped.
+func (s *Space) Unmap(vpn VPN, n uint64) (uint64, error) {
+	if err := s.edit("unmap", vpn, n); err != nil {
+		return 0, err
+	}
+	before := s.maps.Pages()
+	if err := s.maps.Delete(vpn, n); err != nil {
+		return 0, err
+	}
+	return before - s.maps.Pages(), nil
+}
+
+// Protect sets the protection of the n pages from vpn. At the first unmapped
+// page it stops with an error, after changing the pages before it, and
+// returns how many it changed.
+func (s *Space) Protect(vpn VPN, n uint64, prot Prot) (uint64, error) {
+	if err := s.edit("protect", vpn, n); err != nil {
+		return 0, err
+	}
+	done := s.Mapped(vpn, n)
+	if done > 0 {
+		if err := s.maps.Update(vpn, done, func(m mapping) mapping { m.prot = prot; return m }); err != nil {
+			return 0, err
 		}
 	}
-	*e = makePTE(frame, prot)
+	if done < n {
+		return done, fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn+VPN(done))<<PageShift)
+	}
+	return n, nil
 }
 
-// Unmap removes the mapping for vpn. Unmapping an unmapped page is an error
-// (the kernel layer never does it).
-func (s *Space) Unmap(vpn VPN) error {
-	if s.released {
-		panic("vm: Unmap on a released Space")
+// Mapped returns how many of the n pages from vpn are mapped before the
+// first unmapped one. An invalid range has none.
+func (s *Space) Mapped(vpn VPN, n uint64) uint64 {
+	if CheckRange(vpn, n) != nil {
+		return 0
 	}
-	s.epoch++
-	e := s.pt.get(vpn)
-	if e == nil {
-		return fmt.Errorf("vm: unmap of unmapped page %#x", uint64(vpn)<<PageShift)
+	done := uint64(0)
+	for done < n {
+		sp, ok := s.maps.Find(vpn + VPN(done))
+		if !ok {
+			break
+		}
+		done += min(sp.Rest, n-done)
 	}
-	*e = 0
-	s.mapped--
-	return nil
+	return done
 }
 
-// Protect sets the protection bits of vpn.
-func (s *Space) Protect(vpn VPN, prot Prot) error {
-	if s.released {
-		panic("vm: Protect on a released Space")
+// Runs calls fn for every mapped run in the n pages from vpn, in ascending
+// page order, with the run's first page, its frames (one per page; the
+// caller must not change them) and its protection, until fn returns false.
+// fn must not edit the Space.
+func (s *Space) Runs(vpn VPN, n uint64, fn func(start VPN, frames []phys.FrameID, prot Prot) bool) {
+	if sp, ok := s.maps.Find(vpn); ok && n > 0 && sp.Rest >= n {
+		fn(vpn, sp.Val.frames[sp.Off:sp.Off+n], sp.Val.prot) // one entry covers the range
+		return
 	}
-	s.epoch++
-	e := s.pt.get(vpn)
-	if e == nil {
-		return fmt.Errorf("vm: protect of unmapped page %#x", uint64(vpn)<<PageShift)
-	}
-	*e = makePTE(e.frame(), prot)
-	return nil
+	s.maps.ForEachIn(vpn, n, func(start VPN, k uint64, m mapping, off uint64) bool {
+		return fn(start, m.frames[off:off+k], m.prot)
+	})
 }
 
-// Lookup returns the frame and protection of vpn.
+// Lookup returns the frame and protection of vpn, building its page-table
+// entry if this is the first translation of the page since its last edit.
 func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
-	e := s.pt.get(vpn)
-	if e == nil {
+	if e := s.pt.get(vpn); e != nil {
+		return e.frame(), e.prot(), true
+	}
+	sp, ok := s.maps.Find(vpn)
+	if !ok {
 		return 0, 0, false
 	}
-	return e.frame(), e.prot(), true
+	f := sp.Val.frames[sp.Off]
+	*s.pt.ensure(vpn) = makePTE(f, sp.Val.prot)
+	return f, sp.Val.prot, true
 }
 
 // Translate checks an access of the given kind to addr and returns the frame
 // backing it. On failure it returns a *Fault.
 func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
-	e := s.pt.get(PageOf(addr))
-	if e == nil {
+	f, prot, ok := s.Lookup(PageOf(addr))
+	if !ok {
 		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultUnmapped}
 	}
 	need := ProtRead
 	if kind == AccessWrite {
 		need = ProtWrite
 	}
-	if e.prot()&need == 0 {
+	if prot&need == 0 {
 		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
 	}
-	return e.frame(), nil
+	return f, nil
 }
 
-// ForEach calls fn for every live page-table entry, in ascending VPN order.
-func (s *Space) ForEach(fn func(VPN, phys.FrameID, Prot)) {
-	s.pt.ForEach(func(vpn VPN, e pte) { fn(vpn, e.frame(), e.prot()) })
-}
+// MappedPages returns the number of mapped pages.
+func (s *Space) MappedPages() uint64 { return s.maps.Pages() }
 
-// MappedPages returns the number of live page-table entries.
-func (s *Space) MappedPages() uint64 { return s.mapped }
-
-// PeakMappedPages returns the high-water mark of live page-table entries.
+// PeakMappedPages returns the high-water mark of mapped pages.
 func (s *Space) PeakMappedPages() uint64 { return s.peakMapped }
 
 // ReservedPages returns the total number of fresh virtual pages ever handed
@@ -554,11 +681,12 @@ func (s *Space) SetBudget(pages uint64) { s.budget = pages }
 // the architectural limit applies.
 func (s *Space) BudgetPages() uint64 { return s.budget }
 
-// Release hands the Space's radix nodes to the page-table node pool and
+// Release hands the Space's range-map and radix nodes to their pools and
 // leaves the Space unusable: a later lookup finds nothing mapped and a later
 // mutation panics. The machine's owner calls it once the machine's last
 // reader is done.
 func (s *Space) Release() {
+	s.maps.Release()
 	s.pt.Release()
 	s.released = true
 }

@@ -75,7 +75,7 @@ func TestTranslateUnmapped(t *testing.T) {
 
 func TestTranslateProtection(t *testing.T) {
 	s := NewSpace()
-	s.Map(5, 7, ProtRead)
+	mapPage(t, s, 5, 7, ProtRead)
 	addr := Addr(5 * PageSize)
 
 	if _, fault := s.Translate(addr, AccessRead); fault != nil {
@@ -89,14 +89,14 @@ func TestTranslateProtection(t *testing.T) {
 		t.Fatalf("Reason = %v, want protection", fault.Reason)
 	}
 
-	if err := s.Protect(5, ProtNone); err != nil {
+	if _, err := s.Protect(5, 1, ProtNone); err != nil {
 		t.Fatalf("Protect: %v", err)
 	}
 	if _, fault := s.Translate(addr, AccessRead); fault == nil || fault.Reason != FaultProtection {
 		t.Fatalf("read of PROT_NONE page: fault = %v, want protection fault", fault)
 	}
 
-	if err := s.Protect(5, ProtRW); err != nil {
+	if _, err := s.Protect(5, 1, ProtRW); err != nil {
 		t.Fatalf("Protect: %v", err)
 	}
 	frame, fault := s.Translate(addr, AccessWrite)
@@ -113,8 +113,8 @@ func TestAliasingIndependentProtections(t *testing.T) {
 	// different protections.
 	s := NewSpace()
 	const frame = phys.FrameID(3)
-	s.Map(10, frame, ProtRW)
-	s.Map(20, frame, ProtNone)
+	mapPage(t, s, 10, frame, ProtRW)
+	mapPage(t, s, 20, frame, ProtNone)
 
 	if _, fault := s.Translate(10*PageSize, AccessWrite); fault != nil {
 		t.Fatalf("canonical page should be writable: %v", fault)
@@ -172,13 +172,13 @@ func TestAddressSpaceExhaustion(t *testing.T) {
 
 func TestUnmapAndPeak(t *testing.T) {
 	s := NewSpace()
-	s.Map(1, 0, ProtRW)
-	s.Map(2, 1, ProtRW)
-	if err := s.Unmap(1); err != nil {
-		t.Fatalf("Unmap: %v", err)
+	mapPage(t, s, 1, 0, ProtRW)
+	mapPage(t, s, 2, 1, ProtRW)
+	if n, err := s.Unmap(1, 1); n != 1 || err != nil {
+		t.Fatalf("Unmap = %d, %v; want 1 page", n, err)
 	}
-	if err := s.Unmap(1); err == nil {
-		t.Fatal("double unmap not detected")
+	if n, err := s.Unmap(1, 1); n != 0 || err != nil {
+		t.Fatalf("second Unmap = %d, %v; want 0 pages (already unmapped)", n, err)
 	}
 	if s.MappedPages() != 1 {
 		t.Fatalf("MappedPages = %d, want 1", s.MappedPages())
@@ -190,7 +190,7 @@ func TestUnmapAndPeak(t *testing.T) {
 
 func TestProtectUnmapped(t *testing.T) {
 	s := NewSpace()
-	if err := s.Protect(99, ProtNone); err == nil {
+	if _, err := s.Protect(99, 1, ProtNone); err == nil {
 		t.Fatal("protect of unmapped page not detected")
 	}
 }
@@ -252,7 +252,7 @@ func forEachSpace(t *testing.T, fn func(t *testing.T, s *Space)) {
 func TestBoundaryVPN(t *testing.T) {
 	forEachSpace(t, func(t *testing.T, s *Space) {
 		last := VPN(UserAddrLimit>>PageShift) - 1
-		s.Map(last, phys.FrameID(7), ProtRW)
+		mapPage(t, s, last, 7, ProtRW)
 		if f, p, ok := s.Lookup(last); !ok || f != 7 || p != ProtRW {
 			t.Fatalf("Lookup(last) = %v %v %v", f, p, ok)
 		}
@@ -266,7 +266,7 @@ func TestBoundaryVPN(t *testing.T) {
 		if got := s.MappedPages(); got != 1 {
 			t.Fatalf("MappedPages = %d, want 1", got)
 		}
-		if err := s.Unmap(last); err != nil {
+		if _, err := s.Unmap(last, 1); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, ok := s.Lookup(last); ok {
@@ -276,14 +276,22 @@ func TestBoundaryVPN(t *testing.T) {
 }
 
 // TestMapBeyondUserSpacePanics locks in the radix table's explicit guard: a
-// VPN past the 47-bit limit is a kernel bug, not a quiet extra mapping.
+// VPN past the 47-bit limit is a kernel bug, not a quiet extra mapping. The
+// Space refuses such a range with an error before it reaches the table.
 func TestMapBeyondUserSpacePanics(t *testing.T) {
+	s := NewSpace()
+	if err := s.Map(VPN(UserAddrLimit>>PageShift), []phys.FrameID{1}, ProtRW); err == nil {
+		t.Fatal("Map beyond the user space did not fail")
+	}
+	if got := s.MappedPages(); got != 0 {
+		t.Fatalf("refused Map left %d pages mapped", got)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Map beyond the user space did not panic")
+			t.Fatal("a page-table slot beyond the user space did not panic")
 		}
 	}()
-	NewSpace().Map(VPN(UserAddrLimit>>PageShift), phys.FrameID(1), ProtRW)
+	s.pt.ensure(VPN(UserAddrLimit >> PageShift))
 }
 
 // TestAliasRemapOverExistingPTE re-maps a live VPN onto a different frame
@@ -296,11 +304,11 @@ func TestAliasRemapOverExistingPTE(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Map(vpn, phys.FrameID(1), ProtRW)
+		mapPage(t, s, vpn, 1, ProtRW)
 		if got := s.MappedPages(); got != 1 {
 			t.Fatalf("MappedPages = %d, want 1", got)
 		}
-		s.Map(vpn, phys.FrameID(2), ProtRead)
+		mapPage(t, s, vpn, 2, ProtRead)
 		if got := s.MappedPages(); got != 1 {
 			t.Fatalf("MappedPages after remap = %d, want 1 (remap must replace)", got)
 		}
@@ -318,10 +326,10 @@ func TestAliasRemapOverExistingPTE(t *testing.T) {
 	})
 }
 
-// TestProtectPartiallyMappedRange walks Protect across a range with a hole
-// in the middle, the way the kernel's mprotect loop would: pages before the
-// hole take the new protection, the hole reports an error, and pages after
-// the hole are untouched by the failed call.
+// TestProtectPartiallyMappedRange protects a range with a hole in the
+// middle, as the kernel's mprotect does: pages before the hole take the new
+// protection, the hole reports an error, and pages after the hole are
+// untouched by the failed call.
 func TestProtectPartiallyMappedRange(t *testing.T) {
 	forEachSpace(t, func(t *testing.T, s *Space) {
 		base, err := s.ReservePages(4)
@@ -330,14 +338,14 @@ func TestProtectPartiallyMappedRange(t *testing.T) {
 		}
 		// Map pages 0, 1, and 3; leave page 2 a hole.
 		for _, i := range []VPN{0, 1, 3} {
-			s.Map(base+i, phys.FrameID(10+uint64(i)), ProtRW)
+			mapPage(t, s, base+i, phys.FrameID(10+uint64(i)), ProtRW)
 		}
-		var protErr error
-		for i := VPN(0); i < 4 && protErr == nil; i++ {
-			protErr = s.Protect(base+i, ProtNone)
-		}
+		done, protErr := s.Protect(base, 4, ProtNone)
 		if protErr == nil {
 			t.Fatal("Protect over the hole did not error")
+		}
+		if done != 2 {
+			t.Errorf("Protect changed %d pages, want the 2 before the hole", done)
 		}
 		for _, i := range []VPN{0, 1} {
 			if _, p, _ := s.Lookup(base + i); p != ProtNone {
@@ -348,6 +356,14 @@ func TestProtectPartiallyMappedRange(t *testing.T) {
 			t.Errorf("page 3 prot = %v, want rw (untouched after the hole)", p)
 		}
 	})
+}
+
+// mapPage maps one page of s onto frame.
+func mapPage(t *testing.T, s *Space, vpn VPN, frame phys.FrameID, prot Prot) {
+	t.Helper()
+	if err := s.Map(vpn, []phys.FrameID{frame}, prot); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // xorshift returns a deterministic pseudo-random stream; tests use no host
@@ -369,45 +385,95 @@ type modelPTE struct {
 	prot  Prot
 }
 
-// TestRadixMatchesLegacyMap drives the radix page table and a test-local
-// map[VPN]modelPTE model of the original map-backed page table through the same
-// pseudo-random mix of Map/Protect/Unmap/Translate traffic and requires
-// identical observable state throughout.
+// TestRadixMatchesLegacyMap drives a Space and a test-local
+// map[VPN]modelPTE model of the original per-page page table through the
+// same pseudo-random mix of range Map/Protect/Unmap/Alias edits and
+// Translate traffic, with ranges that straddle holes and leaf boundaries,
+// and requires identical observable state throughout: Lookup, Runs,
+// MappedPages and PeakMappedPages. A Protect or Alias that meets a hole
+// changes the pages before it and not the pages after it.
 func TestRadixMatchesLegacyMap(t *testing.T) {
-	radix := NewSpace()
+	space := NewSpace()
 	model := make(map[VPN]modelPTE)
+	var peak uint64
 	next := xorshift()
 	const pages = 300
-	base, err := radix.ReservePages(pages)
+	if _, err := space.ReservePages(radixLeafSize - 150); err != nil {
+		t.Fatal(err)
+	}
+	base, err := space.ReservePages(pages) // straddles the first leaf boundary
 	if err != nil {
 		t.Fatal(err)
 	}
 	prots := []Prot{ProtNone, ProtRead, ProtRW}
+	// prefix returns how many of the n model pages from v are mapped
+	// before the first hole.
+	prefix := func(v VPN, n uint64) uint64 {
+		k := uint64(0)
+		for ; k < n; k++ {
+			if _, ok := model[v+VPN(k)]; !ok {
+				break
+			}
+		}
+		return k
+	}
 	for step := 0; step < 5000; step++ {
-		vpn := base + VPN(next()%pages)
-		me, mapped := model[vpn]
-		switch next() % 4 {
+		n := 1 + next()%24
+		vpn := base + VPN(next()%(pages-n+1))
+		switch next() % 5 {
 		case 0:
-			frame := phys.FrameID(next() % 64)
 			prot := prots[next()%uint64(len(prots))]
-			radix.Map(vpn, frame, prot)
-			model[vpn] = modelPTE{frame: frame, prot: prot}
+			frames := make([]phys.FrameID, n)
+			for i := range frames {
+				frames[i] = phys.FrameID(next() % 64)
+				model[vpn+VPN(i)] = modelPTE{frame: frames[i], prot: prot}
+			}
+			if err := space.Map(vpn, frames, prot); err != nil {
+				t.Fatalf("step %d: Map: %v", step, err)
+			}
 		case 1:
 			prot := prots[next()%uint64(len(prots))]
-			if err := radix.Protect(vpn, prot); (err == nil) != mapped {
-				t.Fatalf("step %d: Protect(%#x) err %v, model mapped %v", step, vpn, err, mapped)
+			want := prefix(vpn, n)
+			done, err := space.Protect(vpn, n, prot)
+			if done != want || (err == nil) != (want == n) {
+				t.Fatalf("step %d: Protect(%#x, %d) = %d, %v; model maps %d before a hole", step, vpn, n, done, err, want)
 			}
-			if mapped {
+			for i := uint64(0); i < want; i++ {
+				me := model[vpn+VPN(i)]
 				me.prot = prot
-				model[vpn] = me
+				model[vpn+VPN(i)] = me
 			}
 		case 2:
-			if err := radix.Unmap(vpn); (err == nil) != mapped {
-				t.Fatalf("step %d: Unmap(%#x) err %v, model mapped %v", step, vpn, err, mapped)
+			want := uint64(0)
+			for i := uint64(0); i < n; i++ {
+				if _, ok := model[vpn+VPN(i)]; ok {
+					want++
+					delete(model, vpn+VPN(i))
+				}
 			}
-			delete(model, vpn)
+			if got, err := space.Unmap(vpn, n); got != want || err != nil {
+				t.Fatalf("step %d: Unmap(%#x, %d) = %d, %v; model held %d", step, vpn, n, got, err, want)
+			}
 		case 3:
+			src := base + VPN(next()%(pages-n+1))
+			if uint64(vpn-src) < n || uint64(src-vpn) < n {
+				if _, err := space.Alias(vpn, src, n, ProtRW); err == nil {
+					t.Fatalf("step %d: overlapping Alias(%#x, %#x, %d) did not fail", step, vpn, src, n)
+				}
+				break
+			}
+			prot := prots[next()%uint64(len(prots))]
+			want := prefix(src, n)
+			done, err := space.Alias(vpn, src, n, prot)
+			if done != want || (err == nil) != (want == n) {
+				t.Fatalf("step %d: Alias(%#x, %#x, %d) = %d, %v; model maps %d before a hole", step, vpn, src, n, done, err, want)
+			}
+			for i := uint64(0); i < want; i++ {
+				model[vpn+VPN(i)] = modelPTE{frame: model[src+VPN(i)].frame, prot: prot}
+			}
+		case 4:
 			addr := Addr(vpn)<<PageShift + next()%PageSize
+			me, mapped := model[vpn]
 			kind, need := AccessRead, ProtRead
 			if next()%2 == 0 {
 				kind, need = AccessWrite, ProtWrite
@@ -419,7 +485,7 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 			case me.prot&need == 0:
 				want = &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
 			}
-			f, fault := radix.Translate(addr, kind)
+			f, fault := space.Translate(addr, kind)
 			if (fault == nil) != (want == nil) || (want == nil && f != me.frame) {
 				t.Fatalf("step %d: Translate(%#x, %v) = (%v, %v), model (%v, %v)",
 					step, addr, kind, f, fault, me.frame, want)
@@ -428,25 +494,38 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 				t.Fatalf("step %d: fault %v, model %v", step, fault, want)
 			}
 		}
-		if radix.MappedPages() != uint64(len(model)) {
-			t.Fatalf("step %d: mapped %d (radix) vs %d (model)", step, radix.MappedPages(), len(model))
+		peak = max(peak, uint64(len(model)))
+		if space.MappedPages() != uint64(len(model)) || space.PeakMappedPages() != peak {
+			t.Fatalf("step %d: mapped %d, peak %d (space) vs %d, %d (model)",
+				step, space.MappedPages(), space.PeakMappedPages(), len(model), peak)
+		}
+		// Probe one page: Lookup builds its page-table entry, which a
+		// later edit must drop or rewrite.
+		probe := base + VPN(next()%pages)
+		f, p, ok := space.Lookup(probe)
+		if me, mok := model[probe]; f != me.frame || p != me.prot || ok != mok {
+			t.Fatalf("step %d: Lookup(%#x) = (%v,%v,%v), model (%v,%v,%v)", step, probe, f, p, ok, me.frame, me.prot, mok)
 		}
 	}
-	// Final sweep: every page's Lookup must agree, and ForEach must visit
+	// Final sweep: every page's Lookup must agree, and Runs must visit
 	// exactly the model's pages in ascending order.
 	for i := VPN(0); i < pages; i++ {
-		f, p, ok := radix.Lookup(base + i)
+		f, p, ok := space.Lookup(base + i)
 		me, mok := model[base+i]
 		if f != me.frame || p != me.prot || ok != mok {
-			t.Fatalf("page %d: radix (%v,%v,%v) vs model (%v,%v,%v)", i, f, p, ok, me.frame, me.prot, mok)
+			t.Fatalf("page %d: space (%v,%v,%v) vs model (%v,%v,%v)", i, f, p, ok, me.frame, me.prot, mok)
 		}
 	}
 	var visited []VPN
-	radix.ForEach(func(v VPN, f phys.FrameID, p Prot) {
-		if me := model[v]; f != me.frame || p != me.prot {
-			t.Fatalf("ForEach(%#x) = (%v,%v), model (%v,%v)", v, f, p, me.frame, me.prot)
+	space.Runs(0, limitPages, func(start VPN, frames []phys.FrameID, p Prot) bool {
+		for i, f := range frames {
+			v := start + VPN(i)
+			if me := model[v]; f != me.frame || p != me.prot {
+				t.Fatalf("Runs page %#x = (%v,%v), model (%v,%v)", v, f, p, me.frame, me.prot)
+			}
+			visited = append(visited, v)
 		}
-		visited = append(visited, v)
+		return true
 	})
 	checkAscendingKeys(t, visited, model)
 }
@@ -481,7 +560,8 @@ func TestPooledNodesComeBackEmpty(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		old := NewSpace()
 		for _, v := range pages {
-			old.Map(v, phys.FrameID(v), ProtRW)
+			mapPage(t, old, v, phys.FrameID(v), ProtRW)
+			old.Lookup(v) // build the page-table entry
 		}
 		old.Release()
 
@@ -493,7 +573,7 @@ func TestPooledNodesComeBackEmpty(t *testing.T) {
 		pm.Release()
 
 		s := NewSpace()
-		s.Map(pages[1], 9, ProtRW)
+		mapPage(t, s, pages[1], 9, ProtRW)
 		next := PageMap[*int]{}
 		next.UsePool(&objects)
 		next.Set(pages[1], obj)
@@ -587,8 +667,12 @@ func BenchmarkTranslate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := uint64(0); i < pages; i++ {
-		s.Map(vpn+VPN(i), phys.FrameID(i%512), ProtRW)
+	frames := make([]phys.FrameID, pages)
+	for i := range frames {
+		frames[i] = phys.FrameID(i % 512)
+	}
+	if err := s.Map(vpn, frames, ProtRW); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var sink uint64

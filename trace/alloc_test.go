@@ -34,7 +34,7 @@ func TestParseFileAllocs(t *testing.T) {
 // replay-unique-shaped trace on a fresh machine, released to the pools as
 // pgserved releases it.
 func TestReplayAllocs(t *testing.T) {
-	const ceiling = 1243 // 1,239 measured with go1.24
+	const ceiling = 1236 // 1,212 measured with go1.24, plus 2%
 	if got := releasedReplayAllocs(t, pageBenchTrace(160)); got > ceiling {
 		t.Fatalf("released replay: %v allocs, ceiling %d", got, ceiling)
 	}
@@ -43,7 +43,7 @@ func TestReplayAllocs(t *testing.T) {
 // TestReplayDetectAllocs pins BenchmarkReplayDetect's input: the same over
 // a replay-detect-shaped trace, whose ten trap reports share one flight log.
 func TestReplayDetectAllocs(t *testing.T) {
-	const ceiling = 1298 // 1,290 measured with go1.24
+	const ceiling = 1289 // 1,264 measured with go1.24, plus 2%
 	if got := releasedReplayAllocs(t, detectBenchTrace()); got > ceiling {
 		t.Fatalf("released replay-detect: %v allocs, ceiling %d", got, ceiling)
 	}

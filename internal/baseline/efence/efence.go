@@ -57,9 +57,9 @@ func (e *ViolationError) Error() string {
 // Runtime is the Electric Fence allocator.
 type Runtime struct {
 	proc *kernel.Process
-	// byPage maps each page of each object to its record.
-	byPage vm.PageMap[*object]
-	live   map[vm.Addr]*object
+	// objects maps each object's pages to its record.
+	objects vm.RangeMap[*object]
+	live    map[vm.Addr]*object
 }
 
 var _ interp.Runtime = (*Runtime)(nil)
@@ -83,8 +83,8 @@ func (r *Runtime) Malloc(size uint64, site string) (vm.Addr, error) {
 		return 0, fmt.Errorf("efence: %s: %w", site, err)
 	}
 	obj := &object{addr: addr, size: size, pages: pages, alloc: site}
-	for i := uint64(0); i < pages; i++ {
-		r.byPage.Set(vm.PageOf(addr)+vm.VPN(i), obj)
+	if err := r.objects.Set(vm.PageOf(addr), pages, obj); err != nil {
+		return 0, fmt.Errorf("efence: %s: %w", site, err)
 	}
 	r.live[addr] = obj
 	return addr, nil
@@ -98,7 +98,7 @@ func (r *Runtime) Free(addr vm.Addr, site string) error {
 	}
 	obj, ok := r.live[addr]
 	if !ok {
-		if old := r.byPage.Get(vm.PageOf(addr)); old != nil && old.freed {
+		if old := r.objects.Get(vm.PageOf(addr)); old != nil && old.freed {
 			return &ViolationError{
 				Addr: addr, UseSite: site,
 				AllocSite: old.alloc, FreeSite: old.free, Double: true,
@@ -136,7 +136,7 @@ func (r *Runtime) PoolFree(handle uint64, addr vm.Addr, site string) error {
 // Explain implements interp.Runtime.
 func (r *Runtime) Explain(fault *vm.Fault, site string) error {
 	r.proc.Meter().ChargeTrap()
-	obj := r.byPage.Get(vm.PageOf(fault.Addr))
+	obj := r.objects.Get(vm.PageOf(fault.Addr))
 	if obj == nil || !obj.freed {
 		return fault
 	}

@@ -260,7 +260,8 @@ func pageRange(call string, addr vm.Addr, n uint64) (vm.VPN, error) {
 }
 
 // mapFresh reserves and maps n fresh pages RW, charging an mmap syscall if
-// charge is set.
+// charge is set. It needs no shootdown: fresh pages were never mapped, so no
+// TLB entry holds a translation for one.
 func (p *Process) mapFresh(n uint64, charge bool) (vm.Addr, error) {
 	vpn, err := p.space.ReservePages(n)
 	if err != nil {
@@ -361,6 +362,7 @@ func (p *Process) MmapFixed(addr vm.Addr, n uint64) error {
 			if _, uerr := p.space.Unmap(vpn+vm.VPN(i), 1); uerr != nil {
 				return uerr
 			}
+			p.mmu.FlushRange(vpn+vm.VPN(i), 1)
 		}
 		return err
 	}
@@ -460,7 +462,8 @@ func (p *Process) MremapAlias(oldAddr vm.Addr, n uint64) (vm.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Fresh pages were never translated, so there is nothing to shoot down.
+	// Fresh pages were never mapped, so no TLB entry holds a translation
+	// for one and there is nothing to shoot down.
 	if err := p.alias(newVPN, oldVPN, n); err != nil {
 		return 0, fmt.Errorf("kernel: mremap of unmapped page %#x", oldAddr+p.space.Mapped(oldVPN, n)*vm.PageSize)
 	}
@@ -531,16 +534,17 @@ func (p *Process) Exit() error {
 		return err
 	}
 	_, err := p.space.Unmap(0, all)
+	p.mmu.FlushAll()
 	return err
 }
 
 // frameRefPool recycles released processes' frame reference tables.
 var frameRefPool sync.Pool // *[]int32, empty
 
-// Release hands the page-table nodes, range-map nodes, TLB entries and cache
-// lines this process owns, its frame reference table and its flight
-// recorder back to their shared pools. The process is unusable afterwards;
-// release its System's physical memory after it.
+// Release hands the range-map nodes, TLB entries and cache lines this
+// process owns, its frame reference table and its flight recorder back to
+// their shared pools. The process is unusable afterwards; release its
+// System's physical memory after it.
 func (p *Process) Release() {
 	p.space.Release()
 	p.mmu.Release()

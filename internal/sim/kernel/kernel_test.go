@@ -350,12 +350,12 @@ func TestRangeSyscallsRefuseWrappingRanges(t *testing.T) {
 				t.Fatal(err)
 			}
 			type state struct {
-				mapped, peak, reserved, frames, cycles, syscalls uint64
-				next                                             vm.VPN
+				mapped, reserved, frames, cycles, syscalls uint64
+				next                                       vm.VPN
 			}
 			snap := func() state {
 				s := p.Space()
-				return state{s.MappedPages(), s.PeakMappedPages(), s.ReservedPages(),
+				return state{s.MappedPages(), s.ReservedPages(),
 					p.System().PhysMemory().InUse(), p.Meter().Cycles(), p.Meter().Syscalls(), s.NextFreshPage()}
 			}
 			before := snap()

@@ -1,6 +1,10 @@
-// Package mmu combines the page table, a two-level TLB, and a small
+// Package mmu combines the address space, a two-level TLB, and a small
 // physically indexed data cache into the memory access path every simulated
-// load and store takes.
+// load and store takes. The TLB is the only translation cache: an access
+// that finds its page's translation in a TLB entry uses it, and one that
+// does not walks the address space's mappings and fills the entry. The
+// kernel's shootdowns (FlushRange, FlushAll) after every mapping or
+// protection change are what keep the cached translations correct.
 //
 // The MMU performs the run-time check the paper's scheme relies on ("the
 // memory management unit in most modern processors performs a run-time check
@@ -107,16 +111,6 @@ type MMU struct {
 
 	cacheHits   uint64
 	cacheMisses uint64
-
-	// One-entry last-translation cache: the common case is a run of
-	// accesses to the page just translated, and revalidating against the
-	// space's mutation epoch costs two compares instead of a page-table
-	// walk. tcEpoch == 0 means empty (Space epochs start at 1 after any
-	// mutation; a fresh MMU has nothing cached anyway).
-	tcVPN   vm.VPN
-	tcFrame phys.FrameID
-	tcProt  vm.Prot
-	tcEpoch uint64
 }
 
 // New returns an MMU over the given space and physical memory, charging the
@@ -203,24 +197,18 @@ func (m *MMU) TLB1() *tlb.TLB { return m.tlb1 }
 // TLB2 returns the second-level TLB (stats).
 func (m *MMU) TLB2() *tlb.TLB { return m.tlb2 }
 
-// FlushRange invalidates both TLB levels' entries for the n pages from v
-// (the shootdown of one range syscall) and the last-translation cache when
-// it holds one of them. (The epoch check makes the latter redundant for
-// flushes that follow a page-table mutation, but a shootdown must invalidate
-// cached translations regardless of its cause.)
+// FlushRange invalidates both TLB levels' entries, and with them the
+// translations they cache, for the n pages from v: the shootdown of one
+// range syscall.
 func (m *MMU) FlushRange(v vm.VPN, n uint64) {
 	m.tlb1.FlushRange(v, n)
 	m.tlb2.FlushRange(v, n)
-	if uint64(m.tcVPN-v) < n {
-		m.tcEpoch = 0
-	}
 }
 
-// FlushAll invalidates both TLB levels and the last-translation cache.
+// FlushAll invalidates both TLB levels.
 func (m *MMU) FlushAll() {
 	m.tlb1.FlushAll()
 	m.tlb2.FlushAll()
-	m.tcEpoch = 0
 }
 
 // CacheHits returns the data-cache hit count.
@@ -270,48 +258,47 @@ func (m *MMU) cacheAccess(paddr uint64) bool {
 	return false
 }
 
-// tlbAccess walks the TLB hierarchy for vpn.
-func (m *MMU) tlbAccess(vpn vm.VPN) cost.TLBOutcome {
-	if m.tlb1.Access(vpn) {
-		return cost.TLBHit
-	}
-	if m.tlb2.Access(vpn) {
-		return cost.TLBL2Hit
-	}
-	return cost.TLBMissAll
-}
-
 // access translates one page-confined access and charges the meter.
 //
-// Translation takes the one-entry last-translation cache when it holds the
-// accessed page at the current page-table epoch; the cached (frame, prot)
-// pair is by construction what Translate would return, so the outcome —
-// including the protection fault an mprotect'd page must raise — is
-// identical, and the TLB and data-cache charges are made either way.
+// The TLB levels are looked up exactly as for hit/miss accounting alone,
+// and L1's entry supplies the translation. An L1 miss that hits L2 copies
+// L2's translation into L1. When L1's entry still has none (a miss in both
+// levels, or an L2 entry without one), the access walks the address space
+// and fills both entries. An L1 hit on an entry a faulting access left
+// without a translation walks and fills it alone. A faulting walk fills
+// nothing, and no access that faults is charged.
 func (m *MMU) access(addr vm.Addr, kind vm.AccessKind) (phys.FrameID, error) {
 	vpn := vm.PageOf(addr)
-	outcome := m.tlbAccess(vpn)
 	need := vm.ProtRead
 	if kind == vm.AccessWrite {
 		need = vm.ProtWrite
 	}
-	var frame phys.FrameID
-	if m.tcEpoch != 0 && m.tcVPN == vpn && m.tcEpoch == m.space.Epoch() {
-		if m.tcProt&need == 0 {
-			return 0, &vm.Fault{Addr: addr, Access: kind, Reason: vm.FaultProtection}
+	outcome := cost.TLBHit
+	e1, hit := m.tlb1.Access(vpn)
+	var e2 *tlb.Entry
+	if !hit {
+		outcome = cost.TLBMissAll
+		if e2, hit = m.tlb2.Access(vpn); hit {
+			outcome = cost.TLBL2Hit
 		}
-		frame = m.tcFrame
-	} else {
-		f, prot, ok := m.space.Lookup(vpn)
-		if !ok {
+		if f, p, ok := e2.Translation(); ok {
+			e1.Fill(f, p)
+		}
+	}
+	frame, prot, ok := e1.Translation()
+	if !ok {
+		if frame, prot, ok = m.space.Lookup(vpn); !ok {
 			return 0, &vm.Fault{Addr: addr, Access: kind, Reason: vm.FaultUnmapped}
 		}
-		m.tcVPN, m.tcFrame, m.tcProt = vpn, f, prot
-		m.tcEpoch = m.space.Epoch()
-		if prot&need == 0 {
-			return 0, &vm.Fault{Addr: addr, Access: kind, Reason: vm.FaultProtection}
+		if prot&need != 0 {
+			e1.Fill(frame, prot)
+			if e2 != nil {
+				e2.Fill(frame, prot)
+			}
 		}
-		frame = f
+	}
+	if prot&need == 0 {
+		return 0, &vm.Fault{Addr: addr, Access: kind, Reason: vm.FaultProtection}
 	}
 	paddr := uint64(frame)<<vm.PageShift | vm.Offset(addr)
 	cacheHit := m.cacheAccess(paddr)

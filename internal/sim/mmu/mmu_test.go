@@ -271,11 +271,11 @@ func TestInvalidConfigFallsBack(t *testing.T) {
 }
 
 // TestTranslationCacheInvalidatedByProtNone is the dangling-pointer
-// correctness case for the one-entry translation cache: an access loads the
-// cache with (vpn, frame, rw); mprotect(PROT_NONE) on that same page — the
-// free path's poisoning step — must not let the next access ride the stale
-// cached protection. The epoch check forces a fresh page-table walk, which
-// faults.
+// correctness case for the translations the TLB caches: an access fills
+// both levels' entries with (frame, rw); mprotect(PROT_NONE) on that same
+// page — the free path's poisoning step — must not let the next access ride
+// the stale cached protection. The kernel's shootdown drops the entries, so
+// the next access walks the mappings and faults.
 func TestTranslationCacheInvalidatedByProtNone(t *testing.T) {
 	m, space, mem, _ := newMMU(t)
 	a := mapPages(t, space, mem, 1)
@@ -312,9 +312,9 @@ func TestTranslationCacheInvalidatedByProtNone(t *testing.T) {
 }
 
 // TestTranslationCacheSurvivesEpochOnOtherPage checks the cache is only as
-// conservative as it needs to be: a mutation on a *different* page bumps the
-// epoch and forces a re-walk, but the re-walk re-validates and the access
-// still succeeds with the same outcome.
+// conservative as it needs to be: a protection change and shootdown on a
+// *different* page leaves the cached translation of this one in place, and
+// the access still succeeds with the same outcome.
 func TestTranslationCacheSurvivesEpochOnOtherPage(t *testing.T) {
 	m, space, mem, _ := newMMU(t)
 	a := mapPages(t, space, mem, 2)
@@ -332,8 +332,8 @@ func TestTranslationCacheSurvivesEpochOnOtherPage(t *testing.T) {
 }
 
 // TestTranslationCacheInvalidatedByUnmapRemap remaps the cached page to a
-// different frame and checks the next access reads through the new mapping —
-// the cached frame must not leak stale data.
+// different frame and checks the next access, after the shootdown, reads
+// through the new mapping — the cached frame must not leak stale data.
 func TestTranslationCacheInvalidatedByUnmapRemap(t *testing.T) {
 	m, space, mem, _ := newMMU(t)
 	a := mapPages(t, space, mem, 1)
@@ -353,21 +353,66 @@ func TestTranslationCacheInvalidatedByUnmapRemap(t *testing.T) {
 	}
 }
 
-// BenchmarkAccess measures the full simulated load path — radix page table,
-// translation cache, TLB hierarchy, data cache, cycle meter. Every access
-// lands on a different page than the last (page stride plus a small prime
-// offset), so the one-entry translation cache never hits and each iteration
-// performs a real page-table lookup.
-func BenchmarkAccess(b *testing.B) {
-	const pages = 512
+// TestTranslationCacheAcrossLevels checks the translations the two levels
+// carry: over 128 pages, more than L1 holds and fewer than L2 does, each
+// page reads back its own value when its translation comes from L2, and a
+// page first touched while unmapped, whose entry that fault left without a
+// translation, reads through the mapping made after it with no shootdown,
+// as a fresh mmap makes it.
+func TestTranslationCacheAcrossLevels(t *testing.T) {
+	m, space, mem, _ := newMMU(t)
+	a := mapPages(t, space, mem, 128)
+	for round := 0; round < 2; round++ {
+		for p := uint64(0); p < 128; p++ {
+			if round == 0 {
+				if err := m.WriteWord(a+p*vm.PageSize, 8, p+1); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if v, err := m.ReadWord(a+p*vm.PageSize, 8); err != nil || v != p+1 {
+				t.Fatalf("page %d reads %d, %v; want %d", p, v, err, p+1)
+			}
+		}
+	}
+	if m.TLB2().Hits() == 0 {
+		t.Fatal("no translation came from L2")
+	}
+
+	vpn, err := space.ReservePages(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := uint64(vpn) << vm.PageShift
+	var fault *vm.Fault
+	if _, err := m.ReadWord(fresh, 8); !errors.As(err, &fault) || fault.Reason != vm.FaultUnmapped {
+		t.Fatalf("read of a reserved, unmapped page = %v, want an unmapped fault", err)
+	}
+	f, err := mem.AllocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapPage(t, space, vpn, f, vm.ProtRW)
+	if err := m.WriteWord(fresh, 8, 99); err != nil {
+		t.Fatalf("write after mapping the faulted page: %v", err)
+	}
+	if v, err := m.ReadWord(fresh, 8); err != nil || v != 99 {
+		t.Fatalf("read after mapping the faulted page = %d, %v; want 99", v, err)
+	}
+}
+
+// benchMMU maps n fresh RW pages for a benchmark, touches each once so the
+// timed loop measures steady state, and returns the MMU and the base address.
+func benchMMU(b *testing.B, n uint64) (*MMU, vm.Addr) {
+	b.Helper()
 	space := vm.NewSpace()
 	mem := phys.NewMemory(0)
 	m := New(space, mem, cost.NewMeter(cost.Default()), DefaultConfig())
-	vpn, err := space.ReservePages(pages)
+	vpn, err := space.ReservePages(n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := uint64(0); i < pages; i++ {
+	for i := uint64(0); i < n; i++ {
 		f, err := mem.AllocFrame()
 		if err != nil {
 			b.Fatal(err)
@@ -375,12 +420,23 @@ func BenchmarkAccess(b *testing.B) {
 		mapPage(b, space, vpn+vm.VPN(i), f, vm.ProtRW)
 	}
 	base := uint64(vpn) << vm.PageShift
-	// Pre-touch so the timed loop measures steady state.
-	for p := uint64(0); p < pages; p++ {
+	for p := uint64(0); p < n; p++ {
 		if _, err := m.ReadWord(base+p*vm.PageSize, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return m, base
+}
+
+// BenchmarkAccess measures the full simulated load path — TLB hierarchy and
+// the translations it carries, address-space walk, data cache, cycle meter.
+// Every access lands on a different page than the last (page stride plus a
+// small prime offset) over 512 one-page mappings, more than L1 holds, so
+// most accesses miss L1 and take L2's translation, and some miss both and
+// walk the mappings.
+func BenchmarkAccess(b *testing.B) {
+	const pages = 512
+	m, base := benchMMU(b, pages)
 	addr := base
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -390,6 +446,20 @@ func BenchmarkAccess(b *testing.B) {
 		addr += vm.PageSize + 8*13
 		if addr >= base+pages*vm.PageSize {
 			addr = base + (addr-base)%vm.PageSize
+		}
+	}
+}
+
+// BenchmarkAccessPingPong measures reads alternating between two pages, the
+// pattern of an interpreter touching its stack and the heap in turn: each
+// access hits L1 on a different page than the last, so its translation
+// comes from the L1 entry.
+func BenchmarkAccessPingPong(b *testing.B) {
+	m, base := benchMMU(b, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ReadWord(base+uint64(i&1)*vm.PageSize+uint64(i&63)*8, 8); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

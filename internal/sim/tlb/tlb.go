@@ -3,14 +3,19 @@
 // TLB pressure is one of the two overhead sources the paper identifies for
 // the shadow-page scheme ("since each allocation has a new virtual page, our
 // approach has more TLB misses than the original program", §1) and the
-// subject of its proposed architectural mitigation. The simulation only needs
-// hit/miss behaviour, not translation itself — the MMU consults the page
-// table regardless and uses the TLB purely for cycle accounting.
+// subject of its proposed architectural mitigation. As on hardware, the TLB
+// is also where translations are cached: an entry holds the frame and
+// protection of its page once the MMU has filled it, and the kernel's
+// shootdowns (FlushRange, FlushAll) are what keep it coherent with the
+// address space. Hits and misses, and so every simulated cycle, depend only
+// on the sequence of pages accessed and flushed, never on whether an entry
+// holds a translation.
 package tlb
 
 import (
 	"sync"
 
+	"repro/internal/sim/phys"
 	"repro/internal/sim/vm"
 )
 
@@ -35,11 +40,29 @@ func DefaultConfig() Config {
 // representation picked.
 const invalidVPN = vm.VPN(^uint64(0))
 
-type entry struct {
+// Entry is one TLB entry. Access returns it so the MMU can read or fill the
+// translation it caches; the pointer is good until the next Access, flush
+// or Release.
+type Entry struct {
 	vpn vm.VPN
 	// lru is a per-set sequence number; higher is more recent. A flushed
 	// entry keeps its stale value (see invalidVPN).
 	lru uint64
+	// frame and prot are the cached translation when mapped is set. A miss
+	// fills the entry with none; the MMU fills it after a successful walk.
+	frame  phys.FrameID
+	prot   vm.Prot
+	mapped bool
+}
+
+// Translation returns the frame and protection e caches, if it holds one.
+func (e *Entry) Translation() (phys.FrameID, vm.Prot, bool) {
+	return e.frame, e.prot, e.mapped
+}
+
+// Fill makes e cache the translation of its page to frame with prot.
+func (e *Entry) Fill(frame phys.FrameID, prot vm.Prot) {
+	e.frame, e.prot, e.mapped = frame, prot, true
 }
 
 // TLB is a set-associative TLB with LRU replacement. Not safe for concurrent
@@ -48,9 +71,9 @@ type entry struct {
 // lookup runs twice per simulated memory access, so the pointer chase and
 // 64-bit modulo of the obvious representation are measurable.
 type TLB struct {
-	entries []entry
+	entries []Entry
 	// box holds entries for the pool Release hands it to.
-	box     *[]entry
+	box     *[]Entry
 	ways    int
 	nsets   uint64
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0
@@ -64,7 +87,7 @@ type TLB struct {
 	// can skip the set scan. Any flush resets the memo, since flushes
 	// invalidate entries without going through Access.
 	lastVPN   vm.VPN
-	lastEntry *entry
+	lastEntry *Entry
 }
 
 // New returns a TLB with the given geometry. A zero or invalid config falls
@@ -93,18 +116,18 @@ var entryPools sync.Map // int -> *sync.Pool
 
 // takeEntries returns an array of n entries, all invalid with lru 0, taken
 // from the pool when it holds one.
-func takeEntries(n int) *[]entry {
+func takeEntries(n int) *[]Entry {
 	p, ok := entryPools.Load(n)
 	if !ok {
 		p, _ = entryPools.LoadOrStore(n, new(sync.Pool))
 	}
-	box, ok := p.(*sync.Pool).Get().(*[]entry)
+	box, ok := p.(*sync.Pool).Get().(*[]Entry)
 	if !ok {
-		box = new([]entry)
-		*box = make([]entry, n)
+		box = new([]Entry)
+		*box = make([]Entry, n)
 	}
 	for i := range *box {
-		(*box)[i] = entry{vpn: invalidVPN}
+		(*box)[i] = Entry{vpn: invalidVPN}
 	}
 	return box
 }
@@ -121,7 +144,7 @@ func (t *TLB) Release() {
 }
 
 // set returns the entry slice of vpn's set.
-func (t *TLB) set(vpn vm.VPN) []entry {
+func (t *TLB) set(vpn vm.VPN) []Entry {
 	var idx uint64
 	if t.setMask != 0 {
 		idx = uint64(vpn) & t.setMask
@@ -131,14 +154,14 @@ func (t *TLB) set(vpn vm.VPN) []entry {
 	return t.entries[int(idx)*t.ways : (int(idx)+1)*t.ways]
 }
 
-// Access looks up vpn, returning true on a hit. On a miss the translation is
-// filled in, evicting the set's LRU entry.
-func (t *TLB) Access(vpn vm.VPN) bool {
+// Access looks up vpn and returns its entry and whether it hit. On a miss
+// the set's LRU entry is evicted and refilled with vpn and no translation.
+func (t *TLB) Access(vpn vm.VPN) (*Entry, bool) {
 	t.clock++
 	if vpn == t.lastVPN {
 		t.lastEntry.lru = t.clock
 		t.hits++
-		return true
+		return t.lastEntry, true
 	}
 	set := t.set(vpn)
 	for i := range set {
@@ -146,7 +169,7 @@ func (t *TLB) Access(vpn vm.VPN) bool {
 			set[i].lru = t.clock
 			t.hits++
 			t.lastVPN, t.lastEntry = vpn, &set[i]
-			return true
+			return &set[i], true
 		}
 	}
 	t.misses++
@@ -160,9 +183,9 @@ func (t *TLB) Access(vpn vm.VPN) bool {
 			victim = i
 		}
 	}
-	set[victim] = entry{vpn: vpn, lru: t.clock}
+	set[victim] = Entry{vpn: vpn, lru: t.clock}
 	t.lastVPN, t.lastEntry = vpn, &set[victim]
-	return false
+	return &set[victim], false
 }
 
 // FlushPage invalidates any entry for vpn (the shootdown performed by
@@ -201,10 +224,20 @@ func (t *TLB) FlushRange(vpn vm.VPN, n uint64) {
 // flushIn invalidates the entries of es that hold a page in the n pages from
 // vpn. e-vpn < n holds exactly for vpn <= e < vpn+n, without computing
 // vpn+n.
-func flushIn(es []entry, vpn vm.VPN, n uint64) {
+func flushIn(es []Entry, vpn vm.VPN, n uint64) {
 	for i := range es {
 		if uint64(es[i].vpn-vpn) < n {
 			es[i].vpn = invalidVPN
+		}
+	}
+}
+
+// Translations calls fn for every valid entry that holds a translation, in
+// entry order. It is how tests hold the TLB to the address space it caches.
+func (t *TLB) Translations(fn func(vpn vm.VPN, frame phys.FrameID, prot vm.Prot)) {
+	for i := range t.entries {
+		if e := &t.entries[i]; e.vpn != invalidVPN && e.mapped {
+			fn(e.vpn, e.frame, e.prot)
 		}
 	}
 }

@@ -3,15 +3,22 @@ package tlb
 import (
 	"testing"
 
+	"repro/internal/sim/phys"
 	"repro/internal/sim/vm"
 )
 
+// hit accesses v and reports whether it hit.
+func hit(t *TLB, v vm.VPN) bool {
+	_, ok := t.Access(v)
+	return ok
+}
+
 func TestHitAfterMiss(t *testing.T) {
 	tl := New(Config{Entries: 8, Ways: 2})
-	if tl.Access(5) {
+	if hit(tl, 5) {
 		t.Fatal("first access should miss")
 	}
-	if !tl.Access(5) {
+	if !hit(tl, 5) {
 		t.Fatal("second access should hit")
 	}
 	if tl.Hits() != 1 || tl.Misses() != 1 {
@@ -26,10 +33,10 @@ func TestLRUEviction(t *testing.T) {
 	tl.Access(2)
 	tl.Access(0) // make 2 the LRU
 	tl.Access(4) // evicts 2
-	if !tl.Access(0) {
+	if !hit(tl, 0) {
 		t.Fatal("0 should still be resident")
 	}
-	if tl.Access(2) {
+	if hit(tl, 2) {
 		t.Fatal("2 should have been evicted")
 	}
 }
@@ -38,7 +45,7 @@ func TestFlushPage(t *testing.T) {
 	tl := New(DefaultConfig())
 	tl.Access(7)
 	tl.FlushPage(7)
-	if tl.Access(7) {
+	if hit(tl, 7) {
 		t.Fatal("access after flush should miss")
 	}
 }
@@ -50,7 +57,7 @@ func TestFlushAll(t *testing.T) {
 	}
 	tl.FlushAll()
 	for v := vm.VPN(0); v < 10; v++ {
-		if tl.Access(v) {
+		if hit(tl, v) {
 			t.Fatalf("vpn %d hit after FlushAll", v)
 		}
 	}
@@ -74,7 +81,7 @@ func TestInvalidConfigFallsBack(t *testing.T) {
 	tl := New(Config{Entries: 7, Ways: 3}) // not divisible
 	// Should behave like a default TLB, not panic.
 	tl.Access(1)
-	if !tl.Access(1) {
+	if !hit(tl, 1) {
 		t.Fatal("fallback TLB broken")
 	}
 }
@@ -146,7 +153,7 @@ func TestFlushRangeMatchesFlushPage(t *testing.T) {
 			}
 			for i := 0; i < 100; i++ {
 				v := vm.VPN(next() % 300)
-				if a.Access(v) != b.Access(v) {
+				if hit(a, v) != hit(b, v) {
 					t.Fatalf("%+v round %d: access %d of %#x differs after the flush", cfg, round, i, v)
 				}
 			}
@@ -167,16 +174,54 @@ func TestPooledEntriesComeBackReset(t *testing.T) {
 		}
 		old.Release()
 		reused := New(DefaultConfig())
-		fresh := &TLB{entries: make([]entry, 64), ways: 4, nsets: 16, setMask: 15, lastVPN: invalidVPN}
+		fresh := &TLB{entries: make([]Entry, 64), ways: 4, nsets: 16, setMask: 15, lastVPN: invalidVPN}
 		for i := range fresh.entries {
 			fresh.entries[i].vpn = invalidVPN
 		}
 		for i := 0; i < 300; i++ {
 			v := vm.VPN(i * 7 % 211)
-			if reused.Access(v) != fresh.Access(v) {
+			if hit(reused, v) != hit(fresh, v) {
 				t.Fatalf("round %d: access %d of %#x: a reused TLB disagrees with a fresh one", round, i, v)
 			}
 		}
 		reused.Release()
 	}
+}
+
+// TestEntriesCarryTranslations checks the translation an entry caches: a
+// miss fills the entry with none, a filled entry hands its translation to
+// every later hit, and a flush or an eviction drops it.
+func TestEntriesCarryTranslations(t *testing.T) {
+	tl := New(Config{Entries: 4, Ways: 2}) // VPNs 0, 2, 4 share set 0
+	e, ok := tl.Access(0)
+	if _, _, mapped := e.Translation(); ok || mapped {
+		t.Fatalf("first access: hit %v, translation %v; want a miss with none", ok, mapped)
+	}
+	e.Fill(7, vm.ProtRead)
+	if e, ok := tl.Access(0); !ok {
+		t.Fatal("second access missed")
+	} else if f, p, mapped := e.Translation(); f != 7 || p != vm.ProtRead || !mapped {
+		t.Fatalf("hit translation = %v %v %v, want 7 r- true", f, p, mapped)
+	}
+	var seen []vm.VPN
+	tl.Translations(func(v vm.VPN, f phys.FrameID, p vm.Prot) { seen = append(seen, v) })
+	if len(seen) != 1 || seen[0] != 0 {
+		t.Fatalf("Translations visited %v, want [0]", seen)
+	}
+	tl.FlushPage(0)
+	if e, _ := tl.Access(0); hasTranslation(e) {
+		t.Fatal("a flushed entry came back with its translation")
+	}
+	e, _ = tl.Access(0)
+	e.Fill(7, vm.ProtRW)
+	tl.Access(2)
+	tl.Access(4) // evicts 0, the LRU entry of set 0
+	if e, ok := tl.Access(0); ok || hasTranslation(e) {
+		t.Fatalf("evicted entry: hit %v, translation %v; want a miss with none", ok, hasTranslation(e))
+	}
+}
+
+func hasTranslation(e *Entry) bool {
+	_, _, ok := e.Translation()
+	return ok
 }

@@ -14,9 +14,8 @@ type rangeCell struct {
 
 // TestRangeMapMatchesPageModel drives a RangeMap and a per-page map model
 // through random overlapping Set, Delete, DeleteIf and Update edits, which
-// split entries and replace runs of them with one, in clusters that straddle
-// a radix leaf boundary, a mid-level boundary and the end of the user
-// space. After every step a random Get and Find must agree with the model;
+// split entries and replace runs of them with one, in clusters spread from
+// the bottom of the user space to its end. After every step a random Get and Find must agree with the model;
 // every few steps ForEach and ForEachIn must visit exactly the model's pages,
 // in order, with their values and offsets. The map is
 // released and rebuilt from its pool partway, so a reused node array must
@@ -28,7 +27,7 @@ func TestRangeMapMatchesPageModel(t *testing.T) {
 	model := make(map[VPN]rangeCell)
 	next := xorshift()
 	last := VPN(limitPages) - 1
-	clusters := []VPN{16, radixLeafSize - 60, radixLeafSize*radixMidSize - 60, last - 119}
+	clusters := []VPN{16, 1<<12 - 60, 1<<24 - 60, last - 119}
 	pick := func() (VPN, uint64) {
 		n := 1 + next()%40
 		c := clusters[next()%uint64(len(clusters))]
@@ -127,7 +126,7 @@ func checkRangeWalk(t *testing.T, m *RangeMap[uint32], model map[VPN]rangeCell) 
 	})
 	checkAscendingKeys(t, visited, model)
 
-	lo, hi := VPN(radixLeafSize-50), VPN(radixLeafSize+30)
+	lo, hi := VPN(1<<12-50), VPN(1<<12+30)
 	var inside []VPN
 	m.ForEachIn(lo, uint64(hi-lo), func(start VPN, n uint64, v uint32, off uint64) bool {
 		if start < lo || uint64(hi-start) < n {

@@ -5,9 +5,9 @@
 // Mappings are kept as ranges, the way an operating system keeps VMAs: a
 // RangeMap of entries each holding a protection and a frame list, so a map,
 // alias, protection change or unmap over n pages is one range edit, and an
-// alias shares its source's frame list. A radix page table caches
-// translations: a page's entry is built the first time it is translated,
-// and a range edit drops the entries built in its range.
+// alias shares its source's frame list. Translating a page is one RangeMap
+// lookup; translations are cached only in the MMU's TLB, which the kernel
+// shoots down after every edit.
 //
 // Two properties the paper depends on are implemented exactly:
 //
@@ -18,13 +18,12 @@
 //   - A 47-bit user address space, matching the paper's §3.4 exhaustion
 //     calculation (2^47 bytes / (2^12 bytes/µs) ≈ 9.5 hours).
 //
-// Range-map and radix nodes come from pools a released Space refills, so a
+// Range-map nodes come from a pool a released Space refills, so a
 // short-lived address space allocates few nodes of its own.
 package vm
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim/phys"
 )
@@ -149,256 +148,6 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("fault: %s of %#x (%s)", f.Access, f.Addr, f.Reason)
 }
 
-// pte is one page-table entry packed into a word: frame<<8 | prot<<1 |
-// present. present distinguishes a live entry from an absent one: ProtNone is
-// a valid protection for a *mapped* page (that is how freed shadow pages are
-// poisoned), and frame 0 is a valid frame, so without it a mapped entry could
-// equal the zero value the radix reads as absent. Packing halves a
-// page-table leaf to 32 KB.
-type pte uint64
-
-const ptePresent pte = 1
-
-// makePTE packs a present entry. Prot has two defined bits, so seven bits
-// hold any Prot the package defines.
-func makePTE(frame phys.FrameID, prot Prot) pte {
-	return pte(frame)<<8 | pte(prot&0x7f)<<1 | ptePresent
-}
-
-func (e pte) frame() phys.FrameID { return phys.FrameID(e >> 8) }
-func (e pte) prot() Prot          { return Prot(e>>1) & 0x7f }
-
-// Radix geometry. A VPN has UserAddrBits-PageShift = 35 significant bits,
-// split across three levels (11 + 12 + 12) exactly like a hardware page-table
-// walk: top-level directory of 2048 entries, mid-level directories of 4096,
-// and leaves of 4096 slots. The bump allocator hands out VPNs densely from
-// the bottom of the space, so leaves fill up before new ones are needed and
-// the tree stays shallow and compact.
-const (
-	radixLeafBits = 12
-	radixMidBits  = 12
-	radixTopBits  = UserAddrBits - PageShift - radixLeafBits - radixMidBits
-
-	radixLeafSize = 1 << radixLeafBits
-	radixMidSize  = 1 << radixMidBits
-	radixTopSize  = 1 << radixTopBits
-
-	radixLeafMask = radixLeafSize - 1
-	radixMidMask  = radixMidSize - 1
-)
-
-// PageMap maps virtual page numbers to values of T. It is the package's one
-// page-indexed structure: a three-level radix tree (see the geometry
-// constants above) whose zero T means absent, so Set with the zero value
-// deletes. A lookup is three array indexings instead of a map hash, which is
-// what keeps the simulated load/store fast path free of hashing. Space
-// caches its translations in one. The zero PageMap is empty and ready to use; a copy shares
-// the original's nodes, so do not copy one in use. Not safe for concurrent
-// use.
-type PageMap[T comparable] struct {
-	// root is nil until the first Set: an empty map costs no directory.
-	root *radixRoot[T]
-	// pool, when set by UsePool, supplies new nodes and takes them back
-	// on Release.
-	pool *NodePool[T]
-}
-
-type radixRoot[T comparable] struct {
-	mids [radixTopSize]*radixMid[T]
-}
-
-type radixMid[T comparable] struct {
-	leaves [radixMidSize]*radixLeaf[T]
-}
-
-type radixLeaf[T comparable] struct {
-	slots [radixLeafSize]T
-}
-
-// NodePool recycles the radix nodes of released PageMaps of one element
-// type, so a short-lived map (one replay's page table) takes
-// its 16 KB root and 32 KB nodes from the last one instead of allocating
-// them. A node is cleared when it is taken, not when it is returned. The
-// zero NodePool is ready to use and safe for concurrent use.
-type NodePool[T comparable] struct {
-	roots, mids, leaves sync.Pool
-}
-
-// newRoot returns an empty root, taken from m's pool when it holds one.
-func (m *PageMap[T]) newRoot() *radixRoot[T] {
-	if m.pool != nil {
-		if n, ok := m.pool.roots.Get().(*radixRoot[T]); ok {
-			clear(n.mids[:])
-			return n
-		}
-	}
-	return new(radixRoot[T])
-}
-
-// newMid is newRoot for mid nodes.
-func (m *PageMap[T]) newMid() *radixMid[T] {
-	if m.pool != nil {
-		if n, ok := m.pool.mids.Get().(*radixMid[T]); ok {
-			clear(n.leaves[:])
-			return n
-		}
-	}
-	return new(radixMid[T])
-}
-
-// newLeaf is newRoot for leaves.
-func (m *PageMap[T]) newLeaf() *radixLeaf[T] {
-	if m.pool != nil {
-		if n, ok := m.pool.leaves.Get().(*radixLeaf[T]); ok {
-			clear(n.slots[:])
-			return n
-		}
-	}
-	return new(radixLeaf[T])
-}
-
-// UsePool makes m take new nodes from p and give them back to it on
-// Release. Call it before the first Set.
-func (m *PageMap[T]) UsePool(p *NodePool[T]) { m.pool = p }
-
-// get returns a pointer to the present slot for vpn, or nil when the slot is
-// absent (or its path is not populated).
-func (m *PageMap[T]) get(vpn VPN) *T {
-	top := vpn >> (radixMidBits + radixLeafBits)
-	if top >= radixTopSize {
-		return nil // beyond the 47-bit user space: never present
-	}
-	if m.root == nil {
-		return nil
-	}
-	mid := m.root.mids[top]
-	if mid == nil {
-		return nil
-	}
-	leaf := mid.leaves[(vpn>>radixLeafBits)&radixMidMask]
-	if leaf == nil {
-		return nil
-	}
-	e := &leaf.slots[vpn&radixLeafMask]
-	var zero T
-	if *e == zero {
-		return nil
-	}
-	return e
-}
-
-// ensure returns a writable pointer to the (possibly absent) slot for vpn,
-// allocating nodes along the path as needed. vpn must lie inside the 47-bit
-// user space.
-func (m *PageMap[T]) ensure(vpn VPN) *T {
-	top := vpn >> (radixMidBits + radixLeafBits)
-	if top >= radixTopSize {
-		panic(fmt.Sprintf("vm: page %#x beyond the %d-bit user space", uint64(vpn)<<PageShift, UserAddrBits))
-	}
-	if m.root == nil {
-		m.root = m.newRoot()
-	}
-	mid := m.root.mids[top]
-	if mid == nil {
-		mid = m.newMid()
-		m.root.mids[top] = mid
-	}
-	li := (vpn >> radixLeafBits) & radixMidMask
-	leaf := mid.leaves[li]
-	if leaf == nil {
-		leaf = m.newLeaf()
-		mid.leaves[li] = leaf
-	}
-	return &leaf.slots[vpn&radixLeafMask]
-}
-
-// Release empties m and hands its nodes to the pool UsePool set, if any. The
-// nodes must not be reached any more through a copy of m.
-func (m *PageMap[T]) Release() {
-	root := m.root
-	m.root = nil
-	if root == nil || m.pool == nil {
-		return
-	}
-	for _, mid := range root.mids {
-		if mid == nil {
-			continue
-		}
-		for _, leaf := range mid.leaves {
-			if leaf != nil {
-				m.pool.leaves.Put(leaf)
-			}
-		}
-		m.pool.mids.Put(mid)
-	}
-	m.pool.roots.Put(root)
-}
-
-// ForEach calls fn for every entry in ascending VPN order.
-func (m *PageMap[T]) ForEach(fn func(VPN, T)) {
-	if m.root == nil {
-		return
-	}
-	var zero T
-	for ti, mid := range m.root.mids {
-		if mid == nil {
-			continue
-		}
-		for mi, leaf := range mid.leaves {
-			if leaf == nil {
-				continue
-			}
-			base := VPN(ti)<<(radixMidBits+radixLeafBits) | VPN(mi)<<radixLeafBits
-			for li := range leaf.slots {
-				if v := leaf.slots[li]; v != zero {
-					fn(base|VPN(li), v)
-				}
-			}
-		}
-	}
-}
-
-// Get returns the value at vpn, or the zero T when none is set.
-func (m *PageMap[T]) Get(vpn VPN) T {
-	if e := m.get(vpn); e != nil {
-		return *e
-	}
-	var zero T
-	return zero
-}
-
-// Set stores v at vpn; the zero v deletes the entry. vpn must lie inside the
-// 47-bit user space.
-func (m *PageMap[T]) Set(vpn VPN, v T) {
-	var zero T
-	if v == zero && m.get(vpn) == nil {
-		return // deleting an absent entry allocates no nodes
-	}
-	*m.ensure(vpn) = v
-}
-
-// clearRange deletes every entry in the n pages from vpn, visiting only the
-// leaves that exist. The range must pass CheckRange.
-func (m *PageMap[T]) clearRange(vpn VPN, n uint64) {
-	if m.root == nil {
-		return
-	}
-	end := vpn + VPN(n)
-	for v := vpn; v < end; {
-		top := v >> (radixMidBits + radixLeafBits)
-		mid := m.root.mids[top]
-		if mid == nil {
-			v = (top + 1) << (radixMidBits + radixLeafBits)
-			continue
-		}
-		next := (v | radixLeafMask) + 1
-		if leaf := mid.leaves[(v>>radixLeafBits)&radixMidMask]; leaf != nil {
-			clear(leaf.slots[v&radixLeafMask : min(next, end)-(v&^radixLeafMask)])
-		}
-		v = next
-	}
-}
-
 // mapping is the value of one entry of a Space's range map: the frames of
 // the pages it was made with, one per page, and the protection of all of
 // them. Entries split from one mapping share its frame list.
@@ -412,26 +161,15 @@ type mapping struct {
 // frame lifetimes under aliasing. Not safe for concurrent use.
 //
 // The mappings are ranges (maps), so a map, alias, protection change or
-// unmap over n pages is one range edit. The page table (pt) is only a
-// translation cache: a page's entry is built the first time Lookup or
-// Translate reaches it, and a range edit drops the entries already built in
-// its range. Its radix nodes come from the pool every Space shares.
+// unmap over n pages is one range edit, and a lookup is one search of them.
 type Space struct {
 	maps RangeMap[mapping]
-	pt   PageMap[pte]
-	// released marks a Space whose nodes went back to the pools: all
+	// released marks a Space whose nodes went back to the pool: all
 	// mutation panics.
 	released bool
-	// epoch increments on every range edit so the MMU's one-entry
-	// translation cache can validate itself without a table walk.
-	epoch uint64
 	// next is the bump pointer for fresh virtual page allocation. Starting
 	// above zero keeps address 0 (NULL) permanently unmapped.
 	next VPN
-	// peakMapped tracks the high-water mark of mapped pages, one of the
-	// §3.4 costs (page-table entries tied up by non-reusable virtual
-	// pages).
-	peakMapped uint64
 	// everMapped counts distinct fresh VPNs handed out by ReservePages,
 	// i.e. total virtual address space consumed.
 	everMapped uint64
@@ -445,12 +183,8 @@ type Space struct {
 	budget uint64
 }
 
-// mapNodes and pteNodes are the pools every Space's range map and page
-// table use.
-var (
-	mapNodes RangePool[mapping]
-	pteNodes NodePool[pte]
-)
+// mapNodes is the pool every Space's range map uses.
+var mapNodes RangePool[mapping]
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
@@ -458,13 +192,8 @@ func NewSpace() *Space {
 		next: 16, // leave the first 64 KB unmapped (NULL guard)
 	}
 	s.maps.UsePool(&mapNodes)
-	s.pt.UsePool(&pteNodes)
 	return s
 }
-
-// Epoch returns the page-table mutation counter. Any cached translation made
-// at an earlier epoch may be stale.
-func (s *Space) Epoch() uint64 { return s.epoch }
 
 // ErrAddressSpaceExhausted is reported when ReservePages passes the 47-bit
 // limit — the failure mode the paper's Insight 2 exists to avoid.
@@ -494,8 +223,9 @@ func (s *Space) ReservePages(n uint64) (VPN, error) {
 	return v, nil
 }
 
-// edit checks a range edit's range and invalidates what it changes: the
-// translations already built in it and any the MMU cached.
+// edit checks a range edit's range. The edit invalidates no cached
+// translation itself: the kernel shoots down the MMU's TLB entries for the
+// pages it changed.
 func (s *Space) edit(op string, vpn VPN, n uint64) error {
 	if s.released {
 		panic("vm: " + op + " on a released Space")
@@ -503,14 +233,7 @@ func (s *Space) edit(op string, vpn VPN, n uint64) error {
 	if err := CheckRange(vpn, n); err != nil {
 		return fmt.Errorf("vm: %s: %w", op, err)
 	}
-	s.epoch++
-	s.pt.clearRange(vpn, n)
 	return nil
-}
-
-// noteMapped raises the high-water mark to the current mapped count.
-func (s *Space) noteMapped() {
-	s.peakMapped = max(s.peakMapped, s.maps.Pages())
 }
 
 // Map maps len(frames) pages from vpn, page i onto frames[i], with
@@ -520,11 +243,7 @@ func (s *Space) Map(vpn VPN, frames []phys.FrameID, prot Prot) error {
 	if err := s.edit("map", vpn, uint64(len(frames))); err != nil {
 		return err
 	}
-	if err := s.maps.Set(vpn, uint64(len(frames)), mapping{frames: frames, prot: prot}); err != nil {
-		return err
-	}
-	s.noteMapped()
-	return nil
+	return s.maps.Set(vpn, uint64(len(frames)), mapping{frames: frames, prot: prot})
 }
 
 // Alias maps the n pages from dst onto the frames behind the n pages from
@@ -553,7 +272,6 @@ func (s *Space) Alias(dst, src VPN, n uint64, prot Prot) (uint64, error) {
 		if err := s.maps.Set(dst+VPN(done), k, mapping{frames: sp.Val.frames[sp.Off : sp.Off+k], prot: prot}); err != nil {
 			return done, err
 		}
-		s.noteMapped()
 		done += k
 	}
 	if done < n {
@@ -625,19 +343,13 @@ func (s *Space) Runs(vpn VPN, n uint64, fn func(start VPN, frames []phys.FrameID
 	})
 }
 
-// Lookup returns the frame and protection of vpn, building its page-table
-// entry if this is the first translation of the page since its last edit.
+// Lookup returns the frame and protection of vpn.
 func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
-	if e := s.pt.get(vpn); e != nil {
-		return e.frame(), e.prot(), true
-	}
 	sp, ok := s.maps.Find(vpn)
 	if !ok {
 		return 0, 0, false
 	}
-	f := sp.Val.frames[sp.Off]
-	*s.pt.ensure(vpn) = makePTE(f, sp.Val.prot)
-	return f, sp.Val.prot, true
+	return sp.Val.frames[sp.Off], sp.Val.prot, true
 }
 
 // Translate checks an access of the given kind to addr and returns the frame
@@ -660,9 +372,6 @@ func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
 // MappedPages returns the number of mapped pages.
 func (s *Space) MappedPages() uint64 { return s.maps.Pages() }
 
-// PeakMappedPages returns the high-water mark of mapped pages.
-func (s *Space) PeakMappedPages() uint64 { return s.peakMapped }
-
 // ReservedPages returns the total number of fresh virtual pages ever handed
 // out — the paper's "virtual address space usage".
 func (s *Space) ReservedPages() uint64 { return s.everMapped }
@@ -681,12 +390,11 @@ func (s *Space) SetBudget(pages uint64) { s.budget = pages }
 // the architectural limit applies.
 func (s *Space) BudgetPages() uint64 { return s.budget }
 
-// Release hands the Space's range-map and radix nodes to their pools and
-// leaves the Space unusable: a later lookup finds nothing mapped and a later
-// mutation panics. The machine's owner calls it once the machine's last
-// reader is done.
+// Release hands the Space's range-map nodes to their pool and leaves the
+// Space unusable: a later lookup finds nothing mapped and a later mutation
+// panics. The machine's owner calls it once the machine's last reader is
+// done.
 func (s *Space) Release() {
 	s.maps.Release()
-	s.pt.Release()
 	s.released = true
 }

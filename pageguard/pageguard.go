@@ -301,9 +301,9 @@ func (m *Machine) process(mode Mode) (*kernel.Process, core.Config, error) {
 }
 
 // Release hands the machine's own simulated memory back to pools shared by
-// every machine in the program: the physical frames it wrote, the radix
-// nodes of its page tables and object indexes, and its processes' flight
-// recorders. The next machine built takes its memory from those pools
+// every machine in the program: the physical frames it wrote, the range-map
+// nodes of its mappings and object indexes, its TLB entries and cache lines,
+// and its processes' flight recorders. The next machine built takes its memory from those pools
 // instead of allocating it. The machine and its processes must not be used
 // afterwards, but results already taken from them (reports, stats, metric
 // snapshots) stay valid. Call it once, on the goroutine that last used the

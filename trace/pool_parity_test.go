@@ -102,16 +102,18 @@ var parityRows = []struct {
 	{"unmapped-error", "", "r 1 1048576\n", false},
 }
 
-// emptyPools empties the process-wide pools of frames, radix nodes and
-// flight rings: sync.Pool drops what it holds over two collections.
+// emptyPools empties the process-wide pools of frames, range-map nodes,
+// TLB entries and flight rings: sync.Pool drops what it holds over two
+// collections.
 func emptyPools() {
 	runtime.GC()
 	runtime.GC()
 }
 
 // churn replays longer traces than the parity rows' on machines it
-// releases, so the pools hold frames, radix nodes and flight rings with
-// other contents, covering more pages than a parity row maps.
+// releases, so the pools hold frames, range-map nodes, TLB entries and
+// flight rings with other contents, covering more pages than a parity row
+// maps.
 func churn(t *testing.T) {
 	t.Helper()
 	for _, header := range []string{"!guards\n", "!faults seed=5;mremap:prob=0.05\n", ""} {
@@ -129,10 +131,10 @@ func churn(t *testing.T) {
 }
 
 // TestPooledReplayParity: a machine built after several released machines,
-// so on their pooled frames, radix nodes and flight rings, must render the
-// same bytes (NDJSON body, trap reports with their flight context, spans) as
-// a machine built with no pool history, for every row. A row that fails
-// must fail with the same error text.
+// so on their pooled frames, range-map nodes, TLB entries and flight rings,
+// must render the same bytes (NDJSON body, trap reports with their flight
+// context, spans) as a machine built with no pool history, for every row.
+// A row that fails must fail with the same error text.
 func TestPooledReplayParity(t *testing.T) {
 	body := poolTrace(120)
 	for _, tc := range parityRows {
@@ -185,7 +187,8 @@ func firstDiff(a, b []byte) int {
 // (run under -race). Each worker
 // releases its machine after the replay and builds another for the next
 // round, on another worker's trace, so every round after the first runs on
-// frames, radix nodes and flight rings another machine gave back.
+// frames, range-map nodes, TLB entries and flight rings another machine
+// gave back.
 func TestPooledReplayParityConcurrent(t *testing.T) {
 	const workers, rounds = 8, 4
 	files := make([]*File, workers)

@@ -44,8 +44,15 @@ func BenchmarkCacheKey(b *testing.B) {
 // has already answered, as every replay-zipf request after warm-up is: read
 // the body, hash it to the cache key, find the cached entry and write it out.
 // The first request, outside the timed loop, simulates and caches the trace.
-func BenchmarkServeHit(b *testing.B) {
-	body := cacheBenchBody(b)
+func BenchmarkServeHit(b *testing.B) { benchServeHit(b, cacheBenchBody(b)) }
+
+// BenchmarkServeHitDetect is the same for a repeat of a replay-detect
+// request, whose cached body is 52 segments: the write coalesces
+// them into a few large writes.
+func BenchmarkServeHitDetect(b *testing.B) { benchServeHit(b, detectTrace(0)) }
+
+// benchServeHit times cache hits of the trace body.
+func benchServeHit(b *testing.B, body []byte) {
 	h := New(Config{}).Handler()
 	serve := func() *hitWriter {
 		w := &hitWriter{header: make(http.Header)}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/trace"
 )
 
 // rawKey is the cache key: it identifies one request as it arrived, the
@@ -40,15 +41,18 @@ func flag(b bool) byte {
 }
 
 // replayEntry is one memoized replay result: only what serving it again
-// needs. That is the full response body, the per-process metrics snapshot
-// that merges into the fleet aggregate on every serve (hit or miss), one
-// crash-bucket key per detection (cached serves still represent served
+// needs. That is the response body in the segmented form the render left
+// it in, an exact-size copy of its literal bytes and of the segments that
+// spell the body out of them (so a flight event repeated across trap
+// reports is kept once), the per-process metrics snapshot that merges into
+// the fleet aggregate on every serve (hit or miss), one crash-bucket key
+// per detection (cached serves still represent served
 // requests and must count; the miss that rendered the entry registered the
 // representatives), and the span/cycle summary for /debug/spans. It keeps no
 // TrapReport: the body is all a hit needs, and the reports would keep their
 // replay's flight log alive.
 type replayEntry struct {
-	body    []byte
+	body    trace.Body
 	metrics obs.Snapshot
 	keys    []bucketKey
 	spans   int

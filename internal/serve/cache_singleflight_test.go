@@ -1,15 +1,22 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/trace"
 )
 
 func testKey(src string) rawKey { return rawKeyFor([]byte(src), overrides{}) }
+
+// bodyOf is a one-segment body of s.
+func bodyOf(s string) trace.Body {
+	var b trace.Body
+	b.Write([]byte(s))
+	return b
+}
 
 // TestCacheFailedMissLeavesNoResidue is the regression test for the
 // single-flight error path: a miss whose loader fails must propagate the
@@ -64,9 +71,9 @@ func TestCacheFailedMissLeavesNoResidue(t *testing.T) {
 	if !retryLeads {
 		t.Fatal("key not retryable after failed miss")
 	}
-	c.complete(key, retryFlight, &replayEntry{body: []byte("ok\n")}, nil)
+	c.complete(key, retryFlight, &replayEntry{body: bodyOf("ok\n")}, nil)
 	hit, _, _ := c.begin(key)
-	if hit == nil || !bytes.Equal(hit.body, []byte("ok\n")) {
+	if hit == nil || string(hit.body.AppendTo(nil)) != "ok\n" {
 		t.Fatalf("retry result did not cache: %v", hit)
 	}
 }
@@ -93,7 +100,7 @@ func TestCacheLateCompletionDoesNotClobberSuccessor(t *testing.T) {
 	}
 
 	// The abandoned worker finishes: the entry caches, f2 is untouched.
-	late := &replayEntry{body: []byte("late\n")}
+	late := &replayEntry{body: bodyOf("late\n")}
 	c.complete(key, f1, late, nil)
 	select {
 	case <-f2.done:
@@ -112,13 +119,13 @@ func TestCacheLateCompletionDoesNotClobberSuccessor(t *testing.T) {
 	}
 
 	// The successor leader completes normally and its waiters see ITS result.
-	c.complete(key, f2, &replayEntry{body: []byte("fresh\n")}, nil)
+	c.complete(key, f2, &replayEntry{body: bodyOf("fresh\n")}, nil)
 	select {
 	case <-f2.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("successor flight never settled")
 	}
-	if f2.err != nil || !bytes.Equal(f2.ent.body, []byte("fresh\n")) {
+	if f2.err != nil || string(f2.ent.body.AppendTo(nil)) != "fresh\n" {
 		t.Fatalf("successor outcome clobbered: ent=%v err=%v", f2.ent, f2.err)
 	}
 }
@@ -132,15 +139,15 @@ func TestCacheEvictionsCountExactlyOnce(t *testing.T) {
 	k2 := testKey("a 2 64\nf 2\n")
 
 	_, f1, _ := c.begin(k1)
-	c.complete(k1, f1, &replayEntry{body: []byte("1")}, nil)
+	c.complete(k1, f1, &replayEntry{body: bodyOf("1")}, nil)
 	// Double completion of the same flight: must not double-store.
-	c.complete(k1, f1, &replayEntry{body: []byte("1dup")}, nil)
+	c.complete(k1, f1, &replayEntry{body: bodyOf("1dup")}, nil)
 	if got := c.evictions.Load(); got != 0 {
 		t.Fatalf("evictions = %d before the bound was ever exceeded", got)
 	}
 
 	_, f2, _ := c.begin(k2)
-	c.complete(k2, f2, &replayEntry{body: []byte("2")}, nil)
+	c.complete(k2, f2, &replayEntry{body: bodyOf("2")}, nil)
 	if got := c.evictions.Load(); got != 1 {
 		t.Fatalf("evictions = %d after one LRU eviction, want 1", got)
 	}

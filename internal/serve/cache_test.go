@@ -319,6 +319,47 @@ func TestCacheMetricsDeterminism(t *testing.T) {
 	}
 }
 
+// TestCacheServesSegmentedBodies: a detection-dense body is cached as its
+// literal bytes and many segments, the span stream as a literal tail. Its
+// miss and its hit, plain and with ?spans=1, are each byte-identical to the
+// offline replay pgtrace -ndjson (-spans) prints.
+func TestCacheServesSegmentedBodies(t *testing.T) {
+	s, ts := cachedServer(t, 8)
+	tr := detectTrace(3)
+	var plainSegs int
+	for _, q := range []string{"", "?spans=1"} {
+		spans := q != ""
+		want, err := offlineNDJSON(tr, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, state := range []string{"miss", "hit"} {
+			resp, body := postQuery(t, ts.URL, q, tr)
+			if resp.StatusCode != 200 {
+				t.Fatalf("%q %s: status %s: %s", q, state, resp.Status, body)
+			}
+			if got := resp.Header.Get("X-Pg-Cache"); got != state {
+				t.Errorf("%q: X-Pg-Cache = %q, want %q", q, got, state)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("%q %s: %d-byte body diverged from the %d-byte offline replay", q, state, len(body), len(want))
+			}
+		}
+		s.cache.mu.Lock()
+		ent := s.cache.entries[rawKeyFor(tr, overrides{spans: spans})].Value.(*lruItem).ent
+		s.cache.mu.Unlock()
+		segs, last := len(ent.body.Segs), ent.body.Segs[len(ent.body.Segs)-1]
+		if !spans {
+			plainSegs = segs
+			if segs < 10 || 4*len(ent.body.Literal) > len(want) {
+				t.Errorf("plain body: %d segments, %d literal bytes of %d, want a multi-segment body with under a quarter literal", segs, len(ent.body.Literal), len(want))
+			}
+		} else if segs != plainSegs || last.Off+last.Len != len(ent.body.Literal) {
+			t.Errorf("spans body: %d segments ending at %d of a %d-byte literal, want the plain body's %d with the spans in its literal tail", segs, last.Off+last.Len, len(ent.body.Literal), plainSegs)
+		}
+	}
+}
+
 // danglingTrace is a distinct trace per i: i+1 objects of i-dependent size,
 // each read once after its free, so bodies carry trap reports with flight
 // windows and differ in length.

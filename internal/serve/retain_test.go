@@ -9,14 +9,16 @@ import (
 	"testing"
 )
 
-// TestCacheRetainsBodiesNotReports: a cache entry is its body. A fresh
-// server serves 100 distinct detection-dense traces, every one cached, and
-// the heap it retains afterwards stays within 1.3 times the bodies it
-// served. An entry that kept its TrapReports would also retain their
-// flight log. The
-// server is created inside the measured interval, so its snapshot and
-// bucket database count too. Heap sizes depend on the collector, which the
-// race detector changes, so this is built only without it.
+// TestCacheRetainsBodiesNotReports: a cache entry is its body's distinct
+// bytes. A fresh server serves 100 distinct detection-dense traces, every
+// one cached, and the heap it retains afterwards stays within 0.35 times
+// the bodies it served (0.27 measured with go1.24): each body's literal is
+// about a fifth of it, the rest segments referring back into it. An entry
+// that kept its whole flattened body would retain over 1 times, and one
+// that kept its TrapReports would also retain their flight log. The server
+// is created inside the measured interval, so its snapshot and bucket
+// database count too. Heap sizes depend on the collector, which the race
+// detector changes, so this is built only without it.
 func TestCacheRetainsBodiesNotReports(t *testing.T) {
 	traces := make([][]byte, 100)
 	for i := range traces {
@@ -52,7 +54,7 @@ func TestCacheRetainsBodiesNotReports(t *testing.T) {
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	ratio := float64(retained) / float64(bodies)
 	t.Logf("retained %d KB for %d KB of bodies over 100 entries: %.2fx", retained>>10, bodies>>10, ratio)
-	if ratio > 1.3 {
-		t.Fatalf("retained heap is %.2fx the served bodies, ceiling 1.3x", ratio)
+	if ratio > 0.35 {
+		t.Fatalf("retained heap is %.2fx the served bodies, ceiling 0.35x", ratio)
 	}
 }

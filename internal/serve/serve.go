@@ -723,18 +723,18 @@ func (s *Server) lead(ctx context.Context, key rawKey, call *inflightReplay, ren
 }
 
 // renderScratch holds render buffers between cache misses, so a render
-// appends into a buffer already grown to a body's size. Bodies are cloned
-// out of it: no pooled buffer is ever cached or served.
-var renderScratch = sync.Pool{New: func() any { return new([]byte) }}
+// fills a literal and segment list already grown to a body's size. Bodies
+// are cloned out of it: no pooled buffer is ever cached or served.
+var renderScratch = sync.Pool{New: func() any { return new(trace.Body) }}
 
 // bodyScratch holds request-body buffers between replay requests, so a
 // repeat read fills a buffer already grown to a trace's size instead of
 // growing a new one by doubling.
 var bodyScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxScratch bounds the buffers renderScratch and bodyScratch keep. A
-// buffer that grew past it for one unusually large body is left to the
-// collector.
+// maxScratch bounds, in bytes, the buffers renderScratch and bodyScratch
+// keep. A buffer that grew past it for one unusually large body is left to
+// the collector.
 const maxScratch = 1 << 20
 
 // putScratch returns b, the grown buffer p held, to pool unless it grew past
@@ -795,21 +795,22 @@ func (s *Server) renderReplay(tf *trace.File, extra []pageguard.Option, withSpan
 	}, nil
 }
 
-// renderBody renders rep's NDJSON body, followed by its span stream with
-// withSpans, into a renderScratch buffer and returns an exact-size copy.
-func renderBody(rep *trace.Report, withSpans bool) ([]byte, error) {
-	p := renderScratch.Get().(*[]byte)
-	b, err := trace.AppendNDJSON((*p)[:0], rep)
+// renderBody renders rep's NDJSON body, followed by its span stream (a
+// literal tail) with withSpans, into a renderScratch body and returns an
+// exact-size copy of its literal and segments.
+func renderBody(rep *trace.Report, withSpans bool) (trace.Body, error) {
+	p := renderScratch.Get().(*trace.Body)
+	err := trace.RenderNDJSON(p, rep)
 	if err == nil && withSpans {
-		w := bytes.NewBuffer(b)
-		err = trace.WriteSpansNDJSON(w, rep)
-		b = w.Bytes()
+		err = trace.WriteSpansNDJSON(p, rep)
 	}
-	var body []byte
+	var body trace.Body
 	if err == nil {
-		body = bytes.Clone(b)
+		body = p.Clone()
 	}
-	putScratch(&renderScratch, p, b)
+	if p.Footprint() <= maxScratch {
+		renderScratch.Put(p)
+	}
 	return body, err
 }
 
@@ -851,7 +852,7 @@ func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, ent *replayE
 	s.buckets.count(w.Header().Get("X-Pg-Trace-Id"), ent.keys)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Pg-Cache", cacheState)
-	if _, err := w.Write(ent.body); err != nil {
+	if _, err := ent.body.WriteTo(w); err != nil {
 		return // client went away mid-body; nothing more to do
 	}
 	s.recordDebug(debugEntry{

@@ -16,7 +16,7 @@ import (
 // them, fault on their protection or land on wild addresses. After every
 // step each TLB entry that holds a translation must equal Space.Lookup for
 // its page, and every access must succeed or fault exactly as
-// Space.Translate says it should. The process ends with Exit, after which
+// vm.CheckAccess says it should of the page's Space.Lookup. The process ends with Exit, after which
 // no entry may hold a translation. It runs with unbounded memory, with a
 // frame limit that MmapFixed runs into partway through a range, and with
 // injected syscall failures.
@@ -133,7 +133,8 @@ func coherenceRun(t *testing.T, maxFrames uint64, faults string, seed uint64) {
 }
 
 // coherentAccess reads or writes one word, at a page of a region or at a
-// wild address, and requires the outcome Space.Translate gives.
+// wild address, and requires the outcome vm.CheckAccess gives on the
+// page's Space.Lookup.
 func coherentAccess(t *testing.T, p *Process, step int, next func() uint64, pick func() (vm.Addr, uint64)) {
 	t.Helper()
 	addr, _ := pick()
@@ -148,7 +149,8 @@ func coherentAccess(t *testing.T, p *Process, step int, next func() uint64, pick
 	if next()%2 == 0 {
 		kind = vm.AccessWrite
 	}
-	_, want := p.Space().Translate(addr, kind)
+	_, prot, mapped := p.Space().Lookup(vm.PageOf(addr))
+	want := vm.CheckAccess(addr, kind, prot, mapped)
 	var err error
 	if kind == vm.AccessRead {
 		_, err = p.MMU().ReadWord(addr, 8)

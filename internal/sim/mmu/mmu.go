@@ -269,10 +269,6 @@ func (m *MMU) cacheAccess(paddr uint64) bool {
 // nothing, and no access that faults is charged.
 func (m *MMU) access(addr vm.Addr, kind vm.AccessKind) (phys.FrameID, error) {
 	vpn := vm.PageOf(addr)
-	need := vm.ProtRead
-	if kind == vm.AccessWrite {
-		need = vm.ProtWrite
-	}
 	outcome := cost.TLBHit
 	e1, hit := m.tlb1.Access(vpn)
 	var e2 *tlb.Entry
@@ -287,18 +283,16 @@ func (m *MMU) access(addr vm.Addr, kind vm.AccessKind) (phys.FrameID, error) {
 	}
 	frame, prot, ok := e1.Translation()
 	if !ok {
-		if frame, prot, ok = m.space.Lookup(vpn); !ok {
-			return 0, &vm.Fault{Addr: addr, Access: kind, Reason: vm.FaultUnmapped}
+		frame, prot, ok = m.space.Lookup(vpn)
+		if f := vm.CheckAccess(addr, kind, prot, ok); f != nil {
+			return 0, f
 		}
-		if prot&need != 0 {
-			e1.Fill(frame, prot)
-			if e2 != nil {
-				e2.Fill(frame, prot)
-			}
+		e1.Fill(frame, prot)
+		if e2 != nil {
+			e2.Fill(frame, prot)
 		}
-	}
-	if prot&need == 0 {
-		return 0, &vm.Fault{Addr: addr, Access: kind, Reason: vm.FaultProtection}
+	} else if f := vm.CheckAccess(addr, kind, prot, true); f != nil {
+		return 0, f
 	}
 	paddr := uint64(frame)<<vm.PageShift | vm.Offset(addr)
 	cacheHit := m.cacheAccess(paddr)

@@ -352,21 +352,23 @@ func (s *Space) Lookup(vpn VPN) (phys.FrameID, Prot, bool) {
 	return sp.Val.frames[sp.Off], sp.Val.prot, true
 }
 
-// Translate checks an access of the given kind to addr and returns the frame
-// backing it. On failure it returns a *Fault.
-func (s *Space) Translate(addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
-	f, prot, ok := s.Lookup(PageOf(addr))
-	if !ok {
-		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultUnmapped}
+// CheckAccess is the fault rule for an access of the given kind to addr,
+// applied to what Lookup returned for addr's page (or what a TLB entry
+// cached of it): an unmapped page faults FaultUnmapped, and a page whose
+// protection does not allow the access faults FaultProtection. It returns
+// nil when the access may proceed.
+func CheckAccess(addr Addr, kind AccessKind, prot Prot, mapped bool) *Fault {
+	if !mapped {
+		return &Fault{Addr: addr, Access: kind, Reason: FaultUnmapped}
 	}
 	need := ProtRead
 	if kind == AccessWrite {
 		need = ProtWrite
 	}
 	if prot&need == 0 {
-		return 0, &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
+		return &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
 	}
-	return f, nil
+	return nil
 }
 
 // MappedPages returns the number of mapped pages.

@@ -62,9 +62,19 @@ func TestPageSpan(t *testing.T) {
 	}
 }
 
+// translate is what an access of the given kind to addr finds when it walks
+// s: the frame backing it, or the fault CheckAccess gives on its Lookup.
+func translate(s *Space, addr Addr, kind AccessKind) (phys.FrameID, *Fault) {
+	f, prot, ok := s.Lookup(PageOf(addr))
+	if fault := CheckAccess(addr, kind, prot, ok); fault != nil {
+		return 0, fault
+	}
+	return f, nil
+}
+
 func TestTranslateUnmapped(t *testing.T) {
 	s := NewSpace()
-	_, fault := s.Translate(0x1000, AccessRead)
+	_, fault := translate(s, 0x1000, AccessRead)
 	if fault == nil {
 		t.Fatal("expected fault on unmapped page")
 	}
@@ -78,10 +88,10 @@ func TestTranslateProtection(t *testing.T) {
 	mapPage(t, s, 5, 7, ProtRead)
 	addr := Addr(5 * PageSize)
 
-	if _, fault := s.Translate(addr, AccessRead); fault != nil {
+	if _, fault := translate(s, addr, AccessRead); fault != nil {
 		t.Fatalf("read of read-only page faulted: %v", fault)
 	}
-	_, fault := s.Translate(addr, AccessWrite)
+	_, fault := translate(s, addr, AccessWrite)
 	if fault == nil {
 		t.Fatal("write of read-only page did not fault")
 	}
@@ -92,14 +102,14 @@ func TestTranslateProtection(t *testing.T) {
 	if _, err := s.Protect(5, 1, ProtNone); err != nil {
 		t.Fatalf("Protect: %v", err)
 	}
-	if _, fault := s.Translate(addr, AccessRead); fault == nil || fault.Reason != FaultProtection {
+	if _, fault := translate(s, addr, AccessRead); fault == nil || fault.Reason != FaultProtection {
 		t.Fatalf("read of PROT_NONE page: fault = %v, want protection fault", fault)
 	}
 
 	if _, err := s.Protect(5, 1, ProtRW); err != nil {
 		t.Fatalf("Protect: %v", err)
 	}
-	frame, fault := s.Translate(addr, AccessWrite)
+	frame, fault := translate(s, addr, AccessWrite)
 	if fault != nil {
 		t.Fatalf("write after re-protect faulted: %v", fault)
 	}
@@ -116,10 +126,10 @@ func TestAliasingIndependentProtections(t *testing.T) {
 	mapPage(t, s, 10, frame, ProtRW)
 	mapPage(t, s, 20, frame, ProtNone)
 
-	if _, fault := s.Translate(10*PageSize, AccessWrite); fault != nil {
+	if _, fault := translate(s, 10*PageSize, AccessWrite); fault != nil {
 		t.Fatalf("canonical page should be writable: %v", fault)
 	}
-	if _, fault := s.Translate(20*PageSize, AccessRead); fault == nil {
+	if _, fault := translate(s, 20*PageSize, AccessRead); fault == nil {
 		t.Fatal("shadow page should fault")
 	}
 	f1, _, _ := s.Lookup(10)
@@ -253,11 +263,11 @@ func TestBoundaryVPN(t *testing.T) {
 			t.Fatalf("Lookup(last) = %v %v %v", f, p, ok)
 		}
 		lastByte := UserAddrLimit - 1
-		if f, fault := s.Translate(lastByte, AccessWrite); fault != nil || f != 7 {
-			t.Fatalf("Translate(last byte) = %v %v", f, fault)
+		if f, fault := translate(s, lastByte, AccessWrite); fault != nil || f != 7 {
+			t.Fatalf("translate(last byte) = %v %v", f, fault)
 		}
-		if _, fault := s.Translate(UserAddrLimit, AccessRead); fault == nil || fault.Reason != FaultUnmapped {
-			t.Fatalf("Translate(limit) = %v, want unmapped fault", fault)
+		if _, fault := translate(s, UserAddrLimit, AccessRead); fault == nil || fault.Reason != FaultUnmapped {
+			t.Fatalf("translate(limit) = %v, want unmapped fault", fault)
 		}
 		if got := s.MappedPages(); got != 1 {
 			t.Fatalf("MappedPages = %d, want 1", got)
@@ -307,10 +317,10 @@ func TestAliasRemapOverExistingPTE(t *testing.T) {
 			t.Fatalf("Lookup after remap = %v %v %v, want frame 2 r-", f, p, ok)
 		}
 		addr := Addr(vpn) << PageShift
-		if _, fault := s.Translate(addr, AccessWrite); fault == nil || fault.Reason != FaultProtection {
+		if _, fault := translate(s, addr, AccessWrite); fault == nil || fault.Reason != FaultProtection {
 			t.Fatalf("write through remapped r- alias = %v, want protection fault", fault)
 		}
-		if f, fault := s.Translate(addr, AccessRead); fault != nil || f != 2 {
+		if f, fault := translate(s, addr, AccessRead); fault != nil || f != 2 {
 			t.Fatalf("read through remapped alias = %v %v, want frame 2", f, fault)
 		}
 	})
@@ -377,7 +387,7 @@ type modelPTE struct {
 // TestRadixMatchesLegacyMap drives a Space and a test-local
 // map[VPN]modelPTE model of the original per-page page table through the
 // same pseudo-random mix of range Map/Protect/Unmap/Alias edits and
-// Translate traffic, with ranges that straddle holes, and requires identical
+// translate traffic, with ranges that straddle holes, and requires identical
 // observable state throughout: Lookup, Runs and MappedPages. A Protect or
 // Alias that meets a hole changes the pages before it and not the pages
 // after it.
@@ -473,9 +483,9 @@ func TestRadixMatchesLegacyMap(t *testing.T) {
 			case me.prot&need == 0:
 				want = &Fault{Addr: addr, Access: kind, Reason: FaultProtection}
 			}
-			f, fault := space.Translate(addr, kind)
+			f, fault := translate(space, addr, kind)
 			if (fault == nil) != (want == nil) || (want == nil && f != me.frame) {
-				t.Fatalf("step %d: Translate(%#x, %v) = (%v, %v), model (%v, %v)",
+				t.Fatalf("step %d: translate(%#x, %v) = (%v, %v), model (%v, %v)",
 					step, addr, kind, f, fault, me.frame, want)
 			}
 			if fault != nil && *fault != *want {

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -29,35 +32,137 @@ import (
 // json.Marshal, so escaping is exactly the standard library's.
 //
 // Consecutive trap reports carry overlapping flight-recorder windows, so
-// most of a detection-heavy body is the same flight events over again. Each
-// event is encoded once per body; a later event equal to one already
-// written copies its bytes.
+// most of a detection-heavy body is the same flight events over again. A
+// body is therefore rendered as a Body: each event is encoded once, and a
+// later event equal to one already written is a segment referring back to
+// that first encoding. The body is kept in that form from the render
+// through pgserved's cache to the socket.
 
-// WriteNDJSON renders rep in the canonical NDJSON form.
-func WriteNDJSON(w io.Writer, rep *Report) error {
-	p := scratch.Get().(*[]byte)
-	b, err := AppendNDJSON((*p)[:0], rep)
+// Body is a rendered replay body in segmented form: Literal holds every
+// byte the body writes once, and the body is the concatenation, in order,
+// of the Literal ranges Segs names. A segment either carries Literal's next
+// bytes or refers back to bytes an earlier segment carried: a flight event
+// already in the body, or a run of them with the commas between.
+type Body struct {
+	Literal []byte
+	Segs    []Segment
+}
+
+// Segment is the range Literal[Off:Off+Len] of a Body.
+type Segment struct{ Off, Len int }
+
+// appendSegment appends the range [off, off+n) to segs, growing the last
+// segment instead when the range continues it.
+func appendSegment(segs []Segment, off, n int) []Segment {
+	if last := len(segs) - 1; last >= 0 && segs[last].Off+segs[last].Len == off {
+		segs[last].Len += n
+		return segs
+	}
+	return append(segs, Segment{Off: off, Len: n})
+}
+
+// bytes returns the Literal range s names.
+func (b *Body) bytes(s Segment) []byte { return b.Literal[s.Off : s.Off+s.Len] }
+
+// AppendTo appends the body's bytes to dst and returns the extended buffer.
+func (b *Body) AppendTo(dst []byte) []byte {
+	for _, s := range b.Segs {
+		dst = append(dst, b.bytes(s)...)
+	}
+	return dst
+}
+
+// Write appends p to the body as literal bytes, so a Body is an io.Writer
+// a stream can be appended to after a render.
+func (b *Body) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	b.Segs = appendSegment(b.Segs, len(b.Literal), len(p))
+	b.Literal = append(b.Literal, p...)
+	return len(p), nil
+}
+
+// WriteTo writes the body to w. A one-segment body is a single Write; the
+// segments of any other are coalesced through a pooled 64 KB buffer, since
+// an http.ResponseWriter sends each large Write as its own chunk.
+func (b *Body) WriteTo(w io.Writer) (int64, error) {
+	if len(b.Segs) == 1 {
+		n, err := w.Write(b.bytes(b.Segs[0]))
+		return int64(n), err
+	}
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	var n int64
+	var err error
+	for _, s := range b.Segs {
+		var m int
+		m, err = bw.Write(b.bytes(s))
+		n += int64(m)
+		if err != nil {
+			break
+		}
+	}
 	if err == nil {
-		_, err = w.Write(b)
+		err = bw.Flush()
 	}
-	if cap(b) <= maxScratch {
-		*p = b[:0]
-		scratch.Put(p)
+	bw.Reset(nil)
+	writers.Put(bw)
+	return n, err
+}
+
+// Footprint is the bytes b's buffers hold: what keeping b, in a cache or a
+// pool, keeps alive. A segment is counted as two 8-byte ints.
+func (b *Body) Footprint() int { return cap(b.Literal) + 16*cap(b.Segs) }
+
+// Clone returns an exact-size copy of the body, sharing nothing with it.
+func (b *Body) Clone() Body {
+	return Body{Literal: bytes.Clone(b.Literal), Segs: slices.Clone(b.Segs)}
+}
+
+// writers recycles WriteTo's coalescing buffers.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
+
+// WriteNDJSON renders rep in the canonical NDJSON form. It holds the
+// body's literal and segments, never the whole body.
+func WriteNDJSON(w io.Writer, rep *Report) error {
+	b := bodies.Get().(*Body)
+	err := RenderNDJSON(b, rep)
+	if err == nil {
+		_, err = b.WriteTo(w)
 	}
+	putBody(b)
 	return err
 }
 
-// scratch recycles WriteNDJSON's render buffers, so a render does not
-// regrow its buffer from empty. A buffer that grew past maxScratch is left
-// to the collector rather than kept alive by the pool.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
+// AppendNDJSON appends rep's canonical NDJSON form to dst and returns the
+// extended buffer: RenderNDJSON's body, flattened.
+func AppendNDJSON(dst []byte, rep *Report) ([]byte, error) {
+	b := bodies.Get().(*Body)
+	err := RenderNDJSON(b, rep)
+	dst = b.AppendTo(dst)
+	putBody(b)
+	return dst, err
+}
+
+// bodies recycles the render buffers of WriteNDJSON and AppendNDJSON, so a
+// render does not regrow its buffers from empty. A body whose buffers grew
+// past maxScratch bytes is left to the collector rather than kept alive by
+// the pool.
+var bodies = sync.Pool{New: func() any { return new(Body) }}
 
 const maxScratch = 1 << 20
 
-// AppendNDJSON appends rep's canonical NDJSON form to dst and returns the
-// extended buffer.
-func AppendNDJSON(dst []byte, rep *Report) ([]byte, error) {
-	e := ndjsonEncoder{b: dst}
+func putBody(b *Body) {
+	if b.Footprint() <= maxScratch {
+		bodies.Put(b)
+	}
+}
+
+// RenderNDJSON renders rep's canonical NDJSON form into b, replacing what
+// b held and reusing its buffers.
+func RenderNDJSON(b *Body, rep *Report) error {
+	e := ndjsonEncoder{b: b.Literal[:0], segs: b.Segs[:0]}
 	e.indexFlight(rep)
 
 	e.b = append(e.b, `{"type":"replay","events":`...)
@@ -111,18 +216,24 @@ func AppendNDJSON(dst []byte, rep *Report) ([]byte, error) {
 	e.optUintField("gc_cycle_cycles", s.GCCycleCost)
 	e.optUintField("missed_detections", s.MissedDetections)
 	e.b = append(e.b, "}\n"...)
-	return e.b, e.err
+	e.flush()
+	b.Literal, b.Segs = e.b, e.segs
+	e.release()
+	return e.err
 }
 
 // ndjsonEncoder is one body's append state.
 type ndjsonEncoder struct {
-	b   []byte
-	err error // the first json.Marshal failure
+	b    []byte    // the body's literal
+	segs []Segment // the body's segments, up to lit
+	lit  int       // where the literal bytes no segment carries yet begin
+	err  error     // the first json.Marshal failure
 
 	// first is the Seq of the body's first flight event; written[seq-first]
 	// locates the encoding of the first event written with that Seq.
 	first   uint64
 	written []flightBytes
+	table   *[]flightBytes // the flightTables entry written lies in
 }
 
 // flightBytes is where one flight event's encoding lies in the body.
@@ -155,7 +266,46 @@ func (e *ndjsonEncoder) indexFlight(rep *Report) {
 		span = uint64(total)
 	}
 	if span > 0 {
-		e.written = make([]flightBytes, span)
+		e.table = flightTables.Get().(*[]flightBytes)
+		if uint64(cap(*e.table)) < span {
+			*e.table = make([]flightBytes, span)
+		}
+		e.written = (*e.table)[:span]
+	}
+}
+
+// flightTables recycles the written tables of renders. A table is taken
+// from the pool for one render and handed back emptied by release, so it
+// never keeps a report alive; one that grew past maxFlightTable slots is
+// left to the collector.
+var flightTables = sync.Pool{New: func() any { return new([]flightBytes) }}
+
+const maxFlightTable = 1 << 16
+
+// release empties the written table and returns it to flightTables.
+func (e *ndjsonEncoder) release() {
+	if e.table == nil || cap(*e.table) > maxFlightTable {
+		return
+	}
+	clear(e.written)
+	flightTables.Put(e.table)
+}
+
+// ref appends a segment referring to the literal bytes b[off:end], written
+// earlier. A reference that continues the last segment grows it, so a run
+// of events first encoded one after another is one segment.
+func (e *ndjsonEncoder) ref(off, end int) {
+	e.flush()
+	e.segs = appendSegment(e.segs, off, end-off)
+}
+
+// flush ends the pending literal bytes with a segment carrying them. It
+// never grows a reference that ends where they begin, so every segment
+// either carries new bytes or refers back to old ones.
+func (e *ndjsonEncoder) flush() {
+	if e.lit < len(e.b) {
+		e.segs = append(e.segs, Segment{Off: e.lit, Len: len(e.b) - e.lit})
+		e.lit = len(e.b)
 	}
 }
 
@@ -191,26 +341,36 @@ func (e *ndjsonEncoder) report(r *pageguard.TrapReport) {
 	if len(r.Flight) > 0 {
 		e.b = append(e.b, `,"flight":[`...)
 		for i := range r.Flight {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.flightEvent(&r.Flight[i])
+			e.flightEvent(&r.Flight[i], i > 0)
 		}
 		e.b = append(e.b, ']')
 	}
 	e.b = append(e.b, '}')
 }
 
-// flightEvent appends ev, copying the bytes of an equal event already in
-// the body when there is one.
-func (e *ndjsonEncoder) flightEvent(ev *pageguard.FlightEvent) {
+// flightEvent appends ev, after a comma when comma is set. An event equal
+// to one already in the body becomes a reference to that event's first
+// encoding, and takes the comma written before that encoding along when
+// there is one.
+func (e *ndjsonEncoder) flightEvent(ev *pageguard.FlightEvent, comma bool) {
 	var slot *flightBytes
 	if i := ev.Seq - e.first; ev.Seq >= e.first && i < uint64(len(e.written)) {
 		slot = &e.written[i]
 		if slot.ev != nil && *slot.ev == *ev {
-			e.b = append(e.b, e.b[slot.start:slot.end]...)
+			start := slot.start
+			if comma {
+				if e.b[start-1] == ',' {
+					start--
+				} else {
+					e.b = append(e.b, ',')
+				}
+			}
+			e.ref(start, slot.end)
 			return
 		}
+	}
+	if comma {
+		e.b = append(e.b, ',')
 	}
 	start := len(e.b)
 	e.b = append(e.b, `{"seq":`...)

@@ -160,6 +160,62 @@ func TestAppendNDJSONCoversEveryField(t *testing.T) {
 		Detections: []Detection{{Line: 7, Err: errors.New("dangling"), Report: &r}}}
 	fill(reflect.ValueOf(&rep.Stats).Elem())
 	checkAppendMatchesReference(t, "", rep)
+	checkBodySegments(t, rep)
+}
+
+// checkBodySegments renders rep as a Body, into one that already held
+// bytes, and requires every segment to lie inside the literal, the literal
+// to be carried once and in order, every other segment to refer only to
+// bytes written before it, and the flattened and written body to equal
+// AppendNDJSON's bytes.
+func checkBodySegments(t *testing.T, rep *Report) Body {
+	t.Helper()
+	var b Body
+	b.Write([]byte("stale bytes RenderNDJSON must replace"))
+	if err := RenderNDJSON(&b, rep); err != nil {
+		t.Fatal(err)
+	}
+	written := 0 // literal bytes the segments so far carried
+	for i, s := range b.Segs {
+		switch {
+		case s.Len <= 0 || s.Off < 0 || s.Off+s.Len > len(b.Literal):
+			t.Fatalf("segment %d %+v lies outside the %d-byte literal", i, s, len(b.Literal))
+		case s.Off == written:
+			written += s.Len
+		case s.Off+s.Len > written:
+			t.Fatalf("segment %d %+v refers to bytes not yet written (%d written)", i, s, written)
+		}
+	}
+	if written != len(b.Literal) {
+		t.Fatalf("segments carry %d of the literal's %d bytes", written, len(b.Literal))
+	}
+	want, err := AppendNDJSON(nil, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.AppendTo(nil); !bytes.Equal(got, want) {
+		t.Fatalf("flattened segments diverged from AppendNDJSON:\n%s\nwant:\n%s", got, want)
+	}
+	var out bytes.Buffer
+	if n, err := b.WriteTo(&out); err != nil || n != int64(len(want)) || !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("WriteTo wrote %d bytes (err %v), want AppendNDJSON's %d", n, err, len(want))
+	}
+	return b
+}
+
+// TestRenderReferencesRepeatedFlight: in a replay-detect-shaped body, most
+// bytes are flight events repeated from earlier trap reports, and the
+// render keeps them as references. The literal is about a fifth of the
+// body, and a run of repeated events is one segment, not one per event.
+func TestRenderReferencesRepeatedFlight(t *testing.T) {
+	b := checkBodySegments(t, detectBenchReport(t))
+	body := len(b.AppendTo(nil))
+	if len(b.Literal)*4 > body {
+		t.Errorf("literal is %d of %d body bytes, want under a quarter", len(b.Literal), body)
+	}
+	if len(b.Segs) > 100 {
+		t.Errorf("%d segments for 10 trap reports, want at most 100", len(b.Segs))
+	}
 }
 
 // fuzzReport builds a Report from the fuzzer's strings and integers. shape
@@ -217,7 +273,8 @@ func fuzzReport(s1, s2 string, n int64, u uint64, shape []byte) *Report {
 
 // FuzzAppendNDJSON is the differential check of the hand-written encoder:
 // on any report it appends exactly what the encoding/json reference
-// encoder writes, after whatever its destination already held.
+// encoder writes, after whatever its destination already held, and its
+// segmented form is well made and flattens to those bytes.
 func FuzzAppendNDJSON(f *testing.F) {
 	repeats := []byte{0, 0, 0, 0, 0, 3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 		1, 1, 1, 1, 1, 7, 3, 1, 1, 1, 1, 1, 1, 1, 3, 2, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1, 1}
@@ -231,8 +288,16 @@ func FuzzAppendNDJSON(f *testing.F) {
 	f.Add("", "", int64(0), uint64(0), []byte{})
 	f.Add("", "", int64(0), uint64(0), bytes.Repeat([]byte{0, 3, 1}, 40))
 	f.Add("a", "b", int64(-1<<63), uint64(math.MaxUint64), bytes.Repeat([]byte{2, 3, 1, 5, 7, 4}, 30))
+	// A flight whose second event repeats its first: the reference must not
+	// take along the '[' written before the first encoding.
+	f.Add("0", "0", int64(67), uint64(29), []byte("000001001000000000000000000002"))
+	// A reference that ends where the literal does: the literal bytes after
+	// it start a segment of their own.
+	f.Add("0", "0", int64(67), uint64(29), []byte("00000100100000000000000000001700000000121119921211199"))
 	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, u uint64, shape []byte) {
-		checkAppendMatchesReference(t, s1, fuzzReport(s1, s2, n, u, shape))
+		rep := fuzzReport(s1, s2, n, u, shape)
+		checkAppendMatchesReference(t, s1, rep)
+		checkBodySegments(t, rep)
 	})
 }
 

@@ -79,7 +79,7 @@ func TestMetricsExport(t *testing.T) {
 		if wm.ChargedCycles == 0 || wm.AttributedCycles != wm.ChargedCycles {
 			t.Errorf("%s: attributed %d, charged %d", name, wm.AttributedCycles, wm.ChargedCycles)
 		}
-		if wm.Metrics.Counters["pg_allocs_total"] == 0 {
+		if wm.Metrics.Counter("pg_allocs_total") == 0 {
 			t.Errorf("%s: no allocs in metric snapshot", name)
 		}
 	}

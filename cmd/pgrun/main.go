@@ -66,7 +66,7 @@ func run(modeName, wl string, stats bool, args []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := prog.Run(pageguard.NewMachine(), m)
+	res, err := prog.Run(pageguard.NewMachine(pageguard.WithSiteProfile()), m)
 	if err != nil {
 		return 0, err
 	}

@@ -113,6 +113,9 @@ func run(guards, report, ndjson, spans bool, faults, record string, args []strin
 	if spans {
 		extra = append(extra, pageguard.WithSpanTracing())
 	}
+	if report {
+		extra = append(extra, pageguard.WithSiteProfile())
+	}
 	rep, err := trace.Replay(trace.NewMachine(tf, extra...), tf.Events)
 	if err != nil {
 		return 0, err

@@ -259,7 +259,7 @@ func runExhaustionRung(wname string, r ExhaustionRung, events []trace.Event, bud
 		return cell, fmt.Errorf("exhaustion: %s/%s: cycle log sums to %d, stats charge %d",
 			wname, r.Name, logSum, cell.GCCycleCost)
 	}
-	if kc := rep.Metrics.Counters["pg_gc_charged_cycles_total"]; kc != cell.GCCycleCost {
+	if kc := rep.Metrics.Counter("pg_gc_charged_cycles_total"); kc != cell.GCCycleCost {
 		return cell, fmt.Errorf("exhaustion: %s/%s: kernel charged %d GC cycles, stats say %d",
 			wname, r.Name, kc, cell.GCCycleCost)
 	}

@@ -20,6 +20,7 @@ type fixture struct {
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	kcfg := kernel.DefaultConfig()
+	kcfg.SiteProfile = true
 	sys := kernel.NewSystem(kcfg)
 	proc, err := kernel.NewProcess(sys, kcfg)
 	if err != nil {

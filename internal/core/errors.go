@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim/vm"
@@ -28,6 +28,12 @@ type DanglingError struct {
 
 // Error implements error.
 func (e *DanglingError) Error() string {
+	var buf [256]byte
+	return string(e.AppendError(buf[:0]))
+}
+
+// AppendError appends the Error message to b.
+func (e *DanglingError) AppendError(b []byte) []byte {
 	kind := "use"
 	switch {
 	case e.Offset < 0:
@@ -37,10 +43,21 @@ func (e *DanglingError) Error() string {
 	case e.Fault.Access == vm.AccessRead:
 		kind = "read"
 	}
-	return fmt.Sprintf(
-		"dangling pointer %s at %s: object of %d bytes allocated at %s (seq %d), freed at %s; access at offset %+d",
-		kind, e.UseSite, e.Object.UserSize, e.Object.AllocSite,
-		e.Object.AllocSeq, e.Object.FreeSite, e.Offset)
+	b = append(append(append(b, "dangling pointer "...), kind...), " at "...)
+	b = append(append(b, e.UseSite...), ": object of "...)
+	b = append(strconv.AppendUint(b, e.Object.UserSize, 10), " bytes allocated at "...)
+	b = append(append(b, e.Object.AllocSite...), " (seq "...)
+	b = append(strconv.AppendUint(b, e.Object.AllocSeq, 10), "), freed at "...)
+	b = append(append(b, e.Object.FreeSite...), "; access at offset "...)
+	return appendSigned(b, e.Offset)
+}
+
+// appendSigned appends v as fmt's %+d does.
+func appendSigned(b []byte, v int64) []byte {
+	if v >= 0 {
+		b = append(b, '+')
+	}
+	return strconv.AppendInt(b, v, 10)
 }
 
 // IsDouble reports whether the use was a free of an already-freed object.

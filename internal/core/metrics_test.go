@@ -140,14 +140,14 @@ func TestRemapperRegisterMetrics(t *testing.T) {
 	_ = f.read(a)
 
 	s := r.Snapshot()
-	if s.Counters["pg_allocs_total"] != 2 || s.Counters["pg_frees_total"] != 1 {
-		t.Errorf("allocs/frees = %d/%d", s.Counters["pg_allocs_total"], s.Counters["pg_frees_total"])
+	if s.Counter("pg_allocs_total") != 2 || s.Counter("pg_frees_total") != 1 {
+		t.Errorf("allocs/frees = %d/%d", s.Counter("pg_allocs_total"), s.Counter("pg_frees_total"))
 	}
-	if s.Counters["pg_dangling_detected_total"] != 1 {
-		t.Errorf("dangling = %d", s.Counters["pg_dangling_detected_total"])
+	if s.Counter("pg_dangling_detected_total") != 1 {
+		t.Errorf("dangling = %d", s.Counter("pg_dangling_detected_total"))
 	}
-	if s.Gauges["pg_shadow_pages_live"] != 1 {
-		t.Errorf("live pages = %v", s.Gauges["pg_shadow_pages_live"])
+	if s.Gauge("pg_shadow_pages_live") != 1 {
+		t.Errorf("live pages = %v", s.Gauge("pg_shadow_pages_live"))
 	}
 	_ = b
 }

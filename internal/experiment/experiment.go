@@ -264,6 +264,7 @@ func Run(w workload.Workload, c Config, opts Options) (Measurement, error) {
 		cfg = *opts.Kernel
 	}
 	cfg.Model = c.model()
+	cfg.SiteProfile = true
 	if opts.Faults != "" {
 		sched, err := kernel.ParseSchedule(opts.Faults)
 		if err != nil {

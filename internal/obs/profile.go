@@ -103,6 +103,8 @@ func (c *SiteCost) add(cat Category, cycles uint64) {
 // kernel records into it at every syscall and trap charge, under whatever
 // site label the remapper has scoped; the profile therefore explains
 // exactly where the paper's Table 2 overhead comes from, per workload.
+// A process builds one only when asked (kernel.Config.SiteProfile); the
+// recording methods of a nil profile do nothing.
 type SiteProfile struct {
 	sites map[string]*SiteCost
 }
@@ -126,6 +128,9 @@ func (p *SiteProfile) site(site string) *SiteCost {
 
 // AddSyscall attributes one syscall's cycles to site under cat.
 func (p *SiteProfile) AddSyscall(site string, cat Category, cycles uint64) {
+	if p == nil {
+		return
+	}
 	c := p.site(site)
 	c.add(cat, cycles)
 	c.Syscalls++
@@ -133,6 +138,9 @@ func (p *SiteProfile) AddSyscall(site string, cat Category, cycles uint64) {
 
 // AddTrap attributes one trap delivery's cycles to site.
 func (p *SiteProfile) AddTrap(site string, cycles uint64) {
+	if p == nil {
+		return
+	}
 	c := p.site(site)
 	c.TrapCycles += cycles
 	c.Traps++
@@ -141,12 +149,23 @@ func (p *SiteProfile) AddTrap(site string, cycles uint64) {
 // AddGC attributes one conservative-GC cycle's scan cost to site. GC work
 // is neither a syscall nor a trap, so only the cycle total moves.
 func (p *SiteProfile) AddGC(site string, cycles uint64) {
-	p.site(site).GCCycles += cycles
+	if p != nil {
+		p.site(site).GCCycles += cycles
+	}
 }
 
 // CountAlloc and CountFree record operation counts per site (no cycles).
-func (p *SiteProfile) CountAlloc(site string) { p.site(site).Allocs++ }
-func (p *SiteProfile) CountFree(site string)  { p.site(site).Frees++ }
+func (p *SiteProfile) CountAlloc(site string) {
+	if p != nil {
+		p.site(site).Allocs++
+	}
+}
+
+func (p *SiteProfile) CountFree(site string) {
+	if p != nil {
+		p.site(site).Frees++
+	}
+}
 
 // Merge adds other's attribution into p (cross-connection aggregation).
 func (p *SiteProfile) Merge(other *SiteProfile) {

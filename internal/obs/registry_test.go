@@ -30,13 +30,13 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 
 	s := r.Snapshot()
-	if s.Counters[`ops_total{kind="a"}`] != 5 || s.Counters["live_reads_total"] != 9 {
-		t.Errorf("snapshot counters: %+v", s.Counters)
+	if s.Counter(`ops_total{kind="a"}`) != 5 || s.Counter("live_reads_total") != 9 {
+		t.Errorf("snapshot counters: %+v", s)
 	}
-	if s.Gauges["depth"] != 4.5 {
-		t.Errorf("snapshot gauge: %v", s.Gauges["depth"])
+	if s.Gauge("depth") != 4.5 {
+		t.Errorf("snapshot gauge: %v", s.Gauge("depth"))
 	}
-	hs := s.Histograms["lat"]
+	hs, _ := s.Histogram("lat")
 	if want := []uint64{1, 1, 1}; len(hs.Counts) != 3 || hs.Counts[0] != want[0] || hs.Counts[1] != want[1] || hs.Counts[2] != want[2] {
 		t.Errorf("hist counts = %v", hs.Counts)
 	}
@@ -98,10 +98,10 @@ func TestSnapshotAddSubJSON(t *testing.T) {
 	after := r.Snapshot()
 
 	diff := after.Sub(before)
-	if diff.Counters["x_total"] != 3 {
-		t.Errorf("diff counter = %d, want 3", diff.Counters["x_total"])
+	if diff.Counter("x_total") != 3 {
+		t.Errorf("diff counter = %d, want 3", diff.Counter("x_total"))
 	}
-	dh := diff.Histograms["y"]
+	dh, _ := diff.Histogram("y")
 	if dh.Count != 1 || dh.Sum != 40 || dh.Counts[0] != 0 || dh.Counts[1] != 1 {
 		t.Errorf("diff hist = %+v", dh)
 	}
@@ -109,8 +109,8 @@ func TestSnapshotAddSubJSON(t *testing.T) {
 	sum := Snapshot{}
 	sum.Add(before)
 	sum.Add(diff)
-	if sum.Counters["x_total"] != after.Counters["x_total"] {
-		t.Errorf("add: %d != %d", sum.Counters["x_total"], after.Counters["x_total"])
+	if sum.Counter("x_total") != after.Counter("x_total") {
+		t.Errorf("add: %d != %d", sum.Counter("x_total"), after.Counter("x_total"))
 	}
 
 	var b strings.Builder
@@ -121,8 +121,8 @@ func TestSnapshotAddSubJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
-	if back.Counters["x_total"] != 5 {
-		t.Errorf("round-tripped counter = %d", back.Counters["x_total"])
+	if back.Counter("x_total") != 5 {
+		t.Errorf("round-tripped counter = %d", back.Counter("x_total"))
 	}
 }
 

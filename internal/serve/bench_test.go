@@ -8,6 +8,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/pageguard"
+	"repro/trace"
 )
 
 // cacheBenchBody is one TraceVariants variant of a trace shaped like
@@ -103,6 +107,58 @@ func BenchmarkServeMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkMergeReplayMetrics is what every served replay adds to the
+// process aggregate: one replay's metric values summed into it in place.
+// It allocates nothing.
+func BenchmarkMergeReplayMetrics(b *testing.B) {
+	metrics := replayMetrics(b, uniqueTrace(0))
+	s := New(Config{})
+	s.mergeReplayMetrics(metrics)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.mergeReplayMetrics(metrics)
+	}
+}
+
+// BenchmarkBucketRegister is what a detection with a signature the
+// database has not seen pays, once: its report encoded as JSON and
+// deflated into the bucket's representative.
+func BenchmarkBucketRegister(b *testing.B) {
+	reports := detectReports(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newBucketDB().register(reports[:1])
+	}
+}
+
+// replayMetrics replays body on a fresh machine and returns its metrics.
+func replayMetrics(tb testing.TB, body []byte) obs.Snapshot {
+	tf, err := trace.ParseFile(bytes.NewReader(body))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := trace.Replay(trace.NewMachine(tf), tf.Events)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep.Metrics
+}
+
+// detectReports replays detectTrace(0) and returns its ten trap reports.
+func detectReports(tb testing.TB) []*pageguard.TrapReport {
+	tf, err := trace.ParseFile(bytes.NewReader(detectTrace(0)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := trace.Replay(trace.NewMachine(tf), tf.Events)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return detectionReports(rep)
+}
+
 // detectTrace is a detection-dense request shaped like perfbench's
 // replay-detect: 160 objects of 12 to 28 pages, each allocated, written,
 // read and freed, every sixteenth read once more after its free, so ten
@@ -110,7 +166,23 @@ func BenchmarkServeMiss(b *testing.B) {
 // v*1000, so variants never share a canonical rendering, while the stale
 // reads sit on the same lines in every variant.
 func detectTrace(v int) []byte {
+	return pageTrace(rand.New(rand.NewSource(int64(v)+1)), v, func(i int) bool { return i%16 == 15 })
+}
+
+// uniqueTrace is variant v of a replay-unique-shaped trace, as perfbench
+// builds one: 160 page-sized objects, each allocated, written, read and
+// freed, two of them read again after their free.
+func uniqueTrace(v int) []byte {
 	rng := rand.New(rand.NewSource(int64(v) + 1))
+	a := rng.Intn(160)
+	b := (a + 1 + rng.Intn(159)) % 160
+	return pageTrace(rng, v, func(i int) bool { return i == a || i == b })
+}
+
+// pageTrace is trace variant v of 160 page-sized objects, each allocated,
+// written, read and freed; the objects dangling picks are read once more
+// after their free.
+func pageTrace(rng *rand.Rand, v int, dangling func(i int) bool) []byte {
 	var b []byte
 	event := func(kind byte, id int, arg ...int) {
 		b = append(b, kind, ' ')
@@ -128,7 +200,7 @@ func detectTrace(v int) []byte {
 		event('w', id, rng.Intn(size/8)*8)
 		event('r', id, rng.Intn(64)*8)
 		event('f', id)
-		if i%16 == 15 {
+		if dangling(i) {
 			event('r', id, rng.Intn(64)*8)
 		}
 	}

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/json"
+	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,13 +39,24 @@ type CrashBucket struct {
 	FirstTraceID string `json:"first_trace_id"`
 	LastTraceID  string `json:"last_trace_id"`
 	// Representative is the first TrapReport registered for the signature —
-	// one full forensic record per bucket is enough to debug it.
+	// one full forensic record per bucket is enough to debug it. The
+	// database keeps it as its JSON, deflated.
 	Representative *pageguard.TrapReport `json:"representative,omitempty"`
 }
 
 // bucketKey identifies a CrashBucket.
 type bucketKey struct {
 	allocSite, freeSite string
+}
+
+// bucket is what the database keeps of a CrashBucket: its counts, and its
+// representative as the JSON /buckets serves, deflated. The representative
+// owns those bytes, so it keeps no flight window of the replay that
+// registered it alive.
+type bucket struct {
+	count                     uint64
+	firstTraceID, lastTraceID string
+	rep                       []byte
 }
 
 // maxBuckets bounds the crash-bucket database. Its signatures are trace line
@@ -55,43 +70,93 @@ const maxBuckets = 1024
 type bucketDB struct {
 	mu sync.Mutex
 	// buckets holds every registered signature. A bucket no served request
-	// has counted yet has Count 0 and is left out of snapshot.
-	buckets map[bucketKey]*CrashBucket
+	// has counted yet has count 0 and is left out of snapshot.
+	buckets map[bucketKey]*bucket
 	// dropped counts served detections whose signature the full database
 	// did not admit.
 	dropped atomic.Uint64
 }
 
 func newBucketDB() *bucketDB {
-	return &bucketDB{buckets: make(map[bucketKey]*CrashBucket)}
+	return &bucketDB{buckets: make(map[bucketKey]*bucket)}
 }
 
 // register returns one key per report, in order. A report whose signature
-// has no bucket yet creates one, with Count 0 and a copy of the report as
-// its representative, unless the database already holds maxBuckets
-// buckets. The copy owns an exact-size copy of its flight window: the
-// report's own window is a view into a log it shares with the replay's
-// other reports, which a bucket would otherwise keep alive.
+// has no bucket yet creates one, with count 0 and the report as its
+// representative, unless the database already holds maxBuckets buckets.
+// The representative is encoded and deflated outside the lock; when two
+// registrations race to create one bucket, the first to insert it wins.
 func (db *bucketDB) register(reports []*pageguard.TrapReport) []bucketKey {
 	if len(reports) == 0 {
 		return nil
 	}
-	keys := make([]bucketKey, 0, len(reports))
+	keys := make([]bucketKey, len(reports))
+	var fresh []int // reports whose signature had no bucket, first of each
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, rep := range reports {
+	for i, rep := range reports {
 		k := bucketKey{allocSite: rep.AllocSite, freeSite: rep.FreeSite}
-		if _, ok := db.buckets[k]; !ok && len(db.buckets) < maxBuckets {
-			cp := *rep
-			if len(rep.Flight) > 0 {
-				cp.Flight = make([]pageguard.FlightEvent, len(rep.Flight))
-				copy(cp.Flight, rep.Flight)
-			}
-			db.buckets[k] = &CrashBucket{AllocSite: k.allocSite, FreeSite: k.freeSite, Representative: &cp}
+		keys[i] = k
+		if _, ok := db.buckets[k]; !ok && !slices.ContainsFunc(fresh, func(j int) bool { return keys[j] == k }) {
+			fresh = append(fresh, i)
 		}
-		keys = append(keys, k)
+	}
+	db.mu.Unlock()
+	for _, i := range fresh {
+		rep, err := deflateReport(reports[i])
+		if err != nil {
+			continue
+		}
+		db.mu.Lock()
+		if _, ok := db.buckets[keys[i]]; !ok && len(db.buckets) < maxBuckets {
+			db.buckets[keys[i]] = &bucket{rep: rep}
+		}
+		db.mu.Unlock()
 	}
 	return keys
+}
+
+// deflater is a flate writer (each allocates several hundred KB) and the
+// buffer it writes into, pooled together.
+type deflater struct {
+	buf bytes.Buffer
+	w   *flate.Writer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
+	d.w, _ = flate.NewWriter(&d.buf, flate.BestSpeed)
+	return d
+}}
+
+// deflateReport returns rep's JSON encoding, deflated into an exact-size
+// slice.
+func deflateReport(rep *pageguard.TrapReport) ([]byte, error) {
+	data, err := json.Marshal(rep)
+	if err != nil {
+		return nil, err
+	}
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.buf.Reset()
+	d.w.Reset(&d.buf)
+	if _, err := d.w.Write(data); err != nil {
+		return nil, err
+	}
+	if err := d.w.Close(); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(d.buf.Bytes()), nil
+}
+
+// inflate returns the JSON a representative was deflated from. The
+// database wrote those bytes itself, so failing to read them back is a
+// broken invariant.
+func inflate(rep []byte) json.RawMessage {
+	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(rep)))
+	if err != nil {
+		panic("serve: crash-bucket representative does not inflate: " + err.Error())
+	}
+	return raw
 }
 
 // count folds one served request's detections into their buckets. traceID
@@ -109,38 +174,57 @@ func (db *bucketDB) count(traceID string, keys []bucketKey) {
 			db.dropped.Add(1)
 			continue
 		}
-		if b.Count == 0 {
-			b.FirstTraceID = traceID
+		if b.count == 0 {
+			b.firstTraceID = traceID
 		}
-		b.Count++
-		b.LastTraceID = traceID
+		b.count++
+		b.lastTraceID = traceID
 	}
 }
 
-// snapshot returns the buckets sorted by (alloc site, free site) — a
-// deterministic order for diffing two servers' databases.
-func (db *bucketDB) snapshot() []CrashBucket {
+// bucketJSON is a CrashBucket as /buckets serves it: the representative is
+// the JSON it was registered as.
+type bucketJSON struct {
+	AllocSite      string          `json:"alloc_site"`
+	FreeSite       string          `json:"free_site"`
+	Count          uint64          `json:"count"`
+	FirstTraceID   string          `json:"first_trace_id"`
+	LastTraceID    string          `json:"last_trace_id"`
+	Representative json.RawMessage `json:"representative,omitempty"`
+}
+
+// snapshot returns the counted buckets sorted by (alloc site, free site) —
+// a deterministic order for diffing two servers' databases — with their
+// representatives inflated.
+func (db *bucketDB) snapshot() []bucketJSON {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]CrashBucket, 0, len(db.buckets))
-	for _, b := range db.buckets {
-		if b.Count > 0 {
-			out = append(out, *b)
+	out := make([]bucketJSON, 0, len(db.buckets))
+	for k, b := range db.buckets {
+		if b.count > 0 {
+			out = append(out, bucketJSON{
+				AllocSite: k.allocSite, FreeSite: k.freeSite, Count: b.count,
+				FirstTraceID: b.firstTraceID, LastTraceID: b.lastTraceID,
+				Representative: b.rep,
+			})
 		}
 	}
+	db.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].AllocSite != out[j].AllocSite {
 			return out[i].AllocSite < out[j].AllocSite
 		}
 		return out[i].FreeSite < out[j].FreeSite
 	})
+	for i := range out {
+		out[i].Representative = inflate(out[i].Representative)
+	}
 	return out
 }
 
 // bucketsBody is the GET /buckets JSON schema.
 type bucketsBody struct {
-	Type    string        `json:"type"` // "buckets"
-	Buckets []CrashBucket `json:"buckets"`
+	Type    string       `json:"type"` // "buckets"
+	Buckets []bucketJSON `json:"buckets"`
 }
 
 // handleBuckets serves the server's crash-bucket database.
@@ -148,7 +232,7 @@ func (s *Server) handleBuckets(w http.ResponseWriter, r *http.Request) {
 	writeBuckets(w, s.buckets.snapshot())
 }
 
-func writeBuckets(w http.ResponseWriter, bs []CrashBucket) {
+func writeBuckets(w http.ResponseWriter, bs []bucketJSON) {
 	w.Header().Set("Content-Type", "application/json")
 	data, err := json.Marshal(bucketsBody{Type: "buckets", Buckets: bs})
 	if err != nil {
@@ -158,5 +242,19 @@ func writeBuckets(w http.ResponseWriter, bs []CrashBucket) {
 }
 
 // Buckets returns a copy of the server's crash-bucket database (tests and
-// embedding callers).
-func (s *Server) Buckets() []CrashBucket { return s.buckets.snapshot() }
+// embedding callers), each representative decoded from its stored JSON.
+func (s *Server) Buckets() []CrashBucket {
+	bs := s.buckets.snapshot()
+	out := make([]CrashBucket, len(bs))
+	for i, b := range bs {
+		out[i] = CrashBucket{
+			AllocSite: b.AllocSite, FreeSite: b.FreeSite, Count: b.Count,
+			FirstTraceID: b.FirstTraceID, LastTraceID: b.LastTraceID,
+			Representative: new(pageguard.TrapReport),
+		}
+		if err := json.Unmarshal(b.Representative, out[i].Representative); err != nil {
+			panic("serve: crash-bucket representative does not decode: " + err.Error())
+		}
+	}
+	return out
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,10 @@ func getBuckets(t *testing.T, url string) []CrashBucket {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /buckets: %s", resp.Status)
 	}
-	var body bucketsBody
+	var body struct {
+		Type    string        `json:"type"`
+		Buckets []CrashBucket `json:"buckets"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode buckets: %v", err)
 	}
@@ -271,24 +275,17 @@ func capTrace(k, objs int) []byte {
 	return b.Bytes()
 }
 
-// TestBucketRepresentativesOwnTheirFlight: a representative's flight is
-// an exact-size copy of its report's window, so a bucket keeps only its own
-// events, not the log the replay's reports share.
+// TestBucketRepresentativesOwnTheirFlight: a representative is stored as
+// its report's JSON, so the flight decoded from it holds the report's
+// events and shares no storage with any report of the replay, whose
+// windows are views into one log.
 func TestBucketRepresentativesOwnTheirFlight(t *testing.T) {
-	tf, err := trace.ParseFile(bytes.NewReader(capTrace(0, 8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := trace.Replay(trace.NewMachine(tf), tf.Events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := detectionReports(rep)
+	reports := replayReports(t, capTrace(0, 8))
 	if len(reports) != 8 {
 		t.Fatalf("%d reports, want 8", len(reports))
 	}
 	// The replay's windows overlap, and some share storage. That is what
-	// the copy is for.
+	// storing the encoding is for.
 	shared := false
 	for i := 1; i < len(reports); i++ {
 		shared = shared || sharedEvent(reports[i-1].Flight, reports[i].Flight)
@@ -303,23 +300,99 @@ func TestBucketRepresentativesOwnTheirFlight(t *testing.T) {
 		t.Fatalf("%d buckets, want %d", len(db.buckets), len(reports))
 	}
 	for _, r := range reports {
-		got := db.buckets[bucketKey{r.AllocSite, r.FreeSite}].Representative.Flight
-		if len(got) != len(r.Flight) || cap(got) != len(got) {
-			t.Fatalf("representative of (%s, %s): flight len %d cap %d, want len %d and cap == len",
-				r.AllocSite, r.FreeSite, len(got), cap(got), len(r.Flight))
+		var got pageguard.TrapReport
+		if err := json.Unmarshal(inflate(db.buckets[bucketKey{r.AllocSite, r.FreeSite}].rep), &got); err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i] != r.Flight[i] {
-				t.Fatalf("representative of (%s, %s): flight[%d] = %+v, want %+v", r.AllocSite, r.FreeSite, i, got[i], r.Flight[i])
-			}
+		if !reflect.DeepEqual(got.Flight, r.Flight) {
+			t.Fatalf("representative of (%s, %s): flight differs from its report's", r.AllocSite, r.FreeSite)
 		}
 		for _, other := range reports {
-			if sharedEvent(got, other.Flight) {
+			if sharedEvent(got.Flight, other.Flight) {
 				t.Fatalf("representative of (%s, %s) shares flight storage with the report of (%s, %s)",
 					r.AllocSite, r.FreeSite, other.AllocSite, other.FreeSite)
 			}
 		}
 	}
+}
+
+// TestBucketRepresentativesRoundTrip: for plain, faulted and sampled
+// replays, Buckets() decodes each representative to the report registered,
+// and /buckets serves each as exactly json.Marshal of that report.
+func TestBucketRepresentativesRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"cap", capTrace(0, 8)},
+		{"faulted", faultedTrace(t)},
+		{"sampled", append([]byte("!sampling rate=2,seed=3\n"), capTrace(8, 16)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reports := replayReports(t, tc.body)
+			if len(reports) == 0 {
+				t.Fatal("replay has no trap reports")
+			}
+			want := map[bucketKey]*pageguard.TrapReport{}
+			for _, r := range reports {
+				if k := (bucketKey{r.AllocSite, r.FreeSite}); want[k] == nil {
+					want[k] = r
+				}
+			}
+			s := New(Config{})
+			s.buckets.record("pg-1", reports)
+
+			bs := s.Buckets()
+			if len(bs) != len(want) {
+				t.Fatalf("%d buckets, want %d", len(bs), len(want))
+			}
+			for _, b := range bs {
+				if r := want[bucketKey{b.AllocSite, b.FreeSite}]; !reflect.DeepEqual(b.Representative, r) {
+					t.Errorf("(%s, %s): Buckets() representative differs from the report registered", b.AllocSite, b.FreeSite)
+				}
+			}
+
+			rec := httptest.NewRecorder()
+			s.handleBuckets(rec, httptest.NewRequest("GET", "/buckets", nil))
+			var served struct {
+				Buckets []struct {
+					AllocSite      string          `json:"alloc_site"`
+					FreeSite       string          `json:"free_site"`
+					Representative json.RawMessage `json:"representative"`
+				} `json:"buckets"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
+				t.Fatal(err)
+			}
+			if len(served.Buckets) != len(want) {
+				t.Fatalf("/buckets serves %d buckets, want %d", len(served.Buckets), len(want))
+			}
+			for _, b := range served.Buckets {
+				wantJSON, err := json.Marshal(want[bucketKey{b.AllocSite, b.FreeSite}])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b.Representative, wantJSON) {
+					t.Errorf("(%s, %s): /buckets representative is not json.Marshal of the report", b.AllocSite, b.FreeSite)
+				}
+			}
+		})
+	}
+}
+
+// replayReports replays body on a fresh machine and returns its trap
+// reports.
+func replayReports(t *testing.T, body []byte) []*pageguard.TrapReport {
+	t.Helper()
+	tf, err := trace.ParseFile(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := trace.Replay(trace.NewMachine(tf), tf.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return detectionReports(rep)
 }
 
 // sharedEvent reports whether a and b hold an event of the same Seq at the
@@ -391,7 +464,7 @@ func TestBucketsCap(t *testing.T) {
 				b.AllocSite, b.FreeSite, b.Count, maxBuckets)
 		}
 	}
-	dropped := func() uint64 { return s.HostSnapshot().Counters["pgserved_buckets_dropped_total"] }
+	dropped := func() uint64 { return s.HostSnapshot().Counter("pgserved_buckets_dropped_total") }
 	if got := dropped(); got != 5 {
 		t.Fatalf("pgserved_buckets_dropped_total = %d, want 5", got)
 	}

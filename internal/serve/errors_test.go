@@ -284,13 +284,13 @@ func TestVABudgetErrorMatchesOffline(t *testing.T) {
 		t.Fatalf("code %q, error %q; want %q, %q", eb.Code, eb.Error, ErrCodeReplayFailed, "replay failed: "+offlineErr.Error())
 	}
 	host := s.HostSnapshot()
-	if _, ok := host.Counters["pgserved_snapshot_fallbacks_total"]; ok {
+	if host.Has("pgserved_snapshot_fallbacks_total") {
 		t.Error("pgserved_snapshot_fallbacks_total is still exported")
 	}
-	if _, ok := host.Counters["pgserved_snapshot_forks_total"]; ok {
+	if host.Has("pgserved_snapshot_forks_total") {
 		t.Error("pgserved_snapshot_forks_total is still exported")
 	}
-	if got := host.Counters["pg_cache_misses_total"]; got != 1 {
+	if got := host.Counter("pg_cache_misses_total"); got != 1 {
 		t.Errorf("pg_cache_misses_total = %d, want 1", got)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -448,20 +447,7 @@ func (s *Server) mergeStaticMetrics(wl string, rep *safety.Report) {
 	s.staticSeen[wl] = true
 	reg := obs.NewRegistry()
 	rep.RegisterMetrics(reg)
-	snap := reg.Snapshot()
-	labeled := obs.Snapshot{Gauges: make(map[string]float64, len(snap.Gauges)), Help: snap.Help}
-	for name, v := range snap.Gauges {
-		labeled.Gauges[addSeriesLabel(name, fmt.Sprintf("workload=%q", wl))] = v
-	}
-	s.merged.Add(labeled)
-}
-
-// addSeriesLabel inserts one label into a series name's label block.
-func addSeriesLabel(series, label string) string {
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		return series[:i+1] + label + "," + series[i+1:]
-	}
-	return series + "{" + label + "}"
+	s.merged.Add(reg.Snapshot().WithLabel(fmt.Sprintf("workload=%q", wl)))
 }
 
 // Machine-readable error causes. Every shedding or rejection response

@@ -83,7 +83,7 @@ func TestReplayEndpointMatchesOffline(t *testing.T) {
 // only being answered from the cache.
 func simulatedAll(t *testing.T, s *Server, distinct int) {
 	t.Helper()
-	if m := s.HostSnapshot().Counters["pg_cache_misses_total"]; m != uint64(distinct) {
+	if m := s.HostSnapshot().Counter("pg_cache_misses_total"); m != uint64(distinct) {
 		t.Fatalf("pg_cache_misses_total = %d, want %d (one simulation per distinct body)", m, distinct)
 	}
 }
@@ -203,7 +203,7 @@ func TestQueueFullShedsWith429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 missing Retry-After hint")
 	}
-	if got := s.HostSnapshot().Counters["pgserved_shed_total"]; got != 1 {
+	if got := s.HostSnapshot().Counter("pgserved_shed_total"); got != 1 {
 		t.Fatalf("pgserved_shed_total = %d, want 1", got)
 	}
 }
@@ -223,7 +223,7 @@ func TestRequestBudgetExceeded(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %s: %s", resp.Status, body)
 	}
-	if got := s.HostSnapshot().Counters["pgserved_timeouts_total"]; got != 1 {
+	if got := s.HostSnapshot().Counter("pgserved_timeouts_total"); got != 1 {
 		t.Fatalf("pgserved_timeouts_total = %d, want 1", got)
 	}
 }
@@ -248,13 +248,13 @@ func TestExpiredBudgetStartsNoReplay(t *testing.T) {
 		}
 	}
 	host := s.HostSnapshot()
-	if got := host.Counters["pgserved_replays_total"]; got != 0 {
+	if got := host.Counter("pgserved_replays_total"); got != 0 {
 		t.Errorf("pgserved_replays_total = %d, want 0", got)
 	}
-	if got := host.Counters["pg_cache_misses_total"]; got != 0 {
+	if got := host.Counter("pg_cache_misses_total"); got != 0 {
 		t.Errorf("pg_cache_misses_total = %d, want 0", got)
 	}
-	if got := host.Counters["pgserved_timeouts_total"]; got != 200 {
+	if got := host.Counter("pgserved_timeouts_total"); got != 200 {
 		t.Errorf("pgserved_timeouts_total = %d, want 200", got)
 	}
 }
@@ -284,16 +284,16 @@ func TestDrainWaitsForAbandonedReplays(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if m := s.HostSnapshot().Counters["pg_cache_misses_total"]; m != 1 {
+	if m := s.HostSnapshot().Counter("pg_cache_misses_total"); m != 1 {
 		t.Fatalf("%d misses, want 1: the budget ran out before the replay began", m)
 	}
 	// The abandoned replay completed in the background: its process
 	// snapshot was merged, and it no longer counts as abandoned.
 	snap := s.ReplaySnapshot()
-	if len(snap.Counters) == 0 {
+	if !snap.Has("pg_cycles_total") {
 		t.Fatal("abandoned replay's metrics never merged")
 	}
-	if got := s.HostSnapshot().Gauges["pgserved_abandoned_replays"]; got != 0 {
+	if got := s.HostSnapshot().Gauge("pgserved_abandoned_replays"); got != 0 {
 		t.Fatalf("pgserved_abandoned_replays = %v after Drain, want 0", got)
 	}
 }
@@ -305,7 +305,7 @@ func TestDrainWaitsForAbandonedReplays(t *testing.T) {
 // host is.
 func TestAbandonedReplaysGauge(t *testing.T) {
 	s := New(Config{})
-	abandoned := func() float64 { return s.HostSnapshot().Gauges["pgserved_abandoned_replays"] }
+	abandoned := func() float64 { return s.HostSnapshot().Gauge("pgserved_abandoned_replays") }
 	started, finish := make(chan struct{}), make(chan struct{})
 	ctx, expire := context.WithCancel(context.Background())
 	defer expire()

@@ -54,6 +54,10 @@ type Config struct {
 	// Faults optionally injects deterministic syscall failures into the
 	// fallible memory syscalls (nil = every syscall succeeds).
 	Faults *Schedule
+	// SiteProfile has every process attribute its charged cycles to
+	// allocation sites (Process.Profile). Attribution costs no simulated
+	// cycle; without it Profile is nil and the charge points skip it.
+	SiteProfile bool
 }
 
 // DefaultConfig returns the reference machine.
@@ -94,8 +98,9 @@ type Process struct {
 	inject *Injector
 
 	// Observability (metrics.go): per-kind syscall accounting, the trap
-	// cycle total, the per-site attribution profile, and the scoped site
-	// label the layers above set around their operations.
+	// cycle total, the per-site attribution profile (nil unless
+	// Config.SiteProfile), and the scoped site label the layers above set
+	// around their operations.
 	sysCounts  [numAccountedKinds]uint64
 	sysCycles  [numAccountedKinds]uint64
 	sysPages   [numAccountedKinds]uint64
@@ -143,8 +148,10 @@ func NewProcess(sys *System, cfg Config) (*Process, error) {
 		mmu:    m,
 		meter:  meter,
 		inject: cfg.Faults.NewInjector(sys.procSeq),
-		prof:   obs.NewSiteProfile(),
 		flight: obs.NewFlightRecorder(obs.DefaultFlightCap),
+	}
+	if cfg.SiteProfile {
+		p.prof = obs.NewSiteProfile()
 	}
 	sys.procSeq++
 	if box, ok := frameRefPool.Get().(*[]int32); ok {

@@ -11,6 +11,7 @@ import (
 func newProc(t *testing.T) *Process {
 	t.Helper()
 	cfg := DefaultConfig()
+	cfg.SiteProfile = true
 	sys := NewSystem(cfg)
 	p, err := NewProcess(sys, cfg)
 	if err != nil {

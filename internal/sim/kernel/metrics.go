@@ -69,7 +69,8 @@ func (p *Process) SetSite(site string) (prev string) {
 // Site returns the current attribution label.
 func (p *Process) Site() string { return p.site }
 
-// Profile returns the process's per-site cycle attribution profile.
+// Profile returns the process's per-site cycle attribution profile, or nil
+// when the process was made without Config.SiteProfile.
 func (p *Process) Profile() *obs.SiteProfile { return p.prof }
 
 // SetTracer installs (or, with nil, removes) the span tracer. Installing a

@@ -75,6 +75,7 @@ func TestInjectedFailureIsAttributed(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Faults = &sched
+	cfg.SiteProfile = true
 	sys := NewSystem(cfg)
 	p, err := NewProcess(sys, cfg)
 	if err != nil {
@@ -121,16 +122,16 @@ func TestRegisterMetrics(t *testing.T) {
 	}
 
 	s := r.Snapshot()
-	if got := s.Counters[`pg_syscalls_total{call="mremap"}`]; got != 1 {
+	if got := s.Counter(`pg_syscalls_total{call="mremap"}`); got != 1 {
 		t.Errorf(`pg_syscalls_total{call="mremap"} = %d, want 1`, got)
 	}
-	if got := s.Counters[`pg_syscall_pages_total{call="mmap"}`]; got != 2 {
+	if got := s.Counter(`pg_syscall_pages_total{call="mmap"}`); got != 2 {
 		t.Errorf(`pg_syscall_pages_total{call="mmap"} = %d, want 2`, got)
 	}
-	if got := s.Counters["pg_cycles_total"]; got != p.Meter().Cycles() {
+	if got := s.Counter("pg_cycles_total"); got != p.Meter().Cycles() {
 		t.Errorf("pg_cycles_total = %d, want %d", got, p.Meter().Cycles())
 	}
-	h := s.Histograms[`pg_syscall_cycles{call="mmap"}`]
+	h, _ := s.Histogram(`pg_syscall_cycles{call="mmap"}`)
 	var n uint64
 	for _, c := range h.Counts {
 		n += c

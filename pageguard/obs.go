@@ -49,9 +49,10 @@ func (p *Process) RegisterMetrics(r *Registry) {
 	p.remap.RegisterMetrics(r)
 }
 
-// Profile returns the process's per-allocation-site cycle attribution. The
-// profile's total equals the kernel's total charged cycles exactly (see
-// TopTable and FlatProfile for renderings).
+// Profile returns the process's per-allocation-site cycle attribution, or
+// nil unless the machine was built WithSiteProfile. The profile's total
+// equals the kernel's total charged cycles exactly (see TopTable and
+// FlatProfile for renderings).
 func (p *Process) Profile() *SiteProfile { return p.proc.Profile() }
 
 // ChargedCycles returns the total cycles the kernel charged this process

@@ -45,7 +45,7 @@ func TestStatsStringGolden(t *testing.T) {
 // TestProcessObservability drives a dangling use through the public API and
 // checks the trap report, the metrics registry, and the profile line up.
 func TestProcessObservability(t *testing.T) {
-	m := NewMachine()
+	m := NewMachine(WithSiteProfile())
 	p, err := m.NewProcess()
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +84,14 @@ func TestProcessObservability(t *testing.T) {
 		t.Errorf("profile total %d != charged %d", got, want)
 	}
 	s := reg.Snapshot()
-	if s.Counters["pg_allocs_total"] != 1 || s.Counters["pg_dangling_detected_total"] != 1 {
+	if s.Counter("pg_allocs_total") != 1 || s.Counter("pg_dangling_detected_total") != 1 {
 		t.Errorf("registry counters: allocs=%d dangling=%d",
-			s.Counters["pg_allocs_total"], s.Counters["pg_dangling_detected_total"])
+			s.Counter("pg_allocs_total"), s.Counter("pg_dangling_detected_total"))
 	}
-	if s.Counters["pg_traps_total"] != 1 {
-		t.Errorf("pg_traps_total = %d", s.Counters["pg_traps_total"])
+	if s.Counter("pg_traps_total") != 1 {
+		t.Errorf("pg_traps_total = %d", s.Counter("pg_traps_total"))
 	}
-	if s.Counters[`pg_syscalls_total{call="mremap"}`] == 0 {
+	if s.Counter(`pg_syscalls_total{call="mremap"}`) == 0 {
 		t.Error("no mremap syscalls recorded")
 	}
 	if err := p.Exit(); err != nil {
@@ -112,7 +112,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(NewMachine(), ModeDetect)
+	res, err := prog.Run(NewMachine(WithSiteProfile()), ModeDetect)
 	if err != nil {
 		t.Fatal(err)
 	}

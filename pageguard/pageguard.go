@@ -192,6 +192,14 @@ func WithSpanTracing() Option {
 	return func(c *machineConfig) { c.spans = true }
 }
 
+// WithSiteProfile has every process created on the machine attribute its
+// charged cycles to allocation sites (Process.Profile, RunResult.Profile,
+// trace.Report.Profile). Attribution changes no simulated number; without
+// this option the profile is nil and no process builds one.
+func WithSiteProfile() Option {
+	return func(c *machineConfig) { c.kernel.SiteProfile = true }
+}
+
 // FaultEvent is one injected syscall failure, in per-process order.
 type FaultEvent = kernel.FaultEvent
 

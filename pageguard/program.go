@@ -120,7 +120,8 @@ type Result struct {
 	// Report is the forensic trap report when Err is a *DanglingError
 	// (nil otherwise).
 	Report *TrapReport
-	// Profile is the run's per-allocation-site cycle attribution.
+	// Profile is the run's per-allocation-site cycle attribution (nil
+	// without WithSiteProfile).
 	Profile *SiteProfile
 	// Spans are the run's cycle-exact spans (nil without WithSpanTracing).
 	Spans []Span

@@ -166,7 +166,7 @@ func replayFuzz(t *testing.T, policy, faults string, events []Event, stale int) 
 		t.Fatalf("policy %q faults %q: GC log sums to %d cycles, stats charge %d",
 			policy, faults, logSum, rep.Stats.GCCycleCost)
 	}
-	if kc := rep.Metrics.Counters["pg_gc_charged_cycles_total"]; kc != rep.Stats.GCCycleCost {
+	if kc := rep.Metrics.Counter("pg_gc_charged_cycles_total"); kc != rep.Stats.GCCycleCost {
 		t.Fatalf("policy %q faults %q: kernel charged %d GC cycles, stats say %d",
 			policy, faults, kc, rep.Stats.GCCycleCost)
 	}

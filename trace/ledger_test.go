@@ -61,7 +61,7 @@ func TestReplayLedgerMissAfterForgetUnderAggressiveGC(t *testing.T) {
 	if rep.Stats.GCRuns == 0 || rep.Stats.RecycledPages == 0 {
 		t.Fatalf("expected scheduled GC activity, stats = %+v", rep.Stats)
 	}
-	if got := rep.Metrics.Counters["pg_missed_detections_total"]; got != 1 {
+	if got := rep.Metrics.Counter("pg_missed_detections_total"); got != 1 {
 		t.Fatalf("pg_missed_detections_total = %d, want 1", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestReplayDoubleFreeCountsStat(t *testing.T) {
 	if rep.Stats.DoubleFrees != 1 {
 		t.Fatalf("DoubleFrees = %d, want 1", rep.Stats.DoubleFrees)
 	}
-	if got := rep.Metrics.Counters["pg_double_frees_total"]; got != 1 {
+	if got := rep.Metrics.Counter("pg_double_frees_total"); got != 1 {
 		t.Fatalf("pg_double_frees_total = %d, want 1", got)
 	}
 }

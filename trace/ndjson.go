@@ -189,7 +189,7 @@ func RenderNDJSON(b *Body, rep *Report) error {
 		e.b = append(e.b, `{"type":"detection","line":`...)
 		e.b = strconv.AppendInt(e.b, int64(d.Line), 10)
 		e.b = append(e.b, `,"error":`...)
-		e.str(fmt.Sprint(d.Err))
+		e.errorMessage(d.Err)
 		if d.Report != nil {
 			e.b = append(e.b, `,"report":`...)
 			e.report(d.Report)
@@ -417,6 +417,27 @@ func (e *ndjsonEncoder) strField(name, s string) {
 	e.str(s)
 }
 
+// errorMessage appends err's message as a JSON string. A detector error
+// appends its message in place; any other goes through fmt, as before.
+func (e *ndjsonEncoder) errorMessage(err error) {
+	ae, ok := err.(interface{ AppendError([]byte) []byte })
+	if !ok {
+		e.str(fmt.Sprint(err))
+		return
+	}
+	start := len(e.b)
+	e.b = ae.AppendError(append(e.b, '"'))
+	for _, c := range e.b[start+1:] {
+		if !plainJSON(c) {
+			msg := string(e.b[start+1:])
+			e.b = e.b[:start]
+			e.str(msg)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+}
+
 // key appends ,"name": — names are the fixed ASCII tags above.
 func (e *ndjsonEncoder) key(name string) {
 	e.b = append(e.b, ',', '"')
@@ -428,7 +449,7 @@ func (e *ndjsonEncoder) key(name string) {
 // printable ASCII other than " \ < > &, else encoded by json.Marshal.
 func (e *ndjsonEncoder) str(s string) {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if !plainJSON(s[i]) {
 			q, err := json.Marshal(s)
 			if err != nil && e.err == nil {
 				e.err = err
@@ -440,4 +461,10 @@ func (e *ndjsonEncoder) str(s string) {
 	e.b = append(e.b, '"')
 	e.b = append(e.b, s...)
 	e.b = append(e.b, '"')
+}
+
+// plainJSON reports whether c stands for itself inside a JSON string as
+// json.Marshal writes one: printable ASCII other than " \ < > &.
+func plainJSON(c byte) bool {
+	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }

@@ -37,7 +37,8 @@ type Report struct {
 	// Stats is the process's final detector statistics.
 	Stats pageguard.Stats
 	// Profile is the replay's per-site cycle attribution (sites are
-	// "trace:N" labels, one per trace line).
+	// "trace:N" labels, one per trace line), or nil unless the machine was
+	// built with pageguard.WithSiteProfile.
 	Profile *pageguard.SiteProfile
 	// Metrics is the process's final metrics snapshot (every pg_* series
 	// the kernel and detector expose). Snapshots from concurrent replays

@@ -20,7 +20,7 @@ f 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Replay(pageguard.NewMachine(), events)
+	rep, err := Replay(pageguard.NewMachine(pageguard.WithSiteProfile()), events)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
